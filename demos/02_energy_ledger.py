@@ -41,8 +41,8 @@ ledger = EnergyLedger(kBT=1.0)
 ledger.charge(0.5, *observation_cost(landauer, 1.0, 1.0))
 ledger.charge(1.0, *observation_cost(flat, 1.0, 1.0))   # 0.05 < 0.5 ln 2: flagged
 ledger.charge(1.5, *observation_cost(flat, 100.0, 1.0))  # 0.05 clears the tiny bound
-for entry in ledger.entries:
-    marker = "  <-- below the kBT floor" if entry.sub_landauer else ""
-    print(f"t={entry.time:3.1f}  energy={entry.energy:.6f}  info={entry.info_gain:.6f}{marker}")
+for t, energy, info, flagged in zip(ledger.times, ledger.energies, ledger.infos, ledger.sub_landauer):
+    marker = "  <-- below the kBT floor" if flagged else ""
+    print(f"t={t:3.1f}  energy={energy:.6f}  info={info:.6f}{marker}")
 print(f"cumulative: energy={ledger.cumulative_energy:.6f}  info={ledger.cumulative_info:.6f} nats")
 print(f"half a nat is {0.5 * math.log(2):.6f}; the flagged entry paid only 0.05.")

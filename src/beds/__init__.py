@@ -63,14 +63,12 @@ from .dynamics import (
 )
 from .energy import (
     EnergyLedger,
-    LedgerEntry,
     gaussian_entropy,
     info_gain,
     landauer_min_energy,
     observation_cost,
-    windowed_power,
 )
-from .engine import RunEvent, RunTrace, Summary, SweepTable, run, summary_to_dict, sweep, trace_to_csv
+from .engine import RunTrace, Summary, SweepTable, run, summary_to_dict, sweep, trace_to_csv
 from .fluxgen import flux_from_csv, flux_to_csv, generate_flux, target_mean_at
 
 __version__ = "0.1.0"

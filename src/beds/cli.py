@@ -15,31 +15,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .analysis import classify_run, optimal_obs_precision, steady_state_prediction
 from .core import (
+    BedsError,
     Scenario,
     UnknownParameterPath,
     ValidationError,
     scenario_from_dict,
+    set_path,
     validate_scenario,
 )
 from .engine import run, summary_to_dict, sweep, trace_to_csv
 from .io import json_dumps
 from . import verify as verify_mod
 
-__all__ = ["CliConfig", "main"]
-
-
-@dataclass
-class CliConfig:
-    """Parsed invocation: which subcommand, which files, which overrides."""
-
-    subcommand: str
-    scenario_path: str | None = None
-    output_dir: str | None = None
-    overrides: list[str] = field(default_factory=list)
+__all__ = ["main"]
 
 
 class _CliError(Exception):
@@ -59,20 +50,8 @@ def _parse_override(pair: str) -> tuple[str, object]:
     return path, value
 
 
-def _apply_override(raw: dict, path: str, value: object) -> None:
-    keys = path.split(".")
-    node = raw
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise _CliError(2, f"unknown scenario field {path!r}")
-        node = node[key]
-    if not isinstance(node, dict) or keys[-1] not in node:
-        raise _CliError(2, f"unknown scenario field {path!r}")
-    node[keys[-1]] = value
-
-
-def _load_scenario(config: CliConfig) -> Scenario:
-    path = config.scenario_path
+def _load_scenario(args: argparse.Namespace) -> Scenario:
+    path = args.scenario_path
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -82,9 +61,11 @@ def _load_scenario(config: CliConfig) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(2, f"scenario file {path} is not valid JSON: {exc}") from exc
-    for pair in config.overrides:
-        override_path, value = _parse_override(pair)
-        _apply_override(raw, override_path, value)
+    for pair in args.override:
+        try:
+            set_path(raw, *_parse_override(pair))
+        except UnknownParameterPath as exc:
+            raise _CliError(2, str(exc)) from exc
     env_seed = os.environ.get("BEDS_SEED")
     if env_seed is not None:
         try:
@@ -93,7 +74,7 @@ def _load_scenario(config: CliConfig) -> Scenario:
             raise _CliError(2, f"BEDS_SEED must be an integer, got {env_seed!r}") from exc
     try:
         scenario = scenario_from_dict(raw)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (BedsError, ValueError, TypeError, KeyError) as exc:
         raise _CliError(2, f"scenario file {path} is malformed: {exc}") from exc
     try:
         validate_scenario(scenario)
@@ -129,23 +110,23 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(config: CliConfig) -> int:
-    scenario = _load_scenario(config)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     trace = run(scenario)
     summary = summary_to_dict(trace)
-    _write_text(config.output_dir, "trace.csv", trace_to_csv(trace))
-    _write_text(config.output_dir, "summary.json", json_dumps(summary))
-    _write_text(config.output_dir, "ledger.csv", trace.ledger.to_csv())
+    _write_text(args.output_dir, "trace.csv", trace_to_csv(trace))
+    _write_text(args.output_dir, "summary.json", json_dumps(summary))
+    _write_text(args.output_dir, "ledger.csv", trace.ledger.to_csv())
     sys.stdout.write(json_dumps(summary))
     return 0
 
 
-def _cmd_sweep(config: CliConfig, grid_specs: list[str], replicates: int) -> int:
-    scenario = _load_scenario(config)
-    if replicates < 1:
-        raise _CliError(2, f"--replicates must be >= 1, got {replicates!r}")
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    if args.replicates < 1:
+        raise _CliError(2, f"--replicates must be >= 1, got {args.replicates!r}")
     grid: list[tuple[str, list[float]]] = []
-    for spec in grid_specs:
+    for spec in args.grid:
         if "=" not in spec:
             raise _CliError(2, f"grid {spec!r} is not of the form path=v1,v2,...")
         path, raw_values = spec.split("=", 1)
@@ -157,23 +138,23 @@ def _cmd_sweep(config: CliConfig, grid_specs: list[str], replicates: int) -> int
             raise _CliError(2, f"grid {spec!r} lists no values")
         grid.append((path, values))
     try:
-        table = sweep(scenario, grid, replicates=replicates)
+        table = sweep(scenario, grid, replicates=args.replicates)
     except UnknownParameterPath as exc:
         raise _CliError(2, str(exc)) from exc
     except ValidationError as exc:
         lines = "\n".join(f"  {v.field}: {v.message}" for v in exc.violations)
         raise _CliError(2, f"a grid cell failed validation:\n{lines}") from exc
-    target = _write_text(config.output_dir, "sweep.csv", table.to_csv())
+    target = _write_text(args.output_dir, "sweep.csv", table.to_csv())
     sys.stdout.write(f"wrote {len(table.rows)} rows to {target}\n")
     return 0
 
 
-def _cmd_classify(config: CliConfig) -> int:
-    scenario = _load_scenario(config)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     trace = run(scenario)
     verdict = classify_run(trace, scenario.problem)
     payload = verdict.to_dict()
-    _write_text(config.output_dir, "verdict.json", json_dumps(payload))
+    _write_text(args.output_dir, "verdict.json", json_dumps(payload))
     sys.stdout.write(json_dumps(payload))
     return 0
 
@@ -254,18 +235,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "predict":
             return _cmd_predict(args)
-        config = CliConfig(
-            subcommand=args.subcommand,
-            scenario_path=getattr(args, "scenario_path", None),
-            output_dir=getattr(args, "output_dir", None),
-            overrides=list(getattr(args, "override", [])),
-        )
         if args.subcommand == "simulate":
-            return _cmd_simulate(config)
+            return _cmd_simulate(args)
         if args.subcommand == "sweep":
-            return _cmd_sweep(config, args.grid, args.replicates)
+            return _cmd_sweep(args)
         if args.subcommand == "classify":
-            return _cmd_classify(config)
+            return _cmd_classify(args)
         if args.subcommand == "verify":
             return _cmd_verify(args.seed_base, args.output_dir)
         raise _CliError(2, f"unknown subcommand {args.subcommand!r}")

@@ -45,6 +45,7 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_json",
     "scenario_from_json",
+    "set_path",
 ]
 
 MAX_SEED = 2**64 - 1
@@ -531,6 +532,23 @@ def scenario_from_dict(raw: dict) -> Scenario:
         sample_dt=raw["sample_dt"],
         seed=raw["seed"],
     )
+
+
+def set_path(raw: dict, path: str, value: object) -> object:
+    """Set the existing field at dotted ``path`` of a scenario dict; return its old value.
+
+    Raises UnknownParameterPath when the path names no field, so an override
+    can never add a key that :func:`scenario_from_dict` would reject later.
+    """
+
+    keys = path.split(".")
+    parent, node = None, raw
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            raise UnknownParameterPath(f"no scenario field at {path!r}")
+        parent, node = node, node[key]
+    parent[keys[-1]] = value
+    return node
 
 
 def scenario_to_json(scenario: Scenario) -> str:

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .core import EnergyModel, GaussianBelief, NonMonotonicTime, NonPositivePrecision
+from .io import csv_text
 
 __all__ = [
-    "LedgerEntry",
     "EnergyLedger",
     "gaussian_entropy",
     "info_gain",
     "landauer_min_energy",
     "observation_cost",
-    "windowed_power",
 ]
 
 _HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -68,53 +66,47 @@ def observation_cost(model: EnergyModel, tau_before: float, tau_d: float) -> tup
     return landauer_min_energy(info, model.kBT), info
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    time: float
-    energy: float
-    info_gain: float
-    entropy_reduction: float  # equals info_gain for Gaussian updates
-    sub_landauer: bool
-
-
 class EnergyLedger:
     """Append-only, time-ordered record of per-observation energy charges.
 
-    Cumulative energy and information always equal the sums over entries.
-    ``kBT`` is kept so each charge can be checked against its thermodynamic
-    minimum at entry time.
+    Charge ``i`` is stored once, across the column lists ``times``,
+    ``energies`` (energy paid), ``infos`` (nats gained) and ``cumulative``
+    (running energy total). Cumulative energy and information always equal
+    the sums over charges. ``kBT`` is kept so each charge can be checked
+    against its thermodynamic minimum.
     """
 
     def __init__(self, kBT: float = 1.0):
         self.kBT = kBT
-        self.entries: list[LedgerEntry] = []
+        self.times: list[float] = []
+        self.energies: list[float] = []
+        self.infos: list[float] = []
+        self.cumulative: list[float] = []
         self.cumulative_energy = 0.0
         self.cumulative_info = 0.0
-        self._times: list[float] = []
-        self._cumulative: list[float] = []  # running energy totals, aligned with entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.times)
+
+    @property
+    def sub_landauer(self) -> list[bool]:
+        """Per charge: whether it was priced below its minimum ``kBT * info``."""
+
+        return [energy < self.kBT * info for energy, info in zip(self.energies, self.infos)]
 
     def charge(self, t: float, energy: float, info: float) -> "EnergyLedger":
         """Append a charge at time ``t``; times must be non-decreasing."""
 
-        if self._times and t < self._times[-1]:
+        if self.times and t < self.times[-1]:
             raise NonMonotonicTime(
-                f"charge at t={t!r} precedes last entry at t={self._times[-1]!r}"
+                f"charge at t={t!r} precedes last entry at t={self.times[-1]!r}"
             )
-        entry = LedgerEntry(
-            time=t,
-            energy=energy,
-            info_gain=info,
-            entropy_reduction=info,
-            sub_landauer=energy < self.kBT * info,
-        )
-        self.entries.append(entry)
         self.cumulative_energy += energy
         self.cumulative_info += info
-        self._times.append(t)
-        self._cumulative.append(self.cumulative_energy)
+        self.times.append(t)
+        self.energies.append(energy)
+        self.infos.append(info)
+        self.cumulative.append(self.cumulative_energy)
         return self
 
     def windowed_power(self, t_end: float, window: float) -> float:
@@ -122,41 +114,23 @@ class EnergyLedger:
 
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window!r}")
-        hi = bisect_right(self._times, t_end)
-        lo = bisect_right(self._times, t_end - window)
+        hi = bisect_right(self.times, t_end)
+        lo = bisect_right(self.times, t_end - window)
         if hi == lo:
             return 0.0
-        energy = self._cumulative[hi - 1] - (self._cumulative[lo - 1] if lo else 0.0)
+        energy = self.cumulative[hi - 1] - (self.cumulative[lo - 1] if lo else 0.0)
         return energy / window
 
     def energy_up_to(self, t: float) -> float:
         """Cumulative energy of all entries with time <= t."""
 
-        hi = bisect_right(self._times, t)
-        return self._cumulative[hi - 1] if hi else 0.0
+        hi = bisect_right(self.times, t)
+        return self.cumulative[hi - 1] if hi else 0.0
 
     def to_csv(self) -> str:
         """Render as CSV: time, energy, info_gain, cumulative_energy, sub_landauer."""
 
-        from .io import format_float  # local import to avoid a cycle at module load
-
-        lines = ["time,energy,info_gain,cumulative_energy,sub_landauer"]
-        for entry, cum in zip(self.entries, self._cumulative):
-            lines.append(
-                ",".join(
-                    (
-                        format_float(entry.time),
-                        format_float(entry.energy),
-                        format_float(entry.info_gain),
-                        format_float(cum),
-                        "true" if entry.sub_landauer else "false",
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-
-def windowed_power(ledger: EnergyLedger, t_end: float, window: float) -> float:
-    """Module-level alias for :meth:`EnergyLedger.windowed_power`."""
-
-    return ledger.windowed_power(t_end, window)
+        return csv_text(
+            ("time", "energy", "info_gain", "cumulative_energy", "sub_landauer"),
+            zip(self.times, self.energies, self.infos, self.cumulative, self.sub_landauer),
+        )

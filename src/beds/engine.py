@@ -13,6 +13,7 @@ seeds, one summary row per cell per replicate.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -25,6 +26,7 @@ from .core import (
     UnknownParameterPath,
     scenario_from_dict,
     scenario_to_dict,
+    set_path,
     validate_scenario,
 )
 from .dynamics import (
@@ -36,10 +38,9 @@ from .dynamics import (
 )
 from .energy import EnergyLedger, observation_cost
 from .fluxgen import generate_flux, target_mean_at
-from .io import format_float
+from .io import csv_text
 
 __all__ = [
-    "RunEvent",
     "Summary",
     "RunTrace",
     "SweepTable",
@@ -59,6 +60,9 @@ SAMPLE_FIELDS = (
     "windowed_power",
 )
 _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
+_EVENT_DTYPE = np.dtype(
+    [(name, np.float64) for name in ("mean_before", "precision_before", "mean_after", "precision_after")]
+)
 
 SUMMARY_FIELDS = (
     "mean_precision_after_t0",
@@ -68,13 +72,6 @@ SUMMARY_FIELDS = (
     "total_energy",
     "total_info",
 )
-
-
-@dataclass(frozen=True)
-class RunEvent:
-    t: float
-    kind: str  # "observation" | "crystallization"
-    detail: dict
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,15 @@ class RunTrace:
     ``samples`` is a structured array with fields t, mean, precision,
     variance, kl_to_target, cumulative_energy, windowed_power, at multiples
     of the scenario's sample_dt up to the horizon or the crystallization
-    time, whichever is earlier. ``clamped`` flags that the precision floor
-    was hit at least once.
+    time, whichever is earlier. ``events`` is a structured array with
+    fields mean_before, precision_before, mean_after, precision_after: row
+    ``i`` is the belief change of the observation that ``ledger`` charged
+    as entry ``i``, whose time, energy and information live in the ledger
+    only. ``clamped`` flags that the precision floor was hit at least once.
     """
 
     samples: np.ndarray
-    events: list[RunEvent]
+    events: np.ndarray
     outcome: CrystallizationOutcome
     ledger: EnergyLedger
     summary: Summary
@@ -150,7 +150,7 @@ def run(
     ledger = EnergyLedger(kBT=scenario.energy_model.kBT)
     belief = scenario.beds.initial_belief
     state_t = 0.0
-    events: list[RunEvent] = []
+    events: list[tuple[float, float, float, float]] = []
     outcome = CrystallizationOutcome(crystallized=False)
     clamped = belief.precision <= PRECISION_FLOOR
     halted_at: float | None = None
@@ -188,39 +188,13 @@ def run(
         energy, info = observation_cost(scenario.energy_model, tau_before, obs.obs_precision)
         belief = bayes_update(belief, obs)
         ledger.charge(obs.time, energy, info)
-        events.append(
-            RunEvent(
-                t=obs.time,
-                kind="observation",
-                detail={
-                    "value": obs.value,
-                    "obs_precision": obs.obs_precision,
-                    "mean_before": mean_before,
-                    "precision_before": tau_before,
-                    "mean_after": belief.mean,
-                    "precision_after": belief.precision,
-                    "info_gain": info,
-                    "energy": energy,
-                },
-            )
-        )
+        events.append((mean_before, tau_before, belief.mean, belief.precision))
         check = check_crystallization(
             belief, obs.time, epsilon, target_mean_at(target, obs.time), delta
         )
         if check.crystallized:
             outcome = check
             halted_at = obs.time
-            events.append(
-                RunEvent(
-                    t=obs.time,
-                    kind="crystallization",
-                    detail={
-                        "output_mean": check.output_mean,
-                        "accurate": check.accurate,
-                        "variance": belief.variance(),
-                    },
-                )
-            )
             break
 
     if halted_at is None:
@@ -230,7 +204,7 @@ def run(
     summary = _summarize(samples, scenario.problem.t0, ledger)
     return RunTrace(
         samples=samples,
-        events=events,
+        events=np.array(events, dtype=_EVENT_DTYPE),
         outcome=outcome,
         ledger=ledger,
         summary=summary,
@@ -267,8 +241,8 @@ def _assemble_samples(
         np.log(precision / tau_p) + tau_p / precision + tau_p * gap * gap - 1.0
     )
 
-    charge_times = np.asarray(ledger._times)
-    cumulative = np.asarray(ledger._cumulative)
+    charge_times = np.asarray(ledger.times)
+    cumulative = np.asarray(ledger.cumulative)
     if len(charge_times):
         hi = np.searchsorted(charge_times, t, side="right")
         lo = np.searchsorted(charge_times, t - power_window, side="right")
@@ -296,10 +270,8 @@ def _summarize(samples: np.ndarray, t0: float, ledger: EnergyLedger) -> Summary:
 def trace_to_csv(trace: RunTrace) -> str:
     """Render the sample series as CSV with one column per sample field."""
 
-    lines = [",".join(SAMPLE_FIELDS)]
-    for row in trace.samples:
-        lines.append(",".join(format_float(float(row[name])) for name in SAMPLE_FIELDS))
-    return "\n".join(lines) + "\n"
+    columns = [trace.samples[name].tolist() for name in SAMPLE_FIELDS]
+    return csv_text(SAMPLE_FIELDS, zip(*columns))
 
 
 def summary_to_dict(trace: RunTrace) -> dict:
@@ -315,22 +287,6 @@ def summary_to_dict(trace: RunTrace) -> dict:
     return out
 
 
-def _set_numeric_field(raw: dict, path: str, value: float) -> None:
-    keys = path.split(".")
-    node = raw
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise UnknownParameterPath(f"no scenario field at {path!r}")
-        node = node[key]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise UnknownParameterPath(f"no scenario field at {path!r}")
-    current = node[leaf]
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise UnknownParameterPath(f"scenario field {path!r} is not numeric")
-    node[leaf] = value
-
-
 @dataclass
 class SweepTable:
     """Flat result table for a sweep: one row per grid cell per replicate."""
@@ -343,10 +299,7 @@ class SweepTable:
 
     def to_csv(self) -> str:
         header = [*self.params, "replicate", "seed", *SUMMARY_FIELDS]
-        lines = [",".join(header)]
-        for row in self.rows:
-            lines.append(",".join(format_float(row[name]) for name in header))
-        return "\n".join(lines) + "\n"
+        return csv_text(header, ([row[name] for name in header] for row in self.rows))
 
 
 def sweep(
@@ -370,11 +323,13 @@ def sweep(
     base_dict = scenario_to_dict(base)
     for combo in itertools.product(*value_lists):
         for replicate in range(replicates):
-            raw = scenario_to_dict(scenario_from_dict(base_dict))  # deep copy via round-trip
+            raw = copy.deepcopy(base_dict)
             for path, value in zip(paths, combo):
-                _set_numeric_field(raw, path, value)
+                old = set_path(raw, path, value)
+                if isinstance(old, bool) or not isinstance(old, (int, float)):
+                    raise UnknownParameterPath(f"scenario field {path!r} is not numeric")
             raw["seed"] = (base.seed + replicate) % 2**64
-            scenario = validate_scenario(scenario_from_dict(raw))
+            scenario = scenario_from_dict(raw)
             trace = run(scenario, power_window=power_window)
             row = dict(zip(paths, combo))
             row["replicate"] = replicate

@@ -24,7 +24,7 @@ from .core import (
     ScheduleArrival,
     TargetSpec,
 )
-from .io import format_float
+from .io import csv_text
 
 __all__ = ["generate_flux", "target_mean_at", "flux_to_csv", "flux_from_csv"]
 
@@ -96,22 +96,23 @@ def generate_flux(
 def flux_to_csv(observations: list[Observation]) -> str:
     """Render a flux as CSV (time, value, obs_precision) for replay elsewhere."""
 
-    lines = ["time,value,obs_precision"]
-    for obs in observations:
-        lines.append(
-            ",".join((format_float(obs.time), format_float(obs.value), format_float(obs.obs_precision)))
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("time", "value", "obs_precision"),
+        ((obs.time, obs.value, obs.obs_precision) for obs in observations),
+    )
 
 
 def flux_from_csv(text: str) -> list[Observation]:
     """Parse a flux CSV produced by :func:`flux_to_csv` (or any external trace)."""
 
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0].replace(" ", "") != "time,value,obs_precision":
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1].replace(" ", "") != "time,value,obs_precision":
         raise ValueError("flux CSV must start with header 'time,value,obs_precision'")
     observations = []
-    for line in lines[1:]:
-        t, value, tau_d = (float(part) for part in line.split(","))
-        observations.append(Observation(time=t, value=value, obs_precision=tau_d))
+    for number, line in lines[1:]:
+        try:
+            t, value, tau_d = (float(part) for part in line.split(","))
+            observations.append(Observation(time=t, value=value, obs_precision=tau_d))
+        except ValueError as exc:
+            raise ValueError(f"flux CSV line {number}: {exc}") from exc
     return observations

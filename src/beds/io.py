@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["format_float", "json_dumps"]
+__all__ = ["csv_text", "format_float", "json_dumps"]
 
 
 def format_float(x: float) -> str:
@@ -21,6 +21,19 @@ def format_float(x: float) -> str:
     if math.isnan(x):
         return "nan"
     return f"{x:.17g}"
+
+
+def csv_text(header, rows) -> str:
+    """Render a header and rows of Python scalars as CSV, one line per row.
+
+    Cells go through :func:`format_float`, so pass Python ``float``/``bool``
+    (for example a numpy column's ``.tolist()``): ``np.bool_`` is not a
+    ``bool`` and would not print as ``true``/``false``.
+    """
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_float, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _round_trip(obj):

@@ -416,11 +416,11 @@ def check_landauer_ledger(seed_base: int = DEFAULT_SEED_BASE) -> CheckResult:
         trace = run(scenario)
         kBT = scenario.energy_model.kBT
         recomputed = 0.0
-        for event in trace.events:
-            if event.kind != "observation":
-                continue
-            before = GaussianBelief(0.0, event.detail["precision_before"])
-            after = GaussianBelief(0.0, event.detail["precision_after"])
+        for tau_before, tau_after in zip(
+            trace.events["precision_before"].tolist(), trace.events["precision_after"].tolist()
+        ):
+            before = GaussianBelief(0.0, tau_before)
+            after = GaussianBelief(0.0, tau_after)
             recomputed += kBT * (gaussian_entropy(before) - gaussian_entropy(after))
         ledger_energy = trace.ledger.cumulative_energy
         if recomputed == 0.0:

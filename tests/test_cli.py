@@ -121,6 +121,32 @@ def test_simulate_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ("flux_spec.arrival=[]", "flux_spec.arrival"),
+        ("flux_spec.arrival={}", "flux_spec.arrival"),
+        ("beds.nope=1", "beds.nope"),
+    ],
+)
+def test_simulate_bad_override_exits_2_with_one_line_error(
+    tmp_path, scenario_file, capsys, override, named
+):
+    code = main(
+        [
+            "simulate",
+            "--scenario-path", scenario_file(dissipation_only),
+            "--output-dir", str(tmp_path / "o"),
+            "--override", override,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert named in err
+
+
 def test_simulate_override_changes_result(tmp_path, scenario_file):
     path = scenario_file(dissipation_only)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

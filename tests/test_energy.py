@@ -21,7 +21,6 @@ from beds.energy import (
     info_gain,
     landauer_min_energy,
     observation_cost,
-    windowed_power,
 )
 from beds.fluxgen import generate_flux
 
@@ -129,16 +128,16 @@ def test_observation_cost_fixed():
 def test_fixed_cost_above_bound_is_not_flagged():
     ledger = EnergyLedger(kBT=1.0)
     energy, info = observation_cost(EnergyModel(kind="fixed_cost", fixed_cost_value=0.1), 100.0, 1.0)
-    entry = ledger.charge(1.0, energy, info).entries[-1]
+    flagged = ledger.charge(1.0, energy, info).sub_landauer[-1]
     assert info == pytest.approx(0.0049751654, rel=1e-6)
-    assert entry.sub_landauer is False  # 0.1 clears the 0.0049752 bound
+    assert flagged is False  # 0.1 clears the 0.0049752 bound
 
 
 def test_sub_landauer_pricing_is_flagged_not_rejected():
     ledger = EnergyLedger(kBT=1.0)
     energy, info = observation_cost(EnergyModel(kind="fixed_cost", fixed_cost_value=0.01), 1.0, 1.0)
-    entry = ledger.charge(1.0, energy, info).entries[-1]
-    assert entry.sub_landauer is True  # 0.01 < half a nat
+    flagged = ledger.charge(1.0, energy, info).sub_landauer[-1]
+    assert flagged is True  # 0.01 < half a nat
     assert ledger.cumulative_energy == pytest.approx(0.01)
 
 
@@ -148,7 +147,7 @@ def test_landauer_pricing_never_flags():
     for i, (tau, tau_d) in enumerate([(1.0, 1.0), (5.0, 0.1), (0.2, 30.0)]):
         energy, info = observation_cost(model, tau, tau_d)
         ledger.charge(float(i), energy, info)
-    assert not any(e.sub_landauer for e in ledger.entries)
+    assert not any(ledger.sub_landauer)
 
 
 def test_fixed_cost_above_every_bound_dominates_cumulative_floor():
@@ -162,7 +161,7 @@ def test_fixed_cost_above_every_bound_dominates_cumulative_floor():
         assert energy >= kbt * info
         ledger.charge(float(i), energy, info)
     assert ledger.cumulative_energy >= kbt * ledger.cumulative_info
-    assert not any(e.sub_landauer for e in ledger.entries)
+    assert not any(ledger.sub_landauer)
 
 
 # --- ledger ----------------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_charge_single_entry():
     assert ledger.cumulative_energy == 2.0
     assert ledger.cumulative_info == 1.0
     assert len(ledger) == 1
-    assert ledger.entries[0].entropy_reduction == 1.0
+    assert (ledger.times, ledger.energies, ledger.infos, ledger.cumulative) == ([1.0], [2.0], [1.0], [2.0])
 
 
 def test_charge_accumulates():
@@ -240,7 +239,6 @@ def test_windowed_power_window_is_half_open():
     ledger.charge(5.0, 3.0, 0.1)
     # (0, 5]: the entry at exactly t_end - window is excluded, at t_end included.
     assert ledger.windowed_power(5.0, 5.0) == pytest.approx(3.0 / 5.0)
-    assert windowed_power(ledger, 5.0, 5.0) == pytest.approx(3.0 / 5.0)
 
 
 def test_windowed_power_matches_rate_times_cost_for_poisson_flux():

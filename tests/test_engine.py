@@ -52,7 +52,7 @@ def test_dissipation_only_run():
     assert trace.samples["t"][-1] == 10.0
     assert trace.samples["precision"][-1] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert trace.ledger.cumulative_energy == 0.0
-    assert trace.events == []
+    assert len(trace.events) == 0
     assert not trace.outcome.crystallized
     assert not trace.clamped
 
@@ -62,13 +62,11 @@ def test_single_observation_run():
     # precision and books half a nat of information.
     trace = run(single_observation_scenario())
     assert trace.samples["precision"][-1] == pytest.approx(2.0, rel=1e-9)
-    assert len(trace.ledger.entries) == 1
-    entry = trace.ledger.entries[0]
-    assert entry.time == 1.0
-    assert entry.info_gain == pytest.approx(0.5 * math.log(2.0), rel=1e-9)
-    assert entry.energy == pytest.approx(0.5 * math.log(2.0), rel=1e-9)
-    kinds = [event.kind for event in trace.events]
-    assert kinds == ["observation"]
+    assert len(trace.ledger) == 1
+    assert trace.ledger.times == [1.0]
+    assert trace.ledger.infos[0] == pytest.approx(0.5 * math.log(2.0), rel=1e-9)
+    assert trace.ledger.energies[0] == pytest.approx(0.5 * math.log(2.0), rel=1e-9)
+    assert len(trace.events) == 1
 
 
 def test_dynamics_level_composition_without_dissipation():
@@ -83,10 +81,9 @@ def test_dynamics_level_composition_without_dissipation():
 def test_observation_cost_uses_pre_update_precision():
     scenario = single_observation_scenario(gamma=0.5)
     trace = run(scenario)
-    event = trace.events[0]
-    tau_before = event.detail["precision_before"]
+    tau_before = float(trace.events["precision_before"][0])
     assert tau_before == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert event.detail["info_gain"] == pytest.approx(
+    assert trace.ledger.infos[0] == pytest.approx(
         0.5 * math.log1p(1.0 / tau_before), rel=1e-12
     )
 
@@ -98,10 +95,10 @@ def test_crystallizing_run_halts():
     assert trace.outcome.accurate
     t_halt = trace.outcome.time
     assert trace.halted_at == t_halt
-    assert trace.events[-1].kind == "crystallization"
-    assert all(event.t <= t_halt for event in trace.events)
+    # The halting observation is the last one charged: nothing is recorded after it.
+    assert trace.ledger.times[-1] == t_halt
+    assert len(trace.events) == len(trace.ledger)
     assert trace.samples["t"][-1] <= t_halt
-    assert trace.ledger.entries[-1].time <= t_halt
     assert t_halt < scenario.horizon
 
 
@@ -111,8 +108,10 @@ def test_run_is_deterministic():
     b = run(scenario)
     assert np.array_equal(a.samples.view(np.float64).reshape(len(a.samples), -1),
                           b.samples.view(np.float64).reshape(len(b.samples), -1))
-    assert a.ledger.entries == b.ledger.entries
-    assert a.events == b.events
+    assert (a.ledger.times, a.ledger.energies, a.ledger.infos) == (
+        b.ledger.times, b.ledger.energies, b.ledger.infos
+    )
+    assert np.array_equal(a.events, b.events)
     assert a.outcome == b.outcome
 
 
@@ -122,7 +121,8 @@ def test_sampling_density_does_not_perturb_dynamics():
     fine = beds.scenario_from_dict({**base, "sample_dt": 0.05})
     trace_coarse = run(coarse)
     trace_fine = run(fine)
-    assert trace_coarse.events == trace_fine.events
+    assert trace_coarse.ledger.times == trace_fine.ledger.times
+    assert np.array_equal(trace_coarse.events, trace_fine.events)
     assert trace_coarse.ledger.cumulative_energy == trace_fine.ledger.cumulative_energy
     assert trace_coarse.outcome == trace_fine.outcome
     # Shared sample instants agree exactly.
@@ -155,11 +155,12 @@ def test_run_ledger_satisfies_landauer_consistency():
     recomputed = sum(
         kbt
         * (
-            gaussian_entropy(GaussianBelief(0.0, event.detail["precision_before"]))
-            - gaussian_entropy(GaussianBelief(0.0, event.detail["precision_after"]))
+            gaussian_entropy(GaussianBelief(0.0, tau_before))
+            - gaussian_entropy(GaussianBelief(0.0, tau_after))
         )
-        for event in trace.events
-        if event.kind == "observation"
+        for tau_before, tau_after in zip(
+            trace.events["precision_before"].tolist(), trace.events["precision_after"].tolist()
+        )
     )
     assert trace.ledger.cumulative_energy == pytest.approx(recomputed, rel=1e-9)
 
@@ -169,7 +170,7 @@ def test_summary_fields():
     trace = run(scenario)
     summary = trace.summary
     after = trace.samples["t"] > scenario.problem.t0
-    assert summary.observation_count == len(trace.ledger.entries)
+    assert summary.observation_count == len(trace.ledger)
     assert summary.mean_precision_after_t0 == pytest.approx(
         float(np.mean(trace.samples["precision"][after])), rel=1e-12
     )
@@ -279,7 +280,8 @@ def test_replayed_flux_reproduces_generated_run():
         direct.samples.view(np.float64).reshape(len(direct.samples), -1),
         via_replay.samples.view(np.float64).reshape(len(via_replay.samples), -1),
     )
-    assert direct.events == via_replay.events
+    assert direct.ledger.times == via_replay.ledger.times
+    assert np.array_equal(direct.events, via_replay.events)
     assert direct.outcome == via_replay.outcome
 
 

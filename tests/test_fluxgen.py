@@ -147,3 +147,17 @@ def test_flux_csv_round_trip_is_exact():
 def test_flux_csv_header_is_required():
     with pytest.raises(ValueError):
         flux_from_csv("a,b,c\n1,2,3\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "time,value,obs_precision\n1,2,3\n2,3\n",
+        "time,value,obs_precision\n1,2,3\n\n2,x,3\n",
+        "time,value,obs_precision\n1,2,3\n2,3,4,5\n",
+    ],
+)
+def test_flux_csv_bad_row_names_its_line(text):
+    bad_line = len(text.rstrip("\n").split("\n"))
+    with pytest.raises(ValueError, match=f"line {bad_line}:"):
+        flux_from_csv(text)
