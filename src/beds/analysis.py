@@ -143,8 +143,7 @@ class ClassVerdict:
     evidence: ClassEvidence
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
 
 def classify_run(trace: "RunTrace", problem: ProblemSpec) -> ClassVerdict:

@@ -45,9 +45,14 @@ def _parse_override(pair: str) -> tuple[str, object]:
     path, raw = pair.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         value = raw
     return path, value
+
+
+def _violations_error(exc: ValidationError, what: str) -> _CliError:
+    lines = "\n".join(f"  {v.field}: {v.message}" for v in exc.violations)
+    return _CliError(2, f"{what} failed validation:\n{lines}")
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -59,8 +64,10 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         raise _CliError(1, f"cannot read scenario file {path}: {exc.strerror}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise _CliError(2, f"scenario file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise _CliError(2, f"scenario file {path} must hold a JSON object, got {raw!r}")
     for pair in args.override:
         try:
             set_path(raw, *_parse_override(pair))
@@ -73,15 +80,11 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         except ValueError as exc:
             raise _CliError(2, f"BEDS_SEED must be an integer, got {env_seed!r}") from exc
     try:
-        scenario = scenario_from_dict(raw)
-    except (BedsError, ValueError, TypeError, KeyError) as exc:
-        raise _CliError(2, f"scenario file {path} is malformed: {exc}") from exc
-    try:
-        validate_scenario(scenario)
+        return validate_scenario(scenario_from_dict(raw))
     except ValidationError as exc:
-        lines = "\n".join(f"  {v.field}: {v.message}" for v in exc.violations)
-        raise _CliError(2, f"scenario failed validation:\n{lines}") from exc
-    return scenario
+        raise _violations_error(exc, "scenario") from exc
+    except (BedsError, ValueError) as exc:
+        raise _CliError(2, str(exc)) from exc
 
 
 def _write_text(output_dir: str, name: str, text: str) -> str:
@@ -139,11 +142,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid.append((path, values))
     try:
         table = sweep(scenario, grid, replicates=args.replicates)
-    except UnknownParameterPath as exc:
-        raise _CliError(2, str(exc)) from exc
     except ValidationError as exc:
-        lines = "\n".join(f"  {v.field}: {v.message}" for v in exc.violations)
-        raise _CliError(2, f"a grid cell failed validation:\n{lines}") from exc
+        raise _violations_error(exc, "a grid cell") from exc
+    except (UnknownParameterPath, ValueError) as exc:
+        raise _CliError(2, str(exc)) from exc
     target = _write_text(args.output_dir, "sweep.csv", table.to_csv())
     sys.stdout.write(f"wrote {len(table.rows)} rows to {target}\n")
     return 0

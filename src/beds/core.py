@@ -8,10 +8,11 @@ dynamics logic lives here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import Union, get_args, get_type_hints
 
 __all__ = [
     "BedsError",
@@ -49,6 +50,10 @@ __all__ = [
 ]
 
 MAX_SEED = 2**64 - 1
+# Most observations or samples a scenario may expect over its horizon: ten
+# times the largest benchmark run, so a typo such as rate=1e9 is rejected
+# before anything is allocated rather than run until memory runs out.
+MAX_EXPECTED_COUNT = 10**6
 
 
 class BedsError(Exception):
@@ -99,7 +104,7 @@ class UnknownParameterPath(BedsError):
 class Violation:
     """One scenario invariant failure: a machine-readable code plus the field path."""
 
-    code: str  # non_positive_parameter | inconsistent_target | degenerate_horizon | invalid_value
+    code: str  # non_positive_parameter | inconsistent_target | degenerate_horizon | invalid_value | budget_exceeded
     field: str
     message: str
 
@@ -112,12 +117,24 @@ class ValidationError(BedsError):
         super().__init__("; ".join(v.message for v in violations))
 
 
+class _FieldError(ValueError):
+    """A bad value in one field of a record; the scenario reader prefixes the record's path."""
+
+    def __init__(self, obj: object, name: str, problem: str):
+        self.name, self.problem = name, problem
+        super().__init__(f"{type(obj).__name__}.{name} {problem}")
+
+
 def _require_finite(obj: object, **values: float) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{type(obj).__name__}.{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+            raise _FieldError(obj, name, f"must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise _FieldError(obj, name, f"must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -240,9 +257,11 @@ class ScheduleArrival:
     kind = "schedule"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if not isinstance(self.times, (list, tuple)):
+            raise _FieldError(self, "times", f"must be a list of real numbers, got {self.times!r}")
         for i, t in enumerate(self.times):
             _require_finite(self, **{f"times[{i}]": t})
+        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
 
 
 Arrival = Union[PoissonArrival, PeriodicArrival, ScheduleArrival]
@@ -280,7 +299,7 @@ class Scenario:
     def __post_init__(self) -> None:
         _require_finite(self, horizon=self.horizon, sample_dt=self.sample_dt)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"Scenario.seed must be an integer, got {self.seed!r}")
+            raise _FieldError(self, "seed", f"must be an integer, got {self.seed!r}")
 
 
 def _positive(value: float, path: str, out: list[Violation]) -> None:
@@ -378,6 +397,24 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
                 f"sample_dt ({scenario.sample_dt!r}) must be < horizon ({scenario.horizon!r})",
             )
         )
+    if scenario.horizon > 0:
+        expected = []
+        if isinstance(arrival, PoissonArrival):
+            expected.append(("flux_spec.arrival.rate", "observations", arrival.rate * scenario.horizon))
+        elif isinstance(arrival, PeriodicArrival) and arrival.period > 0:
+            expected.append(("flux_spec.arrival.period", "observations", scenario.horizon / arrival.period))
+        if scenario.sample_dt > 0:
+            expected.append(("sample_dt", "samples", scenario.horizon / scenario.sample_dt))
+        for path, what, count in expected:
+            if count > MAX_EXPECTED_COUNT:
+                out.append(
+                    Violation(
+                        "budget_exceeded",
+                        path,
+                        f"{path} gives about {count:.3g} {what} over the horizon, "
+                        f"above the budget of {MAX_EXPECTED_COUNT:.0e}",
+                    )
+                )
     if not 0 <= scenario.seed <= MAX_SEED:
         out.append(
             Violation(
@@ -402,136 +439,68 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
 # --- JSON config format -----------------------------------------------------
 #
-# Field names in the JSON document match the dataclass fields exactly; the
-# arrival variant is tagged with a "kind" key.
+# The dataclasses above are the schema: JSON keys are their field names, and
+# the arrival variant is tagged with its class's ``kind``.
+
+_ARRIVALS = {cls.kind: cls for cls in get_args(Arrival)}
 
 
-def _arrival_to_dict(arrival: Arrival) -> dict:
-    if isinstance(arrival, PoissonArrival):
-        return {"kind": "poisson", "rate": arrival.rate}
-    if isinstance(arrival, PeriodicArrival):
-        return {"kind": "periodic", "period": arrival.period}
-    if isinstance(arrival, ScheduleArrival):
-        return {"kind": "schedule", "times": list(arrival.times)}
-    raise ValueError(f"unknown arrival {arrival!r}")
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _arrival_from_dict(raw: dict | None) -> Arrival:
-    if not raw:
-        raise EmptySpec("flux_spec.arrival is missing")
-    kind = raw.get("kind")
-    if kind == "poisson":
-        _expect_keys(raw, {"kind", "rate"}, "flux_spec.arrival")
-        return PoissonArrival(rate=raw["rate"])
-    if kind == "periodic":
-        _expect_keys(raw, {"kind", "period"}, "flux_spec.arrival")
-        return PeriodicArrival(period=raw["period"])
-    if kind == "schedule":
-        _expect_keys(raw, {"kind", "times"}, "flux_spec.arrival")
-        return ScheduleArrival(times=tuple(raw["times"]))
-    raise ValueError(f"flux_spec.arrival.kind must be poisson, periodic or schedule, got {kind!r}")
+def _from_dict(cls: object, raw: object, prefix: str) -> object:
+    """Build the record ``cls`` from the JSON object ``raw``.
+
+    ``prefix`` is the record's dotted path plus a dot ("" for the scenario
+    itself); every error message starts with the path of the bad field.
+    """
+
+    if not isinstance(raw, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'scenario'}: must be an object, got {raw!r}")
+    if cls is Arrival:
+        raw = dict(raw)
+        kind = raw.pop("kind", None)
+        cls = _ARRIVALS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"{prefix}kind: must be one of {', '.join(_ARRIVALS)}, got {kind!r}")
+    types = _field_types(cls)
+    problems = [f"{prefix}{key}: unknown field" for key in sorted(raw.keys() - types, key=str)]
+    problems += [f"{prefix}{key}: missing field" for key in types if key not in raw]
+    if problems:
+        raise ValueError("; ".join(problems))
+    values = {}
+    for name, tp in types.items():
+        value = raw[name]
+        if tp is Arrival or is_dataclass(tp):
+            value = _from_dict(tp, value, f"{prefix}{name}.")
+        values[name] = value
+    try:
+        return cls(**values)
+    except _FieldError as exc:
+        raise ValueError(f"{prefix}{exc.name}: {exc.problem}") from exc
 
 
-def _expect_keys(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = allowed - set(raw)
-    if missing:
-        raise ValueError(f"missing field(s) in {where}: {', '.join(sorted(missing))}")
+def _json_object(items: list[tuple[str, object]]) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "beds": {
-            "gamma": scenario.beds.gamma,
-            "epsilon": scenario.beds.epsilon,
-            "initial_belief": {
-                "mean": scenario.beds.initial_belief.mean,
-                "precision": scenario.beds.initial_belief.precision,
-            },
-        },
-        "flux_spec": {
-            "arrival": _arrival_to_dict(scenario.flux_spec.arrival),
-            "obs_precision": scenario.flux_spec.obs_precision,
-            "noise": scenario.flux_spec.noise,
-        },
-        "problem": {
-            "target": {
-                "kind": scenario.problem.target.kind,
-                "theta0": scenario.problem.target.theta0,
-                "velocity": scenario.problem.target.velocity,
-                "target_variance": scenario.problem.target.target_variance,
-            },
-            "delta": scenario.problem.delta,
-            "p_max": scenario.problem.p_max,
-            "t0": scenario.problem.t0,
-        },
-        "energy_model": {
-            "kind": scenario.energy_model.kind,
-            "fixed_cost_value": scenario.energy_model.fixed_cost_value,
-            "kBT": scenario.energy_model.kBT,
-        },
-        "horizon": scenario.horizon,
-        "sample_dt": scenario.sample_dt,
-        "seed": scenario.seed,
-    }
+    out = asdict(scenario, dict_factory=_json_object)
+    out["flux_spec"]["arrival"]["kind"] = scenario.flux_spec.arrival.kind
+    return out
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from its JSON-shaped dict; strict about field names."""
+    """Build a Scenario from its JSON-shaped dict; strict about field names.
 
-    _expect_keys(
-        raw,
-        {"beds", "flux_spec", "problem", "energy_model", "horizon", "sample_dt", "seed"},
-        "scenario",
-    )
-    beds_raw = raw["beds"]
-    _expect_keys(beds_raw, {"gamma", "epsilon", "initial_belief"}, "beds")
-    _expect_keys(beds_raw["initial_belief"], {"mean", "precision"}, "beds.initial_belief")
-    flux_raw = raw["flux_spec"]
-    _expect_keys(flux_raw, {"arrival", "obs_precision", "noise"}, "flux_spec")
-    problem_raw = raw["problem"]
-    _expect_keys(problem_raw, {"target", "delta", "p_max", "t0"}, "problem")
-    target_raw = problem_raw["target"]
-    _expect_keys(target_raw, {"kind", "theta0", "velocity", "target_variance"}, "problem.target")
-    model_raw = raw["energy_model"]
-    _expect_keys(model_raw, {"kind", "fixed_cost_value", "kBT"}, "energy_model")
+    Raises ValueError whose message starts with the dotted path of a
+    malformed field, as in ``flux_spec.arrival: must be an object, got [1]``.
+    """
 
-    return Scenario(
-        beds=BedsParams(
-            gamma=beds_raw["gamma"],
-            epsilon=beds_raw["epsilon"],
-            initial_belief=GaussianBelief(
-                mean=beds_raw["initial_belief"]["mean"],
-                precision=beds_raw["initial_belief"]["precision"],
-            ),
-        ),
-        flux_spec=FluxSpec(
-            arrival=_arrival_from_dict(flux_raw["arrival"]),
-            obs_precision=flux_raw["obs_precision"],
-            noise=flux_raw["noise"],
-        ),
-        problem=ProblemSpec(
-            target=TargetSpec(
-                kind=target_raw["kind"],
-                theta0=target_raw["theta0"],
-                velocity=target_raw["velocity"],
-                target_variance=target_raw["target_variance"],
-            ),
-            delta=problem_raw["delta"],
-            p_max=problem_raw["p_max"],
-            t0=problem_raw["t0"],
-        ),
-        energy_model=EnergyModel(
-            kind=model_raw["kind"],
-            fixed_cost_value=model_raw["fixed_cost_value"],
-            kBT=model_raw["kBT"],
-        ),
-        horizon=raw["horizon"],
-        sample_dt=raw["sample_dt"],
-        seed=raw["seed"],
-    )
+    return _from_dict(Scenario, raw, prefix="")
 
 
 def set_path(raw: dict, path: str, value: object) -> object:

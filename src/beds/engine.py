@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -62,15 +62,6 @@ SAMPLE_FIELDS = (
 _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 _EVENT_DTYPE = np.dtype(
     [(name, np.float64) for name in ("mean_before", "precision_before", "mean_after", "precision_after")]
-)
-
-SUMMARY_FIELDS = (
-    "mean_precision_after_t0",
-    "max_kl_after_t0",
-    "mean_windowed_power_after_t0",
-    "observation_count",
-    "total_energy",
-    "total_info",
 )
 
 
@@ -298,7 +289,7 @@ class SweepTable:
         return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
-        header = [*self.params, "replicate", "seed", *SUMMARY_FIELDS]
+        header = [*self.params, "replicate", "seed", *(f.name for f in fields(Summary))]
         return csv_text(header, ([row[name] for name in header] for row in self.rows))
 
 

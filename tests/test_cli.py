@@ -127,6 +127,11 @@ def test_simulate_malformed_json_exits_2(tmp_path, capsys):
         ("flux_spec.arrival=[]", "flux_spec.arrival"),
         ("flux_spec.arrival={}", "flux_spec.arrival"),
         ("beds.nope=1", "beds.nope"),
+        ("flux_spec.arrival=[1]", "flux_spec.arrival"),
+        ("beds=[1]", "beds"),
+        ("problem.target=null", "problem.target"),
+        ('flux_spec.arrival={"kind":"schedule","times":5}', "flux_spec.arrival.times"),
+        ('flux_spec.arrival={"kind":"schedule","times":[true]}', "flux_spec.arrival.times[0]"),
     ],
 )
 def test_simulate_bad_override_exits_2_with_one_line_error(
@@ -262,16 +267,18 @@ def test_sweep_unknown_path_exits_2(tmp_path, scenario_file, capsys):
     assert "beds.nope" in capsys.readouterr().err
 
 
-def test_sweep_bad_grid_value_exits_2(tmp_path, scenario_file):
-    code = main(
-        [
-            "sweep",
-            "--scenario-path", scenario_file(dissipation_only),
-            "--output-dir", str(tmp_path / "o"),
-            "--grid", "beds.gamma=a,b",
-        ]
-    )
-    assert code == 2
+def test_sweep_bad_grid_value_exits_2(tmp_path, scenario_file, capsys):
+    for grid, named in [("beds.gamma=a,b", "beds.gamma"), ("horizon=inf", "horizon")]:
+        code = main(
+            [
+                "sweep",
+                "--scenario-path", scenario_file(dissipation_only),
+                "--output-dir", str(tmp_path / "o"),
+                "--grid", grid,
+            ]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 # --- verify -------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beds.core import (
+    MAX_EXPECTED_COUNT,
+    BedsError,
     BedsParams,
     EnergyModel,
     FluxSpec,
@@ -21,6 +26,7 @@ from beds.core import (
     scenario_to_dict,
     scenario_to_json,
     scenario_violations,
+    set_path,
     validate_scenario,
 )
 from beds.scenarios import (
@@ -28,6 +34,7 @@ from beds.scenarios import (
     drifting_tracking,
     static_crystallizing,
     steady_state,
+    tracking_sweep_base,
 )
 
 
@@ -128,12 +135,39 @@ def test_seed_must_fit_64_bits():
     assert scenario_violations(make_scenario(seed=2**64 - 1)) == []
 
 
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        (dict(flux_spec=FluxSpec(arrival=PoissonArrival(rate=1e9), obs_precision=1.0, noise="noisy")), "flux_spec.arrival.rate"),
+        (dict(flux_spec=FluxSpec(arrival=PeriodicArrival(period=1e-6), obs_precision=1.0, noise="noisy")), "flux_spec.arrival.period"),
+        (dict(sample_dt=1e-6), "sample_dt"),
+    ],
+)
+def test_expected_counts_above_budget_are_rejected(changes, field):
+    violations = scenario_violations(make_scenario(**changes))
+    assert [(v.code, v.field) for v in violations] == [("budget_exceeded", field)]
+
+
+def test_expected_counts_at_budget_are_accepted():
+    horizon = 10.0
+    scenario = make_scenario(
+        flux_spec=FluxSpec(
+            arrival=PoissonArrival(rate=MAX_EXPECTED_COUNT / horizon), obs_precision=1.0, noise="noisy"
+        ),
+        horizon=horizon,
+        sample_dt=horizon / MAX_EXPECTED_COUNT,
+    )
+    assert scenario_violations(scenario) == []
+
+
 def test_schedule_times_must_be_non_decreasing():
     flux = FluxSpec(arrival=ScheduleArrival(times=(2.0, 1.0)), obs_precision=1.0, noise="exact")
     assert any(v.field == "flux_spec.arrival.times" for v in scenario_violations(make_scenario(flux_spec=flux)))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_beyond_float")]
+)
 def test_constructors_reject_non_finite_reals(value):
     with pytest.raises(ValueError):
         GaussianBelief(mean=value, precision=1.0)
@@ -214,6 +248,7 @@ def test_shipped_scenario_files_match_builders():
         ("static_crystallizing", static_crystallizing),
         ("steady_state", steady_state),
         ("drifting_tracking", drifting_tracking),
+        ("tracking_sweep_base", tracking_sweep_base),
     ]:
         text = (root / f"{name}.json").read_text()
         assert scenario_from_json(text) == builder()
@@ -225,3 +260,42 @@ def test_to_json_emits_sorted_stable_document():
     second = scenario_to_json(scenario)
     assert first == second
     assert json.loads(first)["seed"] == 7
+
+
+def _paths(node, prefix=""):
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, dict):
+            yield from _paths(value, path + ".")
+
+
+_SHIPPED = [scenario_to_dict(builder()) for builder in (dissipation_only, steady_state, drifting_tracking)]
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["poisson", "periodic", "schedule", "static", "exact", "fixed_cost"])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "rate", "period", "times", "mean", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_scenario_loads_or_fails_naming_a_field_path(data):
+    raw = copy.deepcopy(data.draw(st.sampled_from(_SHIPPED)))
+    path = data.draw(st.sampled_from(list(_paths(raw))))
+    set_path(raw, path, data.draw(_JSON))
+    try:
+        validate_scenario(scenario_from_dict(raw))
+    except ValidationError as exc:
+        assert {v.field for v in exc.violations} <= set(_paths(raw))
+    except (ValueError, BedsError) as exc:
+        assert str(exc).split(":")[0].split(".")[0] == path.split(".")[0]
