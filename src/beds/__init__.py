@@ -36,7 +36,6 @@ from .core import (
     NonPositiveObsPrecision,
     NonPositiveParameter,
     NonPositivePrecision,
-    Observation,
     PeriodicArrival,
     PoissonArrival,
     ProblemSpec,

@@ -50,9 +50,9 @@ def _parse_override(pair: str) -> tuple[str, object]:
     return path, value
 
 
-def _violations_error(exc: ValidationError, what: str) -> _CliError:
-    lines = "\n".join(f"  {v.field}: {v.message}" for v in exc.violations)
-    return _CliError(2, f"{what} failed validation:\n{lines}")
+def _violations_error(exc: ValidationError) -> _CliError:
+    # One line per violation; main() prefixes each line with "error: ".
+    return _CliError(2, "\n".join(f"{v.field}: {v.message}" for v in exc.violations))
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -78,11 +78,11 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         try:
             raw["seed"] = int(env_seed)
         except ValueError as exc:
-            raise _CliError(2, f"BEDS_SEED must be an integer, got {env_seed!r}") from exc
+            raise _CliError(2, f"BEDS_SEED: must be an integer, got {env_seed!r}") from exc
     try:
         return validate_scenario(scenario_from_dict(raw))
     except ValidationError as exc:
-        raise _violations_error(exc, "scenario") from exc
+        raise _violations_error(exc) from exc
     except (BedsError, ValueError) as exc:
         raise _CliError(2, str(exc)) from exc
 
@@ -143,7 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         table = sweep(scenario, grid, replicates=args.replicates)
     except ValidationError as exc:
-        raise _violations_error(exc, "a grid cell") from exc
+        raise _violations_error(exc) from exc
     except (UnknownParameterPath, ValueError) as exc:
         raise _CliError(2, str(exc)) from exc
     target = _write_text(args.output_dir, "sweep.csv", table.to_csv())
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args.seed_base, args.output_dir)
         raise _CliError(2, f"unknown subcommand {args.subcommand!r}")
     except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.writelines(f"error: {line}\n" for line in str(exc).splitlines())
         return exc.exit_code
 
 

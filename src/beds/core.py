@@ -1,8 +1,8 @@
 """Domain types and scenario validation.
 
-Value records shared by every other module: Gaussian beliefs stored as
-(mean, precision), observation records, system and experiment parameters,
-and the scenario container that the JSON config format maps onto. No
+Value records shared by every other module: the initial Gaussian belief
+stored as (mean, precision), system and experiment parameters, and the
+scenario container that the JSON config format maps onto. No
 dynamics logic lives here.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "UnknownParameterPath",
     "Violation",
     "GaussianBelief",
-    "Observation",
     "BedsParams",
     "TargetSpec",
     "EnergyModel",
@@ -102,7 +101,7 @@ class UnknownParameterPath(BedsError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One scenario invariant failure: a machine-readable code plus the field path."""
+    """One scenario invariant failure: a machine-readable code, the field path, and the problem."""
 
     code: str  # non_positive_parameter | inconsistent_target | degenerate_horizon | invalid_value | budget_exceeded
     field: str
@@ -114,7 +113,7 @@ class ValidationError(BedsError):
 
     def __init__(self, violations: list[Violation]):
         self.violations = violations
-        super().__init__("; ".join(v.message for v in violations))
+        super().__init__("; ".join(f"{v.field}: {v.message}" for v in violations))
 
 
 class _FieldError(ValueError):
@@ -152,18 +151,6 @@ class GaussianBelief:
 
     def std(self) -> float:
         return math.sqrt(1.0 / self.precision)
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A timestamped datum with the precision of its Gaussian likelihood."""
-
-    time: float
-    value: float
-    obs_precision: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self, time=self.time, value=self.value, obs_precision=self.obs_precision)
 
 
 @dataclass(frozen=True)
@@ -305,7 +292,7 @@ class Scenario:
 def _positive(value: float, path: str, out: list[Violation]) -> None:
     if not value > 0:
         out.append(
-            Violation("non_positive_parameter", path, f"{path} must be > 0, got {value!r}")
+            Violation("non_positive_parameter", path, f"must be > 0, got {value!r}")
         )
 
 
@@ -324,7 +311,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
             Violation(
                 "invalid_value",
                 "problem.target.kind",
-                f"problem.target.kind must be 'static' or 'drifting', got {target.kind!r}",
+                f"must be 'static' or 'drifting', got {target.kind!r}",
             )
         )
     elif target.kind == "static" and target.velocity != 0.0:
@@ -332,7 +319,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
             Violation(
                 "inconsistent_target",
                 "problem.target.velocity",
-                f"static target cannot have velocity {target.velocity!r}",
+                f"must be 0 for a static target, got {target.velocity!r}",
             )
         )
     _positive(target.target_variance, "problem.target.target_variance", out)
@@ -341,7 +328,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
     if scenario.problem.t0 < 0:
         out.append(
             Violation(
-                "invalid_value", "problem.t0", f"problem.t0 must be >= 0, got {scenario.problem.t0!r}"
+                "invalid_value", "problem.t0", f"must be >= 0, got {scenario.problem.t0!r}"
             )
         )
 
@@ -351,7 +338,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
             Violation(
                 "invalid_value",
                 "energy_model.kind",
-                f"energy_model.kind must be 'landauer_min' or 'fixed_cost', got {model.kind!r}",
+                f"must be 'landauer_min' or 'fixed_cost', got {model.kind!r}",
             )
         )
     elif model.kind == "fixed_cost":
@@ -370,7 +357,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
                 Violation(
                     "invalid_value",
                     "flux_spec.arrival.times",
-                    "schedule times must be non-decreasing",
+                    "must be non-decreasing",
                 )
             )
     else:
@@ -383,7 +370,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
             Violation(
                 "invalid_value",
                 "flux_spec.noise",
-                f"flux_spec.noise must be 'exact' or 'noisy', got {flux.noise!r}",
+                f"must be 'exact' or 'noisy', got {flux.noise!r}",
             )
         )
 
@@ -394,7 +381,7 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
             Violation(
                 "degenerate_horizon",
                 "sample_dt",
-                f"sample_dt ({scenario.sample_dt!r}) must be < horizon ({scenario.horizon!r})",
+                f"must be < horizon ({scenario.horizon!r}), got {scenario.sample_dt!r}",
             )
         )
     if scenario.horizon > 0:
@@ -411,14 +398,14 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
                     Violation(
                         "budget_exceeded",
                         path,
-                        f"{path} gives about {count:.3g} {what} over the horizon, "
+                        f"gives about {count:.3g} {what} over the horizon, "
                         f"above the budget of {MAX_EXPECTED_COUNT:.0e}",
                     )
                 )
     if not 0 <= scenario.seed <= MAX_SEED:
         out.append(
             Violation(
-                "invalid_value", "seed", f"seed must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
+                "invalid_value", "seed", f"must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
             )
         )
     return out

@@ -1,10 +1,10 @@
 """Pure belief-state evolution.
 
-Between observations the belief's precision decays exponentially at the
-dissipation rate while the mean stays put; at an observation the belief
-absorbs the datum through the conjugate Gaussian update. Crystallization is
-the variance dropping below the threshold, after which the system reports
-its mean and halts.
+A belief is two floats, a mean and a precision. Between observations the
+precision decays exponentially at the dissipation rate while the mean stays
+put; at an observation the belief absorbs the datum through the conjugate
+Gaussian update. Crystallization is the variance dropping below the
+threshold, after which the system reports its mean and halts.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GaussianBelief, NegativeDt, NonPositiveObsPrecision, Observation
+from .core import NegativeDt, NonPositiveObsPrecision
 
 __all__ = [
     "PRECISION_FLOOR",
     "CrystallizationOutcome",
+    "NOT_CRYSTALLIZED",
     "propagate",
     "bayes_update",
     "is_crystallized",
@@ -39,43 +40,48 @@ class CrystallizationOutcome:
     accurate: bool | None = None
 
 
-def propagate(belief: GaussianBelief, dt: float, gamma: float) -> GaussianBelief:
-    """Evolve a belief through ``dt`` time units of pure dissipation.
+NOT_CRYSTALLIZED = CrystallizationOutcome(crystallized=False)
 
-    The mean is unchanged; precision is multiplied by exp(-gamma * dt),
-    clamped below at PRECISION_FLOOR. dt = 0 returns the input unchanged.
+
+def propagate(precision: float, dt: float, gamma: float) -> float:
+    """Precision after ``dt`` time units of pure dissipation; the mean is unchanged.
+
+    Precision is multiplied by exp(-gamma * dt), clamped below at
+    PRECISION_FLOOR. dt = 0 returns the input unchanged.
     """
 
     if dt < 0:
         raise NegativeDt(f"dt must be >= 0, got {dt!r}")
     if dt == 0:
-        return belief
-    decayed = belief.precision * math.exp(-gamma * dt)
-    return GaussianBelief(mean=belief.mean, precision=max(decayed, PRECISION_FLOOR))
+        return precision
+    return max(precision * math.exp(-gamma * dt), PRECISION_FLOOR)
 
 
-def bayes_update(belief: GaussianBelief, obs: Observation) -> GaussianBelief:
+def bayes_update(
+    mean: float, precision: float, value: float, obs_precision: float
+) -> tuple[float, float]:
     """Conjugate update of a Gaussian belief by a Gaussian-likelihood observation.
 
-    Exact closed form: precisions add, and the new mean is the
-    precision-weighted average of the prior mean and the observed value.
+    Returns the posterior ``(mean, precision)``. Exact closed form:
+    precisions add, and the new mean is the precision-weighted average of
+    the prior mean and the observed value.
     """
 
-    if obs.obs_precision <= 0:
-        raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs.obs_precision!r}")
-    precision = belief.precision + obs.obs_precision
-    mean = (belief.precision * belief.mean + obs.obs_precision * obs.value) / precision
-    return GaussianBelief(mean=mean, precision=precision)
+    if obs_precision <= 0:
+        raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
+    posterior = precision + obs_precision
+    return (precision * mean + obs_precision * value) / posterior, posterior
 
 
-def is_crystallized(belief: GaussianBelief, epsilon: float) -> bool:
+def is_crystallized(precision: float, epsilon: float) -> bool:
     """True iff the belief variance is strictly below the threshold."""
 
-    return 1.0 / belief.precision < epsilon
+    return 1.0 / precision < epsilon
 
 
 def check_crystallization(
-    belief: GaussianBelief,
+    mean: float,
+    precision: float,
     t: float,
     epsilon: float,
     target_mean_at_t: float,
@@ -87,11 +93,11 @@ def check_crystallization(
     the target mean at the crystallization instant.
     """
 
-    if not is_crystallized(belief, epsilon):
-        return CrystallizationOutcome(crystallized=False)
+    if not is_crystallized(precision, epsilon):
+        return NOT_CRYSTALLIZED
     return CrystallizationOutcome(
         crystallized=True,
         time=t,
-        output_mean=belief.mean,
-        accurate=abs(belief.mean - target_mean_at_t) < delta,
+        output_mean=mean,
+        accurate=abs(mean - target_mean_at_t) < delta,
     )

@@ -30,6 +30,7 @@ from .core import (
     validate_scenario,
 )
 from .dynamics import (
+    NOT_CRYSTALLIZED,
     PRECISION_FLOOR,
     CrystallizationOutcome,
     bayes_update,
@@ -37,7 +38,7 @@ from .dynamics import (
     propagate,
 )
 from .energy import EnergyLedger, observation_cost
-from .fluxgen import generate_flux, target_mean_at
+from .fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from .io import csv_text
 
 __all__ = [
@@ -108,16 +109,17 @@ class RunTrace:
 def run(
     scenario: Scenario,
     power_window: float | None = None,
-    observations: list | None = None,
+    observations: np.ndarray | None = None,
 ) -> RunTrace:
     """Simulate one scenario deterministically.
 
     ``power_window`` is the sliding-window width used for the recorded
     power series; it defaults to horizon / 10. Observation costs are priced
     at the pre-update precision, after dissipation to the arrival instant.
-    Passing ``observations`` replays an explicit time-ordered stream (for
-    example one read back from a flux CSV) instead of generating one from
-    the scenario's flux spec.
+    Passing ``observations`` replays an explicit flux instead of generating
+    one from the scenario's flux spec: a structured array with the fields of
+    ``fluxgen.FLUX_FIELDS`` in non-decreasing time order, as returned by
+    ``generate_flux`` or ``flux_from_csv``.
     """
 
     validate_scenario(scenario)
@@ -126,105 +128,104 @@ def run(
 
     target = scenario.problem.target
     if observations is None:
-        observations = generate_flux(scenario.flux_spec, target, scenario.horizon, scenario.seed)
-    for prev, nxt in zip(observations, observations[1:]):
-        if nxt.time < prev.time:
-            raise NonMonotonicFlux(f"observation at t={nxt.time!r} precedes t={prev.time!r}")
+        flux = generate_flux(scenario.flux_spec, target, scenario.horizon, scenario.seed)
+    else:
+        flux = _checked_flux(observations)
 
     gamma = scenario.beds.gamma
     epsilon = scenario.beds.epsilon
     delta = scenario.problem.delta
-    sample_dt = scenario.sample_dt
-    horizon = scenario.horizon
-    last_sample_index = int(math.floor(horizon / sample_dt * (1.0 + 1e-12)))
-
     ledger = EnergyLedger(kBT=scenario.energy_model.kBT)
-    belief = scenario.beds.initial_belief
+    initial = scenario.beds.initial_belief
+    mean, precision = initial.mean, initial.precision
     state_t = 0.0
-    events: list[tuple[float, float, float, float]] = []
-    outcome = CrystallizationOutcome(crystallized=False)
-    clamped = belief.precision <= PRECISION_FLOOR
+    events = []
+    outcome = NOT_CRYSTALLIZED
     halted_at: float | None = None
 
-    times: list[float] = []
-    means: list[float] = []
-    precisions: list[float] = []
-    next_index = 0
-
-    def emit_samples(limit: float, inclusive: bool) -> None:
-        # Samples interpolate from the last event; they never advance the state.
-        nonlocal next_index, clamped
-        while next_index <= last_sample_index:
-            ts = next_index * sample_dt
-            if ts > limit or (not inclusive and ts == limit):
-                break
-            at_sample = propagate(belief, ts - state_t, gamma)
-            if at_sample.precision <= PRECISION_FLOOR:
-                clamped = True
-            times.append(ts)
-            means.append(at_sample.mean)
-            precisions.append(at_sample.precision)
-            next_index += 1
-
-    for obs in observations:
-        # Observations at a sample instant are applied first, so that the
-        # sample reflects every event at its own timestamp.
-        emit_samples(obs.time, inclusive=False)
-        belief = propagate(belief, obs.time - state_t, gamma)
-        state_t = obs.time
-        if belief.precision <= PRECISION_FLOOR:
-            clamped = True
-        tau_before = belief.precision
-        mean_before = belief.mean
-        energy, info = observation_cost(scenario.energy_model, tau_before, obs.obs_precision)
-        belief = bayes_update(belief, obs)
-        ledger.charge(obs.time, energy, info)
-        events.append((mean_before, tau_before, belief.mean, belief.precision))
-        check = check_crystallization(
-            belief, obs.time, epsilon, target_mean_at(target, obs.time), delta
+    for t, value, obs_precision in zip(*(flux[name].tolist() for name in FLUX_FIELDS)):
+        precision = propagate(precision, t - state_t, gamma)
+        state_t = t
+        mean_after, precision_after = bayes_update(mean, precision, value, obs_precision)
+        energy, info = observation_cost(scenario.energy_model, precision, obs_precision)
+        ledger.charge(t, energy, info)
+        events.append((mean, precision, mean_after, precision_after))
+        mean, precision = mean_after, precision_after
+        outcome = check_crystallization(
+            mean, precision, t, epsilon, target_mean_at(target, t), delta
         )
-        if check.crystallized:
-            outcome = check
-            halted_at = obs.time
+        if outcome.crystallized:
+            halted_at = t
             break
 
-    if halted_at is None:
-        emit_samples(horizon, inclusive=True)
-
-    samples = _assemble_samples(times, means, precisions, target, ledger, power_window)
+    events = np.array(events, dtype=_EVENT_DTYPE)
+    samples = _assemble_samples(scenario, events, ledger, halted_at, power_window)
     summary = _summarize(samples, scenario.problem.t0, ledger)
+    clamped = bool(
+        initial.precision <= PRECISION_FLOOR
+        or np.any(events["precision_before"] <= PRECISION_FLOOR)
+        or np.any(samples["precision"] <= PRECISION_FLOOR)
+    )
     return RunTrace(
         samples=samples,
-        events=np.array(events, dtype=_EVENT_DTYPE),
+        events=events,
         outcome=outcome,
         ledger=ledger,
         summary=summary,
-        horizon=horizon,
+        horizon=scenario.horizon,
         power_window=power_window,
         clamped=clamped,
         halted_at=halted_at,
     )
 
 
+def _checked_flux(flux: np.ndarray) -> np.ndarray:
+    """Reject a replayed flux with a non-finite cell or a decreasing time."""
+
+    for name in FLUX_FIELDS:
+        bad = np.flatnonzero(~np.isfinite(flux[name]))
+        if len(bad):
+            raise ValueError(f"flux row {bad[0]}: {name} must be finite, got {flux[name][bad[0]]}")
+    back = np.flatnonzero(np.diff(flux["time"]) < 0)
+    if len(back):
+        earlier, later = flux["time"][back[0] : back[0] + 2].tolist()
+        raise NonMonotonicFlux(f"observation at t={later!r} precedes t={earlier!r}")
+    return flux
+
+
 def _assemble_samples(
-    times: list[float],
-    means: list[float],
-    precisions: list[float],
-    target,
+    scenario: Scenario,
+    events: np.ndarray,
     ledger: EnergyLedger,
+    halted_at: float | None,
     power_window: float,
 ) -> np.ndarray:
-    samples = np.zeros(len(times), dtype=_SAMPLE_DTYPE)
-    if not times:
-        return samples
-    t = np.asarray(times)
-    mean = np.asarray(means)
-    precision = np.asarray(precisions)
+    # Samples at multiples of sample_dt run up to the horizon, or stop strictly
+    # before the halting observation. Each is the last event's belief at or
+    # before it (row 0: the initial belief at time 0), dissipated to the sample
+    # instant, so an observation at a sample instant is applied first and
+    # sampling never advances the state.
+    horizon, sample_dt = scenario.horizon, scenario.sample_dt
+    t = np.arange(int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1) * sample_dt
+    t = t[t < halted_at] if halted_at is not None else t[t <= horizon]
+    charge_times = np.asarray(ledger.times)
+    last = np.searchsorted(charge_times, t, side="right")
+    initial = scenario.beds.initial_belief
+    state_t = np.concatenate(([0.0], charge_times))[last]
+    mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
+    state_precision = np.concatenate(([initial.precision], events["precision_after"]))[last]
+    gamma = scenario.beds.gamma
+    precision = np.array(
+        [propagate(p, dt, gamma) for p, dt in zip(state_precision.tolist(), (t - state_t).tolist())]
+    )
+
+    samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
     samples["t"] = t
     samples["mean"] = mean
     samples["precision"] = precision
     samples["variance"] = 1.0 / precision
 
+    target = scenario.problem.target
     target_mean = target.theta0 + target.velocity * t
     tau_p = 1.0 / target.target_variance
     gap = mean - target_mean
@@ -232,14 +233,10 @@ def _assemble_samples(
         np.log(precision / tau_p) + tau_p / precision + tau_p * gap * gap - 1.0
     )
 
-    charge_times = np.asarray(ledger.times)
-    cumulative = np.asarray(ledger.cumulative)
-    if len(charge_times):
-        hi = np.searchsorted(charge_times, t, side="right")
-        lo = np.searchsorted(charge_times, t - power_window, side="right")
-        padded = np.concatenate(([0.0], cumulative))
-        samples["cumulative_energy"] = padded[hi]
-        samples["windowed_power"] = (padded[hi] - padded[lo]) / power_window
+    lo = np.searchsorted(charge_times, t - power_window, side="right")
+    padded = np.concatenate(([0.0], ledger.cumulative))
+    samples["cumulative_energy"] = padded[last]
+    samples["windowed_power"] = (padded[last] - padded[lo]) / power_window
     return samples
 
 
@@ -267,12 +264,7 @@ def trace_to_csv(trace: RunTrace) -> str:
 
 def summary_to_dict(trace: RunTrace) -> dict:
     out = trace.summary.to_dict()
-    out["outcome"] = {
-        "crystallized": trace.outcome.crystallized,
-        "time": trace.outcome.time,
-        "output_mean": trace.outcome.output_mean,
-        "accurate": trace.outcome.accurate,
-    }
+    out["outcome"] = asdict(trace.outcome)
     out["clamped"] = trace.clamped
     out["power_window"] = trace.power_window
     return out

@@ -101,17 +101,21 @@ def test_simulate_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_simulate_invalid_config_exits_2_with_violation_list(tmp_path, scenario_file, capsys):
-    code = main(
-        [
-            "simulate",
-            "--scenario-path", scenario_file(dissipation_only),
-            "--output-dir", str(tmp_path / "o"),
-            "--override", "beds.gamma=0",
-        ]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "beds.gamma" in err
+    # One "error: <field>: <problem>" line per violation, and nothing else.
+    path = scenario_file(dissipation_only)
+    for overrides, fields in [
+        (["beds.gamma=0"], ["beds.gamma"]),
+        (["beds.gamma=0", "beds.epsilon=-1"], ["beds.gamma", "beds.epsilon"]),
+    ]:
+        argv = ["simulate", "--scenario-path", path, "--output-dir", str(tmp_path / "o")]
+        for pair in overrides:
+            argv += ["--override", pair]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines(keepends=True)
+        assert len(lines) == len(fields)
+        for line, field in zip(lines, fields):
+            assert line.startswith(f"error: {field}: ")
+            assert line.endswith("\n")
 
 
 def test_simulate_malformed_json_exits_2(tmp_path, capsys):
@@ -190,15 +194,16 @@ def test_beds_seed_env_overrides_scenario_seed(tmp_path, scenario_file, monkeypa
 
 
 def test_beds_seed_must_be_integer(tmp_path, scenario_file, monkeypatch, capsys):
-    monkeypatch.setenv("BEDS_SEED", "abc")
-    code = main(
-        [
-            "simulate",
-            "--scenario-path", scenario_file(dissipation_only),
-            "--output-dir", str(tmp_path / "o"),
-        ]
-    )
-    assert code == 2
+    # Not an integer, or outside the unsigned 64-bit range: exit 2, one error line.
+    path = scenario_file(dissipation_only)
+    for value in ["", "abc", "1.5", "-1", str(2**64), "7" * 5000]:
+        monkeypatch.setenv("BEDS_SEED", value)
+        code = main(["simulate", "--scenario-path", path, "--output-dir", str(tmp_path / "o")])
+        assert code == 2, value
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(("error: BEDS_SEED: ", "error: seed: ")), err
+        assert not (tmp_path / "o").exists()
 
 
 # --- classify -----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from beds.core import (
     EnergyModel,
     FluxSpec,
     GaussianBelief,
-    Observation,
     PeriodicArrival,
     PoissonArrival,
     ProblemSpec,
@@ -173,8 +172,6 @@ def test_constructors_reject_non_finite_reals(value):
         GaussianBelief(mean=value, precision=1.0)
     with pytest.raises(ValueError):
         GaussianBelief(mean=0.0, precision=value)
-    with pytest.raises(ValueError):
-        Observation(time=0.0, value=value, obs_precision=1.0)
     with pytest.raises(ValueError):
         BedsParams(gamma=value, epsilon=1.0, initial_belief=GaussianBelief(0.0, 1.0))
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beds.core import GaussianBelief, NegativeDt, NonPositiveObsPrecision, Observation
+from beds.core import GaussianBelief, NegativeDt, NonPositiveObsPrecision
 from beds.dynamics import (
     PRECISION_FLOOR,
     bayes_update,
@@ -12,6 +14,8 @@ from beds.dynamics import (
     is_crystallized,
     propagate,
 )
+from beds.engine import run
+from beds.scenarios import dissipation_only
 from beds.verify import grid_bayes_posterior, rk4_variance_growth
 
 finite_means = st.floats(min_value=-1e6, max_value=1e6)
@@ -22,57 +26,62 @@ precisions = st.floats(min_value=1e-6, max_value=1e6)
 
 
 def test_propagate_zero_dt_is_identity():
-    belief = GaussianBelief(0.0, 1.0)
-    assert propagate(belief, 0.0, 0.1) is belief
+    precision = 1.5
+    assert propagate(precision, 0.0, 0.1) is precision
 
 
 def test_propagate_matches_rk4_oracle_half_life():
     # gamma = ln 2 halves the precision in one time unit.
-    got = propagate(GaussianBelief(3.0, 2.0), 1.0, math.log(2.0))
+    got = propagate(2.0, 1.0, math.log(2.0))
     oracle_variance = rk4_variance_growth(0.5, math.log(2.0), 1.0, step=1e-4)
-    assert got.mean == 3.0
-    assert got.precision == pytest.approx(1.0 / oracle_variance, rel=1e-8)
-    assert got.precision == pytest.approx(1.0, rel=1e-8)
+    assert got == pytest.approx(1.0 / oracle_variance, rel=1e-8)
+    assert got == pytest.approx(1.0, rel=1e-8)
 
 
 def test_propagate_matches_rk4_oracle_long_horizon():
-    got = propagate(GaussianBelief(0.0, 1.0), 10.0, 0.1)
+    got = propagate(1.0, 10.0, 0.1)
     oracle_variance = rk4_variance_growth(1.0, 0.1, 10.0, step=1e-4)
-    assert got.precision == pytest.approx(1.0 / oracle_variance, rel=1e-8)
-    assert got.precision == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert got == pytest.approx(1.0 / oracle_variance, rel=1e-8)
+    assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_propagate_rejects_negative_dt():
     with pytest.raises(NegativeDt):
-        propagate(GaussianBelief(0.0, 1.0), -0.1, 0.5)
+        propagate(1.0, -0.1, 0.5)
 
 
 def test_propagate_clamps_at_floor():
-    got = propagate(GaussianBelief(0.0, 1.0), 1e6, 10.0)
-    assert got.precision == PRECISION_FLOOR
+    assert propagate(1.0, 1e6, 10.0) == PRECISION_FLOOR
 
 
-@given(mean=finite_means, precision=precisions, dt=st.floats(min_value=0, max_value=30),
-       gamma=st.floats(min_value=1e-3, max_value=10))
-def test_propagate_never_changes_mean(mean, precision, dt, gamma):
-    assert propagate(GaussianBelief(mean, precision), dt, gamma).mean == mean
+@given(mean=finite_means, precision=precisions, gamma=st.floats(min_value=1e-3, max_value=10))
+@settings(max_examples=50)
+def test_propagate_never_changes_mean(mean, precision, gamma):
+    # propagate() moves only the precision; the engine carries the mean
+    # through dissipation, so every sample of an observation-free run keeps it.
+    base = dissipation_only()
+    scenario = replace(
+        base, beds=replace(base.beds, gamma=gamma, initial_belief=GaussianBelief(mean, precision))
+    )
+    samples = run(scenario).samples
+    assert np.all(samples["mean"] == mean)
+    assert samples["precision"][-1] == propagate(precision, 10.0, gamma)
 
 
 @given(precision=precisions, dt=st.floats(min_value=1e-6, max_value=30),
        gamma=st.floats(min_value=1e-3, max_value=10))
 def test_propagate_strictly_decreases_precision(precision, dt, gamma):
-    assert propagate(GaussianBelief(0.0, precision), dt, gamma).precision < precision
+    assert propagate(precision, dt, gamma) < precision
 
 
-@given(mean=finite_means, precision=precisions,
+@given(precision=precisions,
        t1=st.floats(min_value=0, max_value=30), t2=st.floats(min_value=0, max_value=30),
        gamma=st.floats(min_value=1e-3, max_value=10))
 @settings(max_examples=300)
-def test_propagate_semigroup_law(mean, precision, t1, t2, gamma):
-    belief = GaussianBelief(mean, precision)
-    two_step = propagate(propagate(belief, t1, gamma), t2, gamma)
-    one_step = propagate(belief, t1 + t2, gamma)
-    assert two_step.precision == pytest.approx(one_step.precision, rel=1e-12)
+def test_propagate_semigroup_law(precision, t1, t2, gamma):
+    two_step = propagate(propagate(precision, t1, gamma), t2, gamma)
+    one_step = propagate(precision, t1 + t2, gamma)
+    assert two_step == pytest.approx(one_step, rel=1e-12)
 
 
 @given(precision=precisions, epsilon=st.floats(min_value=1e-6, max_value=10),
@@ -80,44 +89,43 @@ def test_propagate_semigroup_law(mean, precision, t1, t2, gamma):
 def test_dissipation_never_creates_crystallization(precision, epsilon, dt, gamma):
     # Variance is non-decreasing under dissipation, so a belief at or above
     # the threshold stays there; crystallization can only follow an update.
-    belief = GaussianBelief(0.0, precision)
-    if not is_crystallized(belief, epsilon):
-        assert not is_crystallized(propagate(belief, dt, gamma), epsilon)
+    if not is_crystallized(precision, epsilon):
+        assert not is_crystallized(propagate(precision, dt, gamma), epsilon)
 
 
 # --- bayes_update ---------------------------------------------------------------
 
 
 def test_update_matches_grid_oracle():
-    got = bayes_update(GaussianBelief(0.0, 1.0), Observation(0.0, 2.0, 1.0))
+    mean, precision = bayes_update(0.0, 1.0, 2.0, 1.0)
     oracle_mean, oracle_precision = grid_bayes_posterior(0.0, 1.0, 2.0, 1.0)
-    assert got.mean == pytest.approx(oracle_mean, rel=1e-4)
-    assert got.precision == pytest.approx(oracle_precision, rel=1e-4)
-    assert got.mean == pytest.approx(1.0, rel=1e-12)
-    assert got.precision == pytest.approx(2.0, rel=1e-12)
+    assert mean == pytest.approx(oracle_mean, rel=1e-4)
+    assert precision == pytest.approx(oracle_precision, rel=1e-4)
+    assert mean == pytest.approx(1.0, rel=1e-12)
+    assert precision == pytest.approx(2.0, rel=1e-12)
 
 
 @given(mean=st.floats(min_value=-100, max_value=100), prior=precisions, tau_d=precisions)
 def test_update_at_prior_mean_never_moves_mean(mean, prior, tau_d):
-    got = bayes_update(GaussianBelief(mean, prior), Observation(0.0, mean, tau_d))
-    assert got.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
-    assert got.precision == pytest.approx(prior + tau_d, rel=1e-12)
+    got_mean, got_precision = bayes_update(mean, prior, mean, tau_d)
+    assert got_mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+    assert got_precision == pytest.approx(prior + tau_d, rel=1e-12)
 
 
 def test_update_zero_information_limit():
-    got = bayes_update(GaussianBelief(0.0, 1.0), Observation(0.0, 1.0, 1e-12))
-    assert abs(got.mean) < 1e-11
+    mean, _ = bayes_update(0.0, 1.0, 1.0, 1e-12)
+    assert abs(mean) < 1e-11
 
 
 def test_update_rejects_non_positive_obs_precision():
     with pytest.raises(NonPositiveObsPrecision):
-        bayes_update(GaussianBelief(0.0, 1.0), Observation(0.0, 1.0, 0.0))
+        bayes_update(0.0, 1.0, 1.0, 0.0)
 
 
 @given(prior=precisions, tau_d=precisions)
 def test_update_strictly_increases_precision(prior, tau_d):
-    got = bayes_update(GaussianBelief(0.0, prior), Observation(0.0, 0.5, tau_d))
-    assert got.precision > prior
+    _, precision = bayes_update(0.0, prior, 0.5, tau_d)
+    assert precision > prior
 
 
 @given(
@@ -131,20 +139,19 @@ def test_update_strictly_increases_precision(prior, tau_d):
 def test_simultaneous_updates_commute_and_precisions_add(mean, prior, taus, values, seed):
     import random
 
-    belief = GaussianBelief(mean, prior)
     pairs = list(zip(values, taus))
-    forward = belief
+    forward = (mean, prior)
     for value, tau_d in pairs:
-        forward = bayes_update(forward, Observation(0.0, value, tau_d))
+        forward = bayes_update(*forward, value, tau_d)
     shuffled_pairs = pairs[:]
     random.Random(seed).shuffle(shuffled_pairs)
-    shuffled = belief
+    shuffled = (mean, prior)
     for value, tau_d in shuffled_pairs:
-        shuffled = bayes_update(shuffled, Observation(0.0, value, tau_d))
+        shuffled = bayes_update(*shuffled, value, tau_d)
     expected_precision = prior + sum(taus)
-    assert forward.precision == pytest.approx(expected_precision, rel=1e-12)
-    assert shuffled.precision == pytest.approx(expected_precision, rel=1e-12)
-    assert shuffled.mean == pytest.approx(forward.mean, rel=1e-9, abs=1e-9)
+    assert forward[1] == pytest.approx(expected_precision, rel=1e-12)
+    assert shuffled[1] == pytest.approx(expected_precision, rel=1e-12)
+    assert shuffled[0] == pytest.approx(forward[0], rel=1e-9, abs=1e-9)
 
 
 # --- crystallization -------------------------------------------------------------
@@ -159,23 +166,23 @@ def test_simultaneous_updates_commute_and_precisions_add(mean, prior, taus, valu
     ],
 )
 def test_is_crystallized_boundary(precision, epsilon, expected):
-    assert is_crystallized(GaussianBelief(0.0, precision), epsilon) is expected
+    assert is_crystallized(precision, epsilon) is expected
 
 
 def test_check_crystallization_accurate():
-    outcome = check_crystallization(GaussianBelief(5.0001, 1e6), 3.0, 1e-3, 5.0, 0.01)
+    outcome = check_crystallization(5.0001, 1e6, 3.0, 1e-3, 5.0, 0.01)
     assert outcome.crystallized and outcome.accurate
     assert outcome.time == 3.0
     assert outcome.output_mean == 5.0001
 
 
 def test_check_crystallization_inaccurate():
-    outcome = check_crystallization(GaussianBelief(7.0, 1e6), 1.0, 1e-3, 5.0, 0.01)
+    outcome = check_crystallization(7.0, 1e6, 1.0, 1e-3, 5.0, 0.01)
     assert outcome.crystallized and not outcome.accurate
 
 
 def test_check_crystallization_not_yet():
-    outcome = check_crystallization(GaussianBelief(5.0, 1.0), 1.0, 1e-3, 5.0, 0.01)
+    outcome = check_crystallization(5.0, 1.0, 1.0, 1e-3, 5.0, 0.01)
     assert not outcome.crystallized
     assert outcome.time is None
     assert outcome.output_mean is None

@@ -248,8 +248,8 @@ def test_windowed_power_matches_rate_times_cost_for_poisson_flux():
     estimates = []
     for seed in range(20):
         ledger = EnergyLedger()
-        for obs in generate_flux(spec, target, 1000.0, seed):
-            ledger.charge(obs.time, 2.0, 0.1)
+        for t in generate_flux(spec, target, 1000.0, seed)["time"].tolist():
+            ledger.charge(t, 2.0, 0.1)
         estimates.append(ledger.windowed_power(1000.0, 1000.0))
     assert np.mean(estimates) == pytest.approx(2.0, rel=0.1)
 

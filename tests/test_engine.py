@@ -18,6 +18,7 @@ from beds.core import (
 )
 from beds.energy import gaussian_entropy
 from beds.engine import run, sweep, trace_to_csv
+from beds.fluxgen import FLUX_FIELDS
 from beds.scenarios import (
     dissipation_only,
     drifting_tracking,
@@ -71,10 +72,10 @@ def test_single_observation_run():
 
 def test_dynamics_level_composition_without_dissipation():
     # The same composition with the decay switched off entirely is exact.
-    belief = beds.propagate(GaussianBelief(0.0, 1.0), 1.0, 0.0)
-    assert belief.precision == 1.0
-    updated = beds.bayes_update(belief, beds.Observation(1.0, 0.0, 1.0))
-    assert updated.precision == 2.0
+    precision = beds.propagate(1.0, 1.0, 0.0)
+    assert precision == 1.0
+    _, updated = beds.bayes_update(0.0, precision, 0.0, 1.0)
+    assert updated == 2.0
     assert beds.info_gain(1.0, 1.0) == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
 
 
@@ -285,13 +286,33 @@ def test_replayed_flux_reproduces_generated_run():
     assert direct.outcome == via_replay.outcome
 
 
+def _flux(rows):
+    return np.array(rows, dtype=[(name, np.float64) for name in FLUX_FIELDS])
+
+
 def test_replayed_flux_must_be_time_ordered():
-    from beds.core import NonMonotonicFlux, Observation
+    from beds.core import NonMonotonicFlux
 
     scenario = dissipation_only()
-    bad = [Observation(2.0, 0.0, 1.0), Observation(1.0, 0.0, 1.0)]
+    bad = _flux([(2.0, 0.0, 1.0), (1.0, 0.0, 1.0)])
     with pytest.raises(NonMonotonicFlux):
         run(scenario, observations=bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", FLUX_FIELDS)
+def test_replayed_flux_rejects_non_finite_cells_naming_row_and_column(column, value):
+    flux = _flux([(1.0, 0.0, 1.0), (2.0, 0.0, 1.0), (3.0, 0.0, 1.0)])
+    flux[column][1] = value
+    with pytest.raises(ValueError, match=f"flux row 1: {column} must be finite"):
+        run(dissipation_only(), observations=flux)
+
+
+def test_replayed_zero_obs_precision_is_rejected():
+    from beds.core import NonPositiveObsPrecision
+
+    with pytest.raises(NonPositiveObsPrecision):
+        run(dissipation_only(), observations=_flux([(1.0, 0.0, 1.0), (2.0, 0.0, 0.0)]))
 
 
 # --- mutation detection -------------------------------------------------------------

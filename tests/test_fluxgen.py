@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beds.core import (
     EmptySpec,
@@ -12,7 +15,7 @@ from beds.core import (
     ScheduleArrival,
     TargetSpec,
 )
-from beds.fluxgen import flux_from_csv, flux_to_csv, generate_flux, target_mean_at
+from beds.fluxgen import FLUX_FIELDS, flux_from_csv, flux_to_csv, generate_flux, target_mean_at
 
 STATIC_3 = TargetSpec(kind="static", theta0=3.0, velocity=0.0, target_variance=1.0)
 DRIFT_1 = TargetSpec(kind="drifting", theta0=0.0, velocity=1.0, target_variance=1.0)
@@ -38,15 +41,16 @@ def test_target_mean_drifts_linearly():
 def test_periodic_exact_static_flux():
     spec = FluxSpec(arrival=PeriodicArrival(period=1.0), obs_precision=2.0, noise="exact")
     flux = generate_flux(spec, STATIC_3, 5.0, seed=0)
-    assert [obs.time for obs in flux] == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert all(obs.value == 3.0 for obs in flux)
-    assert all(obs.obs_precision == 2.0 for obs in flux)
+    assert flux.dtype.names == FLUX_FIELDS
+    assert flux["time"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert np.all(flux["value"] == 3.0)
+    assert np.all(flux["obs_precision"] == 2.0)
 
 
 def test_periodic_exact_drifting_values_follow_target():
     spec = FluxSpec(arrival=PeriodicArrival(period=1.0), obs_precision=2.0, noise="exact")
     flux = generate_flux(spec, DRIFT_1, 5.0, seed=0)
-    assert [obs.value for obs in flux] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert flux["value"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_periodic_count_handles_inexact_division():
@@ -60,12 +64,14 @@ def test_schedule_is_clipped_to_horizon():
         arrival=ScheduleArrival(times=(0.0, 0.5, 2.0, 9.0)), obs_precision=1.0, noise="exact"
     )
     flux = generate_flux(spec, STATIC_3, 5.0, seed=0)
-    assert [obs.time for obs in flux] == [0.0, 0.5, 2.0]
+    assert flux["time"].tolist() == [0.0, 0.5, 2.0]
 
 
 def test_empty_schedule_yields_empty_flux():
     spec = FluxSpec(arrival=ScheduleArrival(times=()), obs_precision=1.0, noise="exact")
-    assert generate_flux(spec, STATIC_3, 5.0, seed=0) == []
+    flux = generate_flux(spec, STATIC_3, 5.0, seed=0)
+    assert len(flux) == 0
+    assert flux.dtype.names == FLUX_FIELDS
 
 
 def test_missing_arrival_raises_empty_spec():
@@ -85,14 +91,14 @@ def test_same_seed_is_bit_identical_and_seeds_differ():
     a = generate_flux(spec, DRIFT_1, 50.0, seed=11)
     b = generate_flux(spec, DRIFT_1, 50.0, seed=11)
     c = generate_flux(spec, DRIFT_1, 50.0, seed=12)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_poisson_times_strictly_inside_horizon_and_increasing():
     spec = FluxSpec(arrival=PoissonArrival(rate=5.0), obs_precision=1.0, noise="exact")
     flux = generate_flux(spec, STATIC_3, 100.0, seed=3)
-    times = [obs.time for obs in flux]
+    times = flux["time"].tolist()
     assert all(0.0 < t <= 100.0 for t in times)
     assert all(a < b for a, b in zip(times, times[1:]))
 
@@ -111,7 +117,7 @@ def test_poisson_counts_match_rate():
 def test_poisson_inter_arrival_mean():
     spec = FluxSpec(arrival=PoissonArrival(rate=2.0), obs_precision=1.0, noise="exact")
     flux = generate_flux(spec, STATIC_3, 6e4, seed=17)
-    times = np.array([obs.time for obs in flux])
+    times = flux["time"]
     assert len(times) >= 1e5
     gaps = np.diff(times)
     assert np.mean(gaps) == pytest.approx(0.5, rel=0.05)
@@ -123,7 +129,7 @@ def test_noisy_values_center_on_target_with_likelihood_variance():
     n, tau_d, t = 4000, 4.0, 3.0
     spec = FluxSpec(arrival=ScheduleArrival(times=(t,) * n), obs_precision=tau_d, noise="noisy")
     flux = generate_flux(spec, DRIFT_1, 10.0, seed=5)
-    values = np.array([obs.value for obs in flux])
+    values = flux["value"]
     se = 1.0 / math.sqrt(tau_d * n)
     assert abs(values.mean() - t) < 5.0 * se
     assert values.std() == pytest.approx(1.0 / math.sqrt(tau_d), rel=0.1)
@@ -131,7 +137,9 @@ def test_noisy_values_center_on_target_with_likelihood_variance():
 
 def test_exact_flux_draws_nothing_from_the_generator():
     spec = FluxSpec(arrival=PeriodicArrival(period=0.5), obs_precision=1.0, noise="exact")
-    assert generate_flux(spec, STATIC_3, 5.0, seed=1) == generate_flux(spec, STATIC_3, 5.0, seed=2)
+    assert np.array_equal(
+        generate_flux(spec, STATIC_3, 5.0, seed=1), generate_flux(spec, STATIC_3, 5.0, seed=2)
+    )
 
 
 # --- CSV replay -------------------------------------------------------------------
@@ -141,7 +149,8 @@ def test_flux_csv_round_trip_is_exact():
     spec = FluxSpec(arrival=PoissonArrival(rate=4.0), obs_precision=0.7, noise="noisy")
     flux = generate_flux(spec, DRIFT_1, 20.0, seed=9)
     restored = flux_from_csv(flux_to_csv(flux))
-    assert restored == flux
+    assert restored.dtype == flux.dtype
+    assert np.array_equal(restored, flux)
 
 
 def test_flux_csv_header_is_required():
@@ -155,9 +164,38 @@ def test_flux_csv_header_is_required():
         "time,value,obs_precision\n1,2,3\n2,3\n",
         "time,value,obs_precision\n1,2,3\n\n2,x,3\n",
         "time,value,obs_precision\n1,2,3\n2,3,4,5\n",
+        "time,value,obs_precision\n1,2,3\n2,nan,3\n",
+        "time,value,obs_precision\n1,2,3\n\ninf,2,3\n",
+        "time,value,obs_precision\n1,2,3\n2,3,1e999\n",
     ],
 )
 def test_flux_csv_bad_row_names_its_line(text):
     bad_line = len(text.rstrip("\n").split("\n"))
     with pytest.raises(ValueError, match=f"line {bad_line}:"):
         flux_from_csv(text)
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-(10**6), max_value=10**6).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "Infinity", "1e999", "1_0", "--1", "0x10"]),
+    st.text(alphabet="abex.+-", min_size=1, max_size=4),
+)
+
+
+@given(rows=st.lists(st.lists(_CELLS, min_size=2, max_size=4), max_size=6))
+def test_flux_csv_rows_parse_or_name_their_line(rows):
+    lines = ["time,value,obs_precision", *(",".join(cells) for cells in rows)]
+    try:
+        flux = flux_from_csv("\n".join(lines) + "\n")
+    except ValueError as exc:
+        match = re.match(r"flux CSV line (\d+): ", str(exc))
+        assert match, str(exc)
+        bad = int(match.group(1))
+        assert 2 <= bad <= len(lines)
+        flux_from_csv("\n".join(lines[: bad - 1]))  # every earlier row parses
+        with pytest.raises(ValueError):
+            flux_from_csv(lines[0] + "\n" + lines[bad - 1])
+        return
+    assert len(flux) == len(rows)
+    assert all(np.isfinite(flux[name]).all() for name in FLUX_FIELDS)
