@@ -12,14 +12,13 @@ import math
 from beds import (
     EnergyLedger,
     EnergyModel,
-    GaussianBelief,
     gaussian_entropy,
     info_gain,
     observation_cost,
 )
 
 print("entropy of a unit-precision belief:",
-      f"{gaussian_entropy(GaussianBelief(0.0, 1.0)):.6f} nats  (= 0.5 ln(2 pi e))")
+      f"{gaussian_entropy(1.0):.6f} nats  (= 0.5 ln(2 pi e))")
 
 print("\n-- information gained per observation, by prior sharpness --")
 for tau in (1.0, 10.0, 100.0, 1000.0):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EmptyTrace, GaussianBelief, NonPositiveParameter, ProblemSpec
+from .core import EmptyTrace, NonPositiveParameter, ProblemSpec
 from .energy import info_gain, landauer_min_energy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,17 +102,23 @@ def steady_state_prediction(
     )
 
 
-def kl_gaussian(q: GaussianBelief, p: GaussianBelief) -> float:
-    """KL divergence KL(q || p) between scalar Gaussians, in nats.
+def kl_gaussian(
+    mean_q: float | np.ndarray,
+    precision_q: float | np.ndarray,
+    mean_p: float | np.ndarray,
+    precision_p: float | np.ndarray,
+) -> float | np.ndarray:
+    """KL divergence KL(q || p) between scalar Gaussians given as (mean, precision), in nats.
 
-    Non-negative, and zero exactly when the two beliefs coincide.
+    Each argument is a float or an array, and the result follows NumPy
+    broadcasting. Non-negative, and zero exactly when the two coincide.
     """
 
-    mean_gap = q.mean - p.mean
+    mean_gap = mean_q - mean_p
     return 0.5 * (
-        math.log(q.precision / p.precision)
-        + p.precision / q.precision
-        + p.precision * mean_gap * mean_gap
+        np.log(precision_q / precision_p)
+        + precision_p / precision_q
+        + precision_p * mean_gap * mean_gap
         - 1.0
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -99,16 +100,17 @@ def _write_text(output_dir: str, name: str, text: str) -> str:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    for flag in ("gamma", "tau_star", "tau_d", "kbt"):
+    for flag in ("gamma", "tau_star", "tau_d", "kbt", "lambda_max"):
         value = getattr(args, flag)
-        if not value > 0:
-            raise _CliError(2, f"--{flag.replace('_', '-')} must be > 0, got {value!r}")
-    if args.lambda_max is not None and not args.lambda_max > 0:
-        raise _CliError(2, f"--lambda-max must be > 0, got {args.lambda_max!r}")
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise _CliError(2, f"--{flag.replace('_', '-')}: must be finite and > 0, got {value!r}")
     prediction = steady_state_prediction(args.gamma, args.tau_star, args.tau_d, args.kbt)
     payload = prediction.to_dict()
     if args.lambda_max is not None:
         payload["tau_d_opt"] = optimal_obs_precision(args.gamma, args.tau_star, args.lambda_max)
+    for key, value in payload.items():
+        if not math.isfinite(value):
+            raise _CliError(2, f"{key}: is {value!r} for these flags, not a finite number")
     sys.stdout.write(json_dumps(payload))
     return 0
 

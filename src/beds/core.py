@@ -12,7 +12,7 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
-from typing import Union, get_args, get_type_hints
+from typing import Annotated, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "BedsError",
@@ -124,49 +124,113 @@ class _FieldError(ValueError):
         super().__init__(f"{type(obj).__name__}.{name} {problem}")
 
 
-def _require_finite(obj: object, **values: float) -> None:
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _FieldError(obj, name, f"must be a real number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise _FieldError(obj, name, f"must be finite, got {value!r}")
+# --- Field rules ------------------------------------------------------------
+#
+# Each field's declared type is its rule. A ``float`` must be finite, an
+# ``int`` an integer and a ``tuple[float, ...]`` a list of finite reals;
+# records check these when built. ``Positive``, ``NonNegative`` and
+# ``Literal`` add the domain that scenario_violations reports.
+
+
+class _Bound(NamedTuple):
+    """A float field's lower bound of 0, and the violation code when it fails."""
+
+    code: str
+    strict: bool  # > 0 rather than >= 0
+
+
+Positive = Annotated[float, _Bound("non_positive_parameter", strict=True)]
+NonNegative = Annotated[float, _Bound("invalid_value", strict=False)]
+
+
+def _check_real(obj: object, name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _FieldError(obj, name, f"must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise _FieldError(obj, name, f"must be finite, got {value!r}")
+
+
+def _check_int(obj: object, name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _FieldError(obj, name, f"must be an integer, got {value!r}")
+
+
+def _check_reals(obj: object, name: str, value: object) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise _FieldError(obj, name, f"must be a list of real numbers, got {value!r}")
+    for i, item in enumerate(value):
+        _check_real(obj, f"{name}[{i}]", item)
+    object.__setattr__(obj, name, tuple(float(item) for item in value))
+
+
+_CHECKS = {float: _check_real, int: _check_int, tuple: _check_reals}
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    hints = get_type_hints(cls, include_extras=True)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+@functools.cache
+def _field_rules(cls: type) -> tuple[tuple, tuple]:
+    """Compile the declared field types of ``cls``, once per class.
+
+    Returns the construction checks, as (name, check) pairs, and the rules
+    that scenario_violations reports, as (name, bound, choices, records):
+    the bound of a Positive or NonNegative field, the options of a Literal
+    one, and the record classes a nested field may hold.
+    """
+
+    checks, rules = [], []
+    for name, tp in _field_types(cls).items():
+        base, *extras = get_args(tp) if get_origin(tp) is Annotated else (tp,)
+        check = _CHECKS.get(get_origin(base) or base)
+        if check is not None:
+            checks.append((name, check))
+        bound = extras[0] if extras else None
+        choices = get_args(base) if get_origin(base) is Literal else ()
+        records = (get_args(base) or (base,)) if base is Arrival or is_dataclass(base) else ()
+        if bound or choices or records:
+            rules.append((name, bound, choices, records))
+    return tuple(checks), tuple(rules)
+
+
+class _Record:
+    """Base of the scenario records: every field is checked against its declared type."""
+
+    def __post_init__(self) -> None:
+        checks, _ = _field_rules(type(self))
+        for name, check in checks:
+            check(self, name, getattr(self, name))
 
 
 @dataclass(frozen=True)
-class GaussianBelief:
+class GaussianBelief(_Record):
     """Belief state N(mean, 1/precision) over a scalar parameter."""
 
     mean: float
-    precision: float  # 1 / variance, must stay > 0
-
-    def __post_init__(self) -> None:
-        _require_finite(self, mean=self.mean, precision=self.precision)
-
-    def variance(self) -> float:
-        return 1.0 / self.precision
+    precision: Positive  # 1 / variance
 
     def std(self) -> float:
         return math.sqrt(1.0 / self.precision)
 
 
 @dataclass(frozen=True)
-class BedsParams:
+class BedsParams(_Record):
     """System parameters: dissipation rate, crystallization threshold, initial belief."""
 
-    gamma: float  # precision decay rate, 1/time
-    epsilon: float  # crystallization variance threshold
+    gamma: Positive  # precision decay rate, 1/time
+    epsilon: Positive  # crystallization variance threshold
     initial_belief: GaussianBelief
-
-    def __post_init__(self) -> None:
-        _require_finite(self, gamma=self.gamma, epsilon=self.epsilon)
 
 
 @dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(_Record):
     """Inference target: either a fixed value or one drifting at constant velocity.
 
     The target doubles as a Gaussian reference distribution with variance
@@ -175,87 +239,63 @@ class TargetSpec:
     mean-accuracy checks.
     """
 
-    kind: str  # "static" | "drifting"
+    kind: Literal["static", "drifting"]
     theta0: float
     velocity: float  # parameter units per time, 0 for static
-    target_variance: float
-
-    def __post_init__(self) -> None:
-        _require_finite(
-            self, theta0=self.theta0, velocity=self.velocity, target_variance=self.target_variance
-        )
+    target_variance: Positive
 
 
 @dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(_Record):
     """Per-observation energy pricing: thermodynamic minimum or a flat cost."""
 
-    kind: str  # "landauer_min" | "fixed_cost"
-    fixed_cost_value: float = 0.0  # used only for fixed_cost
-    kBT: float = 1.0  # single thermal energy scale; 1.0 means natural units
-
-    def __post_init__(self) -> None:
-        _require_finite(self, fixed_cost_value=self.fixed_cost_value, kBT=self.kBT)
+    kind: Literal["landauer_min", "fixed_cost"]
+    fixed_cost_value: float = 0.0  # used only for fixed_cost, where it must be > 0
+    kBT: Positive = 1.0  # single thermal energy scale; 1.0 means natural units
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Record):
     """Accuracy and power requirements that a run is judged against."""
 
     target: TargetSpec
-    delta: float  # required accuracy: nats for divergence checks, parameter units for mean checks
-    p_max: float  # power bound for maintainability
-    t0: float = 0.0  # burn-in time excluded from steady-state checks
-
-    def __post_init__(self) -> None:
-        _require_finite(self, delta=self.delta, p_max=self.p_max, t0=self.t0)
+    delta: Positive  # required accuracy: nats for divergence checks, parameter units for mean checks
+    p_max: Positive  # power bound for maintainability
+    t0: NonNegative = 0.0  # burn-in time excluded from steady-state checks
 
 
 @dataclass(frozen=True)
-class PoissonArrival:
+class PoissonArrival(_Record):
     """Exponentially distributed inter-arrival times at the given rate."""
 
-    rate: float
+    rate: Positive
 
     kind = "poisson"
 
-    def __post_init__(self) -> None:
-        _require_finite(self, rate=self.rate)
-
 
 @dataclass(frozen=True)
-class PeriodicArrival:
+class PeriodicArrival(_Record):
     """Evenly spaced arrivals: one observation every ``period`` time units."""
 
-    period: float
+    period: Positive
 
     kind = "periodic"
 
-    def __post_init__(self) -> None:
-        _require_finite(self, period=self.period)
-
 
 @dataclass(frozen=True)
-class ScheduleArrival:
+class ScheduleArrival(_Record):
     """Explicit, non-decreasing list of arrival times."""
 
     times: tuple[float, ...]
 
     kind = "schedule"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.times, (list, tuple)):
-            raise _FieldError(self, "times", f"must be a list of real numbers, got {self.times!r}")
-        for i, t in enumerate(self.times):
-            _require_finite(self, **{f"times[{i}]": t})
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-
 
 Arrival = Union[PoissonArrival, PeriodicArrival, ScheduleArrival]
 
 
 @dataclass(frozen=True)
-class FluxSpec:
+class FluxSpec(_Record):
     """Recipe for an observation stream against a target.
 
     ``noise`` selects whether observed values equal the target mean exactly
@@ -264,150 +304,88 @@ class FluxSpec:
     """
 
     arrival: Arrival
-    obs_precision: float
-    noise: str = "exact"  # "exact" | "noisy"
-
-    def __post_init__(self) -> None:
-        _require_finite(self, obs_precision=self.obs_precision)
+    obs_precision: Positive
+    noise: Literal["exact", "noisy"] = "exact"
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """Complete, reproducible experiment description."""
 
     beds: BedsParams
     flux_spec: FluxSpec
     problem: ProblemSpec
     energy_model: EnergyModel
-    horizon: float
-    sample_dt: float
+    horizon: Positive
+    sample_dt: Positive
     seed: int
 
-    def __post_init__(self) -> None:
-        _require_finite(self, horizon=self.horizon, sample_dt=self.sample_dt)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise _FieldError(self, "seed", f"must be an integer, got {self.seed!r}")
 
+def _declared_violations(record: object, prefix: str, out: list[Violation]) -> None:
+    """Append the violations of the declared rules in ``record``, recursing into nested records."""
 
-def _positive(value: float, path: str, out: list[Violation]) -> None:
-    if not value > 0:
-        out.append(
-            Violation("non_positive_parameter", path, f"must be > 0, got {value!r}")
-        )
+    _, rules = _field_rules(type(record))
+    for name, bound, choices, records in rules:
+        value = getattr(record, name)
+        if bound is not None:
+            if not (value > 0 if bound.strict else value >= 0):
+                op = ">" if bound.strict else ">="
+                out.append(Violation(bound.code, prefix + name, f"must be {op} 0, got {value!r}"))
+        elif choices:
+            if value not in choices:
+                allowed = " or ".join(map(repr, choices))
+                out.append(Violation("invalid_value", prefix + name, f"must be {allowed}, got {value!r}"))
+        elif type(value) in records:
+            _declared_violations(value, f"{prefix}{name}.", out)
 
 
 def scenario_violations(scenario: Scenario) -> list[Violation]:
-    """Collect every invariant violation in a scenario; empty list means valid."""
+    """Collect every invariant violation in a scenario; empty list means valid.
+
+    The declared field types give the single-field rules; the rules below
+    relate fields to one another.
+    """
 
     out: list[Violation] = []
-    beds = scenario.beds
-    _positive(beds.gamma, "beds.gamma", out)
-    _positive(beds.epsilon, "beds.epsilon", out)
-    _positive(beds.initial_belief.precision, "beds.initial_belief.precision", out)
+    _declared_violations(scenario, "", out)
 
     target = scenario.problem.target
-    if target.kind not in ("static", "drifting"):
-        out.append(
-            Violation(
-                "invalid_value",
-                "problem.target.kind",
-                f"must be 'static' or 'drifting', got {target.kind!r}",
-            )
-        )
-    elif target.kind == "static" and target.velocity != 0.0:
-        out.append(
-            Violation(
-                "inconsistent_target",
-                "problem.target.velocity",
-                f"must be 0 for a static target, got {target.velocity!r}",
-            )
-        )
-    _positive(target.target_variance, "problem.target.target_variance", out)
-    _positive(scenario.problem.delta, "problem.delta", out)
-    _positive(scenario.problem.p_max, "problem.p_max", out)
-    if scenario.problem.t0 < 0:
-        out.append(
-            Violation(
-                "invalid_value", "problem.t0", f"must be >= 0, got {scenario.problem.t0!r}"
-            )
-        )
-
+    if target.kind == "static" and target.velocity != 0.0:
+        message = f"must be 0 for a static target, got {target.velocity!r}"
+        out.append(Violation("inconsistent_target", "problem.target.velocity", message))
     model = scenario.energy_model
-    if model.kind not in ("landauer_min", "fixed_cost"):
-        out.append(
-            Violation(
-                "invalid_value",
-                "energy_model.kind",
-                f"must be 'landauer_min' or 'fixed_cost', got {model.kind!r}",
-            )
-        )
-    elif model.kind == "fixed_cost":
-        _positive(model.fixed_cost_value, "energy_model.fixed_cost_value", out)
-    _positive(model.kBT, "energy_model.kBT", out)
-
-    flux = scenario.flux_spec
-    arrival = flux.arrival
-    if isinstance(arrival, PoissonArrival):
-        _positive(arrival.rate, "flux_spec.arrival.rate", out)
-    elif isinstance(arrival, PeriodicArrival):
-        _positive(arrival.period, "flux_spec.arrival.period", out)
-    elif isinstance(arrival, ScheduleArrival):
+    if model.kind == "fixed_cost" and not model.fixed_cost_value > 0:
+        message = f"must be > 0, got {model.fixed_cost_value!r}"
+        out.append(Violation("non_positive_parameter", "energy_model.fixed_cost_value", message))
+    arrival = scenario.flux_spec.arrival
+    if isinstance(arrival, ScheduleArrival):
         if any(b < a for a, b in zip(arrival.times, arrival.times[1:])):
-            out.append(
-                Violation(
-                    "invalid_value",
-                    "flux_spec.arrival.times",
-                    "must be non-decreasing",
-                )
-            )
-    else:
-        out.append(
-            Violation("invalid_value", "flux_spec.arrival", f"unknown arrival {arrival!r}")
-        )
-    _positive(flux.obs_precision, "flux_spec.obs_precision", out)
-    if flux.noise not in ("exact", "noisy"):
-        out.append(
-            Violation(
-                "invalid_value",
-                "flux_spec.noise",
-                f"must be 'exact' or 'noisy', got {flux.noise!r}",
-            )
-        )
+            out.append(Violation("invalid_value", "flux_spec.arrival.times", "must be non-decreasing"))
+    elif not isinstance(arrival, (PoissonArrival, PeriodicArrival)):
+        out.append(Violation("invalid_value", "flux_spec.arrival", f"unknown arrival {arrival!r}"))
 
-    _positive(scenario.horizon, "horizon", out)
-    _positive(scenario.sample_dt, "sample_dt", out)
-    if scenario.sample_dt > 0 and scenario.horizon > 0 and scenario.sample_dt >= scenario.horizon:
-        out.append(
-            Violation(
-                "degenerate_horizon",
-                "sample_dt",
-                f"must be < horizon ({scenario.horizon!r}), got {scenario.sample_dt!r}",
-            )
-        )
-    if scenario.horizon > 0:
+    horizon, sample_dt = scenario.horizon, scenario.sample_dt
+    if 0 < horizon <= sample_dt:
+        message = f"must be < horizon ({horizon!r}), got {sample_dt!r}"
+        out.append(Violation("degenerate_horizon", "sample_dt", message))
+    if horizon > 0:
         expected = []
         if isinstance(arrival, PoissonArrival):
-            expected.append(("flux_spec.arrival.rate", "observations", arrival.rate * scenario.horizon))
+            expected.append(("flux_spec.arrival.rate", "observations", arrival.rate * horizon))
         elif isinstance(arrival, PeriodicArrival) and arrival.period > 0:
-            expected.append(("flux_spec.arrival.period", "observations", scenario.horizon / arrival.period))
-        if scenario.sample_dt > 0:
-            expected.append(("sample_dt", "samples", scenario.horizon / scenario.sample_dt))
+            expected.append(("flux_spec.arrival.period", "observations", horizon / arrival.period))
+        if sample_dt > 0:
+            expected.append(("sample_dt", "samples", horizon / sample_dt))
         for path, what, count in expected:
             if count > MAX_EXPECTED_COUNT:
-                out.append(
-                    Violation(
-                        "budget_exceeded",
-                        path,
-                        f"gives about {count:.3g} {what} over the horizon, "
-                        f"above the budget of {MAX_EXPECTED_COUNT:.0e}",
-                    )
+                message = (
+                    f"gives about {count:.3g} {what} over the horizon, "
+                    f"above the budget of {MAX_EXPECTED_COUNT:.0e}"
                 )
+                out.append(Violation("budget_exceeded", path, message))
     if not 0 <= scenario.seed <= MAX_SEED:
-        out.append(
-            Violation(
-                "invalid_value", "seed", f"must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
-            )
-        )
+        message = f"must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
+        out.append(Violation("invalid_value", "seed", message))
     return out
 
 
@@ -430,12 +408,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 # the arrival variant is tagged with its class's ``kind``.
 
 _ARRIVALS = {cls.kind: cls for cls in get_args(Arrival)}
-
-
-@functools.cache
-def _field_types(cls: type) -> dict[str, object]:
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _from_dict(cls: object, raw: object, prefix: str) -> object:

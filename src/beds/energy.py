@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .core import EnergyModel, GaussianBelief, NonMonotonicTime, NonPositivePrecision
+from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision
 from .io import csv_text
 
 __all__ = [
@@ -26,10 +26,10 @@ __all__ = [
 _HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
-def gaussian_entropy(belief: GaussianBelief) -> float:
-    """Differential entropy of the belief in nats: (1/2) ln(2 pi e) - (1/2) ln(precision)."""
+def gaussian_entropy(precision: float) -> float:
+    """Differential entropy of a Gaussian in nats: (1/2) ln(2 pi e) - (1/2) ln(precision)."""
 
-    return _HALF_LN_2PIE - 0.5 * math.log(belief.precision)
+    return _HALF_LN_2PIE - 0.5 * math.log(precision)
 
 
 def info_gain(tau: float, tau_d: float) -> float:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .analysis import kl_gaussian
 from .core import (
     NonMonotonicFlux,
     Scenario,
@@ -100,10 +101,8 @@ class RunTrace:
     outcome: CrystallizationOutcome
     ledger: EnergyLedger
     summary: Summary
-    horizon: float
     power_window: float
     clamped: bool = False
-    halted_at: float | None = None
 
 
 def run(
@@ -141,7 +140,6 @@ def run(
     state_t = 0.0
     events = []
     outcome = NOT_CRYSTALLIZED
-    halted_at: float | None = None
 
     for t, value, obs_precision in zip(*(flux[name].tolist() for name in FLUX_FIELDS)):
         precision = propagate(precision, t - state_t, gamma)
@@ -155,11 +153,10 @@ def run(
             mean, precision, t, epsilon, target_mean_at(target, t), delta
         )
         if outcome.crystallized:
-            halted_at = t
             break
 
     events = np.array(events, dtype=_EVENT_DTYPE)
-    samples = _assemble_samples(scenario, events, ledger, halted_at, power_window)
+    samples = _assemble_samples(scenario, events, ledger, outcome.time, power_window)
     summary = _summarize(samples, scenario.problem.t0, ledger)
     clamped = bool(
         initial.precision <= PRECISION_FLOOR
@@ -172,10 +169,8 @@ def run(
         outcome=outcome,
         ledger=ledger,
         summary=summary,
-        horizon=scenario.horizon,
         power_window=power_window,
         clamped=clamped,
-        halted_at=halted_at,
     )
 
 
@@ -226,11 +221,8 @@ def _assemble_samples(
     samples["variance"] = 1.0 / precision
 
     target = scenario.problem.target
-    target_mean = target.theta0 + target.velocity * t
-    tau_p = 1.0 / target.target_variance
-    gap = mean - target_mean
-    samples["kl_to_target"] = 0.5 * (
-        np.log(precision / tau_p) + tau_p / precision + tau_p * gap * gap - 1.0
+    samples["kl_to_target"] = kl_gaussian(
+        mean, precision, target_mean_at(target, t), 1.0 / target.target_variance
     )
 
     lo = np.searchsorted(charge_times, t - power_window, side="right")
@@ -276,9 +268,6 @@ class SweepTable:
 
     params: list[str]
     rows: list[dict] = field(default_factory=list)
-
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
         header = [*self.params, "replicate", "seed", *(f.name for f in fields(Summary))]

@@ -32,8 +32,8 @@ _FLUX_DTYPE = np.dtype([(name, np.float64) for name in FLUX_FIELDS])
 _TWO_PI = 2.0 * math.pi
 
 
-def target_mean_at(target: TargetSpec, t: float) -> float:
-    """Target mean at time t: theta0 + velocity * t (velocity is 0 for static targets)."""
+def target_mean_at(target: TargetSpec, t: float | np.ndarray) -> float | np.ndarray:
+    """Target mean at time t (a float or an array): theta0 + velocity * t, with velocity 0 when static."""
 
     return target.theta0 + target.velocity * t
 
@@ -85,7 +85,7 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
     times = _arrival_times(spec, horizon, rng)
     flux = np.empty(len(times), dtype=_FLUX_DTYPE)
     flux["time"] = times
-    flux["value"] = target.theta0 + target.velocity * flux["time"]
+    flux["value"] = target_mean_at(target, flux["time"])
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
         # Scalar math.log/cos, not numpy's: the two differ in the last ulp,

@@ -413,9 +413,7 @@ def check_landauer_ledger(seed_base: int = DEFAULT_SEED_BASE) -> CheckResult:
         for tau_before, tau_after in zip(
             trace.events["precision_before"].tolist(), trace.events["precision_after"].tolist()
         ):
-            before = GaussianBelief(0.0, tau_before)
-            after = GaussianBelief(0.0, tau_after)
-            recomputed += kBT * (gaussian_entropy(before) - gaussian_entropy(after))
+            recomputed += kBT * (gaussian_entropy(tau_before) - gaussian_entropy(tau_after))
         ledger_energy = trace.ledger.cumulative_energy
         if recomputed == 0.0:
             zero_mismatch = zero_mismatch or ledger_energy != 0.0
@@ -478,28 +476,30 @@ def check_dynamics_oracles(seed_base: int = DEFAULT_SEED_BASE) -> CheckResult:
     # Semigroup: dissipating t1 then t2 equals dissipating t1 + t2.
     max_rel_semigroup = 0.0
     for _ in range(10_000):
-        belief = GaussianBelief(float(rng.uniform(-5, 5)), float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))))
+        rng.uniform(-5, 5)  # an unused mean, drawn so that the later draws keep their values
+        precision = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
         t1 = float(rng.uniform(0.0, 50.0))
         t2 = float(rng.uniform(0.0, 50.0))
         gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
-        two_step = propagate(propagate(belief.precision, t1, gamma), t2, gamma)
-        one_step = propagate(belief.precision, t1 + t2, gamma)
+        two_step = propagate(propagate(precision, t1, gamma), t2, gamma)
+        one_step = propagate(precision, t1 + t2, gamma)
         max_rel_semigroup = max(max_rel_semigroup, abs(two_step - one_step) / one_step)
 
     # Merge order: simultaneous updates commute and precisions add.
     max_rel_merge = 0.0
     for _ in range(10_000):
-        belief = GaussianBelief(float(rng.uniform(-5, 5)), float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))))
+        mean = float(rng.uniform(-5, 5))
+        precision = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
         k = int(rng.integers(2, 7))
         taus = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=k))
         values = rng.uniform(-5, 5, size=k)
         order = rng.permutation(k)
-        forward = shuffled = (belief.mean, belief.precision)
+        forward = shuffled = (mean, precision)
         for i in range(k):
             forward = bayes_update(*forward, float(values[i]), float(taus[i]))
         for i in order:
             shuffled = bayes_update(*shuffled, float(values[i]), float(taus[i]))
-        expected_precision = belief.precision + float(taus.sum())
+        expected_precision = precision + float(taus.sum())
         max_rel_merge = max(
             max_rel_merge,
             abs(forward[1] - expected_precision) / expected_precision,

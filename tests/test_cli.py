@@ -57,6 +57,22 @@ def test_predict_rejects_non_positive_flag(capsys):
     code = main(["predict", "--gamma", "0", "--tau-star", "100", "--tau-d", "1"])
     assert code == 2
     assert "--gamma" in capsys.readouterr().err
+    # A non-finite flag, or a closed form that comes out non-finite, exits 2
+    # with one error line naming the flag or the output key.
+    for flags, named in [
+        (["--gamma", "inf", "--tau-star", "100", "--tau-d", "1"], "--gamma"),
+        (["--gamma", "nan", "--tau-star", "100", "--tau-d", "1"], "--gamma"),
+        (["--gamma", "1", "--tau-star", "100", "--tau-d", "1", "--kbt", "inf"], "--kbt"),
+        (["--gamma", "1", "--tau-star", "100", "--tau-d", "1", "--lambda-max", "inf"], "--lambda-max"),
+        (["--gamma", "1e308", "--tau-star", "1e308", "--tau-d", "1"], "lambda_required"),
+        (["--gamma", "1", "--tau-star", "1e-320", "--tau-d", "1e300"], "p_min_exact"),
+        (["--gamma", "1", "--tau-star", "1", "--tau-d", "1", "--lambda-max", "1e-320"], "tau_d_opt"),
+    ]:
+        assert main(["predict", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}: "), (flags, lines)
 
 
 def test_unparseable_flags_exit_2(capsys):

@@ -76,6 +76,12 @@ def test_validation_is_idempotent():
         (dict(flux_spec=FluxSpec(arrival=PoissonArrival(rate=0.0), obs_precision=1.0, noise="noisy")), "flux_spec.arrival.rate"),
         (dict(flux_spec=FluxSpec(arrival=PoissonArrival(rate=1.0), obs_precision=0.0, noise="noisy")), "flux_spec.obs_precision"),
         (dict(horizon=-1.0), "horizon"),
+        (dict(problem=ProblemSpec(target=TargetSpec("static", 1.0, 0.0, 0.0), delta=0.1, p_max=1.0)), "problem.target.target_variance"),
+        (dict(problem=ProblemSpec(target=TargetSpec("static", 1.0, 0.0, 0.5), delta=0.0, p_max=1.0)), "problem.delta"),
+        (dict(problem=ProblemSpec(target=TargetSpec("static", 1.0, 0.0, 0.5), delta=0.1, p_max=-1.0)), "problem.p_max"),
+        (dict(energy_model=EnergyModel(kind="landauer_min", kBT=0.0)), "energy_model.kBT"),
+        (dict(flux_spec=FluxSpec(arrival=PeriodicArrival(period=0.0), obs_precision=1.0)), "flux_spec.arrival.period"),
+        (dict(sample_dt=0.0), "sample_dt"),
     ],
 )
 def test_non_positive_parameters_are_reported(bad, field):
@@ -117,10 +123,19 @@ def test_unknown_kinds_are_invalid():
     scenario = make_scenario(
         energy_model=EnergyModel(kind="free_lunch", fixed_cost_value=0.0, kBT=1.0),
         flux_spec=FluxSpec(arrival=PoissonArrival(rate=1.0), obs_precision=1.0, noise="maybe"),
+        problem=ProblemSpec(
+            target=TargetSpec(kind="wobbling", theta0=1.0, velocity=0.0, target_variance=0.5),
+            delta=0.1,
+            p_max=1.0,
+            t0=-1.0,
+        ),
     )
-    codes = {(v.code, v.field) for v in scenario_violations(scenario)}
-    assert ("invalid_value", "energy_model.kind") in codes
-    assert ("invalid_value", "flux_spec.noise") in codes
+    assert sorted((v.code, v.field, v.message) for v in scenario_violations(scenario)) == [
+        ("invalid_value", "energy_model.kind", "must be 'landauer_min' or 'fixed_cost', got 'free_lunch'"),
+        ("invalid_value", "flux_spec.noise", "must be 'exact' or 'noisy', got 'maybe'"),
+        ("invalid_value", "problem.t0", "must be >= 0, got -1.0"),
+        ("invalid_value", "problem.target.kind", "must be 'static' or 'drifting', got 'wobbling'"),
+    ]
 
 
 def test_fixed_cost_requires_positive_value():
@@ -188,6 +203,25 @@ def test_constructors_reject_non_finite_reals(value):
         PoissonArrival(rate=value)
     with pytest.raises(ValueError):
         make_scenario(horizon=value)
+    with pytest.raises(ValueError):
+        TargetSpec(kind="static", theta0=value, velocity=0.0, target_variance=1.0)
+    with pytest.raises(ValueError):
+        TargetSpec(kind="drifting", theta0=0.0, velocity=value, target_variance=1.0)
+    with pytest.raises(ValueError):
+        EnergyModel(kind="fixed_cost", fixed_cost_value=value)
+    target = TargetSpec(kind="static", theta0=0.0, velocity=0.0, target_variance=1.0)
+    with pytest.raises(ValueError):
+        ProblemSpec(target=target, delta=0.1, p_max=value)
+    with pytest.raises(ValueError):
+        ProblemSpec(target=target, delta=0.1, p_max=1.0, t0=value)
+    with pytest.raises(ValueError):
+        FluxSpec(arrival=PoissonArrival(rate=1.0), obs_precision=value)
+    with pytest.raises(ValueError):
+        PeriodicArrival(period=value)
+    with pytest.raises(ValueError):
+        make_scenario(sample_dt=value)
+    with pytest.raises(ValueError, match=r"times\[1\]"):
+        ScheduleArrival(times=[1.0, value])
 
 
 def test_seed_must_be_integer():

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from beds.core import (
     EnergyModel,
-    GaussianBelief,
     NonMonotonicTime,
     NonPositivePrecision,
     PoissonArrival,
@@ -27,16 +26,16 @@ from beds.fluxgen import generate_flux
 precisions = st.floats(min_value=1e-6, max_value=1e6)
 
 
-def entropy_by_quadrature(precision: float) -> float:
-    """Independent oracle: -integral of q ln q over [-8 sigma, 8 sigma]."""
+def entropy_by_quadrature(precision: float, mean: float = 0.0) -> float:
+    """Independent oracle: -integral of q ln q over [mean - 8 sigma, mean + 8 sigma]."""
 
     sigma = 1.0 / math.sqrt(precision)
 
     def integrand(x: float) -> float:
-        density = math.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        density = math.exp(-0.5 * ((x - mean) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
         return -density * math.log(density) if density > 0 else 0.0
 
-    value, _ = quad(integrand, -8.0 * sigma, 8.0 * sigma, limit=200)
+    value, _ = quad(integrand, mean - 8.0 * sigma, mean + 8.0 * sigma, limit=200)
     return value
 
 
@@ -52,13 +51,15 @@ def entropy_by_quadrature(precision: float) -> float:
     ],
 )
 def test_gaussian_entropy_values(precision, expected):
-    got = gaussian_entropy(GaussianBelief(0.0, precision))
+    got = gaussian_entropy(precision)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(entropy_by_quadrature(precision), abs=1e-9)
 
 
 def test_entropy_is_mean_invariant():
-    assert gaussian_entropy(GaussianBelief(123.0, 2.0)) == gaussian_entropy(GaussianBelief(-9.0, 2.0))
+    # gaussian_entropy takes no mean: the entropy of a shifted density is the same.
+    for mean in (123.0, -9.0):
+        assert gaussian_entropy(2.0) == pytest.approx(entropy_by_quadrature(2.0, mean), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -90,8 +91,8 @@ def test_info_gain_rejects_non_positive():
 @given(tau=precisions, tau_d=precisions)
 @settings(max_examples=300)
 def test_info_gain_equals_entropy_difference(tau, tau_d):
-    before = gaussian_entropy(GaussianBelief(0.0, tau))
-    after = gaussian_entropy(GaussianBelief(0.0, tau + tau_d))
+    before = gaussian_entropy(tau)
+    after = gaussian_entropy(tau + tau_d)
     assert info_gain(tau, tau_d) == pytest.approx(before - after, rel=1e-12, abs=1e-12)
 
 

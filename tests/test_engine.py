@@ -95,7 +95,6 @@ def test_crystallizing_run_halts():
     assert trace.outcome.crystallized
     assert trace.outcome.accurate
     t_halt = trace.outcome.time
-    assert trace.halted_at == t_halt
     # The halting observation is the last one charged: nothing is recorded after it.
     assert trace.ledger.times[-1] == t_halt
     assert len(trace.events) == len(trace.ledger)
@@ -154,11 +153,7 @@ def test_run_ledger_satisfies_landauer_consistency():
     trace = run(scenario)
     kbt = scenario.energy_model.kBT
     recomputed = sum(
-        kbt
-        * (
-            gaussian_entropy(GaussianBelief(0.0, tau_before))
-            - gaussian_entropy(GaussianBelief(0.0, tau_after))
-        )
+        kbt * (gaussian_entropy(tau_before) - gaussian_entropy(tau_after))
         for tau_before, tau_after in zip(
             trace.events["precision_before"].tolist(), trace.events["precision_after"].tolist()
         )
