@@ -13,6 +13,7 @@ import pytest
 from beds.cli import main
 from beds.core import scenario_from_json
 from beds.fluxgen import flux_to_csv, generate_flux
+from beds.io import json_dumps
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,6 +51,10 @@ GOLDEN = {
 }
 GOLDEN_SWEEP = "6565bbe394dcb713cf15a3779085315fbb481a779c7cec1094c430e0b4b3ab95"
 GOLDEN_FLUX = "5dcf7e9bec5589aa7c4cc6317cc0ec7c9015333db39f83a4de913451330dc539"
+# What `beds verify` writes at the default seed base: verify_report.json and
+# the tracking sweep's sweep.csv.
+GOLDEN_VERIFY_REPORT = "ae0c6bf8222508b919c53e12c33d0b4e192c89eba8b9124065107e412b43d391"
+GOLDEN_VERIFY_SWEEP = "00b4dc32d05cb9c9a4eb6caaf78fda55f9ca51b92f961d0b26cf96c8f93e35db"
 
 
 def _sha256(data: bytes) -> str:
@@ -96,3 +101,8 @@ def test_flux_csv_matches_golden():
     scenario = scenario_from_json((SCENARIOS / "static_crystallizing.json").read_text())
     flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
     assert _sha256(flux_to_csv(flux).encode("utf-8")) == GOLDEN_FLUX
+
+
+def test_verify_outputs_match_golden(verify_report):
+    assert _sha256(json_dumps(verify_report.to_dict()).encode("utf-8")) == GOLDEN_VERIFY_REPORT
+    assert _sha256(verify_report.tracking_table.to_csv().encode("utf-8")) == GOLDEN_VERIFY_SWEEP
