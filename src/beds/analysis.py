@@ -135,9 +135,6 @@ class ClassEvidence:
     crystallization_time: float | None
     crystallization_accurate: bool | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ClassVerdict:

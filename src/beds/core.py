@@ -39,6 +39,7 @@ __all__ = [
     "Arrival",
     "FluxSpec",
     "Scenario",
+    "expected_counts",
     "scenario_violations",
     "validate_scenario",
     "scenario_to_dict",
@@ -339,6 +340,28 @@ def _declared_violations(record: object, prefix: str, out: list[Violation]) -> N
             _declared_violations(value, f"{prefix}{name}.", out)
 
 
+def expected_counts(scenario: Scenario) -> list[tuple[str, str, float]]:
+    """The generated observations and the samples a run expects over its horizon.
+
+    Returns (field path, "observations" or "samples", count) for each count
+    that the field at that path sets: ``rate * horizon`` for a Poisson flux,
+    ``horizon / period`` for a periodic one, and ``horizon / sample_dt``. A
+    schedule's observations are listed in the scenario and are not counted.
+    """
+
+    horizon, arrival = scenario.horizon, scenario.flux_spec.arrival
+    if not horizon > 0:
+        return []
+    out = []
+    if isinstance(arrival, PoissonArrival):
+        out.append(("flux_spec.arrival.rate", "observations", arrival.rate * horizon))
+    elif isinstance(arrival, PeriodicArrival) and arrival.period > 0:
+        out.append(("flux_spec.arrival.period", "observations", horizon / arrival.period))
+    if scenario.sample_dt > 0:
+        out.append(("sample_dt", "samples", horizon / scenario.sample_dt))
+    return out
+
+
 def scenario_violations(scenario: Scenario) -> list[Violation]:
     """Collect every invariant violation in a scenario; empty list means valid.
 
@@ -368,21 +391,13 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
     if 0 < horizon <= sample_dt:
         message = f"must be < horizon ({horizon!r}), got {sample_dt!r}"
         out.append(Violation("degenerate_horizon", "sample_dt", message))
-    if horizon > 0:
-        expected = []
-        if isinstance(arrival, PoissonArrival):
-            expected.append(("flux_spec.arrival.rate", "observations", arrival.rate * horizon))
-        elif isinstance(arrival, PeriodicArrival) and arrival.period > 0:
-            expected.append(("flux_spec.arrival.period", "observations", horizon / arrival.period))
-        if sample_dt > 0:
-            expected.append(("sample_dt", "samples", horizon / sample_dt))
-        for path, what, count in expected:
-            if count > MAX_EXPECTED_COUNT:
-                message = (
-                    f"gives about {count:.3g} {what} over the horizon, "
-                    f"above the budget of {MAX_EXPECTED_COUNT:.0e}"
-                )
-                out.append(Violation("budget_exceeded", path, message))
+    for path, what, count in expected_counts(scenario):
+        if count > MAX_EXPECTED_COUNT:
+            message = (
+                f"gives about {count:.3g} {what} over the horizon, "
+                f"above the budget of {MAX_EXPECTED_COUNT:.0e}"
+            )
+            out.append(Violation("budget_exceeded", path, message))
     if not 0 <= scenario.seed <= MAX_SEED:
         message = f"must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
         out.append(Violation("invalid_value", "seed", message))

@@ -14,6 +14,7 @@ seeds, one summary row per cell per replicate.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -25,6 +26,7 @@ from .core import (
     NonMonotonicFlux,
     Scenario,
     UnknownParameterPath,
+    expected_counts,
     scenario_from_dict,
     scenario_to_dict,
     set_path,
@@ -43,6 +45,7 @@ from .fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from .io import csv_text
 
 __all__ = [
+    "MAX_SWEEP_COUNT",
     "Summary",
     "RunTrace",
     "SweepTable",
@@ -65,6 +68,9 @@ _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 _EVENT_DTYPE = np.dtype(
     [(name, np.float64) for name in ("mean_before", "precision_before", "mean_after", "precision_after")]
 )
+# Most observations plus samples a sweep may expect over all its runs: a
+# hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
+MAX_SWEEP_COUNT = 10**8
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ class RunTrace:
     fields mean_before, precision_before, mean_after, precision_after: row
     ``i`` is the belief change of the observation that ``ledger`` charged
     as entry ``i``, whose time, energy and information live in the ledger
-    only. ``clamped`` flags that the precision floor was hit at least once.
+    only. ``power_window`` is the width of the sliding window behind the
+    windowed_power samples, horizon / 10. ``clamped`` flags that the
+    precision floor was hit at least once.
     """
 
     samples: np.ndarray
@@ -105,25 +113,19 @@ class RunTrace:
     clamped: bool = False
 
 
-def run(
-    scenario: Scenario,
-    power_window: float | None = None,
-    observations: np.ndarray | None = None,
-) -> RunTrace:
+def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
     """Simulate one scenario deterministically.
 
-    ``power_window`` is the sliding-window width used for the recorded
-    power series; it defaults to horizon / 10. Observation costs are priced
-    at the pre-update precision, after dissipation to the arrival instant.
-    Passing ``observations`` replays an explicit flux instead of generating
-    one from the scenario's flux spec: a structured array with the fields of
-    ``fluxgen.FLUX_FIELDS`` in non-decreasing time order, as returned by
-    ``generate_flux`` or ``flux_from_csv``.
+    Observation costs are priced at the pre-update precision, after
+    dissipation to the arrival instant. Passing ``observations`` replays an
+    explicit flux instead of generating one from the scenario's flux spec: a
+    1-D structured array with the float fields of ``fluxgen.FLUX_FIELDS`` in
+    non-decreasing time order, as returned by ``generate_flux`` or
+    ``flux_from_csv``.
     """
 
     validate_scenario(scenario)
-    if power_window is None:
-        power_window = scenario.horizon / 10.0
+    power_window = scenario.horizon / 10.0
 
     target = scenario.problem.target
     if observations is None:
@@ -174,9 +176,15 @@ def run(
     )
 
 
-def _checked_flux(flux: np.ndarray) -> np.ndarray:
-    """Reject a replayed flux with a non-finite cell or a decreasing time."""
+def _checked_flux(flux: object) -> np.ndarray:
+    """Reject a replayed flux of the wrong shape, with a non-finite cell or a decreasing time."""
 
+    expected = f"a replayed flux must be a 1-D structured array with float fields {', '.join(FLUX_FIELDS)}"
+    if not isinstance(flux, np.ndarray):
+        raise ValueError(f"{expected}, got {type(flux).__name__}")
+    names = flux.dtype.names or ()
+    if flux.ndim != 1 or not all(name in names and flux.dtype[name].kind == "f" for name in FLUX_FIELDS):
+        raise ValueError(f"{expected}, got a {flux.ndim}-D array of dtype {flux.dtype}")
     for name in FLUX_FIELDS:
         bad = np.flatnonzero(~np.isfinite(flux[name]))
         if len(bad):
@@ -278,35 +286,48 @@ def sweep(
     base: Scenario,
     grid: list[tuple[str, list[float]]],
     replicates: int = 1,
-    power_window: float | None = None,
 ) -> SweepTable:
     """Run the Cartesian product of grid values times replicate seeds.
 
     Grid entries are (dotted scenario path, values); paths must address
-    numeric fields. Replicate ``i`` runs with seed base.seed + i. Row order
-    is grid-major, replicate-minor, regardless of execution order.
+    numeric fields other than ``seed``. Replicate ``i`` runs with seed
+    base.seed + i. Row order is grid-major, replicate-minor. Every cell's
+    scenario is built and validated before the first run, and a sweep whose
+    runs expect more than MAX_SWEEP_COUNT observations and samples in all
+    is rejected.
     """
 
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
     paths = [path for path, _ in grid]
-    table = SweepTable(params=paths)
-    value_lists = [values for _, values in grid]
+    if "seed" in paths:
+        raise UnknownParameterPath(
+            "seed: cannot be swept; replicate i runs at base.seed + i, so set the base seed instead"
+        )
+    combos = list(itertools.product(*(values for _, values in grid)))
     base_dict = scenario_to_dict(base)
-    for combo in itertools.product(*value_lists):
+    cells = []
+    for combo in combos:
+        raw = copy.deepcopy(base_dict)
+        for path, value in zip(paths, combo):
+            old = set_path(raw, path, value)
+            if isinstance(old, bool) or not isinstance(old, (int, float)):
+                raise UnknownParameterPath(f"scenario field {path!r} is not numeric")
+        cells.append(validate_scenario(scenario_from_dict(raw)))
+    total = replicates * sum(count for cell in cells for _, _, count in expected_counts(cell))
+    if total > MAX_SWEEP_COUNT:
+        raise ValueError(
+            f"replicates: {replicates} per grid cell over {len(cells)} cell(s) expect about "
+            f"{total:.3g} observations and samples, above the sweep budget of {MAX_SWEEP_COUNT:.0e}"
+        )
+    table = SweepTable(params=paths)
+    for combo, cell in zip(combos, cells):
         for replicate in range(replicates):
-            raw = copy.deepcopy(base_dict)
-            for path, value in zip(paths, combo):
-                old = set_path(raw, path, value)
-                if isinstance(old, bool) or not isinstance(old, (int, float)):
-                    raise UnknownParameterPath(f"scenario field {path!r} is not numeric")
-            raw["seed"] = (base.seed + replicate) % 2**64
-            scenario = scenario_from_dict(raw)
-            trace = run(scenario, power_window=power_window)
+            scenario = dataclasses.replace(cell, seed=(base.seed + replicate) % 2**64)
+            trace = run(scenario)
             row = dict(zip(paths, combo))
             row["replicate"] = replicate
             row["seed"] = scenario.seed
             row.update(trace.summary.to_dict())
-            row["crystallized"] = trace.outcome.crystallized
             table.rows.append(row)
     return table

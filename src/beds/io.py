@@ -36,19 +36,17 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _round_trip(obj):
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        return float(f"{obj:.17g}")
+def _nan_to_none(obj):
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     if isinstance(obj, dict):
-        return {k: _round_trip(v) for k, v in obj.items()}
+        return {k: _nan_to_none(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_trip(v) for v in obj]
+        return [_nan_to_none(v) for v in obj]
     return obj
 
 
 def json_dumps(obj) -> str:
     """Serialize with sorted keys and NaN mapped to null; ends with a newline."""
 
-    return json.dumps(_round_trip(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_nan_to_none(obj), indent=2, sort_keys=True) + "\n"

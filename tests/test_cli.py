@@ -289,7 +289,11 @@ def test_sweep_unknown_path_exits_2(tmp_path, scenario_file, capsys):
 
 
 def test_sweep_bad_grid_value_exits_2(tmp_path, scenario_file, capsys):
-    for grid, named in [("beds.gamma=a,b", "beds.gamma"), ("horizon=inf", "horizon")]:
+    for grid, named in [
+        ("beds.gamma=a,b", "beds.gamma"),
+        ("horizon=inf", "horizon"),
+        ("seed=5,6", "error: seed: "),  # replicate i runs at base.seed + i
+    ]:
         code = main(
             [
                 "sweep",
@@ -298,8 +302,28 @@ def test_sweep_bad_grid_value_exits_2(tmp_path, scenario_file, capsys):
                 "--grid", grid,
             ]
         )
+        err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert named in capsys.readouterr().err
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+def test_sweep_over_budget_exits_2_before_running(tmp_path, scenario_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("beds.engine.run", refuse)
+    code = main(
+        [
+            "sweep",
+            "--scenario-path", scenario_file(drifting_tracking),
+            "--output-dir", str(tmp_path / "o"),
+            "--grid", "beds.gamma=2",
+            "--replicates", "100000000",
+        ]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: replicates: ")
 
 
 # --- verify -------------------------------------------------------------------------

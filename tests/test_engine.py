@@ -17,6 +17,7 @@ from beds.core import (
     ValidationError,
 )
 from beds.energy import gaussian_entropy
+from beds import engine
 from beds.engine import run, sweep, trace_to_csv
 from beds.fluxgen import FLUX_FIELDS
 from beds.scenarios import (
@@ -259,6 +260,41 @@ def test_sweep_replicates_must_be_positive():
         sweep(dissipation_only(), [], replicates=0)
 
 
+def test_sweep_rejects_seed_as_grid_path():
+    # Replicate i runs at base.seed + i, so a seed grid would be overwritten.
+    with pytest.raises(UnknownParameterPath, match="^seed: .*base.seed \\+ i"):
+        sweep(dissipation_only(), [("seed", [5.0, 6.0])], replicates=1)
+
+
+class _FirstRun(Exception):
+    pass
+
+
+def _refuse_runs(*args, **kwargs):
+    raise _FirstRun
+
+
+def test_sweep_total_work_above_budget_is_rejected_before_any_run(monkeypatch):
+    # steady_state expects 1e4 observations and 1e4 samples per run, so
+    # 5001 replicates of one cell exceed MAX_SWEEP_COUNT = 1e8.
+    monkeypatch.setattr("beds.engine.run", _refuse_runs)
+    assert engine.MAX_SWEEP_COUNT == 10**8
+    with pytest.raises(ValueError, match="^replicates: "):
+        sweep(steady_state(), [], replicates=5001)
+    with pytest.raises(ValueError, match="^replicates: "):
+        sweep(steady_state(), [("beds.gamma", [0.1, 0.2])], replicates=2501)
+    with pytest.raises(ValueError, match="^replicates: "):
+        sweep(steady_state(), [], replicates=100_000_000)
+
+
+def test_sweep_total_work_at_budget_starts_running(monkeypatch):
+    monkeypatch.setattr("beds.engine.run", _refuse_runs)
+    with pytest.raises(_FirstRun):
+        sweep(steady_state(), [], replicates=5000)
+    with pytest.raises(_FirstRun):
+        sweep(steady_state(), [("beds.gamma", [0.1, 0.2])], replicates=2500)
+
+
 # --- flux replay --------------------------------------------------------------------
 
 
@@ -300,6 +336,22 @@ def test_replayed_flux_rejects_non_finite_cells_naming_row_and_column(column, va
     flux = _flux([(1.0, 0.0, 1.0), (2.0, 0.0, 1.0), (3.0, 0.0, 1.0)])
     flux[column][1] = value
     with pytest.raises(ValueError, match=f"flux row 1: {column} must be finite"):
+        run(dissipation_only(), observations=flux)
+
+
+@pytest.mark.parametrize(
+    "flux",
+    [
+        np.zeros(3),
+        [(1.0, 0.0, 1.0), (2.0, 0.0, 1.0)],
+        _flux([(1.0, 0.0, 1.0), (2.0, 0.0, 1.0)]).reshape(2, 1),
+        np.zeros(2, dtype=[("time", np.float64), ("value", np.float64)]),
+        np.zeros(2, dtype=[(name, np.int64) for name in FLUX_FIELDS]),
+    ],
+    ids=["plain-array", "list-of-tuples", "2-d", "missing-field", "int-fields"],
+)
+def test_replayed_flux_must_be_a_structured_array(flux):
+    with pytest.raises(ValueError, match="1-D structured array with float fields time, value, obs_precision"):
         run(dissipation_only(), observations=flux)
 
 
