@@ -217,9 +217,6 @@ class GaussianBelief(_Record):
     mean: float
     precision: Positive  # 1 / variance
 
-    def std(self) -> float:
-        return math.sqrt(1.0 / self.precision)
-
 
 @dataclass(frozen=True)
 class BedsParams(_Record):

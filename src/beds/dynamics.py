@@ -5,6 +5,13 @@ precision decays exponentially at the dissipation rate while the mean stays
 put; at an observation the belief absorbs the datum through the conjugate
 Gaussian update. Crystallization is the variance dropping below the
 threshold, after which the system reports its mean and halts.
+
+``evolve`` runs that recurrence over a whole observation stream and
+``dissipate`` applies the decay to a column of beliefs; the engine calls
+these two. The per-step functions ``propagate``, ``bayes_update`` and
+``check_crystallization`` are the same rules one observation at a time:
+they are the documented API for stepping a belief by hand and the
+reference the column forms are tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ __all__ = [
     "PRECISION_FLOOR",
     "CrystallizationOutcome",
     "NOT_CRYSTALLIZED",
+    "evolve",
+    "dissipate",
     "propagate",
     "bayes_update",
     "is_crystallized",
@@ -71,6 +80,62 @@ def bayes_update(
         raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
     posterior = precision + obs_precision
     return (precision * mean + obs_precision * value) / posterior, posterior
+
+
+def evolve(
+    mean: float,
+    precision: float,
+    times: list[float],
+    values: list[float],
+    obs_precisions: list[float],
+    gamma: float,
+    epsilon: float,
+) -> tuple[list[float], list[float], list[float], bool]:
+    """Apply a time-ordered observation stream to a belief held at time 0.
+
+    Each row dissipates the precision to its arrival time (as
+    ``propagate``), then absorbs the observation (as ``bayes_update``).
+    Returns the columns ``precision_before`` (after dissipation, before the
+    update), ``mean_after`` and ``precision_after``, one entry per applied
+    row, and whether the run halted: it stops after the first row whose
+    posterior variance is below ``epsilon`` (as ``is_crystallized``). Rows
+    after that one are never read, so they raise nothing.
+    """
+
+    precision_before: list[float] = []
+    mean_after: list[float] = []
+    precision_after: list[float] = []
+    t_prev = 0.0
+    exp = math.exp
+    for t, value, obs_precision in zip(times, values, obs_precisions):
+        dt = t - t_prev
+        t_prev = t
+        if dt > 0:
+            precision *= exp(-gamma * dt)
+            if precision < PRECISION_FLOOR:
+                precision = PRECISION_FLOOR
+        elif dt < 0:
+            raise NegativeDt(f"dt must be >= 0, got {dt!r}")
+        if obs_precision <= 0:
+            raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
+        precision_before.append(precision)
+        posterior = precision + obs_precision
+        mean = (precision * mean + obs_precision * value) / posterior
+        precision = posterior
+        mean_after.append(mean)
+        precision_after.append(precision)
+        if 1.0 / precision < epsilon:
+            return precision_before, mean_after, precision_after, True
+    return precision_before, mean_after, precision_after, False
+
+
+def dissipate(precisions: list[float], dts: list[float], gamma: float) -> list[float]:
+    """Each precision after its own ``dt >= 0`` of pure dissipation, as ``propagate``."""
+
+    return [
+        max(p * math.exp(-gamma * dt), PRECISION_FLOOR) if dt else p
+        for p, dt in zip(precisions, dts)
+    ]
 
 
 def is_crystallized(precision: float, epsilon: float) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
+import numpy as np
+
 from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision
 from .io import csv_text
 
@@ -21,6 +23,7 @@ __all__ = [
     "info_gain",
     "landauer_min_energy",
     "observation_cost",
+    "observation_costs",
 ]
 
 _HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -66,6 +69,29 @@ def observation_cost(model: EnergyModel, tau_before: float, tau_d: float) -> tup
     return landauer_min_energy(info, model.kBT), info
 
 
+def observation_costs(
+    model: EnergyModel, tau_before: list[float], tau_d: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column form of :func:`observation_cost`: the ``(energies, infos)`` arrays.
+
+    Entry ``i`` prices an observation of precision ``tau_d[i]`` on a prior of
+    precision ``tau_before[i]``; both must be positive, which is not checked
+    here.
+    """
+
+    # Scalar math.log1p per element: numpy's differs in the last ulp.
+    infos = np.array([0.5 * math.log1p(od / tau) for tau, od in zip(tau_before, tau_d)], dtype=float)
+    if model.kind == "fixed_cost":
+        return np.full(len(infos), model.fixed_cost_value), infos
+    return landauer_min_energy(infos, model.kBT), infos
+
+
+def _running_totals(column: np.ndarray) -> np.ndarray:
+    # The totals of charge()'s running += from 0.0: np.cumsum adds in order,
+    # where sum() and np.sum() may round differently.
+    return np.cumsum(np.concatenate(([0.0], column)))[1:]
+
+
 class EnergyLedger:
     """Append-only, time-ordered record of per-observation energy charges.
 
@@ -84,6 +110,33 @@ class EnergyLedger:
         self.cumulative: list[float] = []
         self.cumulative_energy = 0.0
         self.cumulative_info = 0.0
+
+    @classmethod
+    def from_columns(
+        cls, times: np.ndarray, energies: np.ndarray, infos: np.ndarray, kBT: float = 1.0
+    ) -> "EnergyLedger":
+        """A ledger holding charge ``i`` = ``(times[i], energies[i], infos[i])``.
+
+        Equal to charging the rows one by one, totals included.
+        """
+
+        times = np.asarray(times, dtype=float)
+        back = np.flatnonzero(np.diff(times) < 0)
+        if len(back):
+            raise NonMonotonicTime(
+                f"charge at t={times[back[0] + 1].item()!r} "
+                f"precedes last entry at t={times[back[0]].item()!r}"
+            )
+        ledger = cls(kBT)
+        cumulative = _running_totals(energies)
+        ledger.times = times.tolist()
+        ledger.energies = np.asarray(energies, dtype=float).tolist()
+        ledger.infos = np.asarray(infos, dtype=float).tolist()
+        ledger.cumulative = cumulative.tolist()
+        if len(times):
+            ledger.cumulative_energy = ledger.cumulative[-1]
+            ledger.cumulative_info = _running_totals(infos)[-1].item()
+        return ledger
 
     def __len__(self) -> int:
         return len(self.times)

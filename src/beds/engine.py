@@ -1,11 +1,13 @@
 """Event-driven simulation of a belief maintained against dissipation.
 
-One run walks the observation stream in time order: closed-form dissipation
-to each arrival, conjugate update, energy charge at the pre-update
-precision, then a crystallization check. Fixed-step samples are
-interpolated from the last event by the same closed form, so sampling
-density never perturbs the trajectory. A crystallized run halts: nothing is
-recorded afterwards.
+One run applies the observation stream in time order with
+``dynamics.evolve``: closed-form dissipation to each arrival, then the
+conjugate update, stopping at the first crystallized belief. The rest is
+computed on the resulting columns: each observation's energy charge at its
+pre-update precision, the ledger's running totals, the crystallization
+outcome, and fixed-step samples interpolated from the last event by the
+same closed form, so sampling density never perturbs the trajectory. A
+crystallized run halts: nothing is recorded afterwards.
 
 Sweeps run the Cartesian product of parameter overrides and replicate
 seeds, one summary row per cell per replicate.
@@ -36,11 +38,11 @@ from .dynamics import (
     NOT_CRYSTALLIZED,
     PRECISION_FLOOR,
     CrystallizationOutcome,
-    bayes_update,
     check_crystallization,
-    propagate,
+    dissipate,
+    evolve,
 )
-from .energy import EnergyLedger, observation_cost
+from .energy import EnergyLedger, observation_costs
 from .fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from .io import csv_text
 
@@ -133,31 +135,30 @@ def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
     else:
         flux = _checked_flux(observations)
 
-    gamma = scenario.beds.gamma
     epsilon = scenario.beds.epsilon
-    delta = scenario.problem.delta
-    ledger = EnergyLedger(kBT=scenario.energy_model.kBT)
     initial = scenario.beds.initial_belief
-    mean, precision = initial.mean, initial.precision
-    state_t = 0.0
-    events = []
+    times, values, obs_precisions = (flux[name].tolist() for name in FLUX_FIELDS)
+    precision_before, mean_after, precision_after, halted = evolve(
+        initial.mean, initial.precision, times, values, obs_precisions, scenario.beds.gamma, epsilon
+    )
+    n = len(precision_after)
     outcome = NOT_CRYSTALLIZED
-
-    for t, value, obs_precision in zip(*(flux[name].tolist() for name in FLUX_FIELDS)):
-        precision = propagate(precision, t - state_t, gamma)
-        state_t = t
-        mean_after, precision_after = bayes_update(mean, precision, value, obs_precision)
-        energy, info = observation_cost(scenario.energy_model, precision, obs_precision)
-        ledger.charge(t, energy, info)
-        events.append((mean, precision, mean_after, precision_after))
-        mean, precision = mean_after, precision_after
+    if halted:
+        t = times[n - 1]
         outcome = check_crystallization(
-            mean, precision, t, epsilon, target_mean_at(target, t), delta
+            mean_after[-1], precision_after[-1], t, epsilon, target_mean_at(target, t), scenario.problem.delta
         )
-        if outcome.crystallized:
-            break
+    events = np.empty(n, dtype=_EVENT_DTYPE)
+    events["mean_before"][:1] = initial.mean
+    events["mean_before"][1:] = mean_after[:-1]
+    events["precision_before"] = precision_before
+    events["mean_after"] = mean_after
+    events["precision_after"] = precision_after
+    energies, infos = observation_costs(scenario.energy_model, precision_before, obs_precisions[:n])
+    # The arrays hold every column now: free the per-event lists first.
+    del times, values, obs_precisions, precision_before, mean_after, precision_after
+    ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
 
-    events = np.array(events, dtype=_EVENT_DTYPE)
     samples = _assemble_samples(scenario, events, ledger, outcome.time, power_window)
     summary = _summarize(samples, scenario.problem.t0, ledger)
     clamped = bool(
@@ -217,10 +218,7 @@ def _assemble_samples(
     state_t = np.concatenate(([0.0], charge_times))[last]
     mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
     state_precision = np.concatenate(([initial.precision], events["precision_after"]))[last]
-    gamma = scenario.beds.gamma
-    precision = np.array(
-        [propagate(p, dt, gamma) for p, dt in zip(state_precision.tolist(), (t - state_t).tolist())]
-    )
+    precision = np.array(dissipate(state_precision.tolist(), (t - state_t).tolist(), scenario.beds.gamma))
 
     samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
     samples["t"] = t

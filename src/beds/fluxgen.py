@@ -5,7 +5,9 @@ exponential inter-arrivals obtained by inverse transform, -ln(u)/rate, and
 Gaussian noise by the Box-Muller map sqrt(-2 ln u1) * cos(2 pi u2). Each
 observation consumes a fixed number of uniforms (one per Poisson arrival,
 plus two when values are noisy), so identical (spec, target, horizon, seed)
-always yields an identical flux.
+always yields an identical flux. Uniforms are drawn in blocks and used in
+stream order: the Poisson inter-arrivals up to and including the first
+one past the horizon, then the noise pairs.
 """
 
 from __future__ import annotations
@@ -38,33 +40,51 @@ def target_mean_at(target: TargetSpec, t: float | np.ndarray) -> float | np.ndar
     return target.theta0 + target.velocity * t
 
 
-def _uniform_nonzero(rng: np.random.Generator) -> float:
-    # 1 - U maps [0, 1) onto (0, 1], keeping log() finite.
-    return 1.0 - rng.random()
+def _block_size(expected: float) -> int:
+    """Uniforms to draw at once for about ``expected`` Poisson arrivals.
+
+    Eight standard deviations above the mean, so a refill is rare.
+    """
+
+    return int(expected + 8.0 * math.sqrt(expected)) + 16
 
 
-def _standard_normal(rng: np.random.Generator) -> float:
-    u1 = _uniform_nonzero(rng)
-    u2 = rng.random()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson arrival times up to the horizon, and the uniforms drawn after them.
+
+    Arrival ``k`` is the running sum of the inter-arrival times
+    ``-ln(1 - u_j) / rate``. The uniforms are drawn in blocks, refilled when
+    a block ends before the horizon. The second array holds the uniforms of
+    the last block that follow the first arrival past the horizon, unused.
+    """
+
+    blocks = []
+    t = 0.0
+    while True:
+        u = rng.random(_block_size(rate * (horizon - t)))
+        # The running sum starts from t and adds in order (np.cumsum), and the
+        # logarithm is scalar math.log: numpy's differs in the last ulp.
+        times = np.cumsum([t, *(-math.log(1.0 - x) / rate for x in u.tolist())])[1:]
+        past = int(np.searchsorted(times, horizon, side="right"))
+        if past < len(times):
+            blocks.append(times[:past])
+            return np.concatenate(blocks), u[past + 1 :]
+        blocks.append(times)
+        t = times[-1].item()
 
 
-def _arrival_times(spec: FluxSpec, horizon: float, rng: np.random.Generator) -> list[float]:
+def _arrival_times(spec: FluxSpec, horizon: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times up to the horizon, and any uniforms drawn for them but not used."""
+
     arrival = spec.arrival
+    unused = np.empty(0)
     if isinstance(arrival, PoissonArrival):
-        times = []
-        t = 0.0
-        while True:
-            t += -math.log(_uniform_nonzero(rng)) / arrival.rate
-            if t > horizon:
-                break
-            times.append(t)
-        return times
+        return _poisson_times(arrival.rate, horizon, rng)
     if isinstance(arrival, PeriodicArrival):
         count = int(math.floor(horizon / arrival.period * (1.0 + 1e-12)))
-        return [k * arrival.period for k in range(1, count + 1)]
+        return np.arange(1, count + 1) * arrival.period, unused
     if isinstance(arrival, ScheduleArrival):
-        return [t for t in arrival.times if 0.0 <= t <= horizon]
+        return np.array([t for t in arrival.times if 0.0 <= t <= horizon], dtype=float), unused
     raise EmptySpec(f"flux spec has no usable arrival: {arrival!r}")
 
 
@@ -82,16 +102,22 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
     if horizon <= 0:
         raise NonPositiveHorizon(f"horizon must be > 0, got {horizon!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    times = _arrival_times(spec, horizon, rng)
+    times, unused = _arrival_times(spec, horizon, rng)
     flux = np.empty(len(times), dtype=_FLUX_DTYPE)
     flux["time"] = times
     flux["value"] = target_mean_at(target, flux["time"])
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
-        # Scalar math.log/cos, not numpy's: the two differ in the last ulp,
-        # and the golden outputs pin these bits.
+        # Box-Muller, two uniforms per value: the stream's next uniforms after
+        # the arrivals, in order. Scalar math.log/cos, not numpy's: the two
+        # differ in the last ulp, and the golden outputs pin these bits.
+        needed = 2 * len(times)
+        u = np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))).tolist()
         noise_scale = 1.0 / math.sqrt(spec.obs_precision)
-        flux["value"] += [noise_scale * _standard_normal(rng) for _ in times]
+        flux["value"] += [
+            noise_scale * (math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(_TWO_PI * u2))
+            for u1, u2 in zip(u[0::2], u[1::2])
+        ]
     return flux
 
 

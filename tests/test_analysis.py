@@ -152,7 +152,7 @@ def test_fixed_cost_power_scales_linearly_with_precision():
 
 def kl_by_monte_carlo(q: GaussianBelief, p: GaussianBelief, n: int = 10_000_000) -> float:
     rng = np.random.Generator(np.random.PCG64(20260808))
-    x = rng.normal(q.mean, q.std(), size=n)
+    x = rng.normal(q.mean, math.sqrt(1.0 / q.precision), size=n)
     log_q = -0.5 * np.log(2 * np.pi / q.precision) - 0.5 * q.precision * (x - q.mean) ** 2
     log_p = -0.5 * np.log(2 * np.pi / p.precision) - 0.5 * p.precision * (x - p.mean) ** 2
     return float(np.mean(log_q - log_p))

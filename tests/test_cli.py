@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from beds import verify
 from beds.cli import main
 from beds.core import scenario_to_json
 from beds.scenarios import (
@@ -329,11 +330,21 @@ def test_sweep_over_budget_exits_2_before_running(tmp_path, scenario_file, capsy
 # --- verify -------------------------------------------------------------------------
 
 
-def test_verify_cli_passes_on_this_build(tmp_path, capsys):
+def test_verify_cli_passes_on_this_build(tmp_path, capsys, monkeypatch, verify_report):
+    # The suite runs once per session (the verify_report fixture); the CLI
+    # writes and prints that report here.
+    seed_bases = []
+
+    def run_all(seed_base):
+        seed_bases.append(seed_base)
+        return verify_report
+
+    monkeypatch.setattr("beds.cli.verify_mod.run_all", run_all)
     out = tmp_path / "verify"
     code = main(["verify", "--output-dir", str(out)])
     captured = capsys.readouterr()
     assert code == 0
+    assert seed_bases == [verify.DEFAULT_SEED_BASE]
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_passed"] is True
     names = [check["name"] for check in report["checks"]]

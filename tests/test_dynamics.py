@@ -11,6 +11,7 @@ from beds.dynamics import (
     PRECISION_FLOOR,
     bayes_update,
     check_crystallization,
+    dissipate,
     is_crystallized,
     propagate,
 )
@@ -66,6 +67,21 @@ def test_propagate_never_changes_mean(mean, precision, gamma):
     samples = run(scenario).samples
     assert np.all(samples["mean"] == mean)
     assert samples["precision"][-1] == propagate(precision, 10.0, gamma)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([1e-310, 1e-300, 1e-6, 1.0, 1e6]),
+            st.sampled_from([0.0, 1e-20, 0.5, 30.0, 1e6]),
+        ),
+        max_size=20,
+    ),
+    gamma=st.sampled_from([1e-3, 0.1, 10.0]),
+)
+def test_dissipate_equals_propagate_per_element(rows, gamma):
+    got = dissipate([p for p, _ in rows], [dt for _, dt in rows], gamma)
+    assert got == [propagate(p, dt, gamma) for p, dt in rows]
 
 
 @given(precision=precisions, dt=st.floats(min_value=1e-6, max_value=30),

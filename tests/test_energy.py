@@ -20,6 +20,7 @@ from beds.energy import (
     info_gain,
     landauer_min_energy,
     observation_cost,
+    observation_costs,
 )
 from beds.fluxgen import generate_flux
 
@@ -165,6 +166,24 @@ def test_fixed_cost_above_every_bound_dominates_cumulative_floor():
     assert not any(ledger.sub_landauer)
 
 
+positive = st.floats(min_value=1e-300, max_value=1e300)
+models = st.sampled_from(
+    [
+        EnergyModel(kind="landauer_min", kBT=1.0),
+        EnergyModel(kind="landauer_min", kBT=0.37),
+        EnergyModel(kind="fixed_cost", fixed_cost_value=0.2, kBT=1.3),
+        EnergyModel(kind="fixed_cost", fixed_cost_value=0.0, kBT=1.0),
+    ]
+)
+
+
+@given(model=models, pairs=st.lists(st.tuples(positive, positive), max_size=20))
+def test_observation_costs_column_equals_scalar_cost(model, pairs):
+    energies, infos = observation_costs(model, [tau for tau, _ in pairs], [od for _, od in pairs])
+    expected = [observation_cost(model, tau, od) for tau, od in pairs]
+    assert list(zip(energies.tolist(), infos.tolist())) == expected
+
+
 # --- ledger ----------------------------------------------------------------------
 
 
@@ -189,6 +208,32 @@ def test_charge_rejects_time_reversal():
     ledger.charge(1.0, 2.0, 1.0)
     with pytest.raises(NonMonotonicTime):
         ledger.charge(0.5, 1.0, 1.0)
+
+
+@given(
+    model=models,
+    rows=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1e3), positive, positive), max_size=30
+    ),
+)
+def test_ledger_from_columns_equals_charging_row_by_row(model, rows):
+    rows = sorted(rows)
+    charged = EnergyLedger(kBT=model.kBT)
+    for t, tau, od in rows:
+        charged.charge(t, *observation_cost(model, tau, od))
+    energies, infos = observation_costs(model, [tau for _, tau, _ in rows], [od for _, _, od in rows])
+    built = EnergyLedger.from_columns(np.array([t for t, _, _ in rows]), energies, infos, model.kBT)
+    for name in ("times", "energies", "infos", "cumulative", "sub_landauer"):
+        assert getattr(built, name) == getattr(charged, name)
+    assert (built.cumulative_energy, built.cumulative_info) == (
+        charged.cumulative_energy,
+        charged.cumulative_info,
+    )
+
+
+def test_ledger_from_columns_rejects_time_reversal():
+    with pytest.raises(NonMonotonicTime, match="t=0.5 precedes last entry at t=1.0"):
+        EnergyLedger.from_columns(np.array([1.0, 0.5]), np.ones(2), np.ones(2))
 
 
 def test_charge_allows_equal_times():

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beds
 from beds.core import (
@@ -9,6 +12,8 @@ from beds.core import (
     EnergyModel,
     FluxSpec,
     GaussianBelief,
+    NegativeDt,
+    NonPositiveObsPrecision,
     ProblemSpec,
     ScheduleArrival,
     Scenario,
@@ -362,18 +367,154 @@ def test_replayed_zero_obs_precision_is_rejected():
         run(dissipation_only(), observations=_flux([(1.0, 0.0, 1.0), (2.0, 0.0, 0.0)]))
 
 
+# --- columnar kernel against the per-step API ----------------------------------------
+
+
+def _scalar_reference(scenario, flux):
+    """Apply ``flux`` one observation at a time with the scalar per-step API.
+
+    Returns the event rows, the ledger charged row by row and the outcome.
+    """
+
+    from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
+    from beds.energy import EnergyLedger, observation_cost
+    from beds.fluxgen import target_mean_at
+
+    initial = scenario.beds.initial_belief
+    mean, precision = initial.mean, initial.precision
+    ledger = EnergyLedger(kBT=scenario.energy_model.kBT)
+    events = []
+    outcome = NOT_CRYSTALLIZED
+    state_t = 0.0
+    for t, value, obs_precision in flux.tolist():
+        precision = propagate(precision, t - state_t, scenario.beds.gamma)
+        state_t = t
+        mean_after, precision_after = bayes_update(mean, precision, value, obs_precision)
+        ledger.charge(t, *observation_cost(scenario.energy_model, precision, obs_precision))
+        events.append((mean, precision, mean_after, precision_after))
+        mean, precision = mean_after, precision_after
+        outcome = check_crystallization(
+            mean,
+            precision,
+            t,
+            scenario.beds.epsilon,
+            target_mean_at(scenario.problem.target, t),
+            scenario.problem.delta,
+        )
+        if outcome.crystallized:
+            break
+    return events, ledger, outcome
+
+
+def _replay_scenario(gamma, epsilon, initial_precision, energy_model):
+    from dataclasses import replace
+
+    scenario = single_observation_scenario(gamma)
+    return replace(
+        scenario,
+        beds=BedsParams(gamma=gamma, epsilon=epsilon, initial_belief=GaussianBelief(0.5, initial_precision)),
+        problem=replace(
+            scenario.problem,
+            target=TargetSpec(kind="drifting", theta0=0.0, velocity=0.3, target_variance=1.0),
+        ),
+        energy_model=energy_model,
+        horizon=20.0,
+    )
+
+
+def _assert_run_matches_scalar_reference(scenario, flux):
+    from beds.core import BedsError
+
+    try:
+        events, ledger, outcome = _scalar_reference(scenario, flux)
+    except BedsError as exc:
+        with pytest.raises(type(exc)):
+            run(scenario, observations=flux)
+        return type(exc)
+    trace = run(scenario, observations=flux)
+    assert trace.events.tolist() == events
+    got = trace.ledger
+    assert (got.times, got.energies, got.infos, got.cumulative) == (
+        ledger.times,
+        ledger.energies,
+        ledger.infos,
+        ledger.cumulative,
+    )
+    assert got.sub_landauer == ledger.sub_landauer
+    assert (got.cumulative_energy, got.cumulative_info) == (ledger.cumulative_energy, ledger.cumulative_info)
+    assert (trace.summary.total_energy, trace.summary.total_info) == (
+        ledger.cumulative_energy,
+        ledger.cumulative_info,
+    )
+    assert trace.outcome == outcome
+    return None
+
+
+LANDAUER = EnergyModel(kind="landauer_min", fixed_cost_value=0.0, kBT=1.0)
+FIXED = EnergyModel(kind="fixed_cost", fixed_cost_value=0.2, kBT=0.7)
+
+
+@pytest.mark.parametrize(
+    "gamma, epsilon, initial_precision, model, rows, raises",
+    [
+        # dt == 0 rows, first at t = 0 on a belief below the floor: left unclamped.
+        (0.5, 1e-9, 1e-310, LANDAUER, [(0.0, 1.0, 1e-320), (0.0, 2.0, 1e-305), (1.0, 0.0, 2.0), (1.0, 1.0, 3.0)], None),
+        # gamma * dt far past exp's range: the precision clamps at the floor.
+        (1e3, 1e-9, 1.0, LANDAUER, [(1.0, 1.0, 1e-3), (5.0, 1.0, 1e-3), (9.0, 0.0, 0.5)], None),
+        # The first update crystallizes: the run halts on row 0.
+        (0.1, 2.0, 1.0, LANDAUER, [(0.5, 0.2, 10.0), (1.0, 0.3, 10.0)], None),
+        (0.1, 1e-9, 1.0, FIXED, [(0.5, 0.2, 100.0), (1.0, 0.3, 0.01), (3.0, 0.3, 1.0)], None),
+        # A non-positive obs_precision raises at or before the halting row ...
+        (0.1, 1e-9, 1.0, LANDAUER, [(0.5, 0.2, 1.0), (1.0, 0.3, 0.0)], NonPositiveObsPrecision),
+        (0.1, 1e-9, 1.0, LANDAUER, [(0.5, 0.2, -1.0)], NonPositiveObsPrecision),
+        # ... and is never read after it.
+        (0.1, 2.0, 1.0, LANDAUER, [(0.5, 0.2, 10.0), (1.0, 0.3, -1.0)], None),
+        # A first arrival before the belief's time 0 is a negative step.
+        (0.1, 1e-9, 1.0, LANDAUER, [(-1.0, 0.2, 1.0)], NegativeDt),
+    ],
+    ids=["dt-zero", "floor-clamp", "halt-row-0", "fixed-cost", "zero-obs-precision",
+         "negative-obs-precision", "bad-row-after-halt", "negative-dt"],
+)
+def test_run_matches_scalar_reference_on_edge_cases(gamma, epsilon, initial_precision, model, rows, raises):
+    scenario = _replay_scenario(gamma, epsilon, initial_precision, model)
+    assert _assert_run_matches_scalar_reference(scenario, _flux(rows)) is raises
+
+
+@st.composite
+def _replays(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    gaps = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 2.0, 7.0]), min_size=n, max_size=n))
+    rows = [
+        (t, draw(st.floats(min_value=-10.0, max_value=10.0)), draw(st.sampled_from([1e-3, 0.5, 4.0, 1e3, 0.0, -2.0])))
+        for t in itertools.accumulate(gaps)
+    ]
+    scenario = _replay_scenario(
+        gamma=draw(st.sampled_from([1e-6, 0.1, 3.0, 1e3])),
+        epsilon=draw(st.sampled_from([1e-9, 0.05, 0.5, 2.0])),
+        initial_precision=draw(st.sampled_from([1e-310, 1e-3, 1.0, 50.0])),
+        energy_model=draw(st.sampled_from([LANDAUER, FIXED])),
+    )
+    return scenario, _flux(rows)
+
+
+@given(_replays())
+@settings(max_examples=300, deadline=None)
+# A belief below the floor has a variance past the largest float: its samples overflow.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_matches_scalar_reference(case):
+    _assert_run_matches_scalar_reference(*case)
+
+
 # --- mutation detection -------------------------------------------------------------
 
 
 def test_broken_propagation_is_caught_by_steady_state_check(monkeypatch):
-    # Flip the decay direction inside the engine: the balance check must fail.
+    # Flip the decay direction inside the engine's kernel: the balance check must fail.
     from beds import dynamics, verify
 
-    def broken_propagate(belief, dt, gamma):
-        return dynamics.propagate(belief, dt, -gamma)
+    def broken_evolve(mean, precision, times, values, obs_precisions, gamma, epsilon):
+        return dynamics.evolve(mean, precision, times, values, obs_precisions, -gamma, epsilon)
 
-    monkeypatch.setattr("beds.engine.propagate", broken_propagate)
-    report = verify.run_all(seed_base=verify.DEFAULT_SEED_BASE)
-    balance = next(c for c in report.checks if c.name == "steady_state_precision_balance")
-    assert not balance.passed
-    assert not report.all_passed
+    monkeypatch.setattr("beds.engine.evolve", broken_evolve)
+    passed, _ = verify.check_steady_state_balance(verify.DEFAULT_SEED_BASE)
+    assert not passed

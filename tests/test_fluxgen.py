@@ -74,6 +74,91 @@ def test_empty_schedule_yields_empty_flux():
     assert flux.dtype.names == FLUX_FIELDS
 
 
+# --- block draws against the one-uniform-at-a-time reference ----------------------
+
+
+def _reference_uniform_nonzero(rng):
+    # 1 - U maps [0, 1) onto (0, 1], keeping log() finite.
+    return 1.0 - rng.random()
+
+
+def _reference_standard_normal(rng):
+    u1 = _reference_uniform_nonzero(rng)
+    u2 = rng.random()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _reference_arrival_times(arrival, horizon, rng):
+    if isinstance(arrival, PoissonArrival):
+        times = []
+        t = 0.0
+        while True:
+            t += -math.log(_reference_uniform_nonzero(rng)) / arrival.rate
+            if t > horizon:
+                break
+            times.append(t)
+        return times
+    if isinstance(arrival, PeriodicArrival):
+        count = int(math.floor(horizon / arrival.period * (1.0 + 1e-12)))
+        return [k * arrival.period for k in range(1, count + 1)]
+    return [t for t in arrival.times if 0.0 <= t <= horizon]
+
+
+def _reference_flux(spec, target, horizon, seed):
+    """The flux drawn one uniform at a time, in stream order: arrivals, then noise."""
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    times = _reference_arrival_times(spec.arrival, horizon, rng)
+    flux = np.empty(len(times), dtype=[(name, np.float64) for name in FLUX_FIELDS])
+    flux["time"] = times
+    flux["value"] = target_mean_at(target, flux["time"])
+    flux["obs_precision"] = spec.obs_precision
+    if spec.noise == "noisy":
+        noise_scale = 1.0 / math.sqrt(spec.obs_precision)
+        flux["value"] += [noise_scale * _reference_standard_normal(rng) for _ in times]
+    return flux
+
+
+REFERENCE_ARRIVALS = {
+    "poisson": PoissonArrival(rate=3.0),
+    "poisson-sparse": PoissonArrival(rate=0.05),
+    "periodic": PeriodicArrival(period=0.3),
+    "schedule": ScheduleArrival(times=(0.0, 0.0, 1.5, 7.25, 40.0, 41.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+@pytest.mark.parametrize("noise", ["exact", "noisy"])
+@pytest.mark.parametrize("arrival", REFERENCE_ARRIVALS.values(), ids=REFERENCE_ARRIVALS.keys())
+def test_flux_equals_one_uniform_at_a_time_reference(arrival, noise, seed):
+    spec = FluxSpec(arrival=arrival, obs_precision=4.0, noise=noise)
+    got = generate_flux(spec, DRIFT_1, 40.0, seed)
+    assert got.tobytes() == _reference_flux(spec, DRIFT_1, 40.0, seed).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("noise", ["exact", "noisy"])
+def test_flux_refills_a_short_block_without_changing_the_stream(monkeypatch, block, noise):
+    # Blocks far smaller than the ~120 arrivals force a refill after every block.
+    monkeypatch.setattr("beds.fluxgen._block_size", lambda expected: block)
+    spec = FluxSpec(arrival=PoissonArrival(rate=3.0), obs_precision=4.0, noise=noise)
+    got = generate_flux(spec, DRIFT_1, 40.0, seed=9)
+    assert len(got) > 10 * block
+    assert got.tobytes() == _reference_flux(spec, DRIFT_1, 40.0, seed=9).tobytes()
+
+
+@given(
+    rate=st.floats(min_value=1e-3, max_value=50.0),
+    horizon=st.floats(min_value=1e-3, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    noise=st.sampled_from(["exact", "noisy"]),
+)
+def test_poisson_flux_equals_reference_for_any_rate_and_horizon(rate, horizon, seed, noise):
+    spec = FluxSpec(arrival=PoissonArrival(rate=rate), obs_precision=0.7, noise=noise)
+    got = generate_flux(spec, STATIC_3, horizon, seed)
+    assert got.tobytes() == _reference_flux(spec, STATIC_3, horizon, seed).tobytes()
+
+
 def test_missing_arrival_raises_empty_spec():
     spec = FluxSpec(arrival=None, obs_precision=1.0, noise="exact")
     with pytest.raises(EmptySpec):
