@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import beds
 from beds.core import (
+    BedsError,
     BedsParams,
     EnergyModel,
     FluxSpec,
@@ -21,10 +23,11 @@ from beds.core import (
     UnknownParameterPath,
     ValidationError,
 )
-from beds.energy import gaussian_entropy
+from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
+from beds.energy import EnergyLedger, gaussian_entropy, observation_cost
 from beds import engine
 from beds.engine import run, sweep, trace_to_csv
-from beds.fluxgen import FLUX_FIELDS
+from beds.fluxgen import FLUX_FIELDS, target_mean_at
 from beds.scenarios import (
     dissipation_only,
     drifting_tracking,
@@ -376,10 +379,6 @@ def _scalar_reference(scenario, flux):
     Returns the event rows, the ledger charged row by row and the outcome.
     """
 
-    from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
-    from beds.energy import EnergyLedger, observation_cost
-    from beds.fluxgen import target_mean_at
-
     initial = scenario.beds.initial_belief
     mean, precision = initial.mean, initial.precision
     ledger = EnergyLedger(kBT=scenario.energy_model.kBT)
@@ -407,8 +406,6 @@ def _scalar_reference(scenario, flux):
 
 
 def _replay_scenario(gamma, epsilon, initial_precision, energy_model):
-    from dataclasses import replace
-
     scenario = single_observation_scenario(gamma)
     return replace(
         scenario,
@@ -423,8 +420,6 @@ def _replay_scenario(gamma, epsilon, initial_precision, energy_model):
 
 
 def _assert_run_matches_scalar_reference(scenario, flux):
-    from beds.core import BedsError
-
     try:
         events, ledger, outcome = _scalar_reference(scenario, flux)
     except BedsError as exc:
