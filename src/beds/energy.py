@@ -185,5 +185,5 @@ class EnergyLedger:
 
         return csv_text(
             ("time", "energy", "info_gain", "cumulative_energy", "sub_landauer"),
-            zip(self.times, self.energies, self.infos, self.cumulative, self.sub_landauer),
+            [self.times, self.energies, self.infos, self.cumulative, self.sub_landauer],
         )

@@ -256,8 +256,7 @@ def _summarize(samples: np.ndarray, t0: float, ledger: EnergyLedger) -> Summary:
 def trace_to_csv(trace: RunTrace) -> str:
     """Render the sample series as CSV with one column per sample field."""
 
-    columns = [trace.samples[name].tolist() for name in SAMPLE_FIELDS]
-    return csv_text(SAMPLE_FIELDS, zip(*columns))
+    return csv_text(SAMPLE_FIELDS, [trace.samples[name].tolist() for name in SAMPLE_FIELDS])
 
 
 def summary_to_dict(trace: RunTrace) -> dict:
@@ -277,7 +276,7 @@ class SweepTable:
 
     def to_csv(self) -> str:
         header = [*self.params, "replicate", "seed", *(f.name for f in fields(Summary))]
-        return csv_text(header, ([row[name] for name in header] for row in self.rows))
+        return csv_text(header, [[row[name] for row in self.rows] for name in header])
 
 
 def sweep(

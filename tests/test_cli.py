@@ -1,7 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beds import verify
 from beds.cli import main
@@ -327,6 +330,30 @@ def test_sweep_over_budget_exits_2_before_running(tmp_path, scenario_file, capsy
     assert len(err) == 1 and err[0].startswith("error: replicates: ")
 
 
+def test_sweep_seed_column_keeps_integers_past_float_precision(tmp_path, scenario_file):
+    # Replicate i runs at base.seed + i, modulo 2**64; a float format would
+    # print these seeds as 1.8446744073709552e+19.
+    out = tmp_path / "out"
+    code = main(
+        [
+            "sweep",
+            "--scenario-path", scenario_file(dissipation_only),
+            "--output-dir", str(out),
+            "--override", "seed=18446744073709551614",
+            "--grid", "horizon=2",
+            "--replicates", "3",
+        ]
+    )
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    seed = lines[0].split(",").index("seed")
+    assert [line.split(",")[seed] for line in lines[1:]] == [
+        "18446744073709551614",
+        "18446744073709551615",
+        "0",
+    ]
+
+
 # --- verify -------------------------------------------------------------------------
 
 
@@ -356,3 +383,61 @@ def test_verify_cli_passes_on_this_build(tmp_path, capsys, monkeypatch, verify_r
     sweep_lines = (out / "sweep.csv").read_text().strip().split("\n")
     assert len(sweep_lines) == 1 + 200  # 4 velocities x 5 rates x 10 replicates
     assert captured.out.count("PASS") == len(names)
+
+
+# --- argv fuzz ----------------------------------------------------------------------
+
+SHIPPED = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+# Numbers stay small, or large enough that the run budget rejects the scenario
+# before it runs, so every generated run is short.
+NUMBERS = ["0.5", "1", "2", "3", "10", "-1", "0", "1e-300", "1e308", "nan", "inf", "-inf"]
+JUNK = ["", "abc", "true", "null", "[1]", "{}", '"x"', "1e999", '"poisson"', '"schedule"', "[0.5,1]"]
+PATHS = [
+    "horizon", "sample_dt", "seed", "beds.gamma", "beds.epsilon", "beds.initial_belief.precision",
+    "flux_spec.arrival.kind", "flux_spec.arrival.rate", "flux_spec.arrival.period",
+    "flux_spec.arrival.times", "flux_spec.noise", "flux_spec.obs_precision",
+    "energy_model.kind", "energy_model.fixed_cost_value", "problem.t0", "problem.target.kind",
+    "problem.target.velocity", "beds", "beds.nope", "",
+]
+VALUES = st.sampled_from(NUMBERS * 3 + JUNK)
+
+
+@st.composite
+def argvs(draw, workdir: Path):
+    subcommand = draw(st.sampled_from(["predict", "simulate", "sweep", "classify"] * 3 + ["nope"]))
+    argv = [subcommand]
+    if subcommand == "predict":
+        for flag in ("--gamma", "--tau-star", "--tau-d", "--kbt", "--lambda-max"):
+            if draw(st.integers(0, 9)):
+                argv += [flag, draw(VALUES)]
+        return argv
+    if draw(st.integers(0, 9)):
+        argv += ["--scenario-path", draw(st.sampled_from([*SHIPPED, str(workdir / "missing.json")]))]
+    if draw(st.integers(0, 9)):
+        # "afile" is a regular file, so writing under it fails.
+        argv += ["--output-dir", str(workdir / draw(st.sampled_from(["out", "afile"])))]
+    argv += ["--override", f"horizon={draw(st.sampled_from(['1', '3']))}"]
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(PATHS), VALUES), max_size=2)):
+        argv += ["--override", f"{path}={value}" if draw(st.integers(0, 9)) else path]
+    if subcommand == "sweep":
+        for _ in range(draw(st.integers(0, 2))):
+            path = draw(st.sampled_from(PATHS))
+            values = draw(st.lists(VALUES, min_size=1, max_size=3))
+            argv += ["--grid", f"{path}={','.join(values)}" if draw(st.integers(0, 9)) else path]
+        if draw(st.booleans()):
+            argv += ["--replicates", draw(st.sampled_from(["-1", "0", "1", "2", "x", "100000000"]))]
+    return argv
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_cli_argv_exits_0_1_or_2_without_traceback(tmp_path, capsys, data):
+    # verify is left out: it runs the whole suite (see test_verify_cli_passes_on_this_build).
+    (tmp_path / "afile").write_text("")
+    argv = data.draw(argvs(tmp_path), label="argv")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

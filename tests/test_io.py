@@ -1,0 +1,116 @@
+"""CSV formatting: the block-formatted ``csv_text`` against a per-cell reference."""
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beds.engine import SAMPLE_FIELDS
+from beds.io import _CSV_BLOCK_ROWS, csv_text, format_float
+
+
+def reference_csv_text(header, columns) -> str:
+    """One ``format_float`` call per cell, one joined string per row."""
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_float, row)) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+BLOCK = _CSV_BLOCK_ROWS
+ROW_COUNTS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+INTS = st.integers() | st.sampled_from([2**53 + 1, 2**64 - 1, -(2**63), -1])
+ANY_CELL = st.one_of(INTS, FLOATS, st.booleans())
+FLOAT_POOL = st.lists(FLOATS, min_size=1, max_size=6)
+# The cells a column is made from. A mixed pool holds a float and an int or
+# bool, in any order.
+POOLS = st.one_of(
+    FLOAT_POOL,
+    st.lists(INTS, min_size=1, max_size=6),
+    st.lists(st.booleans(), min_size=1, max_size=6),
+    st.tuples(FLOATS, INTS | st.booleans(), st.lists(ANY_CELL, max_size=4)).flatmap(
+        lambda cells: st.permutations([cells[0], cells[1], *cells[2]])
+    ),
+)
+
+
+def random_doubles(picker: random.Random, n: int) -> list[float]:
+    """Doubles from uniform random bit patterns: any sign, subnormals, infinities, NaNs."""
+
+    return list(struct.unpack(f"<{n}d", picker.randbytes(8 * n)))
+
+
+def build_columns(n_rows: int, pools: list[list], seed: int) -> list[list]:
+    """Columns of ``n_rows`` cells, one per pool of cells.
+
+    Each column opens with its pool (so a mixed column is mixed from its
+    first rows). Random picks fill the rest, which keeps thousands of rows
+    cheap to draw: from the pool, and for a float pool also from doubles
+    with random bit patterns.
+    """
+
+    picker = random.Random(seed)
+    columns = []
+    for pool in pools:
+        population = pool
+        if all(type(x) is float for x in pool):
+            population = pool + random_doubles(picker, n_rows)
+        columns.append((pool + picker.choices(population, k=n_rows))[:n_rows])
+    return columns
+
+
+def assert_same_csv(got: str, want: str) -> None:
+    # Lines, so that a failure reports the first differing row instead of
+    # diffing two texts of thousands of lines.
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+ROWS = st.sampled_from(ROW_COUNTS)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rows=ROWS, pools=st.lists(POOLS, min_size=1, max_size=5), seed=SEEDS)
+def test_csv_text_equals_per_cell_reference(n_rows, pools, seed):
+    columns = build_columns(n_rows, pools, seed)
+    header = [f"c{j}" for j in range(len(columns))]
+    assert_same_csv(csv_text(header, columns), reference_csv_text(header, columns))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_rows=ROWS,
+    pools=st.lists(FLOAT_POOL, min_size=len(SAMPLE_FIELDS), max_size=len(SAMPLE_FIELDS)),
+    seed=SEEDS,
+)
+def test_csv_text_equals_reference_on_sample_shaped_columns(n_rows, pools, seed):
+    columns = build_columns(n_rows, pools, seed)
+    assert_same_csv(csv_text(SAMPLE_FIELDS, columns), reference_csv_text(SAMPLE_FIELDS, columns))
+
+
+def test_csv_cell_format():
+    text = csv_text(
+        ["x", "n", "flag"],
+        [[float("nan"), float("-inf"), -0.0, 0.1], [2**64 - 1, -3, 0, 7], [True, False, True, 1.5]],
+    )
+    assert text == (
+        "x,n,flag\n"
+        "nan,18446744073709551615,true\n"
+        "-inf,-3,false\n"
+        "-0,0,true\n"
+        "0.10000000000000001,7,1.5\n"
+    )
+
+
+def test_csv_text_rejects_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="differ in length"):
+        csv_text(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+def test_csv_text_rejects_header_of_other_width():
+    with pytest.raises(ValueError, match="2 names for 3 columns"):
+        csv_text(["a", "b"], [[1.0], [2.0], [3.0]])
