@@ -1,49 +1,28 @@
 #!/usr/bin/env python3
 """Tracking a moving target: how the needed observation rate grows with speed.
 
-Sweeps target velocity against an observation-rate ladder (ten replicate
-seeds per cell), writes the raw table to tracking_sweep.csv, and reports the
-minimal rate at which the seed-averaged peak divergence stays below the
-budget. Faster targets need at least as high a rate; the fastest exceeds
-every rate on this ladder.
+Runs the verify suite's tracking sweep: target velocity against an
+observation-rate ladder (ten replicate seeds per cell). Writes the raw table
+to tracking_sweep.csv, and reports the minimal rate at which the
+seed-averaged peak divergence stays below the budget. Faster targets need
+at least as high a rate; the fastest exceeds every rate on this ladder.
 """
 
-import collections
+from beds.verify import check_tracking_sweep
 
-import numpy as np
-
-import beds
-from beds.scenarios import tracking_sweep_base
-
-VELOCITIES = [0.0, 0.5, 1.0, 2.0]
-PERIODS = [0.5, 0.25, 0.125, 0.0625, 0.03125]  # rates 2 .. 32
-
-base = tracking_sweep_base()
-table = beds.sweep(
-    base,
-    [("problem.target.velocity", VELOCITIES), ("flux_spec.arrival.period", PERIODS)],
-    replicates=10,
-)
+non_decreasing, measured, table = check_tracking_sweep()
 
 with open("tracking_sweep.csv", "w") as fh:
     fh.write(table.to_csv())
 print(f"wrote {len(table.rows)} rows to tracking_sweep.csv")
 
-cells = collections.defaultdict(list)
-for row in table.rows:
-    cells[(row["problem.target.velocity"], row["flux_spec.arrival.period"])].append(
-        row["max_kl_after_t0"]
-    )
-
-delta = base.problem.delta
-print(f"\nseed-averaged peak divergence (nats), budget delta = {delta}")
-header = "velocity " + "".join(f"rate {1/p:4.0f} " for p in PERIODS)
-print(header)
-for v in VELOCITIES:
-    row = " ".join(f"{np.mean(cells[(v, p)]):9.3f}" for p in PERIODS)
+print(f"\nseed-averaged peak divergence (nats), budget delta = {measured['delta']}")
+print("velocity " + "".join(f"rate {rate:4.0f} " for rate in measured["rates"]))
+for v in measured["velocities"]:
+    row = " ".join(f"{measured['mean_max_kl'][f'v={v},rate={rate:g}']:9.3f}" for rate in measured["rates"])
     print(f"{v:8.1f} {row}")
 
 print("\nminimal rate meeting the budget:")
-for v in VELOCITIES:
-    rate = next((1 / p for p in sorted(PERIODS, reverse=True) if np.mean(cells[(v, p)]) < delta), None)
+for v, rate in zip(measured["velocities"], measured["min_rate_per_velocity"]):
     print(f"velocity {v:3.1f}: {'none on this ladder' if rate is None else f'{rate:g} obs/time'}")
+print(f"non-decreasing in velocity: {non_decreasing}")

@@ -6,14 +6,14 @@ with thermodynamic accounting of the information each observation buys.
 Closed-form steady-state laws (required observation rate, minimum power,
 optimal per-observation precision) live alongside the simulator so the two
 can be checked against each other.
+
+The package namespace binds the names the demos and the README use, the
+scenario I/O functions and the closed forms. Everything else is imported
+from its own module (``beds.core``, ``beds.engine``, ``beds.dynamics``, ...).
 """
 
 from .analysis import (
-    ClassEvidence,
-    ClassVerdict,
-    SteadyStatePrediction,
     classify_run,
-    kl_gaussian,
     optimal_obs_precision,
     p_min_exact,
     p_min_linear,
@@ -21,53 +21,15 @@ from .analysis import (
     steady_state_prediction,
 )
 from .core import (
-    Arrival,
-    BedsError,
-    BedsParams,
-    EmptySpec,
-    EmptyTrace,
     EnergyModel,
-    FluxSpec,
-    GaussianBelief,
-    NegativeDt,
-    NonMonotonicFlux,
-    NonMonotonicTime,
-    NonPositiveHorizon,
-    NonPositiveObsPrecision,
-    NonPositiveParameter,
-    NonPositivePrecision,
-    PeriodicArrival,
-    PoissonArrival,
-    ProblemSpec,
-    ScheduleArrival,
-    Scenario,
-    TargetSpec,
-    UnknownParameterPath,
-    ValidationError,
-    Violation,
     scenario_from_dict,
     scenario_from_json,
     scenario_to_dict,
     scenario_to_json,
-    scenario_violations,
-    validate_scenario,
 )
-from .dynamics import (
-    PRECISION_FLOOR,
-    CrystallizationOutcome,
-    bayes_update,
-    check_crystallization,
-    is_crystallized,
-    propagate,
-)
-from .energy import (
-    EnergyLedger,
-    gaussian_entropy,
-    info_gain,
-    landauer_min_energy,
-    observation_cost,
-)
-from .engine import RunTrace, Summary, SweepTable, run, summary_to_dict, sweep, trace_to_csv
-from .fluxgen import flux_from_csv, flux_to_csv, generate_flux, target_mean_at
+from .dynamics import bayes_update, is_crystallized, propagate
+from .energy import EnergyLedger, gaussian_entropy, info_gain, observation_cost
+from .engine import run, sweep
+from .fluxgen import flux_from_csv
 
 __version__ = "0.1.0"

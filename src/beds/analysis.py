@@ -10,7 +10,7 @@ maintainable, and/or crystallizable against its problem spec.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -87,9 +87,6 @@ class SteadyStatePrediction:
     p_min_linear: float
     e_obs_min: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def steady_state_prediction(
     gamma: float, tau_star: float, tau_d: float, kBT: float = 1.0
@@ -145,9 +142,6 @@ class ClassVerdict:
     crystallizable: bool
     evidence: ClassEvidence
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def classify_run(trace: "RunTrace", problem: ProblemSpec) -> ClassVerdict:
     """Grade a recorded run against its problem spec.
@@ -158,7 +152,8 @@ def classify_run(trace: "RunTrace", problem: ProblemSpec) -> ClassVerdict:
       ``delta`` of the target at that instant.
     - maintainable: every sample after the burn-in ``t0`` has divergence to
       the target below ``delta``, and the peak windowed power after ``t0``
-      stays below ``p_max``.
+      stays below ``p_max``. With no sample after ``t0`` both peaks are nan
+      and the run is not maintainable.
     - attainable: crystallizable, or the run ends with divergence below
       ``delta`` while the final window's power has collapsed below
       1% of ``p_max`` (the vanishing-power proxy for finite total energy).
@@ -175,13 +170,11 @@ def classify_run(trace: "RunTrace", problem: ProblemSpec) -> ClassVerdict:
     kl_after = samples["kl_to_target"][after]
     power_after = samples["windowed_power"][after]
     max_kl_after = float(np.max(kl_after)) if kl_after.size else math.nan
-    max_power_after = float(np.max(power_after)) if power_after.size else 0.0
+    max_power_after = float(np.max(power_after)) if power_after.size else math.nan
 
     outcome = trace.outcome
     crystallizable = bool(outcome.crystallized and outcome.accurate)
-    maintainable = (
-        bool(np.all(kl_after < problem.delta)) and max_power_after < problem.p_max
-    )
+    maintainable = max_kl_after < problem.delta and max_power_after < problem.p_max
     final_kl = float(samples["kl_to_target"][-1])
     final_power = float(samples["windowed_power"][-1])
     attainable = crystallizable or (

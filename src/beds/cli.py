@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .analysis import classify_run, optimal_obs_precision, steady_state_prediction
 from .core import (
@@ -105,7 +106,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         if value is not None and not (math.isfinite(value) and value > 0):
             raise _CliError(2, f"--{flag.replace('_', '-')}: must be finite and > 0, got {value!r}")
     prediction = steady_state_prediction(args.gamma, args.tau_star, args.tau_d, args.kbt)
-    payload = prediction.to_dict()
+    payload = asdict(prediction)
     if args.lambda_max is not None:
         payload["tau_d_opt"] = optimal_obs_precision(args.gamma, args.tau_star, args.lambda_max)
     for key, value in payload.items():
@@ -128,8 +129,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    if args.replicates < 1:
-        raise _CliError(2, f"--replicates must be >= 1, got {args.replicates!r}")
     grid: list[tuple[str, list[float]]] = []
     for spec in args.grid:
         if "=" not in spec:
@@ -157,23 +156,32 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     trace = run(scenario)
     verdict = classify_run(trace, scenario.problem)
-    payload = verdict.to_dict()
+    payload = asdict(verdict)
     _write_text(args.output_dir, "verdict.json", json_dumps(payload))
     sys.stdout.write(json_dumps(payload))
     return 0
 
 
-def _cmd_verify(seed_base: int, output_dir: str) -> int:
-    report = verify_mod.run_all(seed_base)
-    _write_text(output_dir, "verify_report.json", json_dumps(report.to_dict()))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_mod.run_all(args.seed_base)
+    _write_text(args.output_dir, "verify_report.json", json_dumps(report.to_dict()))
     if report.tracking_table is not None:
-        _write_text(output_dir, "sweep.csv", report.tracking_table.to_csv())
+        _write_text(args.output_dir, "sweep.csv", report.tracking_table.to_csv())
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         kind = " (exploratory)" if check.exploratory else ""
         sys.stdout.write(f"{status} {check.name}{kind}\n")
     sys.stdout.write(f"all non-exploratory checks passed: {report.all_passed}\n")
     return 0 if report.all_passed else 1
+
+
+_COMMANDS = {
+    "predict": _cmd_predict,
+    "simulate": _cmd_simulate,
+    "sweep": _cmd_sweep,
+    "classify": _cmd_classify,
+    "verify": _cmd_verify,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,17 +200,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lambda-max", type=float, default=None, help="rate budget; adds tau_d_opt to the output"
     )
 
-    def add_io(p: argparse.ArgumentParser, with_overrides: bool = True) -> None:
+    def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario-path", required=True, help="scenario JSON file")
         p.add_argument("--output-dir", required=True, help="directory for output files")
-        if with_overrides:
-            p.add_argument(
-                "--override",
-                action="append",
-                default=[],
-                metavar="PATH=VALUE",
-                help="dotted-path scenario override applied before validation (repeatable)",
-            )
+        p.add_argument(
+            "--override",
+            action="append",
+            default=[],
+            metavar="PATH=VALUE",
+            help="dotted-path scenario override applied before validation (repeatable)",
+        )
 
     simulate = sub.add_parser("simulate", help="run one scenario to trace/summary/ledger files")
     add_io(simulate)
@@ -237,17 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.subcommand == "predict":
-            return _cmd_predict(args)
-        if args.subcommand == "simulate":
-            return _cmd_simulate(args)
-        if args.subcommand == "sweep":
-            return _cmd_sweep(args)
-        if args.subcommand == "classify":
-            return _cmd_classify(args)
-        if args.subcommand == "verify":
-            return _cmd_verify(args.seed_base, args.output_dir)
-        raise _CliError(2, f"unknown subcommand {args.subcommand!r}")
+        return _COMMANDS[args.subcommand](args)
     except _CliError as exc:
         sys.stderr.writelines(f"error: {line}\n" for line in str(exc).splitlines())
         return exc.exit_code

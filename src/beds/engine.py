@@ -67,9 +67,7 @@ SAMPLE_FIELDS = (
     "windowed_power",
 )
 _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
-_EVENT_DTYPE = np.dtype(
-    [(name, np.float64) for name in ("mean_before", "precision_before", "mean_after", "precision_after")]
-)
+_EVENT_DTYPE = np.dtype([(name, np.float64) for name in ("precision_before", "mean_after", "precision_after")])
 # Most observations plus samples a sweep may expect over all its runs: a
 # hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
 MAX_SWEEP_COUNT = 10**8
@@ -77,7 +75,11 @@ MAX_SWEEP_COUNT = 10**8
 
 @dataclass(frozen=True)
 class Summary:
-    """Aggregates over one run; time averages exclude the burn-in [0, t0]."""
+    """Aggregates over one run; time averages exclude the burn-in [0, t0].
+
+    When no sample falls after ``t0``, the three ``*_after_t0`` fields are nan
+    (``null`` in summary.json, ``nan`` in sweep.csv).
+    """
 
     mean_precision_after_t0: float
     max_kl_after_t0: float
@@ -85,9 +87,6 @@ class Summary:
     observation_count: int
     total_energy: float
     total_info: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -98,10 +97,11 @@ class RunTrace:
     variance, kl_to_target, cumulative_energy, windowed_power, at multiples
     of the scenario's sample_dt up to the horizon or the crystallization
     time, whichever is earlier. ``events`` is a structured array with
-    fields mean_before, precision_before, mean_after, precision_after: row
-    ``i`` is the belief change of the observation that ``ledger`` charged
-    as entry ``i``, whose time, energy and information live in the ledger
-    only. ``power_window`` is the width of the sliding window behind the
+    fields precision_before, mean_after, precision_after: row ``i`` is
+    the belief change of the observation that ``ledger`` charged as entry
+    ``i``, whose time, energy and information live in the ledger only; its
+    mean before is row ``i - 1``'s mean_after (the initial mean for row 0).
+    ``power_window`` is the width of the sliding window behind the
     windowed_power samples, horizon / 10. ``clamped`` flags that the
     precision floor was hit at least once.
     """
@@ -149,8 +149,6 @@ def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
             mean_after[-1], precision_after[-1], t, epsilon, target_mean_at(target, t), scenario.problem.delta
         )
     events = np.empty(n, dtype=_EVENT_DTYPE)
-    events["mean_before"][:1] = initial.mean
-    events["mean_before"][1:] = mean_after[:-1]
     events["precision_before"] = precision_before
     events["mean_after"] = mean_after
     events["precision_after"] = precision_after
@@ -260,7 +258,7 @@ def trace_to_csv(trace: RunTrace) -> str:
 
 
 def summary_to_dict(trace: RunTrace) -> dict:
-    out = trace.summary.to_dict()
+    out = asdict(trace.summary)
     out["outcome"] = asdict(trace.outcome)
     out["clamped"] = trace.clamped
     out["power_window"] = trace.power_window
@@ -295,7 +293,7 @@ def sweep(
     """
 
     if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+        raise ValueError(f"replicates: must be >= 1, got {replicates!r}")
     paths = [path for path, _ in grid]
     if "seed" in paths:
         raise UnknownParameterPath(
@@ -325,6 +323,6 @@ def sweep(
             row = dict(zip(paths, combo))
             row["replicate"] = replicate
             row["seed"] = scenario.seed
-            row.update(trace.summary.to_dict())
+            row.update(asdict(trace.summary))
             table.rows.append(row)
     return table

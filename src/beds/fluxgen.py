@@ -97,8 +97,6 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
     with the float fields of ``FLUX_FIELDS``, one row per observation.
     """
 
-    if spec.arrival is None:
-        raise EmptySpec("flux spec has no arrival")
     if horizon <= 0:
         raise NonPositiveHorizon(f"horizon must be > 0, got {horizon!r}")
     rng = np.random.Generator(np.random.PCG64(seed))

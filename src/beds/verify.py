@@ -74,9 +74,6 @@ class CheckResult:
     exploratory: bool
     measured: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class VerifyReport:
@@ -92,7 +89,7 @@ class VerifyReport:
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

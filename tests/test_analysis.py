@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from beds.core import EmptyTrace, GaussianBelief, NonPositiveParameter
 from beds.dynamics import CrystallizationOutcome
 from beds.energy import EnergyLedger, info_gain, landauer_min_energy
 from beds.engine import RunTrace, _SAMPLE_DTYPE
-from beds.scenarios import dissipation_only, drifting_tracking, static_crystallizing
+from beds.scenarios import dissipation_only, drifting_tracking, static_crystallizing, steady_state
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -210,11 +211,20 @@ def test_classifier_drifting_scenario_is_maintainable_only():
     assert verdict.evidence.max_kl_after_t0 < scenario.problem.delta
 
 
+def test_classifier_with_no_sample_after_t0_is_not_maintainable():
+    # steady_state burns in until t0 = 1000, past this horizon.
+    scenario = replace(steady_state(), horizon=200.0)
+    verdict = classify_run(beds.run(scenario), scenario.problem)
+    assert not verdict.maintainable
+    assert math.isnan(verdict.evidence.max_kl_after_t0)
+    assert math.isnan(verdict.evidence.max_windowed_power_after_t0)
+
+
 def test_classifier_starved_flux_fails_everything():
     scenario = dissipation_only()
     # Tight accuracy: the belief drifts wide while the target stays sharp.
-    problem = beds.ProblemSpec(
-        target=beds.TargetSpec(kind="static", theta0=0.0, velocity=0.0, target_variance=0.01),
+    problem = beds.core.ProblemSpec(
+        target=beds.core.TargetSpec(kind="static", theta0=0.0, velocity=0.0, target_variance=0.01),
         delta=0.01,
         p_max=1.0,
         t0=1.0,
@@ -246,7 +256,7 @@ def test_classifier_rejects_empty_trace():
         events=[],
         outcome=CrystallizationOutcome(crystallized=False),
         ledger=EnergyLedger(),
-        summary=beds.Summary(math.nan, math.nan, math.nan, 0, 0.0, 0.0),
+        summary=beds.engine.Summary(math.nan, math.nan, math.nan, 0, 0.0, 0.0),
         power_window=0.1,
     )
     problem = dissipation_only().problem
@@ -257,7 +267,7 @@ def test_classifier_rejects_empty_trace():
 def test_verdict_serializes_to_plain_dict():
     scenario = drifting_tracking()
     verdict = classify_run(beds.run(scenario), scenario.problem)
-    payload = verdict.to_dict()
+    payload = asdict(verdict)
     assert set(payload) == {"attainable", "maintainable", "crystallizable", "evidence"}
     assert isinstance(payload["evidence"], dict)
     assert isinstance(payload["evidence"]["final_kl"], float)

@@ -330,6 +330,21 @@ def test_sweep_over_budget_exits_2_before_running(tmp_path, scenario_file, capsy
     assert len(err) == 1 and err[0].startswith("error: replicates: ")
 
 
+def test_sweep_replicates_below_one_exits_2_with_one_line(tmp_path, scenario_file, capsys):
+    for replicates in ("0", "-1"):
+        code = main(
+            [
+                "sweep",
+                "--scenario-path", scenario_file(dissipation_only),
+                "--output-dir", str(tmp_path / "o"),
+                "--grid", "beds.gamma=0.1",
+                "--replicates", replicates,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: replicates: must be >= 1, got {replicates}"]
+
+
 def test_sweep_seed_column_keeps_integers_past_float_precision(tmp_path, scenario_file):
     # Replicate i runs at base.seed + i, modulo 2**64; a float format would
     # print these seeds as 1.8446744073709552e+19.

@@ -194,7 +194,18 @@ def test_precision_floor_sets_clamped_flag():
     )
     trace = run(scenario)
     assert trace.clamped
-    assert trace.samples["precision"][-1] == beds.PRECISION_FLOOR
+    assert trace.samples["precision"][-1] == beds.dynamics.PRECISION_FLOOR
+
+
+def test_run_with_no_sample_after_t0_summarizes_nan():
+    # steady_state burns in until t0 = 1000, past this horizon.
+    trace = run(replace(steady_state(), horizon=200.0))
+    summary = trace.summary
+    assert trace.samples["t"][-1] <= 200.0 < steady_state().problem.t0
+    assert math.isnan(summary.mean_precision_after_t0)
+    assert math.isnan(summary.max_kl_after_t0)
+    assert math.isnan(summary.mean_windowed_power_after_t0)
+    assert summary.observation_count > 0
 
 
 def test_run_validates_scenario_first():
@@ -264,7 +275,7 @@ def test_sweep_csv_layout():
 
 
 def test_sweep_replicates_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^replicates: must be >= 1, got 0$"):
         sweep(dissipation_only(), [], replicates=0)
 
 
@@ -390,7 +401,7 @@ def _scalar_reference(scenario, flux):
         state_t = t
         mean_after, precision_after = bayes_update(mean, precision, value, obs_precision)
         ledger.charge(t, *observation_cost(scenario.energy_model, precision, obs_precision))
-        events.append((mean, precision, mean_after, precision_after))
+        events.append((precision, mean_after, precision_after))
         mean, precision = mean_after, precision_after
         outcome = check_crystallization(
             mean,
