@@ -7,7 +7,8 @@ Gaussian update. Crystallization is the variance dropping below the
 threshold, after which the system reports its mean and halts.
 
 ``evolve`` runs that recurrence over a whole observation stream and
-``dissipate`` applies the decay to a column of beliefs; the engine calls
+``dissipate`` applies the decay to a column of beliefs, with one rate
+(``gamma``) for every row or a column of per-row rates; the engine calls
 these two. The per-step functions ``propagate``, ``bayes_update`` and
 ``check_crystallization`` are the same rules one observation at a time:
 they are the documented API for stepping a belief by hand and the
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import NegativeDt, NonPositiveObsPrecision
 
@@ -129,13 +132,24 @@ def evolve(
     return precision_before, mean_after, precision_after, False
 
 
-def dissipate(precisions: list[float], dts: list[float], gamma: float) -> list[float]:
-    """Each precision after its own ``dt >= 0`` of pure dissipation, as ``propagate``."""
+def dissipate(precisions: np.ndarray, dts: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """Each precision after its own ``dt >= 0`` of pure dissipation, as ``propagate``.
 
-    return [
-        max(p * math.exp(-gamma * dt), PRECISION_FLOOR) if dt else p
-        for p, dt in zip(precisions, dts)
-    ]
+    ``gamma`` is one rate for every row or a column of per-row rates. A
+    negative ``dt`` raises NegativeDt naming the first one. The exponential
+    is scalar ``math.exp`` per row, not numpy's, which differs in the last
+    ulp; the arithmetic around it is IEEE-exact in numpy, so every row is
+    bit-identical to ``propagate``.
+    """
+
+    precisions = np.asarray(precisions, dtype=np.float64)
+    dts = np.asarray(dts, dtype=np.float64)
+    negative = np.flatnonzero(dts < 0)
+    if len(negative):
+        raise NegativeDt(f"dt must be >= 0, got {dts[negative[0]].item()!r}")
+    exponents = (-gamma * dts).tolist()
+    decay = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
+    return np.where(dts != 0, np.maximum(precisions * decay, PRECISION_FLOOR), precisions)
 
 
 def is_crystallized(precision: float, epsilon: float) -> bool:

@@ -216,7 +216,7 @@ def _assemble_samples(
     state_t = np.concatenate(([0.0], charge_times))[last]
     mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
     state_precision = np.concatenate(([initial.precision], events["precision_after"]))[last]
-    precision = np.array(dissipate(state_precision.tolist(), (t - state_t).tolist(), scenario.beds.gamma))
+    precision = dissipate(state_precision, t - state_t, scenario.beds.gamma)
 
     samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
     samples["t"] = t

@@ -40,6 +40,16 @@ def target_mean_at(target: TargetSpec, t: float | np.ndarray) -> float | np.ndar
     return target.theta0 + target.velocity * t
 
 
+def _libm(f, column: np.ndarray) -> np.ndarray:
+    """Scalar ``f`` (a ``math`` function) of each element, as a float64 column.
+
+    The arithmetic around these calls is IEEE-exact in numpy, so the result
+    is bit-identical to the scalar expression row by row.
+    """
+
+    return np.fromiter(map(f, column.tolist()), np.float64, len(column))
+
+
 def _block_size(expected: float) -> int:
     """Uniforms to draw at once for about ``expected`` Poisson arrivals.
 
@@ -64,7 +74,8 @@ def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tup
         u = rng.random(_block_size(rate * (horizon - t)))
         # The running sum starts from t and adds in order (np.cumsum), and the
         # logarithm is scalar math.log: numpy's differs in the last ulp.
-        times = np.cumsum([t, *(-math.log(1.0 - x) / rate for x in u.tolist())])[1:]
+        logs = _libm(math.log, 1.0 - u)
+        times = np.cumsum(np.concatenate(([t], -logs / rate)))[1:]
         past = int(np.searchsorted(times, horizon, side="right"))
         if past < len(times):
             blocks.append(times[:past])
@@ -110,12 +121,11 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
         # the arrivals, in order. Scalar math.log/cos, not numpy's: the two
         # differ in the last ulp, and the golden outputs pin these bits.
         needed = 2 * len(times)
-        u = np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))).tolist()
+        u = np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0))))
+        logs = _libm(math.log, 1.0 - u[0::2])
+        coss = _libm(math.cos, _TWO_PI * u[1::2])
         noise_scale = 1.0 / math.sqrt(spec.obs_precision)
-        flux["value"] += [
-            noise_scale * (math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(_TWO_PI * u2))
-            for u1, u2 in zip(u[0::2], u[1::2])
-        ]
+        flux["value"] += noise_scale * (np.sqrt(-2.0 * logs) * coss)
     return flux
 
 

@@ -36,7 +36,7 @@ from .core import (
     TargetSpec,
     validate_scenario,
 )
-from .dynamics import bayes_update, propagate
+from .dynamics import bayes_update, dissipate
 from .energy import gaussian_entropy, info_gain, landauer_min_energy
 from .engine import SweepTable, run, sweep
 from .scenarios import (
@@ -394,16 +394,27 @@ def check_dynamics_oracles(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, di
 
     rng = np.random.Generator(np.random.PCG64(seed_base + 600))
 
-    # RK4 vs closed-form dissipation on a 100-point grid.
-    max_rel_rk4 = 0.0
-    for duration in (0.5, 1.0, 2.5, 5.0, 10.0):
-        variance0 = np.exp(rng.uniform(np.log(1e-2), np.log(1e3), size=20))
-        gamma = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), size=20))
-        oracle_var = rk4_variance_growth(variance0, gamma, duration)
-        for v0, g, expected_var in zip(variance0, gamma, oracle_var):
-            got = propagate(1.0 / v0, duration, g)
-            expected = 1.0 / expected_var
-            max_rel_rk4 = max(max_rel_rk4, abs(got - expected) / expected)
+    # RK4 vs closed-form dissipation on a 100-point grid, 20 points per duration.
+    # Every duration's RK4 step is the same double (d / round(d / 1e-3)), so
+    # the groups advance together and each leaves once its duration is reached.
+    durations = (0.5, 1.0, 2.5, 5.0, 10.0)
+    draws = [
+        (
+            np.exp(rng.uniform(np.log(1e-2), np.log(1e3), size=20)),
+            np.exp(rng.uniform(np.log(1e-3), np.log(2.0), size=20)),
+        )
+        for _ in durations
+    ]
+    variance0 = np.concatenate([v for v, _ in draws])
+    gamma = np.concatenate([g for _, g in draws])
+    oracle_var = np.empty_like(variance0)
+    y, elapsed = variance0, 0.0
+    for k, duration in enumerate(durations):
+        y = rk4_variance_growth(y, gamma[20 * k :], duration - elapsed)
+        oracle_var[20 * k : 20 * (k + 1)], y, elapsed = y[:20], y[20:], duration
+    got = dissipate(1.0 / variance0, np.repeat(durations, 20), gamma)
+    expected = 1.0 / oracle_var
+    max_rel_rk4 = float(np.max(np.abs(got - expected) / expected))
 
     # Discretized Bayes' rule vs the conjugate update.
     max_rel_mean = 0.0
@@ -422,25 +433,28 @@ def check_dynamics_oracles(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, di
             max_rel_precision, abs(precision - oracle_precision) / oracle_precision
         )
 
-    # Semigroup: dissipating t1 then t2 equals dissipating t1 + t2.
-    max_rel_semigroup = 0.0
-    for _ in range(10_000):
-        rng.uniform(-5, 5)  # an unused mean, drawn so that the later draws keep their values
-        precision = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-        t1 = float(rng.uniform(0.0, 50.0))
-        t2 = float(rng.uniform(0.0, 50.0))
-        gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
-        two_step = propagate(propagate(precision, t1, gamma), t2, gamma)
-        one_step = propagate(precision, t1 + t2, gamma)
-        max_rel_semigroup = max(max_rel_semigroup, abs(two_step - one_step) / one_step)
+    # Semigroup: dissipating t1 then t2 equals dissipating t1 + t2. Each row
+    # is one trial's five uniforms in stream order, scaled as Generator.uniform
+    # scales them; column 0 is an unused mean, drawn so the others keep their values.
+    u = rng.random((10_000, 5))
+    lows = np.array([-5.0, np.log(1e-3), 0.0, 0.0, np.log(1e-3)])
+    highs = np.array([5.0, np.log(1e3), 50.0, 50.0, np.log(10.0)])
+    _, log_precision, t1, t2, log_gamma = (lows + (highs - lows) * u).T
+    precision, gamma = np.exp(log_precision), np.exp(log_gamma)
+    two_step = dissipate(dissipate(precision, t1, gamma), t2, gamma)
+    one_step = dissipate(precision, t1 + t2, gamma)
+    max_rel_semigroup = float(np.max(np.abs(two_step - one_step) / one_step))
 
     # Merge order: simultaneous updates commute and precisions add.
+    # Scalar draws: integers and permutation consume the stream's buffered
+    # 32-bit halves, so a block draw would change the values.
     max_rel_merge = 0.0
+    log_lo, log_hi = np.log(1e-2), np.log(1e2)
     for _ in range(10_000):
         mean = float(rng.uniform(-5, 5))
-        precision = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+        precision = float(np.exp(rng.uniform(log_lo, log_hi)))
         k = int(rng.integers(2, 7))
-        taus = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=k))
+        taus = np.exp(rng.uniform(log_lo, log_hi, size=k))
         values = rng.uniform(-5, 5, size=k)
         order = rng.permutation(k)
         forward = shuffled = (mean, precision)

@@ -46,6 +46,16 @@ def test_propagate_matches_rk4_oracle_long_horizon():
     assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 1.0), (1.0, 2.5), (2.5, 5.0), (5.0, 10.0)])
+def test_rk4_in_two_stages_is_bit_identical_to_one_run(a, b):
+    # verify.check_dynamics_oracles advances its duration groups together,
+    # one stage per duration: that needs every stage to take the same step.
+    variance0 = np.array([1e-2, 0.7, 3.0, 1e3])
+    gamma = np.array([1e-3, 0.05, 0.4, 2.0])
+    staged = rk4_variance_growth(rk4_variance_growth(variance0, gamma, a), gamma, b - a)
+    assert staged.tolist() == rk4_variance_growth(variance0, gamma, b).tolist()
+
+
 def test_propagate_rejects_negative_dt():
     with pytest.raises(NegativeDt):
         propagate(1.0, -0.1, 0.5)
@@ -81,7 +91,28 @@ def test_propagate_never_changes_mean(mean, precision, gamma):
 )
 def test_dissipate_equals_propagate_per_element(rows, gamma):
     got = dissipate([p for p, _ in rows], [dt for _, dt in rows], gamma)
-    assert got == [propagate(p, dt, gamma) for p, dt in rows]
+    assert got.tolist() == [propagate(p, dt, gamma) for p, dt in rows]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([1e-310, 1e-300, 1e-6, 1.0, 1e6]),
+            st.sampled_from([0.0, 1e-20, 0.5, 30.0, 1e6]),
+            st.floats(min_value=1e-3, max_value=10.0),
+        ),
+        max_size=20,
+    )
+)
+def test_dissipate_with_a_gamma_column_equals_propagate_per_element(rows):
+    gammas = np.array([gamma for _, _, gamma in rows], dtype=float)
+    got = dissipate([p for p, _, _ in rows], [dt for _, dt, _ in rows], gammas)
+    assert got.tolist() == [propagate(p, dt, gamma) for p, dt, gamma in rows]
+
+
+def test_dissipate_rejects_negative_dt_naming_the_first():
+    with pytest.raises(NegativeDt, match=r"got -1\.0$"):
+        dissipate([1.0, 1.0, 1.0], [0.5, -1.0, -2.0], 0.1)
 
 
 @given(precision=precisions, dt=st.floats(min_value=1e-6, max_value=30),

@@ -159,6 +159,17 @@ def test_poisson_flux_equals_reference_for_any_rate_and_horizon(rate, horizon, s
     assert got.tobytes() == _reference_flux(spec, STATIC_3, horizon, seed).tobytes()
 
 
+@given(
+    period=st.floats(min_value=1e-2, max_value=5.0),
+    obs_precision=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_noisy_periodic_flux_equals_reference_for_any_period_and_precision(period, obs_precision, seed):
+    spec = FluxSpec(arrival=PeriodicArrival(period=period), obs_precision=obs_precision, noise="noisy")
+    got = generate_flux(spec, DRIFT_1, 20.0, seed)
+    assert got.tobytes() == _reference_flux(spec, DRIFT_1, 20.0, seed).tobytes()
+
+
 def test_missing_arrival_raises_empty_spec():
     spec = FluxSpec(arrival=None, obs_precision=1.0, noise="exact")
     with pytest.raises(EmptySpec):
