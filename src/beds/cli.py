@@ -163,6 +163,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.seed_base <= verify_mod.MAX_SEED_BASE:
+        raise _CliError(2, f"--seed-base: must be in [0, {verify_mod.MAX_SEED_BASE}], got {args.seed_base}")
     report = verify_mod.run_all(args.seed_base)
     _write_text(args.output_dir, "verify_report.json", json_dumps(report.to_dict()))
     if report.tracking_table is not None:

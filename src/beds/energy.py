@@ -10,7 +10,6 @@ sub-thermodynamic configurations remain explorable but never silent.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -95,7 +94,7 @@ def _running_totals(column: np.ndarray) -> np.ndarray:
 class EnergyLedger:
     """Append-only, time-ordered record of per-observation energy charges.
 
-    Charge ``i`` is stored once, across the column lists ``times``,
+    Charge ``i`` is stored once, across the float64 arrays ``times``,
     ``energies`` (energy paid), ``infos`` (nats gained) and ``cumulative``
     (running energy total). Cumulative energy and information always equal
     the sums over charges. ``kBT`` is kept so each charge can be checked
@@ -104,10 +103,10 @@ class EnergyLedger:
 
     def __init__(self, kBT: float = 1.0):
         self.kBT = kBT
-        self.times: list[float] = []
-        self.energies: list[float] = []
-        self.infos: list[float] = []
-        self.cumulative: list[float] = []
+        self.times = np.empty(0)
+        self.energies = np.empty(0)
+        self.infos = np.empty(0)
+        self.cumulative = np.empty(0)
         self.cumulative_energy = 0.0
         self.cumulative_info = 0.0
 
@@ -117,10 +116,14 @@ class EnergyLedger:
     ) -> "EnergyLedger":
         """A ledger holding charge ``i`` = ``(times[i], energies[i], infos[i])``.
 
-        Equal to charging the rows one by one, totals included.
+        Equal to charging the rows one by one, totals included. The ledger
+        keeps contiguous float64 arrays of the columns, which may share
+        memory with the arguments.
         """
 
-        times = np.asarray(times, dtype=float)
+        times, energies, infos = (
+            np.ascontiguousarray(column, dtype=np.float64) for column in (times, energies, infos)
+        )
         back = np.flatnonzero(np.diff(times) < 0)
         if len(back):
             raise NonMonotonicTime(
@@ -128,13 +131,10 @@ class EnergyLedger:
                 f"precedes last entry at t={times[back[0]].item()!r}"
             )
         ledger = cls(kBT)
-        cumulative = _running_totals(energies)
-        ledger.times = times.tolist()
-        ledger.energies = np.asarray(energies, dtype=float).tolist()
-        ledger.infos = np.asarray(infos, dtype=float).tolist()
-        ledger.cumulative = cumulative.tolist()
+        ledger.times, ledger.energies, ledger.infos = times, energies, infos
+        ledger.cumulative = _running_totals(energies)
         if len(times):
-            ledger.cumulative_energy = ledger.cumulative[-1]
+            ledger.cumulative_energy = ledger.cumulative[-1].item()
             ledger.cumulative_info = _running_totals(infos)[-1].item()
         return ledger
 
@@ -142,24 +142,29 @@ class EnergyLedger:
         return len(self.times)
 
     @property
-    def sub_landauer(self) -> list[bool]:
-        """Per charge: whether it was priced below its minimum ``kBT * info``."""
+    def sub_landauer(self) -> np.ndarray:
+        """Per charge, as a bool array: whether it was priced below its minimum ``kBT * info``."""
 
-        return [energy < self.kBT * info for energy, info in zip(self.energies, self.infos)]
+        return self.energies < self.kBT * self.infos
 
     def charge(self, t: float, energy: float, info: float) -> "EnergyLedger":
-        """Append a charge at time ``t``; times must be non-decreasing."""
+        """Append a charge at time ``t``; times must be non-decreasing.
 
-        if self.times and t < self.times[-1]:
+        Each call copies all four columns (``np.append``), so charging row by
+        row is for demos and tests; a run builds its ledger with
+        :meth:`from_columns`.
+        """
+
+        if len(self.times) and t < self.times[-1]:
             raise NonMonotonicTime(
-                f"charge at t={t!r} precedes last entry at t={self.times[-1]!r}"
+                f"charge at t={t!r} precedes last entry at t={self.times[-1].item()!r}"
             )
-        self.cumulative_energy += energy
-        self.cumulative_info += info
-        self.times.append(t)
-        self.energies.append(energy)
-        self.infos.append(info)
-        self.cumulative.append(self.cumulative_energy)
+        self.cumulative_energy += float(energy)
+        self.cumulative_info += float(info)
+        self.times = np.append(self.times, t)
+        self.energies = np.append(self.energies, energy)
+        self.infos = np.append(self.infos, info)
+        self.cumulative = np.append(self.cumulative, self.cumulative_energy)
         return self
 
     def windowed_power(self, t_end: float, window: float) -> float:
@@ -167,18 +172,18 @@ class EnergyLedger:
 
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window!r}")
-        hi = bisect_right(self.times, t_end)
-        lo = bisect_right(self.times, t_end - window)
+        hi = np.searchsorted(self.times, t_end, side="right")
+        lo = np.searchsorted(self.times, t_end - window, side="right")
         if hi == lo:
             return 0.0
-        energy = self.cumulative[hi - 1] - (self.cumulative[lo - 1] if lo else 0.0)
+        energy = self.cumulative[hi - 1].item() - (self.cumulative[lo - 1].item() if lo else 0.0)
         return energy / window
 
     def energy_up_to(self, t: float) -> float:
         """Cumulative energy of all entries with time <= t."""
 
-        hi = bisect_right(self.times, t)
-        return self.cumulative[hi - 1] if hi else 0.0
+        hi = np.searchsorted(self.times, t, side="right")
+        return self.cumulative[hi - 1].item() if hi else 0.0
 
     def to_csv(self) -> str:
         """Render as CSV: time, energy, info_gain, cumulative_energy, sub_landauer."""

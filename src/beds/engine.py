@@ -210,10 +210,9 @@ def _assemble_samples(
     horizon, sample_dt = scenario.horizon, scenario.sample_dt
     t = np.arange(int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1) * sample_dt
     t = t[t < halted_at] if halted_at is not None else t[t <= horizon]
-    charge_times = np.asarray(ledger.times)
-    last = np.searchsorted(charge_times, t, side="right")
+    last = np.searchsorted(ledger.times, t, side="right")
     initial = scenario.beds.initial_belief
-    state_t = np.concatenate(([0.0], charge_times))[last]
+    state_t = np.concatenate(([0.0], ledger.times))[last]
     mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
     state_precision = np.concatenate(([initial.precision], events["precision_after"]))[last]
     precision = dissipate(state_precision, t - state_t, scenario.beds.gamma)
@@ -229,7 +228,7 @@ def _assemble_samples(
         mean, precision, target_mean_at(target, t), 1.0 / target.target_variance
     )
 
-    lo = np.searchsorted(charge_times, t - power_window, side="right")
+    lo = np.searchsorted(ledger.times, t - power_window, side="right")
     padded = np.concatenate(([0.0], ledger.cumulative))
     samples["cumulative_energy"] = padded[last]
     samples["windowed_power"] = (padded[last] - padded[lo]) / power_window
@@ -254,7 +253,7 @@ def _summarize(samples: np.ndarray, t0: float, ledger: EnergyLedger) -> Summary:
 def trace_to_csv(trace: RunTrace) -> str:
     """Render the sample series as CSV with one column per sample field."""
 
-    return csv_text(SAMPLE_FIELDS, [trace.samples[name].tolist() for name in SAMPLE_FIELDS])
+    return csv_text(SAMPLE_FIELDS, [trace.samples[name] for name in SAMPLE_FIELDS])
 
 
 def summary_to_dict(trace: RunTrace) -> dict:

@@ -132,7 +132,7 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
 def flux_to_csv(flux: np.ndarray) -> str:
     """Render a flux as CSV (time, value, obs_precision) for replay elsewhere."""
 
-    return csv_text(FLUX_FIELDS, [flux[name].tolist() for name in FLUX_FIELDS])
+    return csv_text(FLUX_FIELDS, [flux[name] for name in FLUX_FIELDS])
 
 
 def flux_from_csv(text: str) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 __all__ = ["csv_text", "format_float", "json_dumps"]
 
 
@@ -25,17 +27,40 @@ def format_float(x: float) -> str:
 
 # Rows formatted by one ``%`` per block; the last, partial block gets its own template.
 _CSV_BLOCK_ROWS = 1024
+_BOOL_TEXT = ("false", "true")
+
+
+def _bool_cells(block: np.ndarray) -> list[str]:
+    return [_BOOL_TEXT[x] for x in block.tolist()]
+
+
+def _scalar_cells(block) -> list[str]:
+    return list(map(format_float, block))
+
+
+def _column_format(column) -> tuple[str, object]:
+    """A column's ``%`` code and the function from a block of its rows to that code's cells."""
+
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "f":
+        return "%.17g", np.ndarray.tolist
+    if kind in "iu":
+        return "%d", np.ndarray.tolist
+    if kind == "b":
+        return "%s", _bool_cells
+    return "%s", _scalar_cells
 
 
 def csv_text(header, columns) -> str:
-    """Render a header and equal-length columns of Python scalars as CSV.
+    """Render a header and equal-length columns as CSV.
 
-    Every cell reads as :func:`format_float` would print it. A column whose
-    cells are all ``float`` is formatted with ``%.17g``, which gives the same
-    bytes for every double (``nan``, ``inf``, ``-inf`` and ``-0`` included);
-    any other column goes through :func:`format_float`. Pass Python scalars
-    (for example a numpy column's ``.tolist()``): ``np.bool_`` is not a
-    ``bool`` and would not print as ``true``/``false``.
+    Every cell reads as :func:`format_float` would print its Python scalar.
+    A NumPy column is formatted by its dtype: floats with ``%.17g`` (the same
+    bytes for every double, ``nan``, ``inf``, ``-inf`` and ``-0`` included),
+    bools as ``true``/``false`` and integers as decimal digits. Any other
+    column (an object array, or a list such as a sweep column) goes through
+    :func:`format_float` cell by cell. Cells are converted to Python scalars
+    one block of rows at a time, so no whole-column list is built.
 
     Raises ValueError when the header's width differs from the number of
     columns or the columns differ in length.
@@ -48,24 +73,17 @@ def csv_text(header, columns) -> str:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     width = len(columns)
     n_rows = lengths.pop() if lengths else 0
-    cells = [None] * (n_rows * width)
-    formats = []
-    for j, column in enumerate(columns):
-        if all(type(x) is float for x in column):
-            formats.append("%.17g")
-            cells[j::width] = column
-        else:
-            formats.append("%s")
-            cells[j::width] = map(format_float, column)
-    row = ",".join(formats) + "\n"
+    formats = [_column_format(column) for column in columns]
+    row = ",".join(code for code, _ in formats) + "\n"
     block = row * _CSV_BLOCK_ROWS
-    full = n_rows - n_rows % _CSV_BLOCK_ROWS
     parts = [",".join(header) + "\n"]
-    parts.extend(
-        block % tuple(cells[r * width : (r + _CSV_BLOCK_ROWS) * width])
-        for r in range(0, full, _CSV_BLOCK_ROWS)
-    )
-    parts.append(row * (n_rows - full) % tuple(cells[full * width :]))
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+        cells = [None] * ((stop - start) * width)
+        for j, (column, (_, convert)) in enumerate(zip(columns, formats)):
+            cells[j::width] = convert(column[start:stop])
+        template = block if stop - start == _CSV_BLOCK_ROWS else row * (stop - start)
+        parts.append(template % tuple(cells))
     return "".join(parts)
 
 

@@ -24,6 +24,7 @@ from .analysis import (
     required_rate,
 )
 from .core import (
+    MAX_SEED,
     BedsParams,
     EnergyModel,
     FluxSpec,
@@ -62,9 +63,13 @@ __all__ = [
     "check_tracking_sweep",
     "run_all",
     "DEFAULT_SEED_BASE",
+    "MAX_SEED_BASE",
 ]
 
 DEFAULT_SEED_BASE = 1000
+# Scenario seeds run from seed_base to seed_base + 201 (check_class_hierarchy's
+# drifting run) and must fit in an unsigned 64-bit integer.
+MAX_SEED_BASE = MAX_SEED - 201
 
 
 @dataclass(frozen=True)

@@ -400,6 +400,20 @@ def test_verify_cli_passes_on_this_build(tmp_path, capsys, monkeypatch, verify_r
     assert captured.out.count("PASS") == len(names)
 
 
+@pytest.mark.parametrize("seed_base", [-1, 2**64 - 1, verify.MAX_SEED_BASE + 1])
+def test_verify_seed_base_out_of_range_exits_2_before_running(tmp_path, capsys, monkeypatch, seed_base):
+    def refuse(seed_base):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("beds.cli.verify_mod.run_all", refuse)
+    code = main(["verify", "--seed-base", str(seed_base), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --seed-base: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # --- argv fuzz ----------------------------------------------------------------------
 
 SHIPPED = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
@@ -415,22 +429,27 @@ PATHS = [
     "problem.target.velocity", "beds", "beds.nope", "",
 ]
 VALUES = st.sampled_from(NUMBERS * 3 + JUNK)
+SEED_BASES = ["-1", "0", "1000", str(verify.MAX_SEED_BASE), str(verify.MAX_SEED_BASE + 1), str(2**64), "x", "1e3"]
 
 
 @st.composite
 def argvs(draw, workdir: Path):
-    subcommand = draw(st.sampled_from(["predict", "simulate", "sweep", "classify"] * 3 + ["nope"]))
+    subcommand = draw(st.sampled_from(["predict", "simulate", "sweep", "classify", "verify"] * 3 + ["nope"]))
     argv = [subcommand]
     if subcommand == "predict":
         for flag in ("--gamma", "--tau-star", "--tau-d", "--kbt", "--lambda-max"):
             if draw(st.integers(0, 9)):
                 argv += [flag, draw(VALUES)]
         return argv
-    if draw(st.integers(0, 9)):
+    if subcommand != "verify" and draw(st.integers(0, 9)):
         argv += ["--scenario-path", draw(st.sampled_from([*SHIPPED, str(workdir / "missing.json")]))]
     if draw(st.integers(0, 9)):
         # "afile" is a regular file, so writing under it fails.
         argv += ["--output-dir", str(workdir / draw(st.sampled_from(["out", "afile"])))]
+    if subcommand == "verify":
+        if draw(st.integers(0, 9)):
+            argv += ["--seed-base", draw(st.sampled_from(SEED_BASES))]
+        return argv
     argv += ["--override", f"horizon={draw(st.sampled_from(['1', '3']))}"]
     for path, value in draw(st.lists(st.tuples(st.sampled_from(PATHS), VALUES), max_size=2)):
         argv += ["--override", f"{path}={value}" if draw(st.integers(0, 9)) else path]
@@ -448,11 +467,19 @@ def argvs(draw, workdir: Path):
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(data=st.data())
-def test_cli_argv_exits_0_1_or_2_without_traceback(tmp_path, capsys, data):
-    # verify is left out: it runs the whole suite (see test_verify_cli_passes_on_this_build).
+def test_cli_argv_exits_0_1_or_2_without_traceback(tmp_path, capsys, monkeypatch, data):
+    # verify runs a stub suite: the real one is exercised by test_verify_cli_passes_on_this_build.
+    seed_bases = []
+
+    def run_all(seed_base):
+        seed_bases.append(seed_base)
+        return verify.VerifyReport(checks=[verify.CheckResult("stub", True, False, {})])
+
+    monkeypatch.setattr("beds.cli.verify_mod.run_all", run_all)
     (tmp_path / "afile").write_text("")
     argv = data.draw(argvs(tmp_path), label="argv")
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert all(0 <= seed_base <= verify.MAX_SEED_BASE for seed_base in seed_bases)

@@ -130,7 +130,7 @@ def test_observation_cost_fixed():
 def test_fixed_cost_above_bound_is_not_flagged():
     ledger = EnergyLedger(kBT=1.0)
     energy, info = observation_cost(EnergyModel(kind="fixed_cost", fixed_cost_value=0.1), 100.0, 1.0)
-    flagged = ledger.charge(1.0, energy, info).sub_landauer[-1]
+    flagged = ledger.charge(1.0, energy, info).sub_landauer.tolist()[-1]
     assert info == pytest.approx(0.0049751654, rel=1e-6)
     assert flagged is False  # 0.1 clears the 0.0049752 bound
 
@@ -138,7 +138,7 @@ def test_fixed_cost_above_bound_is_not_flagged():
 def test_sub_landauer_pricing_is_flagged_not_rejected():
     ledger = EnergyLedger(kBT=1.0)
     energy, info = observation_cost(EnergyModel(kind="fixed_cost", fixed_cost_value=0.01), 1.0, 1.0)
-    flagged = ledger.charge(1.0, energy, info).sub_landauer[-1]
+    flagged = ledger.charge(1.0, energy, info).sub_landauer.tolist()[-1]
     assert flagged is True  # 0.01 < half a nat
     assert ledger.cumulative_energy == pytest.approx(0.01)
 
@@ -193,7 +193,8 @@ def test_charge_single_entry():
     assert ledger.cumulative_energy == 2.0
     assert ledger.cumulative_info == 1.0
     assert len(ledger) == 1
-    assert (ledger.times, ledger.energies, ledger.infos, ledger.cumulative) == ([1.0], [2.0], [1.0], [2.0])
+    columns = (ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
+    assert [column.tolist() for column in columns] == [[1.0], [2.0], [1.0], [2.0]]
 
 
 def test_charge_accumulates():
@@ -224,7 +225,7 @@ def test_ledger_from_columns_equals_charging_row_by_row(model, rows):
     energies, infos = observation_costs(model, [tau for _, tau, _ in rows], [od for _, _, od in rows])
     built = EnergyLedger.from_columns(np.array([t for t, _, _ in rows]), energies, infos, model.kBT)
     for name in ("times", "energies", "infos", "cumulative", "sub_landauer"):
-        assert getattr(built, name) == getattr(charged, name)
+        assert getattr(built, name).tolist() == getattr(charged, name).tolist()
     assert (built.cumulative_energy, built.cumulative_info) == (
         charged.cumulative_energy,
         charged.cumulative_info,

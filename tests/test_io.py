@@ -1,8 +1,10 @@
 """CSV formatting: the block-formatted ``csv_text`` against a per-cell reference."""
 
+import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,31 @@ def test_csv_text_equals_per_cell_reference(n_rows, pools, seed):
 def test_csv_text_equals_reference_on_sample_shaped_columns(n_rows, pools, seed):
     columns = build_columns(n_rows, pools, seed)
     assert_same_csv(csv_text(SAMPLE_FIELDS, columns), reference_csv_text(SAMPLE_FIELDS, columns))
+
+
+# NumPy columns: (dtype, pool of cells). Float pools carry every special
+# double, so each column of them opens with NaN, infinities, -0 and subnormals.
+SPECIAL_DOUBLES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225073858507201e-308]
+ARRAY_POOLS = st.one_of(
+    st.tuples(st.just(np.float64), FLOAT_POOL.map(lambda pool: pool + SPECIAL_DOUBLES)),
+    st.tuples(st.just(np.bool_), st.lists(st.booleans(), min_size=1, max_size=6)),
+    st.tuples(st.just(np.int64), st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6)),
+    st.tuples(
+        st.just(np.uint64), st.lists(st.integers(0, 2**64 - 1) | st.just(2**64 - 1), min_size=1, max_size=6)
+    ),
+    st.tuples(st.just(object), POOLS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rows=ROWS, typed_pools=st.lists(ARRAY_POOLS, min_size=1, max_size=5), seed=SEEDS)
+def test_csv_text_of_numpy_columns_equals_reference_on_their_lists(n_rows, typed_pools, seed):
+    dtypes = [dtype for dtype, _ in typed_pools]
+    cells = build_columns(n_rows, [pool for _, pool in typed_pools], seed)
+    columns = [np.array(column, dtype=dtype) for dtype, column in zip(dtypes, cells)]
+    header = [f"c{j}" for j in range(len(columns))]
+    want = reference_csv_text(header, [column.tolist() for column in columns])
+    assert_same_csv(csv_text(header, columns), want)
 
 
 def test_csv_cell_format():
