@@ -377,6 +377,13 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
     if model.kind == "fixed_cost" and not model.fixed_cost_value > 0:
         message = f"must be > 0, got {model.fixed_cost_value!r}"
         out.append(Violation("non_positive_parameter", "energy_model.fixed_cost_value", message))
+    elif model.kind == "fixed_cost" and not math.isfinite(model.fixed_cost_value * 2 * MAX_EXPECTED_COUNT):
+        # Twice the count budget in charges must not overflow the running energy.
+        message = (
+            f"must keep the energy of {2 * MAX_EXPECTED_COUNT:.0e} charges finite, "
+            f"got {model.fixed_cost_value!r}"
+        )
+        out.append(Violation("budget_exceeded", "energy_model.fixed_cost_value", message))
     arrival = scenario.flux_spec.arrival
     if isinstance(arrival, ScheduleArrival):
         if any(b < a for a, b in zip(arrival.times, arrival.times[1:])):

@@ -167,24 +167,6 @@ class EnergyLedger:
         self.cumulative = np.append(self.cumulative, self.cumulative_energy)
         return self
 
-    def windowed_power(self, t_end: float, window: float) -> float:
-        """Average power over the half-open window (t_end - window, t_end]."""
-
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window!r}")
-        hi = np.searchsorted(self.times, t_end, side="right")
-        lo = np.searchsorted(self.times, t_end - window, side="right")
-        if hi == lo:
-            return 0.0
-        energy = self.cumulative[hi - 1].item() - (self.cumulative[lo - 1].item() if lo else 0.0)
-        return energy / window
-
-    def energy_up_to(self, t: float) -> float:
-        """Cumulative energy of all entries with time <= t."""
-
-        hi = np.searchsorted(self.times, t, side="right")
-        return self.cumulative[hi - 1].item() if hi else 0.0
-
     def to_csv(self) -> str:
         """Render as CSV: time, energy, info_gain, cumulative_energy, sub_landauer."""
 

@@ -7,8 +7,10 @@ making files byte-reproducible for identical inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,42 +27,258 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# Rows formatted by one ``%`` per block; the last, partial block gets its own template.
-_CSV_BLOCK_ROWS = 1024
-_BOOL_TEXT = ("false", "true")
+# --- '%.17g' of float64 arrays ----------------------------------------------------
+#
+# A finite x != 0 with decimal exponent k prints the 17 digits of
+# D = round(|x| * 10**(16 - k)), 10**16 <= D < 10**17, rounded half to even,
+# in fixed notation when -4 <= k < 17 and as d.ddde±XX otherwise, with
+# trailing zeros dropped. The kernel computes D exactly: 10**(16 - k) is a
+# double-double hi + lo, and |x| * hi is a rounded product plus its exact
+# residual (Dekker's two-product). Cells it cannot settle this way go to
+# format_float: nan, ±inf, ±0, |x| outside [1e-280, 1e281), and a product
+# within 2**-30 of a half-integer (ties included; the computed fraction is
+# within 2**-40 of the exact one).
+
+_K_RANGE = 282  # the tables hold k with |k| <= _K_RANGE
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_TIE_MARGIN = 2.0**-30
+_E16, _E17 = 10**16, 10**17
+# Each cell's source bytes: its 17 digits (0-16), "-.0e", the exponent's
+# sign and 4 digits (21-25), the separator and a NUL that pads.
+_MINUS, _DOT, _ZERO, _E, _EXP_SIGN, _EXP, _SEP, _PAD = 17, 18, 19, 20, 21, 22, 26, 27
+_SOURCE_WIDTH = 28
+_CELL_WIDTH = 25  # "-d.dddddddddddddddde-XXX" and a separator
+# Exponent classes: k + 4 for fixed notation (-4 <= k < 17), then
+# scientific with e+XX, e+XXX, e-XX, e-XXX.
+_N_CLASSES = 25
+_GATHER_CELLS = 2048
 
 
-def _bool_cells(block: np.ndarray) -> list[str]:
-    return [_BOOL_TEXT[x] for x in block.tolist()]
+def _split(v):
+    c = _SPLITTER * v
+    head = c - (c - v)
+    return head, v - head
 
 
-def _scalar_cells(block) -> list[str]:
-    return list(map(format_float, block))
+def _pow10_dd(p: int) -> tuple[float, float]:
+    """hi + lo within 2**-104 relative of 10**p, from integer arithmetic."""
+
+    q, e = 10**p, 0
+    if p < 0:
+        # q / 2**e: the floor of 10**p * 2**e, an integer of over 106 bits.
+        e = 110 - 4 * p
+        q = (1 << e) // 10**-p
+    hi = float(q)
+    return math.ldexp(hi, -e), math.ldexp(float(q - int(hi)), -e)
 
 
-def _column_format(column) -> tuple[str, object]:
-    """A column's ``%`` code and the function from a block of its rows to that code's cells."""
+def _layout(digits: int, k_class: int) -> list[int]:
+    """Source positions of a positive cell with ``digits`` significant digits."""
 
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-    if kind == "f":
-        return "%.17g", np.ndarray.tolist
-    if kind in "iu":
-        return "%d", np.ndarray.tolist
-    if kind == "b":
-        return "%s", _bool_cells
-    return "%s", _scalar_cells
+    if k_class < 21:
+        k = k_class - 4
+        if k < 0:
+            cell = [_ZERO, _DOT, *[_ZERO] * (-k - 1), *range(digits)]
+        elif digits > k + 1:
+            cell = [*range(k + 1), _DOT, *range(k + 1, digits)]
+        else:
+            cell = list(range(k + 1))
+    else:
+        three = (k_class - 21) % 2
+        cell = [0, *([_DOT, *range(1, digits)] if digits > 1 else [])]
+        cell += [_E, _EXP_SIGN, *range(_EXP + 2 - three, _EXP + 4)]
+    cell.append(_SEP)
+    return cell + [_PAD] * (_CELL_WIDTH - len(cell))
+
+
+class _Tables(NamedTuple):
+    # By k + _K_RANGE: (hi, lo, head of hi, tail of hi) of 10**(16 - k).
+    pow10: np.ndarray
+    # By 4-digit group: its ASCII bytes as one uint32, and its trailing zeros.
+    group_text: np.ndarray
+    group_zeros: np.ndarray
+    # By k + _K_RANGE: source bytes 17-25.
+    exponent_text: np.ndarray
+    # By key (sign * 17 + digits - 1) * _N_CLASSES + class: a cell's source
+    # positions. A negative cell is its positive cell behind a minus sign.
+    layout: np.ndarray
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's tables, built on first use (about 5 ms) rather than at import."""
+
+    pow10 = np.array([_pow10_dd(16 - k) for k in range(-_K_RANGE, _K_RANGE + 1)])
+    group = np.arange(10_000)
+    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
+    group_text = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    exponent_text = np.column_stack(
+        [
+            np.tile(np.frombuffer(b"-.0e", dtype=np.uint8), (2 * _K_RANGE + 1, 1)),
+            np.repeat(np.frombuffer(b"-+", dtype=np.uint8), [_K_RANGE, _K_RANGE + 1]),
+            group_text[np.abs(np.arange(-_K_RANGE, _K_RANGE + 1))].view(np.uint8).reshape(-1, 4),
+        ]
+    )
+    positive = np.array([_layout(s, c) for s in range(1, 18) for c in range(_N_CLASSES)], dtype=np.intp)
+    negative = np.column_stack([np.full(len(positive), _MINUS), positive[:, :-1]])
+    tables = _Tables(
+        pow10=np.column_stack([pow10, *_split(pow10[:, 0])]),
+        group_text=group_text,
+        group_zeros=sum((group % 10**z == 0).astype(np.int64) for z in range(1, 5)),
+        exponent_text=exponent_text,
+        layout=np.concatenate([positive, negative]),
+    )
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = round(a * 10**(16 - k)) as int64, and where that rounding is near a tie.
+
+    Each step is its own ufunc call, so no fused multiply-add can change a
+    bit: product + error is exactly a * hi.
+    """
+
+    hi, lo, hi_head, hi_tail = _tables().pow10[k + _K_RANGE].T
+    product = a * hi
+    head, tail = _split(a)
+    error = head * hi_head - product
+    error += head * hi_tail
+    error += tail * hi_head
+    error += tail * hi_tail
+    whole = product.astype(np.int64)
+    fraction = product - whole
+    fraction += a * lo + error
+    near_tie = np.abs(fraction - np.floor(fraction) - 0.5) < _TIE_MARGIN
+    return whole + np.rint(fraction).astype(np.int64), near_tie
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's 17 digits D and decimal exponent k, and the cells left to format_float.
+
+    ``|x|`` rounds to ``D * 10**(k - 16)`` with ``10**16 <= D < 10**17``;
+    the returned indices (``slow``) hold ``D = 10**16`` and ``k = 0``.
+    """
+
+    fast = np.isfinite(x)
+    a = np.where(fast, np.abs(x), 1.0)
+    fast &= (a >= 1e-280) & (a < 1e281)
+    a[~fast] = 1.0
+    # A guess never above the decimal exponent; D >= 10**17 moves it up.
+    k = np.floor(np.log10(a) - 2.0**-20).astype(np.int64)
+    D, near_tie = _scaled(a, k)
+    low = np.flatnonzero(D >= _E17)
+    if len(low):
+        k[low] += 1
+        D[low], near_tie[low] = _scaled(a[low], k[low])
+    slow = np.flatnonzero(~fast | near_tie | (D < _E16) | (D >= _E17))
+    D[slow], k[slow] = _E16, 0
+    return D, k, slow
+
+
+def _digit_groups(D: np.ndarray) -> np.ndarray:
+    """Columns: D's leading digit, then its four groups of 4 digits."""
+
+    groups = np.empty((len(D), 5), dtype=np.int64)
+    upper = D // 10**8
+    groups[:, 4] = D - upper * 10**8
+    groups[:, 0] = upper // 10**8
+    groups[:, 2] = upper - groups[:, 0] * 10**8
+    for g in (1, 3):
+        groups[:, g] = groups[:, g + 1] // 10**4
+        groups[:, g + 1] -= groups[:, g] * 10**4
+    return groups
+
+
+def _float_cells(x: np.ndarray, ends: str) -> np.ndarray:
+    """The ``%.17g`` cells of a 2-D float64 block as an ``S`` array of its shape.
+
+    Each cell of column ``j`` ends with the separator ``ends[j]``.
+    """
+
+    shape = x.shape
+    x = x.ravel()
+    n = len(x)
+    tables = _tables()
+    D, k, slow = _decimal(x)
+    groups = _digit_groups(D)
+    source = np.empty((n, _SOURCE_WIDTH), dtype=np.uint8)
+    source[:, 0] = groups[:, 0] + ord("0")
+    source[:, 1:17] = tables.group_text[groups[:, 1:]].view(np.uint8)
+    source[:, _MINUS:_SEP] = np.take(tables.exponent_text, k + _K_RANGE, axis=0)
+    source.reshape(*shape, _SOURCE_WIDTH)[..., _SEP] = np.frombuffer(ends.encode("ascii"), dtype=np.uint8)
+    source[:, _PAD] = 0
+
+    zeros = tables.group_zeros[groups[:, 4]]
+    for g in (3, 2, 1):
+        # Group g's zeros count where every group after it is zero.
+        more = np.flatnonzero(zeros == 16 - 4 * g)
+        zeros[more] += tables.group_zeros[groups[more, g]]
+    k_class = np.where((k >= -4) & (k < 17), k + 4, 21 + 2 * (k < 0) + (np.abs(k) >= 100))
+    key = (np.signbit(x) * 17 + 16 - zeros) * _N_CLASSES + k_class
+
+    # The gather's index takes 8 bytes per output byte, so it is built for
+    # a slice of the cells at a time.
+    cells = np.empty((n, _CELL_WIDTH), dtype=np.uint8)
+    for start in range(0, n, _GATHER_CELLS):
+        stop = min(start + _GATHER_CELLS, n)
+        index = np.take(tables.layout, key[start:stop], axis=0)
+        index += np.arange(start * _SOURCE_WIDTH, stop * _SOURCE_WIDTH, _SOURCE_WIDTH)[:, None]
+        np.take(source, index, out=cells[start:stop], mode="clip")
+    cells = cells.view(f"S{_CELL_WIDTH}").ravel()
+    cells[slow] = [(format_float(x[i].item()) + ends[i % len(ends)]).encode() for i in slow.tolist()]
+    return cells.reshape(shape)
+
+
+# Rows formatted per block; the kernel's temporaries grow with it.
+_CSV_BLOCK_ROWS = 2048
+
+
+def _other_cells(column, separator: str) -> np.ndarray:
+    """A non-float column's cells, each ended by ``separator``, as an ``S`` array."""
+
+    if isinstance(column, np.ndarray) and column.dtype.kind == "b":
+        return np.where(column, f"true{separator}".encode(), f"false{separator}".encode())
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return np.array([(format_float(v) + separator).encode() for v in values], dtype=bytes)
+
+
+def _block_cells(columns, floats: list[int], separators: list[str]) -> np.ndarray:
+    """The ``(rows, len(columns))`` ``S`` array of one block's cells, separators included.
+
+    ``floats`` lists the columns that go through :func:`_float_cells`.
+    """
+
+    cells = {}
+    if floats:
+        block = np.empty((len(columns[0]), len(floats)))
+        for i, j in enumerate(floats):
+            block[:, i] = columns[j]
+        float_cells = _float_cells(block, "".join(separators[j] for j in floats))
+        if len(floats) == len(columns):
+            return float_cells
+        cells.update(zip(floats, float_cells.T))
+    for j, column in enumerate(columns):
+        if j not in cells:
+            cells[j] = _other_cells(column, separators[j])
+    itemsize = max(column.dtype.itemsize for column in cells.values())
+    table = np.empty((len(columns[0]), len(columns)), dtype=f"S{itemsize}")
+    for j, column in cells.items():
+        table[:, j] = column
+    return table
 
 
 def csv_text(header, columns) -> str:
     """Render a header and equal-length columns as CSV.
 
     Every cell reads as :func:`format_float` would print its Python scalar.
-    A NumPy column is formatted by its dtype: floats with ``%.17g`` (the same
-    bytes for every double, ``nan``, ``inf``, ``-inf`` and ``-0`` included),
-    bools as ``true``/``false`` and integers as decimal digits. Any other
-    column (an object array, or a list such as a sweep column) goes through
-    :func:`format_float` cell by cell. Cells are converted to Python scalars
-    one block of rows at a time, so no whole-column list is built.
+    A NumPy float column goes through a vectorized ``%.17g`` (the same bytes
+    for every double, ``nan``, ``inf``, ``-inf`` and ``-0`` included), a
+    NumPy bool column prints ``true``/``false``, and any other column (an
+    integer or object array, or a list such as a sweep column) goes through
+    :func:`format_float` cell by cell. Rows are formatted one block of
+    ``_CSV_BLOCK_ROWS`` at a time, so no whole-column list is built.
 
     Raises ValueError when the header's width differs from the number of
     columns or the columns differ in length.
@@ -71,19 +289,14 @@ def csv_text(header, columns) -> str:
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
-    width = len(columns)
     n_rows = lengths.pop() if lengths else 0
-    formats = [_column_format(column) for column in columns]
-    row = ",".join(code for code, _ in formats) + "\n"
-    block = row * _CSV_BLOCK_ROWS
+    separators = [","] * (len(columns) - 1) + ["\n"]
+    floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     parts = [",".join(header) + "\n"]
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-        cells = [None] * ((stop - start) * width)
-        for j, (column, (_, convert)) in enumerate(zip(columns, formats)):
-            cells[j::width] = convert(column[start:stop])
-        template = block if stop - start == _CSV_BLOCK_ROWS else row * (stop - start)
-        parts.append(template % tuple(cells))
+        block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+        cells = _block_cells(block, floats, separators)
+        parts.append(b"".join(cells.ravel().tolist()).decode("ascii"))
     return "".join(parts)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from beds.scenarios import (
     dissipation_only,
     drifting_tracking,
     static_crystallizing,
+    steady_state,
 )
 
 
@@ -174,6 +176,28 @@ def test_simulate_bad_override_exits_2_with_one_line_error(
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert named in err
+
+
+def test_simulate_fixed_cost_that_overflows_the_energy_exits_2_without_warnings(
+    tmp_path, scenario_file, capsys
+):
+    argv = [
+        "simulate",
+        "--scenario-path", scenario_file(steady_state),
+        "--output-dir", str(tmp_path / "o"),
+        "--override", 'energy_model.kind="fixed_cost"',
+        "--override", "energy_model.fixed_cost_value=1e308",
+        "--override", "horizon=3000",
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: energy_model.fixed_cost_value: must keep the energy of 2e+06 charges finite, got 1e+308"
+    ]
+    assert caught == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_override_changes_result(tmp_path, scenario_file):

@@ -143,6 +143,16 @@ def test_fixed_cost_requires_positive_value():
     assert any(v.field == "energy_model.fixed_cost_value" for v in scenario_violations(scenario))
 
 
+def test_fixed_cost_that_overflows_the_running_energy_is_over_budget():
+    def fixed_cost(kind, value):
+        return make_scenario(energy_model=EnergyModel(kind=kind, fixed_cost_value=value, kBT=1.0))
+
+    violations = scenario_violations(fixed_cost("fixed_cost", 1e308))
+    assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "energy_model.fixed_cost_value")]
+    assert scenario_violations(fixed_cost("fixed_cost", 1e300)) == []
+    assert scenario_violations(fixed_cost("landauer_min", 1e308)) == []
+
+
 def test_seed_must_fit_64_bits():
     assert any(v.field == "seed" for v in scenario_violations(make_scenario(seed=2**64)))
     assert any(v.field == "seed" for v in scenario_violations(make_scenario(seed=-1)))

@@ -35,6 +35,7 @@ from beds.scenarios import (
     static_crystallizing,
     steady_state,
 )
+from ledger_oracles import energy_up_to, windowed_power
 
 
 def single_observation_scenario(gamma: float = 1e-12) -> Scenario:
@@ -145,7 +146,7 @@ def test_windowed_power_column_matches_ledger():
     scenario = static_crystallizing()
     trace = run(scenario)
     for row in trace.samples[:: max(1, len(trace.samples) // 7)]:
-        expected = trace.ledger.windowed_power(float(row["t"]), trace.power_window)
+        expected = windowed_power(trace.ledger, float(row["t"]), trace.power_window)
         assert row["windowed_power"] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -153,7 +154,7 @@ def test_cumulative_energy_column_is_causal():
     trace = run(static_crystallizing())
     for row in trace.samples[:: max(1, len(trace.samples) // 7)]:
         assert row["cumulative_energy"] == pytest.approx(
-            trace.ledger.energy_up_to(float(row["t"])), rel=1e-12, abs=1e-15
+            energy_up_to(trace.ledger, float(row["t"])), rel=1e-12, abs=1e-15
         )
 
 

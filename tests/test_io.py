@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,3 +142,103 @@ def test_csv_text_rejects_columns_of_different_lengths():
 def test_csv_text_rejects_header_of_other_width():
     with pytest.raises(ValueError, match="2 names for 3 columns"):
         csv_text(["a", "b"], [[1.0], [2.0], [3.0]])
+
+
+# --- the float64 kernel against '%.17g' ----------------------------------------------
+
+
+def assert_floats_print_as_percent_17g(values) -> None:
+    """Each value, in a float64 column, prints byte for byte as ``'%.17g' % x``."""
+
+    # Two columns, so that cells end in both separators.
+    column = np.asarray(values, dtype=np.float64)
+    a, b = np.resize(column, (2, (len(column) + 1) // 2))
+    want = "".join(f"{'%.17g' % x},{'%.17g' % y}\n" for x, y in zip(a.tolist(), b.tolist()))
+    assert_same_csv(csv_text(["a", "b"], [a, b]), "a,b\n" + want)
+
+
+def test_kernel_prints_exact_ties_as_percent_17g():
+    # m / 2**(q + 1) with m odd scales by 10**(16 - k) to a half-integer when
+    # k = 16 - q: those are the ties, rounded half to even.
+    picker = np.random.default_rng(1)
+    values = []
+    for q in range(17, 25):
+        lo = math.ceil(10.0 ** (16 - q) * 2 ** (q + 1))
+        hi = math.ceil(10.0 ** (17 - q) * 2 ** (q + 1))
+        m = picker.integers(lo, hi, 2000) | 1
+        values.extend((m[m < hi] / 2.0 ** (q + 1)).tolist())
+    values = np.array(values)
+    for x in values[::50].tolist():
+        k = math.floor(math.log10(x))
+        assert (Fraction(x) * Fraction(10) ** (16 - k)).denominator == 2
+    assert_floats_print_as_percent_17g(np.concatenate([values, -values]))
+
+
+def test_kernel_prints_neighbours_of_powers_of_ten_as_percent_17g():
+    powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    values = [powers]
+    for steps in (1, 2, 3):
+        below, above = powers.copy(), powers.copy()
+        for _ in range(steps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        values += [below, above]
+    assert_floats_print_as_percent_17g(np.concatenate(values))
+
+
+def test_kernel_switches_between_fixed_and_scientific_as_percent_17g():
+    # '%.17g' is fixed for -4 <= k < 17; k counts after rounding to 17 digits.
+    picker = np.random.default_rng(2)
+    values = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-6, 9.9999999999999991e-5, 99999999999999984.0]
+    values += [99999999999999992.0, 9999999999999998.0, 12345678901234567.0, 0.000123, 0.0000123]
+    for k in (-5, -4, 16, 17):
+        values += (10.0**k * picker.uniform(1.0, 10.0, 500)).tolist()
+    assert_floats_print_as_percent_17g(values + [-x for x in values])
+
+
+def test_kernel_prints_extreme_and_negative_values_as_percent_17g():
+    picker = np.random.default_rng(3)
+    big = 10.0 ** picker.uniform(100, 308, 1000)
+    small = 10.0 ** picker.uniform(-307, -100, 1000)
+    range_ends = [1e-280, 1e281, 9.99e-281, 1.001e280, 1.7976931348623157e308, 2.2250738585072014e-308]
+    subnormal = picker.integers(1, 2**52, 500).view(np.float64)
+    two_53 = 2.0**53 + np.arange(-40, 41)
+    values = np.concatenate([big, small, range_ends, subnormal, [5e-324], two_53])
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    assert_floats_print_as_percent_17g(np.concatenate([values, -values, specials]))
+
+
+def test_kernel_prints_random_doubles_as_percent_17g():
+    picker = np.random.default_rng(4)
+    bit_patterns = picker.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    # The engine's range: times, precisions and energies of O(1) to O(1e5),
+    # means near 0, and small KL divergences and powers.
+    engine_like = np.concatenate(
+        [
+            picker.uniform(0.0, 1e5, 25_000),
+            picker.normal(0.0, 1.0, 25_000),
+            picker.exponential(1e-3, 25_000),
+            np.round(picker.uniform(0.0, 1e5, 25_000), 2),
+        ]
+    )
+    assert_floats_print_as_percent_17g(np.concatenate([bit_patterns, engine_like]))
+
+
+def test_kernel_falls_back_on_under_a_thousandth_of_a_steady_state_trace(monkeypatch):
+    from dataclasses import replace
+
+    from beds import io
+    from beds.engine import run, trace_to_csv
+    from beds.scenarios import steady_state
+
+    trace = run(replace(steady_state(), horizon=20_000.0))
+    fallbacks = []
+
+    def counting_format_float(x):
+        fallbacks.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(io, "format_float", counting_format_float)
+    text = trace_to_csv(trace)
+    cells = len(trace.samples) * len(SAMPLE_FIELDS)
+    assert text.count("\n") == len(trace.samples) + 1
+    assert len(fallbacks) < cells / 1000
