@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beds.engine import SAMPLE_FIELDS
+from beds import io
+from beds.engine import SAMPLE_FIELDS, run, trace_to_csv
 from beds.io import _CSV_BLOCK_ROWS, csv_text, format_float
+from beds.scenarios import steady_state
 
 
 def reference_csv_text(header, columns) -> str:
@@ -224,12 +227,6 @@ def test_kernel_prints_random_doubles_as_percent_17g():
 
 
 def test_kernel_falls_back_on_under_a_thousandth_of_a_steady_state_trace(monkeypatch):
-    from dataclasses import replace
-
-    from beds import io
-    from beds.engine import run, trace_to_csv
-    from beds.scenarios import steady_state
-
     trace = run(replace(steady_state(), horizon=20_000.0))
     fallbacks = []
 
