@@ -9,13 +9,10 @@ pricing, never under the thermodynamic minimum).
 
 import math
 
-from beds import (
-    EnergyLedger,
-    EnergyModel,
-    gaussian_entropy,
-    info_gain,
-    observation_cost,
-)
+import numpy as np
+
+from beds import EnergyLedger, EnergyModel, gaussian_entropy, info_gain
+from beds.energy import observation_costs
 
 print("entropy of a unit-precision belief:",
       f"{gaussian_entropy(1.0):.6f} nats  (= 0.5 ln(2 pi e))")
@@ -29,17 +26,22 @@ print("The sharper you already are, the less a fixed-precision observation teach
 print("\n-- pricing the same update under two models --")
 landauer = EnergyModel(kind="landauer_min", kBT=1.0)
 flat = EnergyModel(kind="fixed_cost", fixed_cost_value=0.05, kBT=1.0)
-for tau in (1.0, 100.0):
-    e_min, info = observation_cost(landauer, tau, 1.0)
-    e_fix, _ = observation_cost(flat, tau, 1.0)
-    print(f"prior {tau:6.1f}: landauer_min {e_min:.6f}   fixed_cost {e_fix:.3f}"
+priors, obs = np.array([1.0, 100.0]), np.array([1.0, 1.0])
+e_min, infos = observation_costs(landauer, priors, obs)
+e_fix, _ = observation_costs(flat, priors, obs)
+for tau, a, b, info in zip(priors, e_min, e_fix, infos):
+    print(f"prior {tau:6.1f}: landauer_min {a:.6f}   fixed_cost {b:.3f}"
           f"   floor kBT*info = {info:.6f}")
 
 print("\n-- ledger with a sub-thermodynamic charge --")
-ledger = EnergyLedger(kBT=1.0)
-ledger.charge(0.5, *observation_cost(landauer, 1.0, 1.0))
-ledger.charge(1.0, *observation_cost(flat, 1.0, 1.0))   # 0.05 < 0.5 ln 2: flagged
-ledger.charge(1.5, *observation_cost(flat, 100.0, 1.0))  # 0.05 clears the tiny bound
+# One Landauer-priced charge on the unit prior, then the flat price on both
+# priors: 0.05 < 0.5 ln 2 is flagged, and 0.05 clears the tiny bound at 100.
+ledger = EnergyLedger.from_columns(
+    times=np.array([0.5, 1.0, 1.5]),
+    energies=np.array([e_min[0], e_fix[0], e_fix[1]]),
+    infos=np.array([infos[0], infos[0], infos[1]]),
+    kBT=1.0,
+)
 for t, energy, info, flagged in zip(ledger.times, ledger.energies, ledger.infos, ledger.sub_landauer):
     marker = "  <-- below the kBT floor" if flagged else ""
     print(f"t={t:3.1f}  energy={energy:.6f}  info={info:.6f}{marker}")

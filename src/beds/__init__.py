@@ -28,7 +28,7 @@ from .core import (
     scenario_to_json,
 )
 from .dynamics import bayes_update, is_crystallized, propagate
-from .energy import EnergyLedger, gaussian_entropy, info_gain, observation_cost
+from .energy import EnergyLedger, gaussian_entropy, info_gain
 from .engine import run, sweep
 from .fluxgen import flux_from_csv
 

@@ -31,6 +31,7 @@ __all__ = [
     "optimal_obs_precision",
     "steady_state_prediction",
     "kl_gaussian",
+    "after_burn_in",
     "classify_run",
 ]
 
@@ -120,6 +121,13 @@ def kl_gaussian(
     )
 
 
+def after_burn_in(samples: np.ndarray, t0: float, name: str, reduce) -> float:
+    """``reduce`` of field ``name`` over the samples after the burn-in, t > t0; nan if none."""
+
+    column = samples[name][samples["t"] > t0]
+    return float(reduce(column)) if column.size else math.nan
+
+
 @dataclass(frozen=True)
 class ClassEvidence:
     """Measured quantities behind each verdict flag."""
@@ -165,12 +173,8 @@ def classify_run(trace: "RunTrace", problem: ProblemSpec) -> ClassVerdict:
     if len(samples) == 0:
         raise EmptyTrace("trace has no samples")
 
-    t0 = problem.t0
-    after = samples["t"] > t0
-    kl_after = samples["kl_to_target"][after]
-    power_after = samples["windowed_power"][after]
-    max_kl_after = float(np.max(kl_after)) if kl_after.size else math.nan
-    max_power_after = float(np.max(power_after)) if power_after.size else math.nan
+    max_kl_after = after_burn_in(samples, problem.t0, "kl_to_target", np.max)
+    max_power_after = after_burn_in(samples, problem.t0, "windowed_power", np.max)
 
     outcome = trace.outcome
     crystallizable = bool(outcome.crystallized and outcome.accurate)

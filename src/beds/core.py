@@ -1,9 +1,9 @@
 """Domain types and scenario validation.
 
 Value records shared by every other module: the initial Gaussian belief
-stored as (mean, precision), system and experiment parameters, and the
-scenario container that the JSON config format maps onto. No
-dynamics logic lives here.
+stored as (mean, precision), system and experiment parameters, the scenario
+container that the JSON config format maps onto, and the precision floor
+and column ``libm`` that every layer's arithmetic shares.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Annotated, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 __all__ = [
+    "PRECISION_FLOOR",
+    "libm",
     "BedsError",
     "ValidationError",
     "NegativeDt",
@@ -54,6 +58,21 @@ MAX_SEED = 2**64 - 1
 # times the largest benchmark run, so a typo such as rate=1e9 is rejected
 # before anything is allocated rather than run until memory runs out.
 MAX_EXPECTED_COUNT = 10**6
+# Lower clamp on precision: keeps the positivity invariant on pathological
+# horizons without changing any realistic result. Engine traces flag runs
+# that hit it.
+PRECISION_FLOOR = 1e-300
+
+
+def libm(f, column: np.ndarray) -> np.ndarray:
+    """Scalar ``f`` (a ``math`` function) of each element, as a float64 column.
+
+    NumPy's exp, log, log1p and cos differ from libm's in the last ulp, and
+    the golden outputs pin those bits; NumPy's arithmetic around the calls
+    is IEEE-exact, so each row is bit-identical to its scalar expression.
+    """
+
+    return np.fromiter(map(f, column.tolist()), np.float64, len(column))
 
 
 class BedsError(Exception):
@@ -359,6 +378,40 @@ def expected_counts(scenario: Scenario) -> list[tuple[str, str, float]]:
     return out
 
 
+def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
+    """(field path, value, output quantity, bound) per field that scales a run's totals.
+
+    Counts are 2 * MAX_EXPECTED_COUNT charges or samples. A field that breaks
+    another rule (a non-positive precision, say) gives a finite bound.
+    """
+
+    n, model, initial = 2 * MAX_EXPECTED_COUNT, scenario.energy_model, scenario.beds.initial_belief
+    obs_precision, target = scenario.flux_spec.obs_precision, scenario.problem.target
+    out = []
+    if model.kind == "fixed_cost":
+        cost = model.fixed_cost_value
+        out.append(("energy_model.fixed_cost_value", cost, f"the energy of {n:.0e} charges", cost * n))
+    # Observations add far less than the float range to a precision, so the
+    # summary's sum of n sample precisions overflows only for a huge initial one.
+    tau = initial.precision
+    out.append(("beds.initial_belief.precision", tau, f"the sum of {n:.0e} precisions", tau * n))
+    if tau > 0 and obs_precision > 0:
+        # The most one charge gains: an observation on the lowest precision a
+        # run reaches, the floor or a lower initial one. kBT times it is its
+        # Landauer price, and the floor a fixed cost is flagged against.
+        info = 0.5 * math.log1p(obs_precision / min(tau, PRECISION_FLOOR))
+        out.append(("flux_spec.obs_precision", obs_precision, "the information of one charge", info))
+        if math.isfinite(info):
+            energy = model.kBT * info * n
+            out.append(("energy_model.kBT", model.kBT, f"the minimum energy of {n:.0e} charges", energy))
+    if target.target_variance > 0:
+        # The largest gap between the belief's mean and the target's.
+        gap = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(target.velocity) * scenario.horizon)
+        quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
+        out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
+    return out
+
+
 def scenario_violations(scenario: Scenario) -> list[Violation]:
     """Collect every invariant violation in a scenario; empty list means valid.
 
@@ -377,13 +430,6 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
     if model.kind == "fixed_cost" and not model.fixed_cost_value > 0:
         message = f"must be > 0, got {model.fixed_cost_value!r}"
         out.append(Violation("non_positive_parameter", "energy_model.fixed_cost_value", message))
-    elif model.kind == "fixed_cost" and not math.isfinite(model.fixed_cost_value * 2 * MAX_EXPECTED_COUNT):
-        # Twice the count budget in charges must not overflow the running energy.
-        message = (
-            f"must keep the energy of {2 * MAX_EXPECTED_COUNT:.0e} charges finite, "
-            f"got {model.fixed_cost_value!r}"
-        )
-        out.append(Violation("budget_exceeded", "energy_model.fixed_cost_value", message))
     arrival = scenario.flux_spec.arrival
     if isinstance(arrival, ScheduleArrival):
         if any(b < a for a, b in zip(arrival.times, arrival.times[1:])):
@@ -402,6 +448,9 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
                 f"above the budget of {MAX_EXPECTED_COUNT:.0e}"
             )
             out.append(Violation("budget_exceeded", path, message))
+    for path, value, quantity, bound in _finite_budgets(scenario):
+        if not math.isfinite(bound):
+            out.append(Violation("budget_exceeded", path, f"must keep {quantity} finite, got {value!r}"))
     if not 0 <= scenario.seed <= MAX_SEED:
         message = f"must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
         out.append(Violation("invalid_value", "seed", message))

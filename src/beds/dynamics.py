@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NegativeDt, NonPositiveObsPrecision
+from .core import PRECISION_FLOOR, NegativeDt, NonPositiveObsPrecision, libm
 
 __all__ = [
     "PRECISION_FLOOR",
@@ -35,11 +35,6 @@ __all__ = [
     "is_crystallized",
     "check_crystallization",
 ]
-
-# Lower clamp on precision: keeps the positivity invariant on pathological
-# horizons without changing any realistic result. Engine traces flag runs
-# that hit it.
-PRECISION_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -137,9 +132,8 @@ def dissipate(precisions: np.ndarray, dts: np.ndarray, gamma: float | np.ndarray
 
     ``gamma`` is one rate for every row or a column of per-row rates. A
     negative ``dt`` raises NegativeDt naming the first one. The exponential
-    is scalar ``math.exp`` per row, not numpy's, which differs in the last
-    ulp; the arithmetic around it is IEEE-exact in numpy, so every row is
-    bit-identical to ``propagate``.
+    is ``core.libm``'s scalar ``math.exp``, so every row is bit-identical to
+    ``propagate``.
     """
 
     precisions = np.asarray(precisions, dtype=np.float64)
@@ -147,8 +141,8 @@ def dissipate(precisions: np.ndarray, dts: np.ndarray, gamma: float | np.ndarray
     negative = np.flatnonzero(dts < 0)
     if len(negative):
         raise NegativeDt(f"dt must be >= 0, got {dts[negative[0]].item()!r}")
-    exponents = (-gamma * dts).tolist()
-    decay = np.fromiter(map(math.exp, exponents), np.float64, len(exponents))
+    with np.errstate(over="ignore"):  # an infinite exponent decays to the floor, as in propagate
+        decay = libm(math.exp, -gamma * dts)
     return np.where(dts != 0, np.maximum(precisions * decay, PRECISION_FLOOR), precisions)
 
 

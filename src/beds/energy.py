@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision
+from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision, libm
 from .io import csv_text
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "gaussian_entropy",
     "info_gain",
     "landauer_min_energy",
-    "observation_cost",
     "observation_costs",
 ]
 
@@ -54,40 +53,29 @@ def landauer_min_energy(info_nats: float, kBT: float = 1.0) -> float:
     return kBT * info_nats
 
 
-def observation_cost(model: EnergyModel, tau_before: float, tau_d: float) -> tuple[float, float]:
-    """Price one observation, returning ``(energy, info)``.
-
-    ``info`` is the information gained at the pre-update precision; energy is
-    its thermodynamic minimum under ``landauer_min``, or the flat
-    ``fixed_cost_value`` under ``fixed_cost``.
-    """
-
-    info = info_gain(tau_before, tau_d)
-    if model.kind == "fixed_cost":
-        return model.fixed_cost_value, info
-    return landauer_min_energy(info, model.kBT), info
-
-
 def observation_costs(
-    model: EnergyModel, tau_before: list[float], tau_d: list[float]
+    model: EnergyModel, tau_before: np.ndarray, tau_d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Column form of :func:`observation_cost`: the ``(energies, infos)`` arrays.
+    """Price observations, returning the ``(energies, infos)`` arrays.
 
     Entry ``i`` prices an observation of precision ``tau_d[i]`` on a prior of
     precision ``tau_before[i]``; both must be positive, which is not checked
-    here.
+    here. Its info is the gain at the pre-update precision, as
+    :func:`info_gain`; its energy is that gain's thermodynamic minimum under
+    ``landauer_min``, or the flat ``fixed_cost_value`` under ``fixed_cost``.
     """
 
-    # Scalar math.log1p per element: numpy's differs in the last ulp.
-    infos = np.array([0.5 * math.log1p(od / tau) for tau, od in zip(tau_before, tau_d)], dtype=float)
+    with np.errstate(over="ignore"):  # a ratio past the float range gains inf, as in Python
+        ratios = tau_d / tau_before
+    infos = 0.5 * libm(math.log1p, ratios)
     if model.kind == "fixed_cost":
         return np.full(len(infos), model.fixed_cost_value), infos
     return landauer_min_energy(infos, model.kBT), infos
 
 
 def _running_totals(column: np.ndarray) -> np.ndarray:
-    # The totals of charge()'s running += from 0.0: np.cumsum adds in order,
-    # where sum() and np.sum() may round differently.
+    # The totals of a running += from 0.0: np.cumsum adds in order, where
+    # sum() and np.sum() may round differently.
     return np.cumsum(np.concatenate(([0.0], column)))[1:]
 
 
@@ -96,19 +84,14 @@ class EnergyLedger:
 
     Charge ``i`` is stored once, across the float64 arrays ``times``,
     ``energies`` (energy paid), ``infos`` (nats gained) and ``cumulative``
-    (running energy total). Cumulative energy and information always equal
-    the sums over charges. ``kBT`` is kept so each charge can be checked
-    against its thermodynamic minimum.
+    (running energy total). Cumulative energy and information are read from
+    those columns. ``kBT`` is kept so each charge can be checked against its
+    thermodynamic minimum.
     """
 
     def __init__(self, kBT: float = 1.0):
         self.kBT = kBT
-        self.times = np.empty(0)
-        self.energies = np.empty(0)
-        self.infos = np.empty(0)
-        self.cumulative = np.empty(0)
-        self.cumulative_energy = 0.0
-        self.cumulative_info = 0.0
+        self.times = self.energies = self.infos = self.cumulative = np.empty(0)
 
     @classmethod
     def from_columns(
@@ -116,9 +99,8 @@ class EnergyLedger:
     ) -> "EnergyLedger":
         """A ledger holding charge ``i`` = ``(times[i], energies[i], infos[i])``.
 
-        Equal to charging the rows one by one, totals included. The ledger
-        keeps contiguous float64 arrays of the columns, which may share
-        memory with the arguments.
+        Times must be non-decreasing. The ledger keeps contiguous float64
+        arrays of the columns, which may share memory with the arguments.
         """
 
         times, energies, infos = (
@@ -133,13 +115,22 @@ class EnergyLedger:
         ledger = cls(kBT)
         ledger.times, ledger.energies, ledger.infos = times, energies, infos
         ledger.cumulative = _running_totals(energies)
-        if len(times):
-            ledger.cumulative_energy = ledger.cumulative[-1].item()
-            ledger.cumulative_info = _running_totals(infos)[-1].item()
         return ledger
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def cumulative_energy(self) -> float:
+        """Total energy paid: the last running total, 0.0 for an empty ledger."""
+
+        return self.cumulative[-1].item() if len(self.cumulative) else 0.0
+
+    @property
+    def cumulative_info(self) -> float:
+        """Total information gained, summed in charge order; 0.0 for an empty ledger."""
+
+        return _running_totals(self.infos)[-1].item() if len(self.infos) else 0.0
 
     @property
     def sub_landauer(self) -> np.ndarray:
@@ -150,21 +141,12 @@ class EnergyLedger:
     def charge(self, t: float, energy: float, info: float) -> "EnergyLedger":
         """Append a charge at time ``t``; times must be non-decreasing.
 
-        Each call copies all four columns (``np.append``), so charging row by
-        row is for demos and tests; a run builds its ledger with
-        :meth:`from_columns`.
+        Each call rebuilds the ledger through :meth:`from_columns`, copying
+        every column, so it suits demos and tests; a run builds its ledger at once.
         """
 
-        if len(self.times) and t < self.times[-1]:
-            raise NonMonotonicTime(
-                f"charge at t={t!r} precedes last entry at t={self.times[-1].item()!r}"
-            )
-        self.cumulative_energy += float(energy)
-        self.cumulative_info += float(info)
-        self.times = np.append(self.times, t)
-        self.energies = np.append(self.energies, energy)
-        self.infos = np.append(self.infos, info)
-        self.cumulative = np.append(self.cumulative, self.cumulative_energy)
+        appended = np.append(self.times, t), np.append(self.energies, energy), np.append(self.infos, info)
+        vars(self).update(vars(self.from_columns(*appended, self.kBT)))
         return self
 
     def to_csv(self) -> str:

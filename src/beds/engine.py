@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .analysis import kl_gaussian
+from .analysis import after_burn_in, kl_gaussian
 from .core import (
     NonMonotonicFlux,
     Scenario,
@@ -152,9 +152,11 @@ def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
     events["precision_before"] = precision_before
     events["mean_after"] = mean_after
     events["precision_after"] = precision_after
-    energies, infos = observation_costs(scenario.energy_model, precision_before, obs_precisions[:n])
     # The arrays hold every column now: free the per-event lists first.
     del times, values, obs_precisions, precision_before, mean_after, precision_after
+    energies, infos = observation_costs(
+        scenario.energy_model, events["precision_before"], flux["obs_precision"][:n]
+    )
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
 
     samples = _assemble_samples(scenario, events, ledger, outcome.time, power_window)
@@ -236,14 +238,10 @@ def _assemble_samples(
 
 
 def _summarize(samples: np.ndarray, t0: float, ledger: EnergyLedger) -> Summary:
-    after = samples["t"] > t0
-    n_after = int(np.count_nonzero(after))
     return Summary(
-        mean_precision_after_t0=float(np.mean(samples["precision"][after])) if n_after else math.nan,
-        max_kl_after_t0=float(np.max(samples["kl_to_target"][after])) if n_after else math.nan,
-        mean_windowed_power_after_t0=(
-            float(np.mean(samples["windowed_power"][after])) if n_after else math.nan
-        ),
+        mean_precision_after_t0=after_burn_in(samples, t0, "precision", np.mean),
+        max_kl_after_t0=after_burn_in(samples, t0, "kl_to_target", np.max),
+        mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
         observation_count=len(ledger),
         total_energy=ledger.cumulative_energy,
         total_info=ledger.cumulative_info,

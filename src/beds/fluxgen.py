@@ -24,6 +24,7 @@ from .core import (
     PoissonArrival,
     ScheduleArrival,
     TargetSpec,
+    libm,
 )
 from .io import csv_text
 
@@ -38,16 +39,6 @@ def target_mean_at(target: TargetSpec, t: float | np.ndarray) -> float | np.ndar
     """Target mean at time t (a float or an array): theta0 + velocity * t, with velocity 0 when static."""
 
     return target.theta0 + target.velocity * t
-
-
-def _libm(f, column: np.ndarray) -> np.ndarray:
-    """Scalar ``f`` (a ``math`` function) of each element, as a float64 column.
-
-    The arithmetic around these calls is IEEE-exact in numpy, so the result
-    is bit-identical to the scalar expression row by row.
-    """
-
-    return np.fromiter(map(f, column.tolist()), np.float64, len(column))
 
 
 def _block_size(expected: float) -> int:
@@ -72,9 +63,8 @@ def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tup
     t = 0.0
     while True:
         u = rng.random(_block_size(rate * (horizon - t)))
-        # The running sum starts from t and adds in order (np.cumsum), and the
-        # logarithm is scalar math.log: numpy's differs in the last ulp.
-        logs = _libm(math.log, 1.0 - u)
+        # The running sum starts from t and adds in order (np.cumsum).
+        logs = libm(math.log, 1.0 - u)
         times = np.cumsum(np.concatenate(([t], -logs / rate)))[1:]
         past = int(np.searchsorted(times, horizon, side="right"))
         if past < len(times):
@@ -118,12 +108,11 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
         # Box-Muller, two uniforms per value: the stream's next uniforms after
-        # the arrivals, in order. Scalar math.log/cos, not numpy's: the two
-        # differ in the last ulp, and the golden outputs pin these bits.
+        # the arrivals, in order.
         needed = 2 * len(times)
         u = np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0))))
-        logs = _libm(math.log, 1.0 - u[0::2])
-        coss = _libm(math.cos, _TWO_PI * u[1::2])
+        logs = libm(math.log, 1.0 - u[0::2])
+        coss = libm(math.cos, _TWO_PI * u[1::2])
         noise_scale = 1.0 / math.sqrt(spec.obs_precision)
         flux["value"] += noise_scale * (np.sqrt(-2.0 * logs) * coss)
     return flux

@@ -200,6 +200,35 @@ def test_simulate_fixed_cost_that_overflows_the_energy_exits_2_without_warnings(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (
+            ["energy_model.kBT=1e308"],
+            "error: energy_model.kBT: must keep the minimum energy of 2e+06 charges finite, got 1e+308",
+        ),
+        (
+            ["beds.gamma=2000", "flux_spec.obs_precision=1e308"],
+            "error: flux_spec.obs_precision: must keep the information of one charge finite, got 1e+308",
+        ),
+    ],
+    ids=["kBT", "obs_precision"],
+)
+def test_simulate_landauer_energy_that_overflows_exits_2_without_warnings(
+    tmp_path, scenario_file, capsys, overrides, error
+):
+    argv = ["simulate", "--scenario-path", scenario_file(steady_state), "--output-dir", str(tmp_path / "o")]
+    for override in [*overrides, "horizon=3000"]:
+        argv += ["--override", override]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert caught == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_override_changes_result(tmp_path, scenario_file):
     path = scenario_file(dissipation_only)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -153,6 +153,50 @@ def test_fixed_cost_that_overflows_the_running_energy_is_over_budget():
     assert scenario_violations(fixed_cost("landauer_min", 1e308)) == []
 
 
+def _with_precisions(initial: float, obs: float) -> Scenario:
+    return make_scenario(
+        beds=BedsParams(gamma=0.5, epsilon=1e-4, initial_belief=GaussianBelief(0.0, initial)),
+        flux_spec=FluxSpec(arrival=PoissonArrival(rate=2.0), obs_precision=obs, noise="noisy"),
+    )
+
+
+def test_obs_precision_whose_largest_gain_overflows_is_over_budget():
+    over = [("budget_exceeded", "flux_spec.obs_precision")]
+    # obs_precision / PRECISION_FLOOR leaves the float range just above 1.8e8.
+    assert [(v.code, v.field) for v in scenario_violations(_with_precisions(1.0, 1e9))] == over
+    assert scenario_violations(_with_precisions(1.0, 1e8)) == []
+    # An initial precision below the floor is the lowest one, as a schedule may observe at t = 0.
+    assert [(v.code, v.field) for v in scenario_violations(_with_precisions(1e-310, 1.0))] == over
+    assert scenario_violations(_with_precisions(1e-310, 1e-3)) == []
+
+
+def test_kbt_that_overflows_the_minimum_energy_is_over_budget():
+    def model(kind, kBT):
+        return make_scenario(energy_model=EnergyModel(kind=kind, fixed_cost_value=1.0, kBT=kBT))
+
+    for kind in ("landauer_min", "fixed_cost"):
+        violations = scenario_violations(model(kind, 1e308))
+        assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "energy_model.kBT")]
+        assert scenario_violations(model(kind, 1e290)) == []
+
+
+def test_initial_precision_that_overflows_the_sample_mean_is_over_budget():
+    violations = scenario_violations(_with_precisions(1e308, 1.0))
+    assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "beds.initial_belief.precision")]
+    assert scenario_violations(_with_precisions(1e300, 1.0)) == []
+
+
+def test_target_beyond_a_finite_divergence_is_over_budget():
+    def drifting(velocity):
+        target = TargetSpec(kind="drifting", theta0=1.0, velocity=velocity, target_variance=0.5)
+        return make_scenario(problem=ProblemSpec(target=target, delta=0.1, p_max=1.0, t0=1.0))
+
+    for velocity in (1e308, -1e160):
+        violations = scenario_violations(drifting(velocity))
+        assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "problem.target")]
+    assert scenario_violations(drifting(1e100)) == []
+
+
 def test_seed_must_fit_64_bits():
     assert any(v.field == "seed" for v in scenario_violations(make_scenario(seed=2**64)))
     assert any(v.field == "seed" for v in scenario_violations(make_scenario(seed=-1)))

@@ -110,6 +110,13 @@ def test_dissipate_with_a_gamma_column_equals_propagate_per_element(rows):
     assert got.tolist() == [propagate(p, dt, gamma) for p, dt, gamma in rows]
 
 
+def test_dissipate_past_the_float_range_of_the_exponent_clamps_as_propagate():
+    # -gamma * dt overflows to -inf; like propagate, the decay is 0 and the
+    # precision clamps at the floor, without an overflow warning.
+    got = dissipate([1.0, 2.0], [3.0, 0.0], 1e308)
+    assert got.tolist() == [propagate(1.0, 3.0, 1e308), 2.0] == [PRECISION_FLOOR, 2.0]
+
+
 def test_dissipate_rejects_negative_dt_naming_the_first():
     with pytest.raises(NegativeDt, match=r"got -1\.0$"):
         dissipate([1.0, 1.0, 1.0], [0.5, -1.0, -2.0], 0.1)

@@ -19,11 +19,10 @@ from beds.energy import (
     gaussian_entropy,
     info_gain,
     landauer_min_energy,
-    observation_cost,
     observation_costs,
 )
 from beds.fluxgen import generate_flux
-from ledger_oracles import windowed_power
+from ledger_oracles import ReferenceLedger, ledger_state, observation_cost, windowed_power
 
 precisions = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -113,9 +112,16 @@ def test_landauer_min_energy_values():
 # --- observation cost ------------------------------------------------------------
 
 
+def _price(model, tau_before, tau_d):
+    """One observation priced by ``observation_costs``, as ``(energy, info)`` floats."""
+
+    energies, infos = observation_costs(model, np.array([tau_before]), np.array([tau_d]))
+    return energies.item(), infos.item()
+
+
 def test_observation_cost_landauer():
     model = EnergyModel(kind="landauer_min", kBT=1.0)
-    energy, info = observation_cost(model, 1.0, 1.0)
+    energy, info = _price(model, 1.0, 1.0)
     assert info == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
     assert energy == pytest.approx(info, rel=1e-12)
 
@@ -123,14 +129,14 @@ def test_observation_cost_landauer():
 def test_observation_cost_fixed():
     model = EnergyModel(kind="fixed_cost", fixed_cost_value=2.0, kBT=1.0)
     for tau, tau_d in [(1.0, 1.0), (100.0, 3.0), (0.5, 7.0)]:
-        energy, info = observation_cost(model, tau, tau_d)
+        energy, info = _price(model, tau, tau_d)
         assert energy == 2.0
         assert info == pytest.approx(info_gain(tau, tau_d), rel=1e-12)
 
 
 def test_fixed_cost_above_bound_is_not_flagged():
     ledger = EnergyLedger(kBT=1.0)
-    energy, info = observation_cost(EnergyModel(kind="fixed_cost", fixed_cost_value=0.1), 100.0, 1.0)
+    energy, info = _price(EnergyModel(kind="fixed_cost", fixed_cost_value=0.1), 100.0, 1.0)
     flagged = ledger.charge(1.0, energy, info).sub_landauer.tolist()[-1]
     assert info == pytest.approx(0.0049751654, rel=1e-6)
     assert flagged is False  # 0.1 clears the 0.0049752 bound
@@ -138,7 +144,7 @@ def test_fixed_cost_above_bound_is_not_flagged():
 
 def test_sub_landauer_pricing_is_flagged_not_rejected():
     ledger = EnergyLedger(kBT=1.0)
-    energy, info = observation_cost(EnergyModel(kind="fixed_cost", fixed_cost_value=0.01), 1.0, 1.0)
+    energy, info = _price(EnergyModel(kind="fixed_cost", fixed_cost_value=0.01), 1.0, 1.0)
     flagged = ledger.charge(1.0, energy, info).sub_landauer.tolist()[-1]
     assert flagged is True  # 0.01 < half a nat
     assert ledger.cumulative_energy == pytest.approx(0.01)
@@ -148,7 +154,7 @@ def test_landauer_pricing_never_flags():
     ledger = EnergyLedger(kBT=1.7)
     model = EnergyModel(kind="landauer_min", kBT=1.7)
     for i, (tau, tau_d) in enumerate([(1.0, 1.0), (5.0, 0.1), (0.2, 30.0)]):
-        energy, info = observation_cost(model, tau, tau_d)
+        energy, info = _price(model, tau, tau_d)
         ledger.charge(float(i), energy, info)
     assert not any(ledger.sub_landauer)
 
@@ -160,7 +166,7 @@ def test_fixed_cost_above_every_bound_dominates_cumulative_floor():
     ledger = EnergyLedger(kBT=kbt)
     model = EnergyModel(kind="fixed_cost", fixed_cost_value=1.0, kBT=kbt)
     for i, (tau, tau_d) in enumerate([(1.0, 1.0), (5.0, 0.1), (2.0, 1.0), (10.0, 10.0)]):
-        energy, info = observation_cost(model, tau, tau_d)
+        energy, info = _price(model, tau, tau_d)
         assert energy >= kbt * info
         ledger.charge(float(i), energy, info)
     assert ledger.cumulative_energy >= kbt * ledger.cumulative_info
@@ -180,7 +186,8 @@ models = st.sampled_from(
 
 @given(model=models, pairs=st.lists(st.tuples(positive, positive), max_size=20))
 def test_observation_costs_column_equals_scalar_cost(model, pairs):
-    energies, infos = observation_costs(model, [tau for tau, _ in pairs], [od for _, od in pairs])
+    taus, ods = (np.array([pair[i] for pair in pairs], dtype=float) for i in (0, 1))
+    energies, infos = observation_costs(model, taus, ods)
     expected = [observation_cost(model, tau, od) for tau, od in pairs]
     assert list(zip(energies.tolist(), infos.tolist())) == expected
 
@@ -220,17 +227,34 @@ def test_charge_rejects_time_reversal():
 )
 def test_ledger_from_columns_equals_charging_row_by_row(model, rows):
     rows = sorted(rows)
+    reference = ReferenceLedger(kBT=model.kBT)
     charged = EnergyLedger(kBT=model.kBT)
     for t, tau, od in rows:
+        reference.charge(t, *observation_cost(model, tau, od))
         charged.charge(t, *observation_cost(model, tau, od))
-    energies, infos = observation_costs(model, [tau for _, tau, _ in rows], [od for _, _, od in rows])
-    built = EnergyLedger.from_columns(np.array([t for t, _, _ in rows]), energies, infos, model.kBT)
-    for name in ("times", "energies", "infos", "cumulative", "sub_landauer"):
-        assert getattr(built, name).tolist() == getattr(charged, name).tolist()
-    assert (built.cumulative_energy, built.cumulative_info) == (
-        charged.cumulative_energy,
-        charged.cumulative_info,
-    )
+    times, taus, ods = (np.array([row[i] for row in rows], dtype=float) for i in (0, 1, 2))
+    built = EnergyLedger.from_columns(times, *observation_costs(model, taus, ods), model.kBT)
+    assert ledger_state(built) == ledger_state(reference)
+    assert ledger_state(charged) == ledger_state(reference)
+
+
+def test_empty_ledger_totals_are_zero():
+    for ledger in (EnergyLedger(), EnergyLedger.from_columns(np.empty(0), np.empty(0), np.empty(0))):
+        assert len(ledger) == 0
+        assert (ledger.cumulative_energy, ledger.cumulative_info) == (0.0, 0.0)
+        assert ledger.sub_landauer.tolist() == []
+
+
+def test_charge_after_from_columns_appends_and_keeps_totals():
+    columns = np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.1, 0.7])
+    ledger = EnergyLedger.from_columns(*columns, kBT=2.0)
+    reference = ReferenceLedger(kBT=2.0).charge(1.0, 0.5, 0.1).charge(2.0, 0.25, 0.7)
+    assert ledger.charge(3.0, 1.5, 0.2) is ledger
+    reference.charge(3.0, 1.5, 0.2)
+    assert ledger_state(ledger) == ledger_state(reference)
+    with pytest.raises(NonMonotonicTime, match="t=2.5 precedes last entry at t=3.0"):
+        ledger.charge(2.5, 1.0, 1.0)
+    assert ledger_state(ledger) == ledger_state(reference)
 
 
 def test_ledger_from_columns_rejects_time_reversal():

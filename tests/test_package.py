@@ -14,7 +14,7 @@ PUBLIC = {
     # used by the demos, the README and bench/
     "run", "sweep", "classify_run", "flux_from_csv", "steady_state_prediction", "required_rate",
     "propagate", "bayes_update", "is_crystallized", "EnergyLedger", "EnergyModel",
-    "gaussian_entropy", "info_gain", "observation_cost", "scenario_from_dict", "scenario_to_dict",
+    "gaussian_entropy", "info_gain", "scenario_from_dict", "scenario_to_dict",
     # scenario I/O and the closed forms
     "scenario_from_json", "scenario_to_json", "p_min_exact", "p_min_linear", "optimal_obs_precision",
 }
