@@ -28,6 +28,8 @@ from .core import (
     NonMonotonicFlux,
     Scenario,
     UnknownParameterPath,
+    ValidationError,
+    Violation,
     expected_counts,
     scenario_from_dict,
     scenario_to_dict,
@@ -158,6 +160,12 @@ def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
         scenario.energy_model, events["precision_before"], flux["obs_precision"][:n]
     )
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
+    totals = (ledger.cumulative_energy, ledger.cumulative_info)
+    if not all(map(math.isfinite, totals)):
+        # Validation bounds the charges of a generated flux; a replayed row may
+        # observe a belief far below its own precision and gain inf nats.
+        message = "must keep the total energy and information finite, got {!r} and {!r}".format(*totals)
+        raise ValidationError([Violation("budget_exceeded", "observations", message)])
 
     samples = _assemble_samples(scenario, events, ledger, outcome.time, power_window)
     summary = _summarize(samples, scenario.problem.t0, ledger)

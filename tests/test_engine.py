@@ -410,7 +410,7 @@ def _scalar_reference(scenario, flux):
     """Apply ``flux`` one observation at a time with the scalar per-step API.
 
     Returns the event rows, the reference ledger charged row by row and the
-    outcome.
+    outcome. A run whose totals are not finite raises ``ValidationError``.
     """
 
     initial = scenario.beds.initial_belief
@@ -436,6 +436,8 @@ def _scalar_reference(scenario, flux):
         )
         if outcome.crystallized:
             break
+    if not (math.isfinite(ledger.cumulative_energy) and math.isfinite(ledger.cumulative_info)):
+        raise ValidationError([])
     return events, ledger, outcome
 
 
@@ -527,6 +529,16 @@ def _replays(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_matches_scalar_reference(case):
     _assert_run_matches_scalar_reference(*case)
+
+
+@pytest.mark.parametrize("model", [LANDAUER, FIXED], ids=["landauer", "fixed-cost"])
+def test_replay_with_an_infinite_charge_is_rejected(model):
+    # 0.5 / 1e-310 is past the float range: the first charge gains inf nats.
+    scenario = _replay_scenario(1e-6, 1e-9, 1e-310, model)
+    with pytest.raises(ValidationError) as info:
+        run(scenario, observations=_flux([(0.0, 0.0, 0.5), (1.0, 0.0, 1e-3)]))
+    [violation] = info.value.violations
+    assert (violation.code, violation.field) == ("budget_exceeded", "observations")
 
 
 # --- mutation detection -------------------------------------------------------------
