@@ -409,6 +409,12 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
         gap = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(target.velocity) * scenario.horizon)
         quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
         out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
+        if tau > 0:
+            # The divergence's precision_p / precision_q term, on the lowest
+            # precision a run reaches.
+            ratio = 1.0 / target.target_variance / min(tau, PRECISION_FLOOR)
+            quantity = "the divergence of a belief at the lowest precision"
+            out.append(("problem.target.target_variance", target.target_variance, quantity, ratio))
     return out
 
 

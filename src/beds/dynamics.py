@@ -6,13 +6,16 @@ put; at an observation the belief absorbs the datum through the conjugate
 Gaussian update. Crystallization is the variance dropping below the
 threshold, after which the system reports its mean and halts.
 
-``evolve`` runs that recurrence over a whole observation stream and
-``dissipate`` applies the decay to a column of beliefs, with one rate
-(``gamma``) for every row or a column of per-row rates; the engine calls
-these two. The per-step functions ``propagate``, ``bayes_update`` and
-``check_crystallization`` are the same rules one observation at a time:
-they are the documented API for stepping a belief by hand and the
-reference the column forms are tested against.
+``evolve_precision`` runs the precision recurrence over a whole
+observation stream, ``evolve_mean`` the mean recurrence along the
+precision path it returns, and ``dissipate`` applies the decay to a column
+of beliefs, with one rate (``gamma``) for every row or a column of per-row
+rates; the engine calls these three. The precision path never reads an
+observed value, which is why it has a loop of its own. The per-step
+functions ``propagate``, ``bayes_update`` and ``check_crystallization``
+are the same rules one observation at a time: they are the documented API
+for stepping a belief by hand and the reference the column forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ __all__ = [
     "PRECISION_FLOOR",
     "CrystallizationOutcome",
     "NOT_CRYSTALLIZED",
-    "evolve",
+    "evolve_precision",
+    "evolve_mean",
     "dissipate",
     "propagate",
     "bayes_update",
@@ -80,32 +84,30 @@ def bayes_update(
     return (precision * mean + obs_precision * value) / posterior, posterior
 
 
-def evolve(
-    mean: float,
+def evolve_precision(
     precision: float,
     times: list[float],
-    values: list[float],
     obs_precisions: list[float],
     gamma: float,
     epsilon: float,
-) -> tuple[list[float], list[float], list[float], bool]:
-    """Apply a time-ordered observation stream to a belief held at time 0.
+) -> tuple[list[float], list[float], bool]:
+    """The precision path of a time-ordered observation stream applied to a belief held at time 0.
 
     Each row dissipates the precision to its arrival time (as
-    ``propagate``), then absorbs the observation (as ``bayes_update``).
-    Returns the columns ``precision_before`` (after dissipation, before the
-    update), ``mean_after`` and ``precision_after``, one entry per applied
-    row, and whether the run halted: it stops after the first row whose
-    posterior variance is below ``epsilon`` (as ``is_crystallized``). Rows
-    after that one are never read, so they raise nothing.
+    ``propagate``), then adds the observation's precision (as
+    ``bayes_update``). Returns the columns ``precision_before`` (after
+    dissipation, before the update) and ``precision_after``, one entry per
+    applied row, and whether the run halted: it stops after the first row
+    whose posterior variance is below ``epsilon`` (as ``is_crystallized``).
+    Rows after that one are never read, so they raise nothing. No observed
+    value enters the path: streams with the same times and precisions share it.
     """
 
     precision_before: list[float] = []
-    mean_after: list[float] = []
     precision_after: list[float] = []
     t_prev = 0.0
     exp = math.exp
-    for t, value, obs_precision in zip(times, values, obs_precisions):
+    for t, obs_precision in zip(times, obs_precisions):
         dt = t - t_prev
         t_prev = t
         if dt > 0:
@@ -117,14 +119,30 @@ def evolve(
         if obs_precision <= 0:
             raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
         precision_before.append(precision)
-        posterior = precision + obs_precision
-        mean = (precision * mean + obs_precision * value) / posterior
-        precision = posterior
-        mean_after.append(mean)
+        precision += obs_precision
         precision_after.append(precision)
         if 1.0 / precision < epsilon:
-            return precision_before, mean_after, precision_after, True
-    return precision_before, mean_after, precision_after, False
+            return precision_before, precision_after, True
+    return precision_before, precision_after, False
+
+
+def evolve_mean(
+    mean: float,
+    values: list[float],
+    obs_precisions: list[float],
+    precision_before: list[float],
+    precision_after: list[float],
+) -> list[float]:
+    """The means after each update of a precision path from ``evolve_precision``.
+
+    Row ``i`` absorbs ``values[i]`` into the previous mean (``mean`` for
+    row 0) as ``bayes_update`` does, with the path's precisions around the
+    update. Returns one mean per entry of ``precision_after``; later values
+    are never read.
+    """
+
+    rows = zip(precision_before, values, obs_precisions, precision_after)
+    return [mean := (before * mean + tau_d * value) / after for before, value, tau_d, after in rows]
 
 
 def dissipate(precisions: np.ndarray, dts: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Event-driven simulation of a belief maintained against dissipation.
 
-One run applies the observation stream in time order with
-``dynamics.evolve``: closed-form dissipation to each arrival, then the
-conjugate update, stopping at the first crystallized belief. The rest is
-computed on the resulting columns: each observation's energy charge at its
-pre-update precision, the ledger's running totals, the crystallization
-outcome, and fixed-step samples interpolated from the last event by the
-same closed form, so sampling density never perturbs the trajectory. A
-crystallized run halts: nothing is recorded afterwards.
+A run has two sides. The precision side never reads an observed value:
+``dynamics.evolve_precision`` applies closed-form dissipation to each
+arrival and adds the observation's precision, stopping at the first
+crystallized belief, and the rest is computed on the resulting columns:
+each observation's energy charge at its pre-update precision, the ledger's
+running totals, and fixed-step precision and power samples interpolated
+from the last event by the same closed form, so sampling density never
+perturbs the trajectory. The mean side then runs
+``dynamics.evolve_mean`` along that precision path and derives the sampled
+means, their divergence from the target and the crystallization outcome.
+A crystallized run halts: nothing is recorded afterwards.
 
 Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, one summary row per cell per replicate.
+seeds, one summary row per cell per replicate. The replicates of a cell
+with periodic or scheduled arrivals observe at the same times, so they
+share its first run's precision side and recompute only the mean side.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from .analysis import after_burn_in, kl_gaussian
 from .core import (
     NonMonotonicFlux,
+    PoissonArrival,
     Scenario,
     UnknownParameterPath,
     ValidationError,
@@ -42,7 +48,8 @@ from .dynamics import (
     CrystallizationOutcome,
     check_crystallization,
     dissipate,
-    evolve,
+    evolve_mean,
+    evolve_precision,
 )
 from .energy import EnergyLedger, observation_costs
 from .fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
@@ -105,7 +112,8 @@ class RunTrace:
     mean before is row ``i - 1``'s mean_after (the initial mean for row 0).
     ``power_window`` is the width of the sliding window behind the
     windowed_power samples, horizon / 10. ``clamped`` flags that the
-    precision floor was hit at least once.
+    precision floor was hit at least once. ``scenario`` is the scenario
+    that ``run`` simulated.
     """
 
     samples: np.ndarray
@@ -115,9 +123,12 @@ class RunTrace:
     summary: Summary
     power_window: float
     clamped: bool = False
+    scenario: Scenario | None = None
 
 
-def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
+def run(
+    scenario: Scenario, observations: np.ndarray | None = None, *, sibling: RunTrace | None = None
+) -> RunTrace:
     """Simulate one scenario deterministically.
 
     Observation costs are priced at the pre-update precision, after
@@ -126,55 +137,86 @@ def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
     1-D structured array with the float fields of ``fluxgen.FLUX_FIELDS`` in
     non-decreasing time order, as returned by ``generate_flux`` or
     ``flux_from_csv``.
+
+    ``sibling`` is a finished run of the same scenario at another seed, with
+    periodic or scheduled arrivals. Its precision side (the precision path,
+    the halt, the ledger, the precision and power columns and totals, and
+    ``clamped``) is then this run's too, since no observed value enters it:
+    the run shares the sibling's ledger arrays, copies its ``events`` and
+    ``samples``, and recomputes only the mean side (``mean_after``, the mean
+    and kl_to_target samples, the outcome's mean and accuracy, and
+    ``max_kl_after_t0``). The trace equals a run without a sibling. A
+    sibling of another scenario, of Poisson arrivals, of other observation
+    times, or beside ``observations`` raises ValueError.
     """
 
     validate_scenario(scenario)
-    power_window = scenario.horizon / 10.0
-
-    target = scenario.problem.target
     if observations is None:
-        flux = generate_flux(scenario.flux_spec, target, scenario.horizon, scenario.seed)
+        flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
     else:
         flux = _checked_flux(observations)
+    if sibling is None:
+        trace, last = _evolve(scenario, flux)
+    else:
+        _check_sibling(scenario, observations, flux, sibling)
+        trace, last = _evolve_means_on(sibling, scenario, flux)
+    return _with_sampled_means(trace, last)
 
-    epsilon = scenario.beds.epsilon
-    initial = scenario.beds.initial_belief
-    times, values, obs_precisions = (flux[name].tolist() for name in FLUX_FIELDS)
-    precision_before, mean_after, precision_after, halted = evolve(
-        initial.mean, initial.precision, times, values, obs_precisions, scenario.beds.gamma, epsilon
+
+def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]:
+    """Apply ``flux``: a trace whose events and precision side are final.
+
+    The samples' mean side, the outcome's mean and accuracy and the summary's
+    max_kl_after_t0 are left to ``_with_sampled_means``. Also returns, per
+    sample, the number of events at or before it.
+    """
+
+    beds = scenario.beds
+    times, obs_precisions = flux["time"].tolist(), flux["obs_precision"].tolist()
+    precision_before, precision_after, halted = evolve_precision(
+        beds.initial_belief.precision, times, obs_precisions, beds.gamma, beds.epsilon
     )
     n = len(precision_after)
-    outcome = NOT_CRYSTALLIZED
-    if halted:
-        t = times[n - 1]
-        outcome = check_crystallization(
-            mean_after[-1], precision_after[-1], t, epsilon, target_mean_at(target, t), scenario.problem.delta
-        )
+    mean_after = evolve_mean(
+        beds.initial_belief.mean, flux["value"][:n].tolist(), obs_precisions, precision_before, precision_after
+    )
+    outcome = CrystallizationOutcome(crystallized=True, time=times[n - 1]) if halted else NOT_CRYSTALLIZED
     events = np.empty(n, dtype=_EVENT_DTYPE)
     events["precision_before"] = precision_before
     events["mean_after"] = mean_after
     events["precision_after"] = precision_after
     # The arrays hold every column now: free the per-event lists first.
-    del times, values, obs_precisions, precision_before, mean_after, precision_after
+    del times, obs_precisions, precision_before, mean_after, precision_after
     energies, infos = observation_costs(
         scenario.energy_model, events["precision_before"], flux["obs_precision"][:n]
     )
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
-    totals = (ledger.cumulative_energy, ledger.cumulative_info)
-    if not all(map(math.isfinite, totals)):
+    total_energy, total_info = ledger.cumulative_energy, ledger.cumulative_info
+    if not (math.isfinite(total_energy) and math.isfinite(total_info)):
         # Validation bounds the charges of a generated flux; a replayed row may
         # observe a belief far below its own precision and gain inf nats.
-        message = "must keep the total energy and information finite, got {!r} and {!r}".format(*totals)
+        message = "must keep the total energy and information finite, got {!r} and {!r}".format(
+            total_energy, total_info
+        )
         raise ValidationError([Violation("budget_exceeded", "observations", message)])
 
-    samples = _assemble_samples(scenario, events, ledger, outcome.time, power_window)
-    summary = _summarize(samples, scenario.problem.t0, ledger)
+    power_window = scenario.horizon / 10.0
+    samples, last = _precision_samples(scenario, events, ledger, outcome.time, power_window)
+    t0 = scenario.problem.t0
+    summary = Summary(
+        mean_precision_after_t0=after_burn_in(samples, t0, "precision", np.mean),
+        max_kl_after_t0=math.nan,
+        mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
+        observation_count=n,
+        total_energy=total_energy,
+        total_info=total_info,
+    )
     clamped = bool(
-        initial.precision <= PRECISION_FLOOR
+        beds.initial_belief.precision <= PRECISION_FLOOR
         or np.any(events["precision_before"] <= PRECISION_FLOOR)
         or np.any(samples["precision"] <= PRECISION_FLOOR)
     )
-    return RunTrace(
+    trace = RunTrace(
         samples=samples,
         events=events,
         outcome=outcome,
@@ -182,6 +224,80 @@ def run(scenario: Scenario, observations: np.ndarray | None = None) -> RunTrace:
         summary=summary,
         power_window=power_window,
         clamped=clamped,
+        scenario=scenario,
+    )
+    return trace, last
+
+
+def _check_sibling(scenario: Scenario, observations: object, flux: np.ndarray, sibling: RunTrace) -> None:
+    """Raise ValueError unless ``sibling``'s precision side is this run's."""
+
+    if observations is not None:
+        raise ValueError("sibling: a replayed flux cannot reuse another run's precision path")
+    if sibling.scenario is None or dataclasses.replace(sibling.scenario, seed=scenario.seed) != scenario:
+        raise ValueError("sibling: must be a run of the same scenario at another seed")
+    if isinstance(scenario.flux_spec.arrival, PoissonArrival):
+        raise ValueError("sibling: Poisson arrival times differ from seed to seed")
+    n = len(sibling.ledger)
+    if not (
+        len(flux) >= n
+        and (sibling.outcome.crystallized or len(flux) == n)
+        and np.array_equal(flux["time"][:n], sibling.ledger.times)
+    ):
+        raise ValueError("sibling: its observation times up to the halt differ from this run's")
+
+
+def _evolve_means_on(sibling: RunTrace, scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]:
+    """As ``_evolve``, but on ``sibling``'s precision side: only the events' means are new.
+
+    The trace shares the sibling's ledger arrays, which nothing writes in
+    place, and copies its events and samples.
+    """
+
+    events = sibling.events.copy()
+    n = len(events)
+    events["mean_after"] = evolve_mean(
+        scenario.beds.initial_belief.mean,
+        flux["value"][:n].tolist(),
+        flux["obs_precision"][:n].tolist(),
+        events["precision_before"].tolist(),
+        events["precision_after"].tolist(),
+    )
+    samples = sibling.samples.copy()
+    trace = dataclasses.replace(
+        sibling, samples=samples, events=events, ledger=copy.copy(sibling.ledger), scenario=scenario
+    )
+    return trace, np.searchsorted(trace.ledger.times, samples["t"], side="right")
+
+
+def _with_sampled_means(trace: RunTrace, last: np.ndarray) -> RunTrace:
+    """``trace`` with the mean side derived from its events' means, filling its samples in place.
+
+    ``last`` is, per sample, the number of events at or before it.
+    """
+
+    scenario = trace.scenario
+    events, samples = trace.events, trace.samples
+    initial, target = scenario.beds.initial_belief, scenario.problem.target
+    outcome = trace.outcome
+    if outcome.crystallized:
+        t = outcome.time
+        outcome = check_crystallization(
+            events["mean_after"][-1].item(),
+            events["precision_after"][-1].item(),
+            t,
+            scenario.beds.epsilon,
+            target_mean_at(target, t),
+            scenario.problem.delta,
+        )
+    mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
+    samples["mean"] = mean
+    samples["kl_to_target"] = kl_gaussian(
+        mean, samples["precision"], target_mean_at(target, samples["t"]), 1.0 / target.target_variance
+    )
+    max_kl = after_burn_in(samples, scenario.problem.t0, "kl_to_target", np.max)
+    return dataclasses.replace(
+        trace, outcome=outcome, summary=dataclasses.replace(trace.summary, max_kl_after_t0=max_kl)
     )
 
 
@@ -205,55 +321,38 @@ def _checked_flux(flux: object) -> np.ndarray:
     return flux
 
 
-def _assemble_samples(
+def _precision_samples(
     scenario: Scenario,
     events: np.ndarray,
     ledger: EnergyLedger,
     halted_at: float | None,
     power_window: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     # Samples at multiples of sample_dt run up to the horizon, or stop strictly
     # before the halting observation. Each is the last event's belief at or
     # before it (row 0: the initial belief at time 0), dissipated to the sample
     # instant, so an observation at a sample instant is applied first and
-    # sampling never advances the state.
+    # sampling never advances the state. The mean and kl_to_target columns are
+    # left 0; also returns the event count at or before each sample.
     horizon, sample_dt = scenario.horizon, scenario.sample_dt
     t = np.arange(int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1) * sample_dt
     t = t[t < halted_at] if halted_at is not None else t[t <= horizon]
     last = np.searchsorted(ledger.times, t, side="right")
     initial = scenario.beds.initial_belief
     state_t = np.concatenate(([0.0], ledger.times))[last]
-    mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
     state_precision = np.concatenate(([initial.precision], events["precision_after"]))[last]
     precision = dissipate(state_precision, t - state_t, scenario.beds.gamma)
 
     samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
     samples["t"] = t
-    samples["mean"] = mean
     samples["precision"] = precision
     samples["variance"] = 1.0 / precision
-
-    target = scenario.problem.target
-    samples["kl_to_target"] = kl_gaussian(
-        mean, precision, target_mean_at(target, t), 1.0 / target.target_variance
-    )
 
     lo = np.searchsorted(ledger.times, t - power_window, side="right")
     padded = np.concatenate(([0.0], ledger.cumulative))
     samples["cumulative_energy"] = padded[last]
     samples["windowed_power"] = (padded[last] - padded[lo]) / power_window
-    return samples
-
-
-def _summarize(samples: np.ndarray, t0: float, ledger: EnergyLedger) -> Summary:
-    return Summary(
-        mean_precision_after_t0=after_burn_in(samples, t0, "precision", np.mean),
-        max_kl_after_t0=after_burn_in(samples, t0, "kl_to_target", np.max),
-        mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
-        observation_count=len(ledger),
-        total_energy=ledger.cumulative_energy,
-        total_info=ledger.cumulative_info,
-    )
+    return samples, last
 
 
 def trace_to_csv(trace: RunTrace) -> str:
@@ -291,10 +390,11 @@ def sweep(
 
     Grid entries are (dotted scenario path, values); paths must address
     numeric fields other than ``seed``. Replicate ``i`` runs with seed
-    base.seed + i. Row order is grid-major, replicate-minor. Every cell's
-    scenario is built and validated before the first run, and a sweep whose
-    runs expect more than MAX_SWEEP_COUNT observations and samples in all
-    is rejected.
+    base.seed + i, and a cell without Poisson arrivals passes its first
+    run to the others as ``run``'s ``sibling``. Row order is grid-major,
+    replicate-minor. Every cell's scenario is built and validated before
+    the first run, and a sweep whose runs expect more than MAX_SWEEP_COUNT
+    observations and samples in all is rejected.
     """
 
     if replicates < 1:
@@ -322,9 +422,14 @@ def sweep(
         )
     table = SweepTable(params=paths)
     for combo, cell in zip(combos, cells):
+        # Periodic or scheduled arrivals give every replicate the same
+        # precision side: the cell's first run lends it to the others.
+        sibling = None
         for replicate in range(replicates):
             scenario = dataclasses.replace(cell, seed=(base.seed + replicate) % 2**64)
-            trace = run(scenario)
+            trace = run(scenario, sibling=sibling)
+            if sibling is None and not isinstance(cell.flux_spec.arrival, PoissonArrival):
+                sibling = trace
             row = dict(zip(paths, combo))
             row["replicate"] = replicate
             row["seed"] = scenario.seed

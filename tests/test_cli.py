@@ -229,6 +229,24 @@ def test_simulate_landauer_energy_that_overflows_exits_2_without_warnings(
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_target_variance_that_overflows_the_divergence_exits_2_without_warnings(
+    tmp_path, scenario_file, capsys
+):
+    argv = ["simulate", "--scenario-path", scenario_file(steady_state), "--output-dir", str(tmp_path / "o")]
+    for override in ["horizon=30", "beds.gamma=2000", "problem.target.target_variance=1e-300"]:
+        argv += ["--override", override]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: problem.target.target_variance: must keep the divergence of a belief at the lowest "
+        "precision finite, got 1e-300"
+    ]
+    assert caught == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_override_changes_result(tmp_path, scenario_file):
     path = scenario_file(dissipation_only)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -479,7 +497,7 @@ PATHS = [
     "flux_spec.arrival.kind", "flux_spec.arrival.rate", "flux_spec.arrival.period",
     "flux_spec.arrival.times", "flux_spec.noise", "flux_spec.obs_precision",
     "energy_model.kind", "energy_model.fixed_cost_value", "problem.t0", "problem.target.kind",
-    "problem.target.velocity", "beds", "beds.nope", "",
+    "problem.target.velocity", "problem.target.target_variance", "beds", "beds.nope", "",
 ]
 VALUES = st.sampled_from(NUMBERS * 3 + JUNK)
 SEED_BASES = ["-1", "0", "1000", str(verify.MAX_SEED_BASE), str(verify.MAX_SEED_BASE + 1), str(2**64), "x", "1e3"]

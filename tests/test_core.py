@@ -154,9 +154,12 @@ def test_fixed_cost_that_overflows_the_running_energy_is_over_budget():
 
 
 def _with_precisions(initial: float, obs: float) -> Scenario:
+    # A target variance of 100 keeps the divergence of a 1e-310 belief finite.
+    target = TargetSpec(kind="static", theta0=1.0, velocity=0.0, target_variance=100.0)
     return make_scenario(
         beds=BedsParams(gamma=0.5, epsilon=1e-4, initial_belief=GaussianBelief(0.0, initial)),
         flux_spec=FluxSpec(arrival=PoissonArrival(rate=2.0), obs_precision=obs, noise="noisy"),
+        problem=ProblemSpec(target=target, delta=0.1, p_max=1.0, t0=1.0),
     )
 
 
@@ -195,6 +198,29 @@ def test_target_beyond_a_finite_divergence_is_over_budget():
         violations = scenario_violations(drifting(velocity))
         assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "problem.target")]
     assert scenario_violations(drifting(1e100)) == []
+
+
+def test_target_variance_that_overflows_the_divergence_is_over_budget():
+    def target_variance(initial, variance):
+        return make_scenario(
+            beds=BedsParams(gamma=0.5, epsilon=1e-4, initial_belief=GaussianBelief(0.0, initial)),
+            # 1e-3 keeps the largest gain of one charge finite on a 1e-310 belief.
+            flux_spec=FluxSpec(arrival=PoissonArrival(rate=2.0), obs_precision=1e-3, noise="noisy"),
+            problem=ProblemSpec(
+                target=TargetSpec(kind="static", theta0=1.0, velocity=0.0, target_variance=variance),
+                delta=0.1,
+                p_max=1.0,
+                t0=1.0,
+            ),
+        )
+
+    over = [("budget_exceeded", "problem.target.target_variance")]
+    # 1 / target_variance / PRECISION_FLOOR leaves the float range just below 5.6e-9.
+    assert [(v.code, v.field) for v in scenario_violations(target_variance(1.0, 1e-9))] == over
+    assert scenario_violations(target_variance(1.0, 1e-8)) == []
+    # An initial precision below the floor is the lowest one: 1 / 1e-310 / 1.8e308 is about 56.
+    assert [(v.code, v.field) for v in scenario_violations(target_variance(1e-310, 50.0))] == over
+    assert scenario_violations(target_variance(1e-310, 60.0)) == []
 
 
 def test_seed_must_fit_64_bits():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,6 +13,8 @@ from beds.dynamics import (
     bayes_update,
     check_crystallization,
     dissipate,
+    evolve_mean,
+    evolve_precision,
     is_crystallized,
     propagate,
 )
@@ -206,6 +209,70 @@ def test_simultaneous_updates_commute_and_precisions_add(mean, prior, taus, valu
     assert forward[1] == pytest.approx(expected_precision, rel=1e-12)
     assert shuffled[1] == pytest.approx(expected_precision, rel=1e-12)
     assert shuffled[0] == pytest.approx(forward[0], rel=1e-9, abs=1e-9)
+
+
+# --- column recurrences -------------------------------------------------------------
+
+
+@st.composite
+def _streams(draw):
+    """A time-ordered observation stream, as columns, with repeated times (dt == 0)."""
+
+    n = draw(st.integers(min_value=0, max_value=12))
+    gaps = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 2.0, 7.0]), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(min_value=-10, max_value=10), min_size=n, max_size=n))
+    obs_precisions = draw(st.lists(st.sampled_from([1e-3, 0.5, 4.0, 1e3]), min_size=n, max_size=n))
+    return list(itertools.accumulate(gaps)), values, obs_precisions
+
+
+def _bits(column: list[float]) -> bytes:
+    return np.array(column, dtype=np.float64).tobytes()
+
+
+def _stepped(mean, precision, stream, gamma, epsilon):
+    """The stream applied one observation at a time with the per-step API."""
+
+    before, means, after = [], [], []
+    t_prev = 0.0
+    for t, value, obs_precision in zip(*stream):
+        precision = propagate(precision, t - t_prev, gamma)
+        t_prev = t
+        before.append(precision)
+        mean, precision = bayes_update(mean, precision, value, obs_precision)
+        means.append(mean)
+        after.append(precision)
+        if is_crystallized(precision, epsilon):
+            return before, means, after, True
+    return before, means, after, False
+
+
+stream_args = dict(
+    stream=_streams(),
+    mean=st.floats(min_value=-10, max_value=10),
+    precision=st.sampled_from([1e-310, 1e-3, 1.0, 50.0]),
+    gamma=st.sampled_from([1e-6, 0.1, 3.0, 1e3]),
+    epsilon=st.sampled_from([1e-9, 0.05, 0.5, 2.0]),
+)
+
+
+@given(**stream_args)
+@settings(max_examples=200)
+def test_evolve_precision_is_bit_identical_to_stepping_propagate_and_bayes_update(
+    stream, mean, precision, gamma, epsilon
+):
+    times, _, obs_precisions = stream
+    before, _, after, halted = _stepped(mean, precision, stream, gamma, epsilon)
+    path_before, path_after, path_halted = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
+    assert (_bits(path_before), _bits(path_after), path_halted) == (_bits(before), _bits(after), halted)
+
+
+@given(**stream_args)
+@settings(max_examples=200)
+def test_evolve_mean_is_bit_identical_to_stepping_bayes_update(stream, mean, precision, gamma, epsilon):
+    times, values, obs_precisions = stream
+    before, means, after, _ = _stepped(mean, precision, stream, gamma, epsilon)
+    # Rows past a halt are never read.
+    assert _bits(evolve_mean(mean, values, obs_precisions, before, after)) == _bits(means)
 
 
 # --- crystallization -------------------------------------------------------------

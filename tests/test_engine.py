@@ -1,7 +1,7 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from beds.core import (
     GaussianBelief,
     NegativeDt,
     NonPositiveObsPrecision,
+    PeriodicArrival,
+    PoissonArrival,
     ProblemSpec,
     ScheduleArrival,
     Scenario,
@@ -336,6 +338,114 @@ def test_sweep_total_work_at_budget_starts_running(monkeypatch):
         sweep(steady_state(), [("beds.gamma", [0.1, 0.2])], replicates=2500)
 
 
+# --- sibling runs --------------------------------------------------------------------
+
+
+@st.composite
+def _sweep_cells(draw, arrivals=("periodic", "schedule", "poisson")):
+    """Small scenarios over every arrival kind, noise and energy model; some crystallize."""
+
+    kind = draw(st.sampled_from(arrivals))
+    if kind == "periodic":
+        arrival = PeriodicArrival(period=draw(st.sampled_from([0.25, 0.5, 1.5])))
+    elif kind == "schedule":
+        # Times past the horizon of 10 are never observed; repeated times are dt == 0 steps.
+        times = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 9.5, 12.0]), max_size=8))
+        arrival = ScheduleArrival(times=tuple(sorted(times)))
+    else:
+        arrival = PoissonArrival(rate=draw(st.sampled_from([0.5, 2.0])))
+    return Scenario(
+        beds=BedsParams(
+            gamma=draw(st.sampled_from([0.1, 1.0, 4.0])),
+            epsilon=draw(st.sampled_from([1e-9, 0.2, 0.5])),
+            initial_belief=GaussianBelief(0.3, 1.0),
+        ),
+        flux_spec=FluxSpec(
+            arrival=arrival,
+            obs_precision=draw(st.sampled_from([0.5, 4.0])),
+            noise=draw(st.sampled_from(["exact", "noisy"])),
+        ),
+        problem=ProblemSpec(
+            target=TargetSpec(
+                kind="drifting", theta0=0.5, velocity=draw(st.sampled_from([0.0, 0.4])), target_variance=0.5
+            ),
+            delta=0.5,
+            p_max=10.0,
+            t0=draw(st.sampled_from([0.0, 2.0])),
+        ),
+        energy_model=draw(st.sampled_from([LANDAUER, FIXED])),
+        horizon=10.0,
+        sample_dt=0.25,
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+
+
+def _assert_same_trace(trace, expected):
+    assert trace.samples.tobytes() == expected.samples.tobytes()
+    assert trace.events.tobytes() == expected.events.tobytes()
+    assert trace.ledger.to_csv() == expected.ledger.to_csv()
+    assert trace.outcome == expected.outcome
+    # repr, so a nan summary field compares equal to itself.
+    assert repr(trace.summary) == repr(expected.summary)
+    assert (trace.clamped, trace.power_window, trace.scenario) == (
+        expected.clamped,
+        expected.power_window,
+        expected.scenario,
+    )
+
+
+@given(_sweep_cells())
+@settings(max_examples=60, deadline=None)
+def test_sweep_rows_equal_independent_runs(base):
+    gammas = [base.beds.gamma, 2.0 * base.beds.gamma]
+    table = sweep(base, [("beds.gamma", gammas)], replicates=3)
+    expected = []
+    for gamma in gammas:
+        for replicate in range(3):
+            seed = (base.seed + replicate) % 2**64
+            scenario = replace(base, beds=replace(base.beds, gamma=gamma), seed=seed)
+            row = {"beds.gamma": gamma, "replicate": replicate, "seed": seed}
+            row.update(asdict(run(scenario).summary))
+            expected.append(row)
+    assert repr(table.rows) == repr(expected)
+
+
+@given(_sweep_cells(arrivals=("periodic", "schedule")))
+@settings(max_examples=60, deadline=None)
+def test_run_with_a_sibling_equals_a_fresh_run(base):
+    sibling = run(base)
+    before = (sibling.samples.tobytes(), sibling.events.tobytes(), sibling.ledger.to_csv())
+    scenario = replace(base, seed=(base.seed + 1) % 2**64)
+    _assert_same_trace(run(scenario, sibling=sibling), run(scenario))
+    # The sibling lends its arrays but is not written.
+    assert (sibling.samples.tobytes(), sibling.events.tobytes(), sibling.ledger.to_csv()) == before
+
+
+def test_run_rejects_a_sibling_whose_precision_side_may_differ():
+    from beds.energy import EnergyLedger
+    from beds.fluxgen import generate_flux
+
+    base = replace(
+        drifting_tracking(seed=5),
+        flux_spec=FluxSpec(arrival=PeriodicArrival(period=0.5), obs_precision=2.0, noise="noisy"),
+    )
+    sibling = run(base)
+    scenario = replace(base, seed=6)
+
+    with pytest.raises(ValueError, match="^sibling: must be a run of the same scenario"):
+        run(replace(scenario, beds=replace(scenario.beds, gamma=2.0 * scenario.beds.gamma)), sibling=sibling)
+    poisson = replace(base, flux_spec=replace(base.flux_spec, arrival=PoissonArrival(rate=2.0)))
+    with pytest.raises(ValueError, match="^sibling: Poisson arrival times"):
+        run(replace(poisson, seed=6), sibling=run(poisson))
+    flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
+    with pytest.raises(ValueError, match="^sibling: a replayed flux"):
+        run(scenario, observations=flux, sibling=sibling)
+    ledger = sibling.ledger
+    shifted = EnergyLedger.from_columns(ledger.times + 0.25, ledger.energies, ledger.infos, ledger.kBT)
+    with pytest.raises(ValueError, match="^sibling: its observation times"):
+        run(scenario, sibling=replace(sibling, ledger=shifted))
+
+
 # --- flux replay --------------------------------------------------------------------
 
 
@@ -448,7 +558,8 @@ def _replay_scenario(gamma, epsilon, initial_precision, energy_model):
         beds=BedsParams(gamma=gamma, epsilon=epsilon, initial_belief=GaussianBelief(0.5, initial_precision)),
         problem=replace(
             scenario.problem,
-            target=TargetSpec(kind="drifting", theta0=0.0, velocity=0.3, target_variance=1.0),
+            # A target variance of 100 keeps the divergence of a 1e-310 initial belief finite.
+            target=TargetSpec(kind="drifting", theta0=0.0, velocity=0.3, target_variance=100.0),
         ),
         energy_model=energy_model,
         horizon=20.0,
@@ -545,12 +656,12 @@ def test_replay_with_an_infinite_charge_is_rejected(model):
 
 
 def test_broken_propagation_is_caught_by_steady_state_check(monkeypatch):
-    # Flip the decay direction inside the engine's kernel: the balance check must fail.
+    # Flip the decay direction inside the engine's precision recurrence: the balance check must fail.
     from beds import dynamics, verify
 
-    def broken_evolve(mean, precision, times, values, obs_precisions, gamma, epsilon):
-        return dynamics.evolve(mean, precision, times, values, obs_precisions, -gamma, epsilon)
+    def broken_evolve_precision(precision, times, obs_precisions, gamma, epsilon):
+        return dynamics.evolve_precision(precision, times, obs_precisions, -gamma, epsilon)
 
-    monkeypatch.setattr("beds.engine.evolve", broken_evolve)
+    monkeypatch.setattr("beds.engine.evolve_precision", broken_evolve_precision)
     passed, _ = verify.check_steady_state_balance(verify.DEFAULT_SEED_BASE)
     assert not passed
