@@ -191,13 +191,11 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]
         scenario.energy_model, events["precision_before"], flux["obs_precision"][:n]
     )
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
-    total_energy, total_info = ledger.cumulative_energy, ledger.cumulative_info
-    if not (math.isfinite(total_energy) and math.isfinite(total_info)):
+    totals = (ledger.cumulative_energy, ledger.cumulative_info)
+    if not all(map(math.isfinite, totals)):
         # Validation bounds the charges of a generated flux; a replayed row may
         # observe a belief far below its own precision and gain inf nats.
-        message = "must keep the total energy and information finite, got {!r} and {!r}".format(
-            total_energy, total_info
-        )
+        message = "must keep the total energy and information finite, got {!r} and {!r}".format(*totals)
         raise ValidationError([Violation("budget_exceeded", "observations", message)])
 
     power_window = scenario.horizon / 10.0
@@ -208,8 +206,8 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]
         max_kl_after_t0=math.nan,
         mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
         observation_count=n,
-        total_energy=total_energy,
-        total_info=total_info,
+        total_energy=totals[0],
+        total_info=totals[1],
     )
     clamped = bool(
         beds.initial_belief.precision <= PRECISION_FLOOR
