@@ -410,11 +410,17 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
         quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
         out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
         if tau > 0:
-            # The divergence's precision_p / precision_q term, on the lowest
-            # precision a run reaches.
-            ratio = 1.0 / target.target_variance / min(tau, PRECISION_FLOOR)
-            quantity = "the divergence of a belief at the lowest precision"
-            out.append(("problem.target.target_variance", target.target_variance, quantity, ratio))
+            # The divergence's precision ratios, in the order kl_gaussian
+            # divides: precision_p / precision_q on the lowest precision a run
+            # reaches, and precision_q / precision_p on the highest, at most the
+            # initial one plus every observation's.
+            precision_p = 1.0 / target.target_variance
+            ratios = [precision_p / min(tau, PRECISION_FLOOR)]
+            highest = tau + obs_precision * n
+            if math.isfinite(highest):
+                ratios.append(highest / precision_p)
+            quantity = "the divergence of a belief at the lowest and highest precision"
+            out.append(("problem.target.target_variance", target.target_variance, quantity, max(ratios)))
     return out
 
 

@@ -113,7 +113,8 @@ class RunTrace:
     ``power_window`` is the width of the sliding window behind the
     windowed_power samples, horizon / 10. ``clamped`` flags that the
     precision floor was hit at least once. ``scenario`` is the scenario
-    that ``run`` simulated.
+    that ``run`` simulated. The ledger's columns are read-only, since runs
+    that take this one as ``sibling`` share them.
     """
 
     samples: np.ndarray
@@ -142,12 +143,12 @@ def run(
     periodic or scheduled arrivals. Its precision side (the precision path,
     the halt, the ledger, the precision and power columns and totals, and
     ``clamped``) is then this run's too, since no observed value enters it:
-    the run shares the sibling's ledger arrays, copies its ``events`` and
-    ``samples``, and recomputes only the mean side (``mean_after``, the mean
-    and kl_to_target samples, the outcome's mean and accuracy, and
-    ``max_kl_after_t0``). The trace equals a run without a sibling. A
-    sibling of another scenario, of Poisson arrivals, of other observation
-    times, or beside ``observations`` raises ValueError.
+    the run shares the sibling's read-only ledger arrays, copies its
+    ``events`` and ``samples``, and recomputes only the mean side
+    (``mean_after``, the mean and kl_to_target samples, the outcome's mean
+    and accuracy, and ``max_kl_after_t0``). The trace equals a run without
+    a sibling. A sibling of another scenario, of Poisson arrivals, of other
+    observation times, or beside ``observations`` raises ValueError.
     """
 
     validate_scenario(scenario)
@@ -156,20 +157,38 @@ def run(
     else:
         flux = _checked_flux(observations)
     if sibling is None:
-        trace, last = _evolve(scenario, flux)
+        evolved = _evolve(scenario, flux)
     else:
         _check_sibling(scenario, observations, flux, sibling)
-        trace, last = _evolve_means_on(sibling, scenario, flux)
-    return _with_sampled_means(trace, last)
+        evolved = _evolve_means_on(sibling, scenario, flux)
+    return _with_mean_side(scenario, evolved)
 
 
-def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]:
-    """Apply ``flux``: a trace whose events and precision side are final.
+@dataclass(frozen=True)
+class _Evolved:
+    """A run after its loops: every event column, and the precision side of the rest.
 
-    The samples' mean side, the outcome's mean and accuracy and the summary's
-    max_kl_after_t0 are left to ``_with_sampled_means``. Also returns, per
-    sample, the number of events at or before it.
+    ``samples`` holds every column but mean and kl_to_target, and ``last``
+    is, per sample, the number of events at or before it. ``halted_at`` is
+    the crystallization time, None when the run did not halt. The four
+    floats are the summary fields of the same names.
     """
+
+    events: np.ndarray
+    ledger: EnergyLedger
+    samples: np.ndarray
+    last: np.ndarray
+    halted_at: float | None
+    mean_precision_after_t0: float
+    mean_windowed_power_after_t0: float
+    total_energy: float
+    total_info: float
+    clamped: bool
+    power_window: float
+
+
+def _evolve(scenario: Scenario, flux: np.ndarray) -> _Evolved:
+    """Apply ``flux``: both loops, the ledger, and the precision side of the samples and summary."""
 
     beds = scenario.beds
     times, obs_precisions = flux["time"].tolist(), flux["obs_precision"].tolist()
@@ -180,7 +199,7 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]
     mean_after = evolve_mean(
         beds.initial_belief.mean, flux["value"][:n].tolist(), obs_precisions, precision_before, precision_after
     )
-    outcome = CrystallizationOutcome(crystallized=True, time=times[n - 1]) if halted else NOT_CRYSTALLIZED
+    halted_at = times[n - 1] if halted else None
     events = np.empty(n, dtype=_EVENT_DTYPE)
     events["precision_before"] = precision_before
     events["mean_after"] = mean_after
@@ -191,6 +210,9 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]
         scenario.energy_model, events["precision_before"], flux["obs_precision"][:n]
     )
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
+    # Runs with this one as their sibling share these arrays.
+    for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
+        column.flags.writeable = False
     totals = (ledger.cumulative_energy, ledger.cumulative_info)
     if not all(map(math.isfinite, totals)):
         # Validation bounds the charges of a generated flux; a replayed row may
@@ -199,32 +221,26 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]
         raise ValidationError([Violation("budget_exceeded", "observations", message)])
 
     power_window = scenario.horizon / 10.0
-    samples, last = _precision_samples(scenario, events, ledger, outcome.time, power_window)
+    samples, last = _precision_samples(scenario, events, ledger, halted_at, power_window)
     t0 = scenario.problem.t0
-    summary = Summary(
-        mean_precision_after_t0=after_burn_in(samples, t0, "precision", np.mean),
-        max_kl_after_t0=math.nan,
-        mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
-        observation_count=n,
-        total_energy=totals[0],
-        total_info=totals[1],
-    )
     clamped = bool(
         beds.initial_belief.precision <= PRECISION_FLOOR
         or np.any(events["precision_before"] <= PRECISION_FLOOR)
         or np.any(samples["precision"] <= PRECISION_FLOOR)
     )
-    trace = RunTrace(
-        samples=samples,
+    return _Evolved(
         events=events,
-        outcome=outcome,
         ledger=ledger,
-        summary=summary,
-        power_window=power_window,
+        samples=samples,
+        last=last,
+        halted_at=halted_at,
+        mean_precision_after_t0=after_burn_in(samples, t0, "precision", np.mean),
+        mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
+        total_energy=totals[0],
+        total_info=totals[1],
         clamped=clamped,
-        scenario=scenario,
+        power_window=power_window,
     )
-    return trace, last
 
 
 def _check_sibling(scenario: Scenario, observations: object, flux: np.ndarray, sibling: RunTrace) -> None:
@@ -245,11 +261,11 @@ def _check_sibling(scenario: Scenario, observations: object, flux: np.ndarray, s
         raise ValueError("sibling: its observation times up to the halt differ from this run's")
 
 
-def _evolve_means_on(sibling: RunTrace, scenario: Scenario, flux: np.ndarray) -> tuple[RunTrace, np.ndarray]:
+def _evolve_means_on(sibling: RunTrace, scenario: Scenario, flux: np.ndarray) -> _Evolved:
     """As ``_evolve``, but on ``sibling``'s precision side: only the events' means are new.
 
-    The trace shares the sibling's ledger arrays, which nothing writes in
-    place, and copies its events and samples.
+    Shares the sibling's read-only ledger arrays, and copies its events and
+    samples.
     """
 
     events = sibling.events.copy()
@@ -261,25 +277,33 @@ def _evolve_means_on(sibling: RunTrace, scenario: Scenario, flux: np.ndarray) ->
         events["precision_before"].tolist(),
         events["precision_after"].tolist(),
     )
-    samples = sibling.samples.copy()
-    trace = dataclasses.replace(
-        sibling, samples=samples, events=events, ledger=copy.copy(sibling.ledger), scenario=scenario
+    summary, ledger = sibling.summary, copy.copy(sibling.ledger)
+    return _Evolved(
+        events=events,
+        ledger=ledger,
+        samples=sibling.samples.copy(),
+        last=np.searchsorted(ledger.times, sibling.samples["t"], side="right"),
+        halted_at=sibling.outcome.time,
+        mean_precision_after_t0=summary.mean_precision_after_t0,
+        mean_windowed_power_after_t0=summary.mean_windowed_power_after_t0,
+        total_energy=summary.total_energy,
+        total_info=summary.total_info,
+        clamped=sibling.clamped,
+        power_window=sibling.power_window,
     )
-    return trace, np.searchsorted(trace.ledger.times, samples["t"], side="right")
 
 
-def _with_sampled_means(trace: RunTrace, last: np.ndarray) -> RunTrace:
-    """``trace`` with the mean side derived from its events' means, filling its samples in place.
+def _with_mean_side(scenario: Scenario, evolved: _Evolved) -> RunTrace:
+    """The trace of ``evolved``, with its mean side derived from the events' means.
 
-    ``last`` is, per sample, the number of events at or before it.
+    Fills the samples' mean and kl_to_target columns in place.
     """
 
-    scenario = trace.scenario
-    events, samples = trace.events, trace.samples
+    events, samples = evolved.events, evolved.samples
     initial, target = scenario.beds.initial_belief, scenario.problem.target
-    outcome = trace.outcome
-    if outcome.crystallized:
-        t = outcome.time
+    outcome = NOT_CRYSTALLIZED
+    if evolved.halted_at is not None:
+        t = evolved.halted_at
         outcome = check_crystallization(
             events["mean_after"][-1].item(),
             events["precision_after"][-1].item(),
@@ -288,14 +312,28 @@ def _with_sampled_means(trace: RunTrace, last: np.ndarray) -> RunTrace:
             target_mean_at(target, t),
             scenario.problem.delta,
         )
-    mean = np.concatenate(([initial.mean], events["mean_after"]))[last]
+    mean = np.concatenate(([initial.mean], events["mean_after"]))[evolved.last]
     samples["mean"] = mean
     samples["kl_to_target"] = kl_gaussian(
         mean, samples["precision"], target_mean_at(target, samples["t"]), 1.0 / target.target_variance
     )
-    max_kl = after_burn_in(samples, scenario.problem.t0, "kl_to_target", np.max)
-    return dataclasses.replace(
-        trace, outcome=outcome, summary=dataclasses.replace(trace.summary, max_kl_after_t0=max_kl)
+    summary = Summary(
+        mean_precision_after_t0=evolved.mean_precision_after_t0,
+        max_kl_after_t0=after_burn_in(samples, scenario.problem.t0, "kl_to_target", np.max),
+        mean_windowed_power_after_t0=evolved.mean_windowed_power_after_t0,
+        observation_count=len(events),
+        total_energy=evolved.total_energy,
+        total_info=evolved.total_info,
+    )
+    return RunTrace(
+        samples=samples,
+        events=events,
+        outcome=outcome,
+        ledger=evolved.ledger,
+        summary=summary,
+        power_window=evolved.power_window,
+        clamped=evolved.clamped,
+        scenario=scenario,
     )
 
 

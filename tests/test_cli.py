@@ -229,19 +229,30 @@ def test_simulate_landauer_energy_that_overflows_exits_2_without_warnings(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # kl_gaussian's precision_p / precision_q on a belief dissipated to the floor.
+        ["beds.gamma=2000", "problem.target.target_variance=1e-300"],
+        # Its precision_q / precision_p once one observation lifts the precision above about 1.8.
+        ["problem.target.target_variance=1e308"],
+    ],
+    ids=["tiny", "huge"],
+)
 def test_simulate_target_variance_that_overflows_the_divergence_exits_2_without_warnings(
-    tmp_path, scenario_file, capsys
+    tmp_path, scenario_file, capsys, overrides
 ):
     argv = ["simulate", "--scenario-path", scenario_file(steady_state), "--output-dir", str(tmp_path / "o")]
-    for override in ["horizon=30", "beds.gamma=2000", "problem.target.target_variance=1e-300"]:
+    for override in ["horizon=30", *overrides]:
         argv += ["--override", override]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
     assert code == 2
+    value = float(overrides[-1].partition("=")[2])
     assert capsys.readouterr().err.splitlines() == [
         "error: problem.target.target_variance: must keep the divergence of a belief at the lowest "
-        "precision finite, got 1e-300"
+        f"and highest precision finite, got {value!r}"
     ]
     assert caught == []
     assert not (tmp_path / "o").exists()

@@ -153,9 +153,9 @@ def test_fixed_cost_that_overflows_the_running_energy_is_over_budget():
     assert scenario_violations(fixed_cost("landauer_min", 1e308)) == []
 
 
-def _with_precisions(initial: float, obs: float) -> Scenario:
+def _with_precisions(initial: float, obs: float, target_variance: float = 100.0) -> Scenario:
     # A target variance of 100 keeps the divergence of a 1e-310 belief finite.
-    target = TargetSpec(kind="static", theta0=1.0, velocity=0.0, target_variance=100.0)
+    target = TargetSpec(kind="static", theta0=1.0, velocity=0.0, target_variance=target_variance)
     return make_scenario(
         beds=BedsParams(gamma=0.5, epsilon=1e-4, initial_belief=GaussianBelief(0.0, initial)),
         flux_spec=FluxSpec(arrival=PoissonArrival(rate=2.0), obs_precision=obs, noise="noisy"),
@@ -184,9 +184,10 @@ def test_kbt_that_overflows_the_minimum_energy_is_over_budget():
 
 
 def test_initial_precision_that_overflows_the_sample_mean_is_over_budget():
-    violations = scenario_violations(_with_precisions(1e308, 1.0))
+    # A target variance of 1 keeps the divergence of a 1e308 belief finite.
+    violations = scenario_violations(_with_precisions(1e308, 1.0, target_variance=1.0))
     assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "beds.initial_belief.precision")]
-    assert scenario_violations(_with_precisions(1e300, 1.0)) == []
+    assert scenario_violations(_with_precisions(1e300, 1.0, target_variance=1.0)) == []
 
 
 def test_target_beyond_a_finite_divergence_is_over_budget():
@@ -221,6 +222,10 @@ def test_target_variance_that_overflows_the_divergence_is_over_budget():
     # An initial precision below the floor is the lowest one: 1 / 1e-310 / 1.8e308 is about 56.
     assert [(v.code, v.field) for v in scenario_violations(target_variance(1e-310, 50.0))] == over
     assert scenario_violations(target_variance(1e-310, 60.0)) == []
+    # The highest precision is at most 1 + 1e-3 * 2e6 = 2001, and 2001 * target_variance
+    # leaves the float range just above 8.9e304.
+    assert [(v.code, v.field) for v in scenario_violations(target_variance(1.0, 1e305))] == over
+    assert scenario_violations(target_variance(1.0, 1e304)) == []
 
 
 def test_seed_must_fit_64_bits():

@@ -416,9 +416,13 @@ def test_run_with_a_sibling_equals_a_fresh_run(base):
     sibling = run(base)
     before = (sibling.samples.tobytes(), sibling.events.tobytes(), sibling.ledger.to_csv())
     scenario = replace(base, seed=(base.seed + 1) % 2**64)
-    _assert_same_trace(run(scenario, sibling=sibling), run(scenario))
-    # The sibling lends its arrays but is not written.
+    trace = run(scenario, sibling=sibling)
+    _assert_same_trace(trace, run(scenario))
+    # The sibling lends its arrays but is not written, and nobody can write the shared ones.
     assert (sibling.samples.tobytes(), sibling.events.tobytes(), sibling.ledger.to_csv()) == before
+    for ledger in (sibling.ledger, trace.ledger):
+        columns = (ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
+        assert not any(column.flags.writeable for column in columns)
 
 
 def test_run_rejects_a_sibling_whose_precision_side_may_differ():
