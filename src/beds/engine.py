@@ -13,9 +13,12 @@ means, their divergence from the target and the crystallization outcome.
 A crystallized run halts: nothing is recorded afterwards.
 
 Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, one summary row per cell per replicate. The replicates of a cell
-with periodic or scheduled arrivals observe at the same times, so they
-share its first run's precision side and recompute only the mean side.
+seeds, one summary row per cell per replicate, and share work two ways.
+Across seeds: the replicates of a cell with periodic or scheduled arrivals
+observe at the same times, so they share its first run's precision side and
+recompute only the mean side. Across cells: the noise of such a run is the
+first standard normals of its seed's stream, so every cell reads each
+replicate seed's normals from one memo, drawn once per sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import numpy as np
 
 from .analysis import after_burn_in, kl_gaussian
 from .core import (
+    MAX_EXPECTED_COUNT,
     NonMonotonicFlux,
+    PeriodicArrival,
     PoissonArrival,
     Scenario,
     UnknownParameterPath,
@@ -128,7 +133,11 @@ class RunTrace:
 
 
 def run(
-    scenario: Scenario, observations: np.ndarray | None = None, *, sibling: RunTrace | None = None
+    scenario: Scenario,
+    observations: np.ndarray | None = None,
+    *,
+    sibling: RunTrace | None = None,
+    normals_memo: dict[int, np.ndarray] | None = None,
 ) -> RunTrace:
     """Simulate one scenario deterministically.
 
@@ -149,11 +158,15 @@ def run(
     and accuracy, and ``max_kl_after_t0``). The trace equals a run without
     a sibling. A sibling of another scenario, of Poisson arrivals, of other
     observation times, or beside ``observations`` raises ValueError.
+
+    ``normals_memo`` is passed to ``generate_flux``: runs at the same seeds
+    share their noise draws through it, and the trace is the same without it.
     """
 
     validate_scenario(scenario)
     if observations is None:
-        flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
+        target, horizon, seed = scenario.problem.target, scenario.horizon, scenario.seed
+        flux = generate_flux(scenario.flux_spec, target, horizon, seed, normals_memo)
     else:
         flux = _checked_flux(observations)
     if sibling is None:
@@ -219,6 +232,14 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> _Evolved:
         # observe a belief far below its own precision and gain inf nats.
         message = "must keep the total energy and information finite, got {!r} and {!r}".format(*totals)
         raise ValidationError([Violation("budget_exceeded", "observations", message)])
+    if n:
+        # Likewise for the divergence's precision ratios in the order
+        # kl_gaussian divides, on the highest precision the rows reach.
+        highest = events["precision_after"].max().item()
+        precision_p = 1.0 / scenario.problem.target.target_variance
+        if not (math.isfinite(highest / precision_p) and math.isfinite(precision_p / highest)):
+            message = f"must keep the divergence of the highest precision finite, got {highest!r}"
+            raise ValidationError([Violation("budget_exceeded", "observations", message)])
 
     power_window = scenario.horizon / 10.0
     samples, last = _precision_samples(scenario, events, ledger, halted_at, power_window)
@@ -427,10 +448,13 @@ def sweep(
     Grid entries are (dotted scenario path, values); paths must address
     numeric fields other than ``seed``. Replicate ``i`` runs with seed
     base.seed + i, and a cell without Poisson arrivals passes its first
-    run to the others as ``run``'s ``sibling``. Row order is grid-major,
-    replicate-minor. Every cell's scenario is built and validated before
-    the first run, and a sweep whose runs expect more than MAX_SWEEP_COUNT
-    observations and samples in all is rejected.
+    run to the others as ``run``'s ``sibling``. Every run gets the same
+    ``normals_memo``, made for this call and dropped on return, unless
+    the replicates times the most normals a cell reads from it exceed
+    core.MAX_EXPECTED_COUNT; then each run draws its own. Row order is
+    grid-major, replicate-minor. Every cell's scenario is built and
+    validated before the first run, and a sweep whose runs expect more
+    than MAX_SWEEP_COUNT observations and samples in all is rejected.
     """
 
     if replicates < 1:
@@ -456,6 +480,10 @@ def sweep(
             f"replicates: {replicates} per grid cell over {len(cells)} cell(s) expect about "
             f"{total:.3g} observations and samples, above the sweep budget of {MAX_SWEEP_COUNT:.0e}"
         )
+    # The memo holds each replicate seed's longest noise prefix, at most
+    # one run's flux column in all.
+    most = max(map(_memo_normals, cells), default=0.0)
+    normals_memo = {} if replicates * most <= MAX_EXPECTED_COUNT else None
     table = SweepTable(params=paths)
     for combo, cell in zip(combos, cells):
         # Periodic or scheduled arrivals give every replicate the same
@@ -463,12 +491,26 @@ def sweep(
         sibling = None
         for replicate in range(replicates):
             scenario = dataclasses.replace(cell, seed=(base.seed + replicate) % 2**64)
-            trace = run(scenario, sibling=sibling)
+            trace = run(scenario, sibling=sibling, normals_memo=normals_memo)
             if sibling is None and not isinstance(cell.flux_spec.arrival, PoissonArrival):
                 sibling = trace
             row = dict(zip(paths, combo))
             row["replicate"] = replicate
             row["seed"] = scenario.seed
-            row.update(asdict(trace.summary))
+            row.update(vars(trace.summary))
             table.rows.append(row)
     return table
+
+
+def _memo_normals(cell: Scenario) -> float:
+    """How many of each seed's normals a run of ``cell`` reads from a sweep's memo.
+
+    Only noisy cells without Poisson arrivals read any.
+    """
+
+    spec = cell.flux_spec
+    if spec.noise != "noisy" or isinstance(spec.arrival, PoissonArrival):
+        return 0.0
+    if isinstance(spec.arrival, PeriodicArrival):
+        return cell.horizon / spec.arrival.period
+    return float(len(spec.arrival.times))

@@ -8,6 +8,12 @@ plus two when values are noisy), so identical (spec, target, horizon, seed)
 always yields an identical flux. Uniforms are drawn in blocks and used in
 stream order: the Poisson inter-arrivals up to and including the first
 one past the horizon, then the noise pairs.
+
+With periodic or scheduled arrivals nothing is drawn for the times, so a
+run's noise is the first Box-Muller normals of its seed's stream, whatever
+the rest of the spec. A caller that generates many such fluxes at the same
+seeds (a sweep) may pass a memo that keeps those normals from one call to
+the next.
 """
 
 from __future__ import annotations
@@ -89,13 +95,58 @@ def _arrival_times(spec: FluxSpec, horizon: float, rng: np.random.Generator) -> 
     raise EmptySpec(f"flux spec has no usable arrival: {arrival!r}")
 
 
-def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int) -> np.ndarray:
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals ``sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``, one per pair of uniforms."""
+
+    logs = libm(math.log, 1.0 - u[0::2])
+    coss = libm(math.cos, _TWO_PI * u[1::2])
+    return np.sqrt(-2.0 * logs) * coss
+
+
+def _standard_normals(
+    count: int,
+    rng: np.random.Generator,
+    unused: np.ndarray,
+    seed: int,
+    memo: dict[int, np.ndarray] | None,
+) -> np.ndarray:
+    """The stream's next ``count`` normals: two uniforms each, ``unused`` ones first.
+
+    With a ``memo`` (only for a stream nothing has been drawn from yet),
+    ``memo[seed]`` holds the seed's first normals: a short or missing entry
+    is extended by the missing tail, drawn after skipping the uniforms
+    behind it, and stored back read-only, since callers get views of it.
+    """
+
+    if memo is None:
+        needed = 2 * count
+        return _box_muller(np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))))
+    drawn = memo.get(seed, np.empty(0))
+    if len(drawn) < count:
+        rng.bit_generator.advance(2 * len(drawn))
+        drawn = memo[seed] = np.concatenate((drawn, _box_muller(rng.random(2 * (count - len(drawn))))))
+        drawn.flags.writeable = False
+    return drawn[:count]
+
+
+def generate_flux(
+    spec: FluxSpec,
+    target: TargetSpec,
+    horizon: float,
+    seed: int,
+    normals_memo: dict[int, np.ndarray] | None = None,
+) -> np.ndarray:
     """Generate the time-ordered observation stream for one run.
 
     Values are the target mean at the arrival time, plus (for noisy specs)
     Gaussian noise of variance 1/obs_precision, matching the likelihood
     precision the belief update assumes. The flux is one structured array
     with the float fields of ``FLUX_FIELDS``, one row per observation.
+
+    ``normals_memo`` maps seeds to the standard normals drawn at them so
+    far. A noisy periodic or scheduled spec reads its noise from it and
+    stores any normals it draws; Poisson and exact specs leave it alone. The
+    flux is the same with or without it.
     """
 
     if horizon <= 0:
@@ -107,14 +158,10 @@ def generate_flux(spec: FluxSpec, target: TargetSpec, horizon: float, seed: int)
     flux["value"] = target_mean_at(target, flux["time"])
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
-        # Box-Muller, two uniforms per value: the stream's next uniforms after
-        # the arrivals, in order.
-        needed = 2 * len(times)
-        u = np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0))))
-        logs = libm(math.log, 1.0 - u[0::2])
-        coss = libm(math.cos, _TWO_PI * u[1::2])
+        # Poisson noise follows a seed-dependent number of arrival draws.
+        memo = None if isinstance(spec.arrival, PoissonArrival) else normals_memo
         noise_scale = 1.0 / math.sqrt(spec.obs_precision)
-        flux["value"] += noise_scale * (np.sqrt(-2.0 * logs) * coss)
+        flux["value"] += noise_scale * _standard_normals(len(times), rng, unused, seed, memo)
     return flux
 
 

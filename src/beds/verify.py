@@ -451,28 +451,7 @@ def check_dynamics_oracles(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, di
     max_rel_semigroup = float(np.max(np.abs(two_step - one_step) / one_step))
 
     # Merge order: simultaneous updates commute and precisions add.
-    # Scalar draws: integers and permutation consume the stream's buffered
-    # 32-bit halves, so a block draw would change the values.
-    max_rel_merge = 0.0
-    log_lo, log_hi = np.log(1e-2), np.log(1e2)
-    for _ in range(10_000):
-        mean = float(rng.uniform(-5, 5))
-        precision = float(np.exp(rng.uniform(log_lo, log_hi)))
-        k = int(rng.integers(2, 7))
-        taus = np.exp(rng.uniform(log_lo, log_hi, size=k))
-        values = rng.uniform(-5, 5, size=k)
-        order = rng.permutation(k)
-        forward = shuffled = (mean, precision)
-        for i in range(k):
-            forward = bayes_update(*forward, float(values[i]), float(taus[i]))
-        for i in order:
-            shuffled = bayes_update(*shuffled, float(values[i]), float(taus[i]))
-        expected_precision = precision + float(taus.sum())
-        max_rel_merge = max(
-            max_rel_merge,
-            abs(forward[1] - expected_precision) / expected_precision,
-            abs(shuffled[1] - expected_precision) / expected_precision,
-        )
+    max_rel_merge = _max_rel_merge_order(rng, 10_000)
 
     passed = (
         max_rel_rk4 <= 1e-8
@@ -495,6 +474,41 @@ def check_dynamics_oracles(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, di
         "max_rel_merge_order": max_rel_merge,
         "invariance_tolerance": 1e-12,
     }
+
+
+def _max_rel_merge_order(rng: np.random.Generator, trials: int) -> float:
+    """Largest relative gap between a prior plus k <= 6 simultaneous precisions and both folds.
+
+    Each trial draws a prior and 2 to 6 observations, then applies them as
+    ``bayes_update`` does, in drawn and in permuted order. The draws are
+    scalar: integers and permutation consume the stream's buffered 32-bit
+    halves, so a block draw would change the values. Each trial's
+    observations fill a row, padded with zero precisions that the identity
+    tail of its order keeps last; adding 0.0 changes no sum, so the folds
+    run down the columns. Only precisions are compared, so the means and
+    values are drawn and not folded.
+    """
+
+    width = 6
+    log_lo, log_hi = np.log(1e-2), np.log(1e2)
+    precision = np.empty(trials)
+    taus = np.zeros((trials, width))
+    order = np.tile(np.arange(width), (trials, 1))
+    for trial in range(trials):
+        rng.uniform(-5, 5)  # mean
+        precision[trial] = np.exp(rng.uniform(log_lo, log_hi))
+        k = int(rng.integers(2, width + 1))
+        taus[trial, :k] = np.exp(rng.uniform(log_lo, log_hi, size=k))
+        rng.uniform(-5, 5, size=k)  # values
+        order[trial, :k] = rng.permutation(k)
+    forward, shuffled = precision, precision
+    permuted = np.take_along_axis(taus, order, axis=1)
+    for i in range(width):
+        # bayes_update's posterior precision, one observation per trial.
+        forward, shuffled = forward + taus[:, i], shuffled + permuted[:, i]
+    expected = precision + taus.sum(axis=1)
+    gaps = (np.max(np.abs(folded - expected) / expected) for folded in (forward, shuffled))
+    return float(max(gaps))
 
 
 def check_optimal_obs_precision(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, dict]:

@@ -28,14 +28,15 @@ from beds.core import (
 )
 from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
 from beds.energy import gaussian_entropy
-from beds import engine
+from beds import engine, fluxgen
 from beds.engine import run, sweep, trace_to_csv
-from beds.fluxgen import FLUX_FIELDS, target_mean_at
+from beds.fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from beds.scenarios import (
     dissipation_only,
     drifting_tracking,
     static_crystallizing,
     steady_state,
+    tracking_sweep_base,
 )
 from ledger_oracles import ReferenceLedger, energy_up_to, ledger_state, observation_cost, windowed_power
 
@@ -410,6 +411,80 @@ def test_sweep_rows_equal_independent_runs(base):
     assert repr(table.rows) == repr(expected)
 
 
+@given(_sweep_cells(), st.sampled_from([engine.MAX_EXPECTED_COUNT, 0]))
+@settings(max_examples=60, deadline=None)
+def test_sweep_rows_equal_independent_runs_over_noise_prefixes(base, cap):
+    # Cells of three horizons read shorter and longer prefixes of each seed's
+    # normals; a cap of 0 turns the shared memo off.
+    horizons, precisions = [5.0, 10.0, 2.5], [base.flux_spec.obs_precision, 16.0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "MAX_EXPECTED_COUNT", cap)
+        table = sweep(base, [("horizon", horizons), ("flux_spec.obs_precision", precisions)], replicates=3)
+    expected = []
+    for horizon, obs_precision in itertools.product(horizons, precisions):
+        for replicate in range(3):
+            seed = (base.seed + replicate) % 2**64
+            spec = replace(base.flux_spec, obs_precision=obs_precision)
+            scenario = replace(base, horizon=horizon, flux_spec=spec, seed=seed)
+            row = {"horizon": horizon, "flux_spec.obs_precision": obs_precision, "replicate": replicate, "seed": seed}
+            row.update(asdict(run(scenario).summary))
+            expected.append(row)
+    assert repr(table.rows) == repr(expected)
+
+
+def _memos_seen(monkeypatch):
+    """Record, per generate_flux call in the engine, its memo and how many seeds it held."""
+
+    seen = []
+
+    def spy(spec, target, horizon, seed, normals_memo=None):
+        seen.append((normals_memo, None if normals_memo is None else len(normals_memo)))
+        return generate_flux(spec, target, horizon, seed, normals_memo)
+
+    monkeypatch.setattr(engine, "generate_flux", spy)
+    return seen
+
+
+def test_sweep_draws_each_seeds_normals_once_and_keeps_none_after_it_returns(monkeypatch):
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    grid = [("flux_spec.arrival.period", [0.5, 0.25])]
+    module_state = {module: dict(vars(module)) for module in (engine, fluxgen)}
+    seen = _memos_seen(monkeypatch)
+    first = sweep(base, grid, replicates=3)
+    # One memo for the sweep: the first cell fills it, the second only extends its entries.
+    [memo] = {id(memo): memo for memo, _ in seen}.values()
+    assert [count for _, count in seen] == [0, 1, 2, 3, 3, 3]
+    assert sorted(memo) == [base.seed, base.seed + 1, base.seed + 2]
+    assert {len(normals) for normals in memo.values()} == {40}
+    seen.clear()
+    second = sweep(base, grid, replicates=3)
+    # The next sweep starts from an empty memo of its own, and neither module kept one.
+    assert seen[0][1] == 0 and seen[0][0] is not memo
+    assert repr(second.rows) == repr(first.rows)
+    monkeypatch.undo()
+    for row in first.rows:
+        arrival = PeriodicArrival(period=row["flux_spec.arrival.period"])
+        scenario = replace(base, flux_spec=replace(base.flux_spec, arrival=arrival), seed=row["seed"])
+        summary = asdict(run(scenario).summary)
+        assert repr(summary) == repr({name: row[name] for name in summary})
+    assert {module: dict(vars(module)) for module in (engine, fluxgen)} == module_state
+
+
+def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    grid = [("flux_spec.arrival.period", [0.5, 0.25])]
+    shared = sweep(base, grid, replicates=3)
+    # 3 replicates x 40 normals of the period-0.25 cell: one past the cap.
+    monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 119)
+    seen = _memos_seen(monkeypatch)
+    assert repr(sweep(base, grid, replicates=3).rows) == repr(shared.rows)
+    assert seen == [(None, None)] * 6
+    monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 120)
+    seen.clear()
+    sweep(base, grid, replicates=3)
+    assert all(memo is not None for memo, _ in seen)
+
+
 @given(_sweep_cells(arrivals=("periodic", "schedule")))
 @settings(max_examples=60, deadline=None)
 def test_run_with_a_sibling_equals_a_fresh_run(base):
@@ -654,6 +729,21 @@ def test_replay_with_an_infinite_charge_is_rejected(model):
         run(scenario, observations=_flux([(0.0, 0.0, 0.5), (1.0, 0.0, 1e-3)]))
     [violation] = info.value.violations
     assert (violation.code, violation.field) == ("budget_exceeded", "observations")
+
+
+def test_replay_whose_precision_overflows_the_divergence_is_rejected():
+    # Every budget holds for the scenario, but 1e10 over the target's
+    # precision of 1e-300 is past the float range.
+    scenario = replace(steady_state(), horizon=30.0, beds=replace(steady_state().beds, epsilon=1e-20))
+    target = replace(scenario.problem.target, target_variance=1e300)
+    scenario = replace(scenario, problem=replace(scenario.problem, target=target, t0=1.0))
+    with pytest.raises(ValidationError) as info:
+        run(scenario, observations=_flux([(0.5, 0.0, 1e10)]))
+    [violation] = info.value.violations
+    assert (violation.code, violation.field) == ("budget_exceeded", "observations")
+    assert "divergence" in violation.message
+    # A row of precision 1 fits.
+    assert math.isfinite(run(scenario, observations=_flux([(0.5, 0.0, 1.0)])).summary.max_kl_after_t0)
 
 
 # --- mutation detection -------------------------------------------------------------

@@ -170,6 +170,50 @@ def test_noisy_periodic_flux_equals_reference_for_any_period_and_precision(perio
     assert got.tobytes() == _reference_flux(spec, DRIFT_1, 20.0, seed).tobytes()
 
 
+# --- the normals memo ---------------------------------------------------------------
+
+
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from([0, 7, 2**64 - 1]),
+            st.sampled_from(
+                [PeriodicArrival(period=0.5), PeriodicArrival(period=0.125), REFERENCE_ARRIVALS["schedule"]]
+            ),
+            st.sampled_from([1.0, 5.0, 20.0, 45.0]),
+            st.sampled_from([0.5, 4.0]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_memo_flux_equals_a_fresh_flux_for_every_prefix(runs):
+    # Runs at one seed read prefixes of one memo entry, longer or shorter than it holds.
+    memo, longest = {}, {}
+    for seed, arrival, horizon, obs_precision in runs:
+        spec = FluxSpec(arrival=arrival, obs_precision=obs_precision, noise="noisy")
+        got = generate_flux(spec, DRIFT_1, horizon, seed, memo)
+        assert got.tobytes() == generate_flux(spec, DRIFT_1, horizon, seed).tobytes()
+        assert got.tobytes() == _reference_flux(spec, DRIFT_1, horizon, seed).tobytes()
+        longest[seed] = max(longest.get(seed, 0), len(got))
+    for seed, normals in memo.items():
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert normals.tolist() == [_reference_standard_normal(rng) for _ in range(longest[seed])]
+        assert not normals.flags.writeable
+    assert sorted(memo) == sorted(seed for seed, count in longest.items() if count)
+
+
+@pytest.mark.parametrize("arrival", REFERENCE_ARRIVALS.values(), ids=REFERENCE_ARRIVALS.keys())
+def test_exact_and_poisson_fluxes_leave_the_memo_alone(arrival):
+    noises = ["exact", "noisy"] if isinstance(arrival, PoissonArrival) else ["exact"]
+    for noise in noises:
+        spec = FluxSpec(arrival=arrival, obs_precision=4.0, noise=noise)
+        memo = {3: np.array([9.0])}
+        got = generate_flux(spec, DRIFT_1, 40.0, 3, memo)
+        assert got.tobytes() == generate_flux(spec, DRIFT_1, 40.0, 3).tobytes()
+        assert list(memo) == [3] and memo[3].tolist() == [9.0]
+
+
 def test_missing_arrival_raises_empty_spec():
     spec = FluxSpec(arrival=None, obs_precision=1.0, noise="exact")
     with pytest.raises(EmptySpec):

@@ -50,6 +50,16 @@ GOLDEN = {
     },
 }
 GOLDEN_SWEEP = "6565bbe394dcb713cf15a3779085315fbb481a779c7cec1094c430e0b4b3ab95"
+# One `beds sweep` per arrival kind and noise kind, each over two
+# obs_precision values with three replicates.
+GOLDEN_MIXED_SWEEPS = {
+    "periodic-exact": "c6ed4572d108c726740809a980a13c12dfcf0a390f1fc13e1817d7109e742c1d",
+    "periodic-noisy": "d97d8b5bb4a1fa50400af4f0976aafc3f96278cad8186f720657beadd6ba20af",
+    "poisson-exact": "254b972e69318c3f93fb8952915c33f7129d77f9591195e7d7132929af87fbf1",
+    "poisson-noisy": "04ec635883088896418a7cb557a064d39262eccbace46c89239683717206698d",
+    "schedule-exact": "e00963e62953958f8359c633cadd7af4ae5ed04bfad55c966800bfb6d32b5abd",
+    "schedule-noisy": "3228071eba6089b4f28a29a456254bb076d03d2b8fac1a0b565d761c4f25aa9f",
+}
 GOLDEN_FLUX = "5dcf7e9bec5589aa7c4cc6317cc0ec7c9015333db39f83a4de913451330dc539"
 # What `beds verify` writes at the default seed base: verify_report.json and
 # the tracking sweep's sweep.csv.
@@ -95,6 +105,39 @@ def test_sweep_output_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256((tmp_path / "sweep.csv").read_bytes()) == GOLDEN_SWEEP
+
+
+MIXED_ARRIVALS = {
+    "periodic": ('{"kind": "periodic", "period": 0.25}', ["--grid", "flux_spec.arrival.period=0.5,0.25"]),
+    "schedule": (
+        '{"kind": "schedule", "times": [0.5, 1.0, 1.0, 2.25, 3.5, 4.75, 6.0]}',
+        ["--grid", "problem.target.velocity=0,1"],
+    ),
+    "poisson": ('{"kind": "poisson", "rate": 8.0}', ["--grid", "flux_spec.arrival.rate=4,8"]),
+}
+
+
+@pytest.mark.parametrize("arrival", sorted(MIXED_ARRIVALS))
+@pytest.mark.parametrize("noise", ["exact", "noisy"])
+def test_sweep_of_each_arrival_and_noise_kind_matches_golden(arrival, noise, tmp_path, capsys):
+    spec, grid = MIXED_ARRIVALS[arrival]
+    code = main(
+        [
+            "sweep",
+            "--scenario-path", str(SCENARIOS / "tracking_sweep_base.json"),
+            "--output-dir", str(tmp_path),
+            *grid,
+            "--grid", "flux_spec.obs_precision=4,16",
+            "--replicates", "3",
+            "--override", "horizon=5",
+            "--override", "problem.t0=1",
+            "--override", f"flux_spec.arrival={spec}",
+            "--override", f"flux_spec.noise={noise}",
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256((tmp_path / "sweep.csv").read_bytes()) == GOLDEN_MIXED_SWEEPS[f"{arrival}-{noise}"]
 
 
 def test_flux_csv_matches_golden():

@@ -1,4 +1,7 @@
-"""How run_all assembles the report from the checks, with every check stubbed out."""
+"""How run_all assembles the report from the checks, and the column form of a check's folds."""
+
+import numpy as np
+import pytest
 
 from beds import verify
 
@@ -29,3 +32,34 @@ def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monk
     assert report.checks[0].measured == {"stub": True}
     assert report.tracking_table == "table"
     assert not report.all_passed
+
+
+def _scalar_merge_order(rng, trials):
+    # The merge-order sub-check one trial and one bayes_update at a time.
+    from beds.dynamics import bayes_update
+
+    worst = 0.0
+    log_lo, log_hi = np.log(1e-2), np.log(1e2)
+    for _ in range(trials):
+        mean = float(rng.uniform(-5, 5))
+        precision = float(np.exp(rng.uniform(log_lo, log_hi)))
+        k = int(rng.integers(2, 7))
+        taus = np.exp(rng.uniform(log_lo, log_hi, size=k))
+        values = rng.uniform(-5, 5, size=k)
+        order = rng.permutation(k)
+        forward = shuffled = (mean, precision)
+        for i in range(k):
+            forward = bayes_update(*forward, float(values[i]), float(taus[i]))
+        for i in order:
+            shuffled = bayes_update(*shuffled, float(values[i]), float(taus[i]))
+        expected = precision + float(taus.sum())
+        worst = max(worst, abs(forward[1] - expected) / expected, abs(shuffled[1] - expected) / expected)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 600, 2**63 + 1])
+def test_merge_order_columns_equal_the_scalar_folds(seed):
+    columns, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    assert verify._max_rel_merge_order(columns, 2_000) == _scalar_merge_order(scalar, 2_000)
+    # Both leave the stream at the same place.
+    assert columns.random() == scalar.random()
