@@ -395,6 +395,9 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
     # summary's sum of n sample precisions overflows only for a huge initial one.
     tau = initial.precision
     out.append(("beds.initial_belief.precision", tau, f"the sum of {n:.0e} precisions", tau * n))
+    if tau > 0:
+        # Sample row 0 is the initial belief: a subnormal precision has an infinite variance.
+        out.append(("beds.initial_belief.precision", tau, "the initial variance", 1.0 / tau))
     if tau > 0 and obs_precision > 0:
         # The most one charge gains: an observation on the lowest precision a
         # run reaches, the floor or a lower initial one. kBT times it is its

@@ -13,12 +13,13 @@ means, their divergence from the target and the crystallization outcome.
 A crystallized run halts: nothing is recorded afterwards.
 
 Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, one summary row per cell per replicate, and share work two ways.
-Across seeds: the replicates of a cell with periodic or scheduled arrivals
-observe at the same times, so they share its first run's precision side and
-recompute only the mean side. Across cells: the noise of such a run is the
-first standard normals of its seed's stream, so every cell reads each
-replicate seed's normals from one memo, drawn once per sweep.
+seeds, one summary row per cell per replicate, and their runs share one
+``SweepMemo``. With periodic or scheduled arrivals nothing is drawn for the
+times, so a run's precision side is a function of a few scenario values,
+its key: the runs of a cell, and the next cells that differ only outside
+the key, reuse the last side and compute only the mean side. And a run's
+noise is the first standard normals of its seed's stream, so every cell
+reads each replicate seed's normals from the memo, drawn once per sweep.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .analysis import after_burn_in, kl_gaussian
 from .core import (
     MAX_EXPECTED_COUNT,
+    EnergyModel,
     NonMonotonicFlux,
     PeriodicArrival,
     PoissonArrival,
@@ -64,6 +66,7 @@ __all__ = [
     "MAX_SWEEP_COUNT",
     "Summary",
     "RunTrace",
+    "SweepMemo",
     "SweepTable",
     "run",
     "sweep",
@@ -82,6 +85,9 @@ SAMPLE_FIELDS = (
 )
 _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 _EVENT_DTYPE = np.dtype([(name, np.float64) for name in ("precision_before", "mean_after", "precision_after")])
+# Rows per block of the mean loop, whose per-event lists then add little to a
+# run's peak memory.
+_MEAN_BLOCK = 4096
 # Most observations plus samples a sweep may expect over all its runs: a
 # hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
 MAX_SWEEP_COUNT = 10**8
@@ -117,9 +123,8 @@ class RunTrace:
     mean before is row ``i - 1``'s mean_after (the initial mean for row 0).
     ``power_window`` is the width of the sliding window behind the
     windowed_power samples, horizon / 10. ``clamped`` flags that the
-    precision floor was hit at least once. ``scenario`` is the scenario
-    that ``run`` simulated. The ledger's columns are read-only, since runs
-    that take this one as ``sibling`` share them.
+    precision floor was hit at least once. The ledger's columns are
+    read-only, since the runs of a sweep may share them.
     """
 
     samples: np.ndarray
@@ -129,16 +134,44 @@ class RunTrace:
     summary: Summary
     power_window: float
     clamped: bool = False
-    scenario: Scenario | None = None
 
 
-def run(
-    scenario: Scenario,
-    observations: np.ndarray | None = None,
-    *,
-    sibling: RunTrace | None = None,
-    normals_memo: dict[int, np.ndarray] | None = None,
-) -> RunTrace:
+@dataclass(frozen=True)
+class _PrecisionSide:
+    """What ``_precision_side`` computes: a run up to its observed values.
+
+    ``events`` and ``samples`` leave their mean_after, mean and kl_to_target
+    columns 0, and ``last`` is, per sample, the number of events at or
+    before it. ``halted_at`` is the crystallization time, None when the run
+    did not halt. ``summary`` holds the ``Summary`` fields of this side.
+    """
+
+    events: np.ndarray
+    ledger: EnergyLedger
+    samples: np.ndarray
+    last: np.ndarray
+    halted_at: float | None
+    clamped: bool
+    power_window: float
+    summary: dict
+
+
+@dataclass
+class SweepMemo:
+    """Work that the runs of one sweep share through ``run``'s ``shared``.
+
+    ``normals`` maps each seed to the standard normals drawn at it so far
+    (``generate_flux``'s memo), or is None to draw them per run. ``side`` is
+    the last precision side a run computed, and ``key`` the inputs it was
+    computed from.
+    """
+
+    normals: dict[int, np.ndarray] | None = field(default_factory=dict)
+    key: tuple | None = None
+    side: _PrecisionSide | None = None
+
+
+def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: SweepMemo | None = None) -> RunTrace:
     """Simulate one scenario deterministically.
 
     Observation costs are priced at the pre-update precision, after
@@ -148,82 +181,73 @@ def run(
     non-decreasing time order, as returned by ``generate_flux`` or
     ``flux_from_csv``.
 
-    ``sibling`` is a finished run of the same scenario at another seed, with
-    periodic or scheduled arrivals. Its precision side (the precision path,
-    the halt, the ledger, the precision and power columns and totals, and
-    ``clamped``) is then this run's too, since no observed value enters it:
-    the run shares the sibling's read-only ledger arrays, copies its
-    ``events`` and ``samples``, and recomputes only the mean side
-    (``mean_after``, the mean and kl_to_target samples, the outcome's mean
-    and accuracy, and ``max_kl_after_t0``). The trace equals a run without
-    a sibling. A sibling of another scenario, of Poisson arrivals, of other
-    observation times, or beside ``observations`` raises ValueError.
-
-    ``normals_memo`` is passed to ``generate_flux``: runs at the same seeds
-    share their noise draws through it, and the trace is the same without it.
+    ``shared`` lends work between runs, and the trace is the same without
+    it. ``generate_flux`` reads and extends its normals. A generated run
+    without Poisson arrivals reuses its precision side when the side's key
+    matches, and otherwise computes the side and holds it there, read-only,
+    in place of the last one. Replays and Poisson runs never share a side.
     """
 
     validate_scenario(scenario)
-    if observations is None:
-        target, horizon, seed = scenario.problem.target, scenario.horizon, scenario.seed
-        flux = generate_flux(scenario.flux_spec, target, horizon, seed, normals_memo)
+    beds, spec = scenario.beds, scenario.flux_spec
+    # Every value _precision_side reads besides the flux.
+    inputs = (
+        beds.initial_belief.precision,
+        beds.gamma,
+        beds.epsilon,
+        scenario.energy_model,
+        scenario.horizon,
+        scenario.sample_dt,
+        scenario.problem.t0,
+    )
+    if observations is not None:
+        flux, shared = _checked_flux(observations), None
     else:
-        flux = _checked_flux(observations)
-    if sibling is None:
-        evolved = _evolve(scenario, flux)
-    else:
-        _check_sibling(scenario, observations, flux, sibling)
-        evolved = _evolve_means_on(sibling, scenario, flux)
-    return _with_mean_side(scenario, evolved)
+        normals = None if shared is None else shared.normals
+        flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
+        if isinstance(spec.arrival, PoissonArrival):
+            shared = None
+    if shared is None:
+        return _with_mean_side(scenario, flux, _precision_side(flux, *inputs))
+    # Without Poisson draws, the arrival spec, the horizon and obs_precision
+    # fix the flux's times and precisions, the only flux columns it reads.
+    key = (spec.arrival, spec.obs_precision, *inputs)
+    if shared.key != key:
+        # Drop the held side first, so that one side is in memory at a time.
+        shared.key = shared.side = None
+        side = _precision_side(flux, *inputs)
+        for column in (side.events, side.samples, side.last):
+            column.flags.writeable = False
+        shared.key, shared.side = key, side
+    return _with_mean_side(scenario, flux, shared.side)
 
 
-@dataclass(frozen=True)
-class _Evolved:
-    """A run after its loops: every event column, and the precision side of the rest.
+def _precision_side(
+    flux: np.ndarray,
+    precision: float,
+    gamma: float,
+    epsilon: float,
+    energy_model: EnergyModel,
+    horizon: float,
+    sample_dt: float,
+    t0: float,
+) -> _PrecisionSide:
+    """Apply ``flux``'s times and obs_precisions: the precision loop, the ledger and the precision samples.
 
-    ``samples`` holds every column but mean and kl_to_target, and ``last``
-    is, per sample, the number of events at or before it. ``halted_at`` is
-    the crystallization time, None when the run did not halt. The four
-    floats are the summary fields of the same names.
+    ``precision`` is the initial one. No observed value enters the result.
     """
 
-    events: np.ndarray
-    ledger: EnergyLedger
-    samples: np.ndarray
-    last: np.ndarray
-    halted_at: float | None
-    mean_precision_after_t0: float
-    mean_windowed_power_after_t0: float
-    total_energy: float
-    total_info: float
-    clamped: bool
-    power_window: float
-
-
-def _evolve(scenario: Scenario, flux: np.ndarray) -> _Evolved:
-    """Apply ``flux``: both loops, the ledger, and the precision side of the samples and summary."""
-
-    beds = scenario.beds
     times, obs_precisions = flux["time"].tolist(), flux["obs_precision"].tolist()
-    precision_before, precision_after, halted = evolve_precision(
-        beds.initial_belief.precision, times, obs_precisions, beds.gamma, beds.epsilon
-    )
+    precision_before, precision_after, halted = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
     n = len(precision_after)
-    mean_after = evolve_mean(
-        beds.initial_belief.mean, flux["value"][:n].tolist(), obs_precisions, precision_before, precision_after
-    )
     halted_at = times[n - 1] if halted else None
-    events = np.empty(n, dtype=_EVENT_DTYPE)
+    events = np.zeros(n, dtype=_EVENT_DTYPE)
     events["precision_before"] = precision_before
-    events["mean_after"] = mean_after
     events["precision_after"] = precision_after
     # The arrays hold every column now: free the per-event lists first.
-    del times, obs_precisions, precision_before, mean_after, precision_after
-    energies, infos = observation_costs(
-        scenario.energy_model, events["precision_before"], flux["obs_precision"][:n]
-    )
-    ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, scenario.energy_model.kBT)
-    # Runs with this one as their sibling share these arrays.
+    del times, obs_precisions, precision_before, precision_after
+    energies, infos = observation_costs(energy_model, events["precision_before"], flux["obs_precision"][:n])
+    ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, energy_model.kBT)
     for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
         column.flags.writeable = False
     totals = (ledger.cumulative_energy, ledger.cumulative_info)
@@ -232,99 +256,57 @@ def _evolve(scenario: Scenario, flux: np.ndarray) -> _Evolved:
         # observe a belief far below its own precision and gain inf nats.
         message = "must keep the total energy and information finite, got {!r} and {!r}".format(*totals)
         raise ValidationError([Violation("budget_exceeded", "observations", message)])
-    if n:
-        # Likewise for the divergence's precision ratios in the order
-        # kl_gaussian divides, on the highest precision the rows reach.
-        highest = events["precision_after"].max().item()
-        precision_p = 1.0 / scenario.problem.target.target_variance
-        if not (math.isfinite(highest / precision_p) and math.isfinite(precision_p / highest)):
-            message = f"must keep the divergence of the highest precision finite, got {highest!r}"
-            raise ValidationError([Violation("budget_exceeded", "observations", message)])
 
-    power_window = scenario.horizon / 10.0
-    samples, last = _precision_samples(scenario, events, ledger, halted_at, power_window)
-    t0 = scenario.problem.t0
+    power_window = horizon / 10.0
+    samples, last = _precision_samples(precision, gamma, events, ledger, halted_at, horizon, sample_dt, power_window)
     clamped = bool(
-        beds.initial_belief.precision <= PRECISION_FLOOR
+        precision <= PRECISION_FLOOR
         or np.any(events["precision_before"] <= PRECISION_FLOOR)
         or np.any(samples["precision"] <= PRECISION_FLOOR)
     )
-    return _Evolved(
-        events=events,
-        ledger=ledger,
-        samples=samples,
-        last=last,
-        halted_at=halted_at,
-        mean_precision_after_t0=after_burn_in(samples, t0, "precision", np.mean),
-        mean_windowed_power_after_t0=after_burn_in(samples, t0, "windowed_power", np.mean),
-        total_energy=totals[0],
-        total_info=totals[1],
-        clamped=clamped,
-        power_window=power_window,
-    )
+    summary = {
+        "mean_precision_after_t0": after_burn_in(samples, t0, "precision", np.mean),
+        "mean_windowed_power_after_t0": after_burn_in(samples, t0, "windowed_power", np.mean),
+        "observation_count": n,
+        "total_energy": totals[0],
+        "total_info": totals[1],
+    }
+    return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
 
-def _check_sibling(scenario: Scenario, observations: object, flux: np.ndarray, sibling: RunTrace) -> None:
-    """Raise ValueError unless ``sibling``'s precision side is this run's."""
+def _with_mean_side(scenario: Scenario, flux: np.ndarray, side: _PrecisionSide) -> RunTrace:
+    """The trace of ``scenario`` on ``side``: the mean loop over ``flux``'s values, and what it feeds.
 
-    if observations is not None:
-        raise ValueError("sibling: a replayed flux cannot reuse another run's precision path")
-    if sibling.scenario is None or dataclasses.replace(sibling.scenario, seed=scenario.seed) != scenario:
-        raise ValueError("sibling: must be a run of the same scenario at another seed")
-    if isinstance(scenario.flux_spec.arrival, PoissonArrival):
-        raise ValueError("sibling: Poisson arrival times differ from seed to seed")
-    n = len(sibling.ledger)
-    if not (
-        len(flux) >= n
-        and (sibling.outcome.crystallized or len(flux) == n)
-        and np.array_equal(flux["time"][:n], sibling.ledger.times)
-    ):
-        raise ValueError("sibling: its observation times up to the halt differ from this run's")
-
-
-def _evolve_means_on(sibling: RunTrace, scenario: Scenario, flux: np.ndarray) -> _Evolved:
-    """As ``_evolve``, but on ``sibling``'s precision side: only the events' means are new.
-
-    Shares the sibling's read-only ledger arrays, and copies its events and
-    samples.
+    Fills the mean-side columns of the side's events and samples in place,
+    or of copies when the side is read-only (held by a ``SweepMemo``).
     """
 
-    events = sibling.events.copy()
+    events, samples, ledger = side.events, side.samples, side.ledger
+    if not events.flags.writeable:
+        events, samples, ledger = events.copy(), samples.copy(), copy.copy(ledger)
     n = len(events)
-    events["mean_after"] = evolve_mean(
-        scenario.beds.initial_belief.mean,
-        flux["value"][:n].tolist(),
-        flux["obs_precision"][:n].tolist(),
-        events["precision_before"].tolist(),
-        events["precision_after"].tolist(),
-    )
-    summary, ledger = sibling.summary, copy.copy(sibling.ledger)
-    return _Evolved(
-        events=events,
-        ledger=ledger,
-        samples=sibling.samples.copy(),
-        last=np.searchsorted(ledger.times, sibling.samples["t"], side="right"),
-        halted_at=sibling.outcome.time,
-        mean_precision_after_t0=summary.mean_precision_after_t0,
-        mean_windowed_power_after_t0=summary.mean_windowed_power_after_t0,
-        total_energy=summary.total_energy,
-        total_info=summary.total_info,
-        clamped=sibling.clamped,
-        power_window=sibling.power_window,
-    )
-
-
-def _with_mean_side(scenario: Scenario, evolved: _Evolved) -> RunTrace:
-    """The trace of ``evolved``, with its mean side derived from the events' means.
-
-    Fills the samples' mean and kl_to_target columns in place.
-    """
-
-    events, samples = evolved.events, evolved.samples
     initial, target = scenario.beds.initial_belief, scenario.problem.target
+    # The mean loop runs over blocks of rows, so that its per-event lists stay
+    # small beside the side's arrays; each block starts from the last mean.
+    columns = (flux["value"], flux["obs_precision"], events["precision_before"], events["precision_after"])
+    start = initial.mean
+    for lo in range(0, n, _MEAN_BLOCK):
+        rows = slice(lo, min(lo + _MEAN_BLOCK, n))
+        block = evolve_mean(start, *(column[rows].tolist() for column in columns))
+        events["mean_after"][rows] = block
+        start = block[-1]
+    precision_p = 1.0 / target.target_variance
+    if n:
+        # As for the totals, a replayed row may leave the divergence's
+        # precision ratios non-finite, in the order kl_gaussian divides, on
+        # the highest precision the rows reach.
+        highest = events["precision_after"].max().item()
+        if not (math.isfinite(highest / precision_p) and math.isfinite(precision_p / highest)):
+            message = f"must keep the divergence of the highest precision finite, got {highest!r}"
+            raise ValidationError([Violation("budget_exceeded", "observations", message)])
     outcome = NOT_CRYSTALLIZED
-    if evolved.halted_at is not None:
-        t = evolved.halted_at
+    if side.halted_at is not None:
+        t = side.halted_at
         outcome = check_crystallization(
             events["mean_after"][-1].item(),
             events["precision_after"][-1].item(),
@@ -333,29 +315,12 @@ def _with_mean_side(scenario: Scenario, evolved: _Evolved) -> RunTrace:
             target_mean_at(target, t),
             scenario.problem.delta,
         )
-    mean = np.concatenate(([initial.mean], events["mean_after"]))[evolved.last]
+    mean = np.concatenate(([initial.mean], events["mean_after"]))[side.last]
     samples["mean"] = mean
-    samples["kl_to_target"] = kl_gaussian(
-        mean, samples["precision"], target_mean_at(target, samples["t"]), 1.0 / target.target_variance
-    )
-    summary = Summary(
-        mean_precision_after_t0=evolved.mean_precision_after_t0,
-        max_kl_after_t0=after_burn_in(samples, scenario.problem.t0, "kl_to_target", np.max),
-        mean_windowed_power_after_t0=evolved.mean_windowed_power_after_t0,
-        observation_count=len(events),
-        total_energy=evolved.total_energy,
-        total_info=evolved.total_info,
-    )
-    return RunTrace(
-        samples=samples,
-        events=events,
-        outcome=outcome,
-        ledger=evolved.ledger,
-        summary=summary,
-        power_window=evolved.power_window,
-        clamped=evolved.clamped,
-        scenario=scenario,
-    )
+    samples["kl_to_target"] = kl_gaussian(mean, samples["precision"], target_mean_at(target, samples["t"]), precision_p)
+    max_kl = after_burn_in(samples, scenario.problem.t0, "kl_to_target", np.max)
+    summary = Summary(max_kl_after_t0=max_kl, **side.summary)
+    return RunTrace(samples, events, outcome, ledger, summary, side.power_window, side.clamped)
 
 
 def _checked_flux(flux: object) -> np.ndarray:
@@ -379,10 +344,13 @@ def _checked_flux(flux: object) -> np.ndarray:
 
 
 def _precision_samples(
-    scenario: Scenario,
+    precision: float,
+    gamma: float,
     events: np.ndarray,
     ledger: EnergyLedger,
     halted_at: float | None,
+    horizon: float,
+    sample_dt: float,
     power_window: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     # Samples at multiples of sample_dt run up to the horizon, or stop strictly
@@ -391,14 +359,12 @@ def _precision_samples(
     # instant, so an observation at a sample instant is applied first and
     # sampling never advances the state. The mean and kl_to_target columns are
     # left 0; also returns the event count at or before each sample.
-    horizon, sample_dt = scenario.horizon, scenario.sample_dt
     t = np.arange(int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1) * sample_dt
     t = t[t < halted_at] if halted_at is not None else t[t <= horizon]
     last = np.searchsorted(ledger.times, t, side="right")
-    initial = scenario.beds.initial_belief
     state_t = np.concatenate(([0.0], ledger.times))[last]
-    state_precision = np.concatenate(([initial.precision], events["precision_after"]))[last]
-    precision = dissipate(state_precision, t - state_t, scenario.beds.gamma)
+    state_precision = np.concatenate(([precision], events["precision_after"]))[last]
+    precision = dissipate(state_precision, t - state_t, gamma)
 
     samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
     samples["t"] = t
@@ -447,14 +413,13 @@ def sweep(
 
     Grid entries are (dotted scenario path, values); paths must address
     numeric fields other than ``seed``. Replicate ``i`` runs with seed
-    base.seed + i, and a cell without Poisson arrivals passes its first
-    run to the others as ``run``'s ``sibling``. Every run gets the same
-    ``normals_memo``, made for this call and dropped on return, unless
-    the replicates times the most normals a cell reads from it exceed
-    core.MAX_EXPECTED_COUNT; then each run draws its own. Row order is
-    grid-major, replicate-minor. Every cell's scenario is built and
-    validated before the first run, and a sweep whose runs expect more
-    than MAX_SWEEP_COUNT observations and samples in all is rejected.
+    base.seed + i. Every run gets the same ``SweepMemo`` as ``run``'s
+    ``shared``, made for this call and dropped on return; it keeps no
+    normals when the replicates times the most normals a cell reads from it
+    exceed core.MAX_EXPECTED_COUNT. Row order is grid-major,
+    replicate-minor. Every cell's scenario is built and validated before
+    the first run, and a sweep whose runs expect more than MAX_SWEEP_COUNT
+    observations and samples in all is rejected.
     """
 
     if replicates < 1:
@@ -481,19 +446,14 @@ def sweep(
             f"{total:.3g} observations and samples, above the sweep budget of {MAX_SWEEP_COUNT:.0e}"
         )
     # The memo holds each replicate seed's longest noise prefix, at most
-    # one run's flux column in all.
+    # one run's flux column in all, and one run's precision side.
     most = max(map(_memo_normals, cells), default=0.0)
-    normals_memo = {} if replicates * most <= MAX_EXPECTED_COUNT else None
+    memo = SweepMemo(normals={} if replicates * most <= MAX_EXPECTED_COUNT else None)
     table = SweepTable(params=paths)
     for combo, cell in zip(combos, cells):
-        # Periodic or scheduled arrivals give every replicate the same
-        # precision side: the cell's first run lends it to the others.
-        sibling = None
         for replicate in range(replicates):
             scenario = dataclasses.replace(cell, seed=(base.seed + replicate) % 2**64)
-            trace = run(scenario, sibling=sibling, normals_memo=normals_memo)
-            if sibling is None and not isinstance(cell.flux_spec.arrival, PoissonArrival):
-                sibling = trace
+            trace = run(scenario, shared=memo)
             row = dict(zip(paths, combo))
             row["replicate"] = replicate
             row["seed"] = scenario.seed

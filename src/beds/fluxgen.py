@@ -12,8 +12,9 @@ one past the horizon, then the noise pairs.
 With periodic or scheduled arrivals nothing is drawn for the times, so a
 run's noise is the first Box-Muller normals of its seed's stream, whatever
 the rest of the spec. A caller that generates many such fluxes at the same
-seeds (a sweep) may pass a memo that keeps those normals from one call to
-the next.
+seeds (a sweep, through ``engine.SweepMemo``) may pass a memo that keeps
+those normals from one call to the next. The stream is built only for
+Poisson arrivals or for normals the memo does not hold yet.
 """
 
 from __future__ import annotations
@@ -80,18 +81,14 @@ def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tup
         t = times[-1].item()
 
 
-def _arrival_times(spec: FluxSpec, horizon: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival times up to the horizon, and any uniforms drawn for them but not used."""
+def _fixed_times(arrival: object, horizon: float) -> np.ndarray:
+    """Periodic or scheduled arrival times up to the horizon; nothing is drawn for them."""
 
-    arrival = spec.arrival
-    unused = np.empty(0)
-    if isinstance(arrival, PoissonArrival):
-        return _poisson_times(arrival.rate, horizon, rng)
     if isinstance(arrival, PeriodicArrival):
         count = int(math.floor(horizon / arrival.period * (1.0 + 1e-12)))
-        return np.arange(1, count + 1) * arrival.period, unused
+        return np.arange(1, count + 1) * arrival.period
     if isinstance(arrival, ScheduleArrival):
-        return np.array([t for t in arrival.times if 0.0 <= t <= horizon], dtype=float), unused
+        return np.array([t for t in arrival.times if 0.0 <= t <= horizon], dtype=float)
     raise EmptySpec(f"flux spec has no usable arrival: {arrival!r}")
 
 
@@ -103,29 +100,23 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * logs) * coss
 
 
-def _standard_normals(
-    count: int,
-    rng: np.random.Generator,
-    unused: np.ndarray,
-    seed: int,
-    memo: dict[int, np.ndarray] | None,
-) -> np.ndarray:
-    """The stream's next ``count`` normals: two uniforms each, ``unused`` ones first.
+def _first_normals(count: int, seed: int, memo: dict[int, np.ndarray] | None) -> np.ndarray:
+    """The first ``count`` normals of ``seed``'s stream, two uniforms each.
 
-    With a ``memo`` (only for a stream nothing has been drawn from yet),
-    ``memo[seed]`` holds the seed's first normals: a short or missing entry
-    is extended by the missing tail, drawn after skipping the uniforms
-    behind it, and stored back read-only, since callers get views of it.
+    With a ``memo``, ``memo[seed]`` holds the seed's first normals: a short
+    or missing entry is extended by the missing tail, drawn after skipping
+    the uniforms behind it, and stored back read-only, since callers get
+    views of it. The stream is built only when normals must be drawn.
     """
 
-    if memo is None:
-        needed = 2 * count
-        return _box_muller(np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))))
-    drawn = memo.get(seed, np.empty(0))
+    drawn = np.empty(0) if memo is None else memo.get(seed, np.empty(0))
     if len(drawn) < count:
+        rng = np.random.Generator(np.random.PCG64(seed))
         rng.bit_generator.advance(2 * len(drawn))
-        drawn = memo[seed] = np.concatenate((drawn, _box_muller(rng.random(2 * (count - len(drawn))))))
-        drawn.flags.writeable = False
+        drawn = np.concatenate((drawn, _box_muller(rng.random(2 * (count - len(drawn))))))
+        if memo is not None:
+            drawn.flags.writeable = False
+            memo[seed] = drawn
     return drawn[:count]
 
 
@@ -151,17 +142,24 @@ def generate_flux(
 
     if horizon <= 0:
         raise NonPositiveHorizon(f"horizon must be > 0, got {horizon!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    times, unused = _arrival_times(spec, horizon, rng)
+    poisson = isinstance(spec.arrival, PoissonArrival)
+    if poisson:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        times, unused = _poisson_times(spec.arrival.rate, horizon, rng)
+    else:
+        times = _fixed_times(spec.arrival, horizon)
     flux = np.empty(len(times), dtype=_FLUX_DTYPE)
     flux["time"] = times
     flux["value"] = target_mean_at(target, flux["time"])
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
-        # Poisson noise follows a seed-dependent number of arrival draws.
-        memo = None if isinstance(spec.arrival, PoissonArrival) else normals_memo
-        noise_scale = 1.0 / math.sqrt(spec.obs_precision)
-        flux["value"] += noise_scale * _standard_normals(len(times), rng, unused, seed, memo)
+        if poisson:
+            # The noise follows a seed-dependent number of arrival draws.
+            needed = 2 * len(times)
+            normals = _box_muller(np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))))
+        else:
+            normals = _first_normals(len(times), seed, normals_memo)
+        flux["value"] += 1.0 / math.sqrt(spec.obs_precision) * normals
     return flux
 
 

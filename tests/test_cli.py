@@ -258,6 +258,29 @@ def test_simulate_target_variance_that_overflows_the_divergence_exits_2_without_
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_initial_precision_whose_variance_overflows_exits_2_without_warnings(
+    tmp_path, scenario_file, capsys
+):
+    argv = ["simulate", "--scenario-path", scenario_file(steady_state), "--output-dir", str(tmp_path / "o")]
+    overrides = [
+        "horizon=30",
+        "beds.initial_belief.precision=1e-310",
+        "flux_spec.obs_precision=1e-3",
+        "problem.target.target_variance=100",
+    ]
+    for override in overrides:
+        argv += ["--override", override]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: beds.initial_belief.precision: must keep the initial variance finite, got 1e-310"
+    ]
+    assert caught == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_override_changes_result(tmp_path, scenario_file):
     path = scenario_file(dissipation_only)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -154,7 +154,7 @@ def test_fixed_cost_that_overflows_the_running_energy_is_over_budget():
 
 
 def _with_precisions(initial: float, obs: float, target_variance: float = 100.0) -> Scenario:
-    # A target variance of 100 keeps the divergence of a 1e-310 belief finite.
+    # A target variance of 100 keeps the divergence of a 1e-305 belief finite.
     target = TargetSpec(kind="static", theta0=1.0, velocity=0.0, target_variance=target_variance)
     return make_scenario(
         beds=BedsParams(gamma=0.5, epsilon=1e-4, initial_belief=GaussianBelief(0.0, initial)),
@@ -169,8 +169,15 @@ def test_obs_precision_whose_largest_gain_overflows_is_over_budget():
     assert [(v.code, v.field) for v in scenario_violations(_with_precisions(1.0, 1e9))] == over
     assert scenario_violations(_with_precisions(1.0, 1e8)) == []
     # An initial precision below the floor is the lowest one, as a schedule may observe at t = 0.
-    assert [(v.code, v.field) for v in scenario_violations(_with_precisions(1e-310, 1.0))] == over
-    assert scenario_violations(_with_precisions(1e-310, 1e-3)) == []
+    assert [(v.code, v.field) for v in scenario_violations(_with_precisions(1e-305, 1e4))] == over
+    assert scenario_violations(_with_precisions(1e-305, 1e3)) == []
+
+
+def test_initial_precision_whose_variance_overflows_is_over_budget():
+    # Sample row 0 is the initial belief: 1 / 1e-310 is past the float range.
+    violations = scenario_violations(_with_precisions(1e-310, 1e-3))
+    assert [(v.code, v.field) for v in violations] == [("budget_exceeded", "beds.initial_belief.precision")]
+    assert scenario_violations(_with_precisions(1e-305, 1e-3)) == []
 
 
 def test_kbt_that_overflows_the_minimum_energy_is_over_budget():
@@ -205,7 +212,7 @@ def test_target_variance_that_overflows_the_divergence_is_over_budget():
     def target_variance(initial, variance):
         return make_scenario(
             beds=BedsParams(gamma=0.5, epsilon=1e-4, initial_belief=GaussianBelief(0.0, initial)),
-            # 1e-3 keeps the largest gain of one charge finite on a 1e-310 belief.
+            # 1e-3 keeps the largest gain of one charge finite on a 1e-305 belief.
             flux_spec=FluxSpec(arrival=PoissonArrival(rate=2.0), obs_precision=1e-3, noise="noisy"),
             problem=ProblemSpec(
                 target=TargetSpec(kind="static", theta0=1.0, velocity=0.0, target_variance=variance),
@@ -219,9 +226,9 @@ def test_target_variance_that_overflows_the_divergence_is_over_budget():
     # 1 / target_variance / PRECISION_FLOOR leaves the float range just below 5.6e-9.
     assert [(v.code, v.field) for v in scenario_violations(target_variance(1.0, 1e-9))] == over
     assert scenario_violations(target_variance(1.0, 1e-8)) == []
-    # An initial precision below the floor is the lowest one: 1 / 1e-310 / 1.8e308 is about 56.
-    assert [(v.code, v.field) for v in scenario_violations(target_variance(1e-310, 50.0))] == over
-    assert scenario_violations(target_variance(1e-310, 60.0)) == []
+    # An initial precision below the floor is the lowest one: 1 / 1e-305 / 1.8e308 is about 5.6e-4.
+    assert [(v.code, v.field) for v in scenario_violations(target_variance(1e-305, 5e-4))] == over
+    assert scenario_violations(target_variance(1e-305, 6e-4)) == []
     # The highest precision is at most 1 + 1e-3 * 2e6 = 2001, and 2001 * target_variance
     # leaves the float range just above 8.9e304.
     assert [(v.code, v.field) for v in scenario_violations(target_variance(1.0, 1e305))] == over

@@ -25,6 +25,9 @@ from beds.core import (
     TargetSpec,
     UnknownParameterPath,
     ValidationError,
+    scenario_from_dict,
+    scenario_to_dict,
+    set_path,
 )
 from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
 from beds.energy import gaussian_entropy
@@ -114,6 +117,16 @@ def test_crystallizing_run_halts():
     assert len(trace.events) == len(trace.ledger)
     assert trace.samples["t"][-1] <= t_halt
     assert t_halt < scenario.horizon
+
+
+def test_mean_loop_blocks_leave_a_run_unchanged(monkeypatch):
+    # Each block of the mean loop starts from the last mean of the one before.
+    scenario = drifting_tracking(seed=4)
+    expected = run(scenario)
+    monkeypatch.setattr(engine, "_MEAN_BLOCK", 7)
+    trace = run(scenario)
+    assert len(trace.events) > 3 * 7
+    _assert_same_trace(trace, expected)
 
 
 def test_run_is_deterministic():
@@ -339,7 +352,7 @@ def test_sweep_total_work_at_budget_starts_running(monkeypatch):
         sweep(steady_state(), [("beds.gamma", [0.1, 0.2])], replicates=2500)
 
 
-# --- sibling runs --------------------------------------------------------------------
+# --- shared work in sweeps ---------------------------------------------------------
 
 
 @st.composite
@@ -388,27 +401,50 @@ def _assert_same_trace(trace, expected):
     assert trace.outcome == expected.outcome
     # repr, so a nan summary field compares equal to itself.
     assert repr(trace.summary) == repr(expected.summary)
-    assert (trace.clamped, trace.power_window, trace.scenario) == (
-        expected.clamped,
-        expected.power_window,
-        expected.scenario,
-    )
+    assert (trace.clamped, trace.power_window) == (expected.clamped, expected.power_window)
 
 
-@given(_sweep_cells())
-@settings(max_examples=60, deadline=None)
-def test_sweep_rows_equal_independent_runs(base):
-    gammas = [base.beds.gamma, 2.0 * base.beds.gamma]
-    table = sweep(base, [("beds.gamma", gammas)], replicates=3)
-    expected = []
-    for gamma in gammas:
-        for replicate in range(3):
-            seed = (base.seed + replicate) % 2**64
-            scenario = replace(base, beds=replace(base.beds, gamma=gamma), seed=seed)
-            row = {"beds.gamma": gamma, "replicate": replicate, "seed": seed}
-            row.update(asdict(run(scenario).summary))
-            expected.append(row)
-    assert repr(table.rows) == repr(expected)
+# Values to sweep one path over. The first five paths lie outside a precision
+# side's key, so their cells share one side; the rest are inside it, so a key
+# that missed one would lend a cell the side of another.
+_SWEPT = {
+    "problem.target.velocity": [0.0, 0.4, 1.3],
+    "problem.target.theta0": [0.5, -2.0],
+    "problem.target.target_variance": [0.5, 3.0],
+    "beds.initial_belief.mean": [0.3, 1.7],
+    "problem.delta": [0.5, 0.05],
+    "beds.gamma": [0.1, 1.0, 4.0],
+    "beds.epsilon": [1e-9, 0.2, 0.5],
+    "beds.initial_belief.precision": [1.0, 0.2],
+    "flux_spec.arrival.period": [0.25, 0.5, 1.5],
+    "flux_spec.obs_precision": [0.5, 4.0, 16.0],
+    "energy_model.kBT": [0.7, 1.0, 2.5],
+    "energy_model.fixed_cost_value": [0.2, 0.9],
+    "sample_dt": [0.25, 0.5],
+    "horizon": [10.0, 5.0],
+    "problem.t0": [0.0, 2.0, 3.0],
+}
+
+
+@given(_sweep_cells(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_sweep_rows_equal_independent_runs(base, data):
+    for path, choices in _SWEPT.items():
+        cell = base
+        if path == "flux_spec.arrival.period" and not isinstance(base.flux_spec.arrival, PeriodicArrival):
+            cell = replace(base, flux_spec=replace(base.flux_spec, arrival=PeriodicArrival(period=0.5)))
+        values = data.draw(st.lists(st.sampled_from(choices), min_size=2, max_size=3, unique=True), label=path)
+        table = sweep(cell, [(path, values)], replicates=2)
+        expected = []
+        raw = scenario_to_dict(cell)
+        for value in values:
+            set_path(raw, path, value)
+            for replicate in range(2):
+                raw["seed"] = (cell.seed + replicate) % 2**64
+                row = {path: value, "replicate": replicate, "seed": raw["seed"]}
+                row.update(asdict(run(scenario_from_dict(raw)).summary))
+                expected.append(row)
+        assert repr(table.rows) == repr(expected), path
 
 
 @given(_sweep_cells(), st.sampled_from([engine.MAX_EXPECTED_COUNT, 0]))
@@ -486,43 +522,33 @@ def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
 
 
 @given(_sweep_cells(arrivals=("periodic", "schedule")))
-@settings(max_examples=60, deadline=None)
-def test_run_with_a_sibling_equals_a_fresh_run(base):
-    sibling = run(base)
-    before = (sibling.samples.tobytes(), sibling.events.tobytes(), sibling.ledger.to_csv())
+@settings(max_examples=40, deadline=None)
+def test_a_held_precision_side_is_read_only_and_lent_by_copy(base):
+    memo = engine.SweepMemo()
+    first = run(base, shared=memo)
+    side = memo.side
+    ledger = side.ledger
+    held = (side.events, side.samples, side.last, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
+    assert not any(column.flags.writeable for column in held)
+    # Writing one trace's samples and events reaches neither the held side nor the next run.
+    for name in first.samples.dtype.names:
+        first.samples[name] = 7.0
+    first.events["mean_after"] = 7.0
     scenario = replace(base, seed=(base.seed + 1) % 2**64)
-    trace = run(scenario, sibling=sibling)
-    _assert_same_trace(trace, run(scenario))
-    # The sibling lends its arrays but is not written, and nobody can write the shared ones.
-    assert (sibling.samples.tobytes(), sibling.events.tobytes(), sibling.ledger.to_csv()) == before
-    for ledger in (sibling.ledger, trace.ledger):
-        columns = (ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
-        assert not any(column.flags.writeable for column in columns)
+    second = run(scenario, shared=memo)
+    assert memo.side is side
+    _assert_same_trace(second, run(scenario))
 
 
-def test_run_rejects_a_sibling_whose_precision_side_may_differ():
-    from beds.energy import EnergyLedger
-    from beds.fluxgen import generate_flux
-
-    base = replace(
-        drifting_tracking(seed=5),
-        flux_spec=FluxSpec(arrival=PeriodicArrival(period=0.5), obs_precision=2.0, noise="noisy"),
-    )
-    sibling = run(base)
-    scenario = replace(base, seed=6)
-
-    with pytest.raises(ValueError, match="^sibling: must be a run of the same scenario"):
-        run(replace(scenario, beds=replace(scenario.beds, gamma=2.0 * scenario.beds.gamma)), sibling=sibling)
-    poisson = replace(base, flux_spec=replace(base.flux_spec, arrival=PoissonArrival(rate=2.0)))
-    with pytest.raises(ValueError, match="^sibling: Poisson arrival times"):
-        run(replace(poisson, seed=6), sibling=run(poisson))
-    flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
-    with pytest.raises(ValueError, match="^sibling: a replayed flux"):
-        run(scenario, observations=flux, sibling=sibling)
-    ledger = sibling.ledger
-    shifted = EnergyLedger.from_columns(ledger.times + 0.25, ledger.energies, ledger.infos, ledger.kBT)
-    with pytest.raises(ValueError, match="^sibling: its observation times"):
-        run(scenario, sibling=replace(sibling, ledger=shifted))
+def test_replays_and_poisson_runs_hold_no_side():
+    periodic = replace(tracking_sweep_base(), horizon=10.0)
+    poisson = replace(periodic, flux_spec=replace(periodic.flux_spec, arrival=PoissonArrival(rate=2.0)))
+    flux = generate_flux(periodic.flux_spec, periodic.problem.target, periodic.horizon, periodic.seed)
+    memo = engine.SweepMemo()
+    traces = [run(poisson, shared=memo), run(periodic, observations=flux, shared=memo)]
+    assert (memo.key, memo.side) == (None, None)
+    for trace in traces:
+        assert trace.events.flags.writeable and trace.samples.flags.writeable
 
 
 # --- flux replay --------------------------------------------------------------------
@@ -637,13 +663,13 @@ def _replay_scenario(gamma, epsilon, initial_precision, energy_model):
         beds=BedsParams(gamma=gamma, epsilon=epsilon, initial_belief=GaussianBelief(0.5, initial_precision)),
         problem=replace(
             scenario.problem,
-            # A target variance of 100 keeps the divergence of a 1e-310 initial belief finite.
+            # A target variance of 100 keeps the divergence of a 1e-305 initial belief finite.
             target=TargetSpec(kind="drifting", theta0=0.0, velocity=0.3, target_variance=100.0),
         ),
         energy_model=energy_model,
         horizon=20.0,
         # A replay never reads the spec's obs_precision. At 1e-3 the largest gain
-        # of one charge stays finite on a 1e-310 initial belief, so it validates.
+        # of one charge stays finite on a 1e-305 initial belief, so it validates.
         flux_spec=replace(scenario.flux_spec, obs_precision=1e-3),
     )
 
@@ -674,7 +700,7 @@ FIXED = EnergyModel(kind="fixed_cost", fixed_cost_value=0.2, kBT=0.7)
     "gamma, epsilon, initial_precision, model, rows, raises",
     [
         # dt == 0 rows, first at t = 0 on a belief below the floor: left unclamped.
-        (0.5, 1e-9, 1e-310, LANDAUER, [(0.0, 1.0, 1e-320), (0.0, 2.0, 1e-305), (1.0, 0.0, 2.0), (1.0, 1.0, 3.0)], None),
+        (0.5, 1e-9, 1e-305, LANDAUER, [(0.0, 1.0, 1e-320), (0.0, 2.0, 1e-305), (1.0, 0.0, 2.0), (1.0, 1.0, 3.0)], None),
         # gamma * dt far past exp's range: the precision clamps at the floor.
         (1e3, 1e-9, 1.0, LANDAUER, [(1.0, 1.0, 1e-3), (5.0, 1.0, 1e-3), (9.0, 0.0, 0.5)], None),
         # The first update crystallizes: the run halts on row 0.
@@ -707,7 +733,7 @@ def _replays(draw):
     scenario = _replay_scenario(
         gamma=draw(st.sampled_from([1e-6, 0.1, 3.0, 1e3])),
         epsilon=draw(st.sampled_from([1e-9, 0.05, 0.5, 2.0])),
-        initial_precision=draw(st.sampled_from([1e-310, 1e-3, 1.0, 50.0])),
+        initial_precision=draw(st.sampled_from([1e-305, 1e-3, 1.0, 50.0])),
         energy_model=draw(st.sampled_from([LANDAUER, FIXED])),
     )
     return scenario, _flux(rows)
@@ -715,18 +741,16 @@ def _replays(draw):
 
 @given(_replays())
 @settings(max_examples=300, deadline=None)
-# A belief below the floor has a variance past the largest float: its samples overflow.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_matches_scalar_reference(case):
     _assert_run_matches_scalar_reference(*case)
 
 
 @pytest.mark.parametrize("model", [LANDAUER, FIXED], ids=["landauer", "fixed-cost"])
 def test_replay_with_an_infinite_charge_is_rejected(model):
-    # 0.5 / 1e-310 is past the float range: the first charge gains inf nats.
-    scenario = _replay_scenario(1e-6, 1e-9, 1e-310, model)
+    # 1e4 / 1e-305 is past the float range: the first charge gains inf nats.
+    scenario = _replay_scenario(1e-6, 1e-9, 1e-305, model)
     with pytest.raises(ValidationError) as info:
-        run(scenario, observations=_flux([(0.0, 0.0, 0.5), (1.0, 0.0, 1e-3)]))
+        run(scenario, observations=_flux([(0.0, 0.0, 1e4), (1.0, 0.0, 1e-3)]))
     [violation] = info.value.violations
     assert (violation.code, violation.field) == ("budget_exceeded", "observations")
 
