@@ -8,10 +8,11 @@ threshold, after which the system reports its mean and halts.
 
 ``evolve_precision`` runs the precision recurrence over a whole
 observation stream, ``evolve_mean`` the mean recurrence along the
-precision path it returns, and ``dissipate`` applies the decay to a column
-of beliefs, with one rate (``gamma``) for every row or a column of per-row
-rates; the engine calls these three. The precision path never reads an
-observed value, which is why it has a loop of its own. The per-step
+precision path it returns, ``evolve_means`` that recurrence for many
+streams on one path at once, and ``dissipate`` applies the decay to a
+column of beliefs, with one rate (``gamma``) for every row or a column of
+per-row rates; the engine calls these four. The precision path never reads
+an observed value, which is why it has a loop of its own. The per-step
 functions ``propagate``, ``bayes_update`` and ``check_crystallization``
 are the same rules one observation at a time: they are the documented API
 for stepping a belief by hand and the reference the column forms are
@@ -33,6 +34,7 @@ __all__ = [
     "NOT_CRYSTALLIZED",
     "evolve_precision",
     "evolve_mean",
+    "evolve_means",
     "dissipate",
     "propagate",
     "bayes_update",
@@ -131,18 +133,48 @@ def evolve_mean(
     values: list[float],
     obs_precisions: list[float],
     precision_before: list[float],
-    precision_after: list[float],
 ) -> list[float]:
     """The means after each update of a precision path from ``evolve_precision``.
 
     Row ``i`` absorbs ``values[i]`` into the previous mean (``mean`` for
-    row 0) as ``bayes_update`` does, with the path's precisions around the
-    update. Returns one mean per entry of ``precision_after``; later values
+    row 0) as ``bayes_update`` does, from the path's precision before the
+    update; the precision after it is formed as ``evolve_precision`` forms
+    it. Returns one mean per entry of ``precision_before``; later values
     are never read.
     """
 
-    rows = zip(precision_before, values, obs_precisions, precision_after)
-    return [mean := (before * mean + tau_d * value) / after for before, value, tau_d, after in rows]
+    rows = zip(precision_before, values, obs_precisions)
+    return [mean := (before * mean + tau_d * value) / (before + tau_d) for before, value, tau_d in rows]
+
+
+def evolve_means(
+    means: list[float], values: np.ndarray, obs_precisions: np.ndarray, precision_before: np.ndarray
+) -> np.ndarray:
+    """``evolve_mean`` for many streams on one precision path, as the columns of one loop.
+
+    ``values`` is an (events x streams) float64 array; column ``j`` starts
+    from ``means[j]``. Each step does ``evolve_mean``'s IEEE operations, in
+    its order, on a row of streams, so column ``j`` of the result is ``==``
+    ``evolve_mean(means[j], values[:, j], obs_precisions, precision_before)``.
+    The means overwrite the first ``len(precision_before)`` rows of
+    ``values``, which are returned.
+    """
+
+    n = len(precision_before)
+    out = values[:n]
+    tau_d = np.asarray(obs_precisions[:n], dtype=np.float64)
+    before = np.asarray(precision_before, dtype=np.float64)
+    out *= tau_d[:, None]
+    mean, scaled = np.array(means, dtype=np.float64), np.empty(len(means))
+    # (before * mean + tau_d * value) / after, each step in place on one row;
+    # an overflow gives inf without a warning, as in the scalar loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, b, after in zip(out, before.tolist(), (before + tau_d).tolist()):
+            np.multiply(b, mean, scaled)
+            np.add(scaled, row, row)
+            np.divide(row, after, row)
+            mean = row
+    return out
 
 
 def dissipate(precisions: np.ndarray, dts: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:

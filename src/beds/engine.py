@@ -13,13 +13,15 @@ means, their divergence from the target and the crystallization outcome.
 A crystallized run halts: nothing is recorded afterwards.
 
 Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, one summary row per cell per replicate, and their runs share one
-``SweepMemo``. With periodic or scheduled arrivals nothing is drawn for the
-times, so a run's precision side is a function of a few scenario values,
-its key: the runs of a cell, and the next cells that differ only outside
-the key, reuse the last side and compute only the mean side. And a run's
-noise is the first standard normals of its seed's stream, so every cell
-reads each replicate seed's normals from the memo, drawn once per sweep.
+seeds, one summary row per cell per replicate, each row one ``run`` with
+the sweep's ``SweepMemo``. With periodic or scheduled arrivals nothing is
+drawn for the times, so a run's precision side is a function of a few
+scenario values, its key, and a run's noise is the first standard normals
+of its seed's stream, which the memo draws once per sweep. The rows run key
+by key, whatever the grid's order, and are emitted grid-major: each batch
+of a key's rows computes the side once and evolves its means as the columns
+of one loop (``dynamics.evolve_means``), and the memo lends each row's run
+its column. A run that finds no lent column for it computes its own.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import copy
 import dataclasses
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -56,6 +59,7 @@ from .dynamics import (
     check_crystallization,
     dissipate,
     evolve_mean,
+    evolve_means,
     evolve_precision,
 )
 from .energy import EnergyLedger, observation_costs
@@ -162,13 +166,18 @@ class SweepMemo:
 
     ``normals`` maps each seed to the standard normals drawn at it so far
     (``generate_flux``'s memo), or is None to draw them per run. ``side`` is
-    the last precision side a run computed, and ``key`` the inputs it was
-    computed from.
+    the last precision side held, and ``key`` the inputs it was computed
+    from (``_side_key``). ``lent`` is a ``(scenario, means)`` pair that
+    ``sweep`` sets before a batched row's run: the row's ``mean_after``
+    column, evolved with its batch. The next run takes it off the memo and
+    uses it only when that run's scenario ``==`` the lent one and ``key`` is
+    its key.
     """
 
     normals: dict[int, np.ndarray] | None = field(default_factory=dict)
     key: tuple | None = None
     side: _PrecisionSide | None = None
+    lent: tuple[Scenario, np.ndarray] | None = None
 
 
 def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: SweepMemo | None = None) -> RunTrace:
@@ -183,15 +192,43 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
 
     ``shared`` lends work between runs, and the trace is the same without
     it. ``generate_flux`` reads and extends its normals. A generated run
-    without Poisson arrivals reuses its precision side when the side's key
+    without Poisson arrivals reuses the held precision side when its key
     matches, and otherwise computes the side and holds it there, read-only,
-    in place of the last one. Replays and Poisson runs never share a side.
+    in place of the last one; with a lent means column for it as well, the
+    run generates no flux and has no mean loop. Replays and Poisson runs
+    never share a side.
     """
 
     validate_scenario(scenario)
+    key = _side_key(scenario)
+    lent = None
+    if shared is not None:
+        lent, shared.lent = shared.lent, None
+    if observations is not None:
+        flux = _checked_flux(observations)
+        return _with_mean_side(scenario, _precision_side(flux, *key[2:]), flux)
+    spec = scenario.flux_spec
+    shareable = shared is not None and not isinstance(spec.arrival, PoissonArrival)
+    if shareable and lent is not None and lent[0] == scenario and shared.key == key:
+        return _with_mean_side(scenario, shared.side, means=lent[1])
+    normals = None if shared is None else shared.normals
+    flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
+    side = _held_side(shared, key, flux) if shareable else _precision_side(flux, *key[2:])
+    return _with_mean_side(scenario, side, flux)
+
+
+def _side_key(scenario: Scenario) -> tuple:
+    """What a run's precision side is a function of, unless its arrivals are Poisson.
+
+    ``key[2:]`` is every value ``_precision_side`` reads besides the flux.
+    Without Poisson draws, the arrival spec, the horizon and obs_precision
+    fix the flux's times and precisions, the only flux columns it reads.
+    """
+
     beds, spec = scenario.beds, scenario.flux_spec
-    # Every value _precision_side reads besides the flux.
-    inputs = (
+    return (
+        spec.arrival,
+        spec.obs_precision,
         beds.initial_belief.precision,
         beds.gamma,
         beds.epsilon,
@@ -200,26 +237,19 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
         scenario.sample_dt,
         scenario.problem.t0,
     )
-    if observations is not None:
-        flux, shared = _checked_flux(observations), None
-    else:
-        normals = None if shared is None else shared.normals
-        flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
-        if isinstance(spec.arrival, PoissonArrival):
-            shared = None
-    if shared is None:
-        return _with_mean_side(scenario, flux, _precision_side(flux, *inputs))
-    # Without Poisson draws, the arrival spec, the horizon and obs_precision
-    # fix the flux's times and precisions, the only flux columns it reads.
-    key = (spec.arrival, spec.obs_precision, *inputs)
-    if shared.key != key:
+
+
+def _held_side(memo: SweepMemo, key: tuple, flux: np.ndarray) -> _PrecisionSide:
+    """The precision side of ``key``: the memo's, or computed on ``flux`` and held there, read-only."""
+
+    if memo.key != key:
         # Drop the held side first, so that one side is in memory at a time.
-        shared.key = shared.side = None
-        side = _precision_side(flux, *inputs)
+        memo.key = memo.side = None
+        side = _precision_side(flux, *key[2:])
         for column in (side.events, side.samples, side.last):
             column.flags.writeable = False
-        shared.key, shared.side = key, side
-    return _with_mean_side(scenario, flux, shared.side)
+        memo.key, memo.side = key, side
+    return memo.side
 
 
 def _precision_side(
@@ -274,11 +304,15 @@ def _precision_side(
     return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
 
-def _with_mean_side(scenario: Scenario, flux: np.ndarray, side: _PrecisionSide) -> RunTrace:
-    """The trace of ``scenario`` on ``side``: the mean loop over ``flux``'s values, and what it feeds.
+def _with_mean_side(
+    scenario: Scenario, side: _PrecisionSide, flux: np.ndarray | None = None, means: np.ndarray | None = None
+) -> RunTrace:
+    """The trace of ``scenario`` on ``side``: its means, and what they feed.
 
-    Fills the mean-side columns of the side's events and samples in place,
-    or of copies when the side is read-only (held by a ``SweepMemo``).
+    The means are ``means`` when given (a sweep batch's column), and
+    otherwise the mean loop over ``flux``'s values. Fills the mean-side
+    columns of the side's events and samples in place, or of copies when
+    the side is read-only (held by a ``SweepMemo``).
     """
 
     events, samples, ledger = side.events, side.samples, side.ledger
@@ -286,15 +320,19 @@ def _with_mean_side(scenario: Scenario, flux: np.ndarray, side: _PrecisionSide) 
         events, samples, ledger = events.copy(), samples.copy(), copy.copy(ledger)
     n = len(events)
     initial, target = scenario.beds.initial_belief, scenario.problem.target
-    # The mean loop runs over blocks of rows, so that its per-event lists stay
-    # small beside the side's arrays; each block starts from the last mean.
-    columns = (flux["value"], flux["obs_precision"], events["precision_before"], events["precision_after"])
-    start = initial.mean
-    for lo in range(0, n, _MEAN_BLOCK):
-        rows = slice(lo, min(lo + _MEAN_BLOCK, n))
-        block = evolve_mean(start, *(column[rows].tolist() for column in columns))
-        events["mean_after"][rows] = block
-        start = block[-1]
+    if means is not None:
+        events["mean_after"] = means
+    else:
+        # The mean loop runs over blocks of rows, so that its per-event lists
+        # stay small beside the side's arrays; each block starts from the
+        # last mean.
+        columns = (flux["value"], flux["obs_precision"], events["precision_before"])
+        start = initial.mean
+        for lo in range(0, n, _MEAN_BLOCK):
+            rows = slice(lo, min(lo + _MEAN_BLOCK, n))
+            block = evolve_mean(start, *(column[rows].tolist() for column in columns))
+            events["mean_after"][rows] = block
+            start = block[-1]
     precision_p = 1.0 / target.target_variance
     if n:
         # As for the totals, a replayed row may leave the divergence's
@@ -401,7 +439,11 @@ class SweepTable:
 
     def to_csv(self) -> str:
         header = [*self.params, "replicate", "seed", *(f.name for f in fields(Summary))]
-        return csv_text(header, [[row[name] for row in self.rows] for name in header])
+        columns = [[row[name] for row in self.rows] for name in header]
+        # Float columns go to csv_text's vectorized kernel; a column with an
+        # int (replicate, seed, observation_count, an integer grid value)
+        # keeps format_float's integer text.
+        return csv_text(header, [np.array(c) if all(type(v) is float for v in c) else c for c in columns])
 
 
 def sweep(
@@ -413,13 +455,16 @@ def sweep(
 
     Grid entries are (dotted scenario path, values); paths must address
     numeric fields other than ``seed``. Replicate ``i`` runs with seed
-    base.seed + i. Every run gets the same ``SweepMemo`` as ``run``'s
-    ``shared``, made for this call and dropped on return; it keeps no
-    normals when the replicates times the most normals a cell reads from it
-    exceed core.MAX_EXPECTED_COUNT. Row order is grid-major,
-    replicate-minor. Every cell's scenario is built and validated before
-    the first run, and a sweep whose runs expect more than MAX_SWEEP_COUNT
-    observations and samples in all is rejected.
+    base.seed + i. Row order is grid-major, replicate-minor. Every cell's
+    scenario is built and validated before the first run, and a sweep whose
+    runs expect more than MAX_SWEEP_COUNT observations and samples in all is
+    rejected.
+
+    Each row is one ``run`` with the same ``SweepMemo`` as ``shared``, made
+    for this call and dropped on return; it keeps no normals when the
+    replicates times the most normals a cell reads from it exceed
+    core.MAX_EXPECTED_COUNT. The rows run key by key (``_run_key``), so
+    each precision side is computed once per batch of its key's rows.
     """
 
     if replicates < 1:
@@ -447,30 +492,76 @@ def sweep(
         )
     # The memo holds each replicate seed's longest noise prefix, at most
     # one run's flux column in all, and one run's precision side.
-    most = max(map(_memo_normals, cells), default=0.0)
-    memo = SweepMemo(normals={} if replicates * most <= MAX_EXPECTED_COUNT else None)
+    noisy = (_fixed_count(cell) for cell in cells if cell.flux_spec.noise == "noisy")
+    memo = SweepMemo(normals={} if replicates * max(noisy, default=0.0) <= MAX_EXPECTED_COUNT else None)
+    seeds = [(base.seed + replicate) % 2**64 for replicate in range(replicates)]
+    scenarios = [dataclasses.replace(cell, seed=seed) for cell in cells for seed in seeds]
+    # Rows grouped by precision-side key, in order of first appearance; a
+    # Poisson row is a group of its own, under its row index.
+    groups: dict[object, list[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        poisson = isinstance(scenario.flux_spec.arrival, PoissonArrival)
+        groups.setdefault(index if poisson else _side_key(scenario), []).append(index)
+    summaries: list[Summary | None] = [None] * len(scenarios)
+    for indices in groups.values():
+        for index, trace in zip(indices, _run_key([scenarios[i] for i in indices], memo)):
+            summaries[index] = trace.summary
     table = SweepTable(params=paths)
-    for combo, cell in zip(combos, cells):
-        for replicate in range(replicates):
-            scenario = dataclasses.replace(cell, seed=(base.seed + replicate) % 2**64)
-            trace = run(scenario, shared=memo)
-            row = dict(zip(paths, combo))
-            row["replicate"] = replicate
-            row["seed"] = scenario.seed
-            row.update(vars(trace.summary))
-            table.rows.append(row)
+    rows = itertools.product(combos, enumerate(seeds))
+    for (combo, (replicate, seed)), summary in zip(rows, summaries):
+        row = dict(zip(paths, combo))
+        row["replicate"] = replicate
+        row["seed"] = seed
+        row.update(vars(summary))
+        table.rows.append(row)
     return table
 
 
-def _memo_normals(cell: Scenario) -> float:
-    """How many of each seed's normals a run of ``cell`` reads from a sweep's memo.
+def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
+    """The traces of ``scenarios``, rows of one precision-side key, each from one ``run`` on ``memo``.
 
-    Only noisy cells without Poisson arrivals read any.
+    The rows run in batches. A batch's runs share its side, and its means
+    evolve as the columns of one (events x rows) loop,
+    ``dynamics.evolve_means``; each row's column is lent to its run. The
+    batches of a key hold at most about MAX_EXPECTED_COUNT means each, so
+    a wide key splits, and each row's flux is dropped once its values are in
+    the block. A batch of one row (a Poisson row is a key of its own) runs
+    as ``run(scenario, shared=memo)`` alone: a width-1 loop is slower than
+    the scalar one.
     """
 
-    spec = cell.flux_spec
-    if spec.noise != "noisy" or isinstance(spec.arrival, PoissonArrival):
+    width = max(1, int(MAX_EXPECTED_COUNT // max(_fixed_count(scenarios[0]), 1.0)))
+    for lo in range(0, len(scenarios), width):
+        batch = scenarios[lo : lo + width]
+        if len(batch) == 1:
+            yield run(batch[0], shared=memo)
+            continue
+        key = _side_key(batch[0])
+        for j, scenario in enumerate(batch):
+            spec = scenario.flux_spec
+            flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, memo.normals)
+            if j == 0:
+                side = _held_side(memo, key, flux)
+                n = len(side.events)
+                values = np.empty((n, len(batch)))
+                obs_precisions = flux["obs_precision"][:n].copy()
+            values[:, j] = flux["value"][:n]
+            del flux
+        starts = [scenario.beds.initial_belief.mean for scenario in batch]
+        means = evolve_means(starts, values, obs_precisions, side.events["precision_before"])
+        for j, scenario in enumerate(batch):
+            memo.lent = (scenario, means[:, j])
+            yield run(scenario, shared=memo)
+        # Free this block before the next batch allocates its own.
+        del values, means
+
+
+def _fixed_count(cell: Scenario) -> float:
+    """How many observations a generated flux of ``cell`` holds, when its arrivals are not Poisson."""
+
+    arrival = cell.flux_spec.arrival
+    if isinstance(arrival, PeriodicArrival):
+        return cell.horizon / arrival.period
+    if isinstance(arrival, PoissonArrival):
         return 0.0
-    if isinstance(spec.arrival, PeriodicArrival):
-        return cell.horizon / spec.arrival.period
-    return float(len(spec.arrival.times))
+    return float(len(arrival.times))

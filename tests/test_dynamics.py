@@ -14,6 +14,7 @@ from beds.dynamics import (
     check_crystallization,
     dissipate,
     evolve_mean,
+    evolve_means,
     evolve_precision,
     is_crystallized,
     propagate,
@@ -272,7 +273,28 @@ def test_evolve_mean_is_bit_identical_to_stepping_bayes_update(stream, mean, pre
     times, values, obs_precisions = stream
     before, means, after, _ = _stepped(mean, precision, stream, gamma, epsilon)
     # Rows past a halt are never read.
-    assert _bits(evolve_mean(mean, values, obs_precisions, before, after)) == _bits(means)
+    assert _bits(evolve_mean(mean, values, obs_precisions, before)) == _bits(means)
+
+
+@given(
+    **stream_args,
+    offsets=st.lists(
+        st.tuples(st.floats(min_value=-10, max_value=10), st.sampled_from([0.0, 0.4, -2.0])), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=200)
+def test_each_column_of_evolve_means_is_evolve_mean(stream, mean, precision, gamma, epsilon, offsets):
+    # The columns share one precision path, halted or not, and differ in
+    # their initial mean and in their values' drift, as a sweep's rows of one key.
+    times, values, obs_precisions = stream
+    before, _, _ = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
+    starts = [mean + shift for shift, _ in offsets]
+    columns = [[value + velocity * t for t, value in zip(times, values)] for _, velocity in offsets]
+    block = np.array(columns, dtype=np.float64).reshape(len(offsets), len(times)).T.copy()
+    means = evolve_means(np.array(starts), block, np.array(obs_precisions), np.array(before))
+    assert means.shape == (len(before), len(offsets))
+    for j, (start, column) in enumerate(zip(starts, columns)):
+        assert _bits(means[:, j]) == _bits(evolve_mean(start, column, obs_precisions, before))
 
 
 # --- crystallization -------------------------------------------------------------

@@ -31,7 +31,7 @@ from beds.core import (
 )
 from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
 from beds.energy import gaussian_entropy
-from beds import engine, fluxgen
+from beds import dynamics, engine, fluxgen
 from beds.engine import run, sweep, trace_to_csv
 from beds.fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from beds.scenarios import (
@@ -312,6 +312,31 @@ def test_sweep_csv_layout():
     assert len(lines) == 2
 
 
+def test_sweep_csv_formats_float_columns_as_arrays_with_the_same_bytes(monkeypatch):
+    from beds.io import csv_text
+
+    table = sweep(replace(tracking_sweep_base(), horizon=10.0), [("beds.gamma", [0.1, 0.25])], replicates=2)
+    table.rows[0]["total_info"] = math.nan
+    table.rows[1]["max_kl_after_t0"] = -0.0
+    table.rows[2]["total_energy"] = 1e-300
+    # A grid column with an integer value stays a list, as do the integer columns.
+    table.params.append("horizon")
+    for i, row in enumerate(table.rows):
+        row["horizon"] = 10 if i else 10.5
+    passed = {}
+
+    def spy(header, columns):
+        passed.update(zip(header, columns))
+        return csv_text(header, columns)
+
+    monkeypatch.setattr(engine, "csv_text", spy)
+    text = table.to_csv()
+    assert text == csv_text(list(passed), [[row[name] for row in table.rows] for name in passed])
+    lists = {name for name, column in passed.items() if isinstance(column, list)}
+    assert lists == {"horizon", "replicate", "seed", "observation_count"}
+    assert all(column.dtype == np.float64 for name, column in passed.items() if name not in lists)
+
+
 def test_sweep_replicates_must_be_positive():
     with pytest.raises(ValueError, match="^replicates: must be >= 1, got 0$"):
         sweep(dissipation_only(), [], replicates=0)
@@ -549,6 +574,86 @@ def test_replays_and_poisson_runs_hold_no_side():
     assert (memo.key, memo.side) == (None, None)
     for trace in traces:
         assert trace.events.flags.writeable and trace.samples.flags.writeable
+
+
+def test_sweep_runs_each_row_once_key_by_key_and_keeps_grid_order(monkeypatch):
+    # A velocity-major grid: each period is a precision-side key spread over
+    # every velocity, so rows run key by key, and are emitted in grid order.
+    base = replace(tracking_sweep_base(), horizon=4.0)
+    velocities, periods = [0.0, 0.5, 1.0], [0.5, 0.25]
+    ran, generated = [], []
+
+    def run_spy(scenario, observations=None, *, shared=None):
+        ran.append(scenario)
+        return run(scenario, observations, shared=shared)
+
+    def flux_spy(spec, target, horizon, seed, normals_memo=None):
+        generated.append((spec.arrival.period, target.velocity, seed))
+        return generate_flux(spec, target, horizon, seed, normals_memo)
+
+    monkeypatch.setattr(engine, "run", run_spy)
+    monkeypatch.setattr(engine, "generate_flux", flux_spy)
+    grid = [("problem.target.velocity", velocities), ("flux_spec.arrival.period", periods)]
+    table = sweep(base, grid, replicates=2)
+    rows = [(row["problem.target.velocity"], row["flux_spec.arrival.period"], row["replicate"]) for row in table.rows]
+    assert rows == list(itertools.product(velocities, periods, range(2)))
+    # One run and one flux per row, the rows of one period together.
+    keyed = [(period, velocity, base.seed + replicate) for period in periods for velocity in velocities for replicate in range(2)]
+    assert [(s.flux_spec.arrival.period, s.problem.target.velocity, s.seed) for s in ran] == keyed
+    assert sorted(generated) == sorted(keyed) and len(generated) == len(keyed)
+    monkeypatch.undo()
+    for row in table.rows:
+        raw = scenario_to_dict(base)
+        set_path(raw, "problem.target.velocity", row["problem.target.velocity"])
+        set_path(raw, "flux_spec.arrival.period", row["flux_spec.arrival.period"])
+        raw["seed"] = row["seed"]
+        summary = asdict(run(scenario_from_dict(raw)).summary)
+        assert repr(summary) == repr({name: row[name] for name in summary})
+
+
+def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
+    # 40 events per run: a cap of 100 means lets a batch hold 2 rows, so a
+    # key of 5 rows runs as batches of 2, 2 and a lone row on the scalar path.
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    grid = [("flux_spec.arrival.period", [0.25])]
+    expected = sweep(base, grid, replicates=5)
+    widths = []
+
+    def evolve_spy(means, values, obs_precisions, precision_before):
+        widths.append(values.shape)
+        return dynamics.evolve_means(means, values, obs_precisions, precision_before)
+
+    monkeypatch.setattr(engine, "evolve_means", evolve_spy)
+    sweep(base, grid, replicates=5)
+    assert widths == [(40, 5)]
+    widths.clear()
+    monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 100)
+    table = sweep(base, grid, replicates=5)
+    assert widths == [(40, 2), (40, 2)]
+    assert repr(table.rows) == repr(expected.rows)
+
+
+@given(_sweep_cells(arrivals=("periodic", "schedule")))
+@settings(max_examples=20, deadline=None)
+def test_a_lent_mean_column_is_used_only_by_its_own_scenario_and_key(base):
+    memo = engine.SweepMemo()
+    expected = run(base)
+    n = len(expected.events)
+    other = replace(base, seed=(base.seed + 1) % 2**64)
+    # A lent entry for another scenario, or lent while the memo holds no
+    # side or another key's side, is ignored and taken off the memo.
+    for held in (None, replace(base, horizon=5.0), base):
+        memo.key = memo.side = None
+        if held is not None:
+            run(held, shared=memo)
+        memo.lent = (other if held is base else base, np.full(n, 7.0))
+        _assert_same_trace(run(base, shared=memo), expected)
+        assert memo.lent is None
+    # Its own scenario, with its key held, takes the lent column as its means.
+    memo.lent = (replace(base), np.full(n, 7.0))
+    lent = run(base, shared=memo)
+    assert (lent.events["mean_after"] == 7.0).all() and memo.lent is None
+    assert lent.ledger.to_csv() == expected.ledger.to_csv()
 
 
 # --- flux replay --------------------------------------------------------------------
