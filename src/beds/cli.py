@@ -12,11 +12,14 @@ overrides the scenario seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
+from typing import BinaryIO
 
 from .analysis import classify_run, optimal_obs_precision, steady_state_prediction
 from .core import (
@@ -89,15 +92,26 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         raise _CliError(2, str(exc)) from exc
 
 
-def _write_text(output_dir: str, name: str, text: str) -> str:
+@contextlib.contextmanager
+def _output_file(output_dir: str, name: str) -> Iterator[BinaryIO]:
+    """``name`` in ``output_dir``, opened for binary writing.
+
+    Any OSError, from creating the directory to the last write or the
+    close, becomes exit 1 with one line naming the file.
+    """
+
     try:
         os.makedirs(output_dir, exist_ok=True)
-        target = os.path.join(output_dir, name)
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(os.path.join(output_dir, name), "wb") as handle:
+            yield handle
     except OSError as exc:
         raise _CliError(1, f"cannot write {name} in {output_dir}: {exc.strerror}") from exc
-    return target
+
+
+def _write_text(output_dir: str, name: str, text: str) -> str:
+    with _output_file(output_dir, name) as handle:
+        handle.write(text.encode("utf-8"))
+    return handle.name
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -120,9 +134,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     trace = run(scenario)
     summary = summary_to_dict(trace)
-    _write_text(args.output_dir, "trace.csv", trace_to_csv(trace))
+    with _output_file(args.output_dir, "trace.csv") as handle:
+        trace_to_csv(trace, handle)
     _write_text(args.output_dir, "summary.json", json_dumps(summary))
-    _write_text(args.output_dir, "ledger.csv", trace.ledger.to_csv())
+    with _output_file(args.output_dir, "ledger.csv") as handle:
+        trace.ledger.to_csv(handle)
     sys.stdout.write(json_dumps(summary))
     return 0
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision, libm
-from .io import csv_text
+from .io import csv_text, write_csv
 
 __all__ = [
     "EnergyLedger",
@@ -149,10 +149,16 @@ class EnergyLedger:
         vars(self).update(vars(self.from_columns(*appended, self.kBT)))
         return self
 
-    def to_csv(self) -> str:
-        """Render as CSV: time, energy, info_gain, cumulative_energy, sub_landauer."""
+    def to_csv(self, handle=None) -> str | None:
+        """The ledger as CSV: time, energy, info_gain, cumulative_energy, sub_landauer.
 
-        return csv_text(
-            ("time", "energy", "info_gain", "cumulative_energy", "sub_landauer"),
-            [self.times, self.energies, self.infos, self.cumulative, self.sub_landauer],
-        )
+        Streams the bytes to the binary ``handle`` block by block when one is
+        given (see :func:`beds.io.write_csv`); returns the text otherwise.
+        """
+
+        header = ("time", "energy", "info_gain", "cumulative_energy", "sub_landauer")
+        columns = [self.times, self.energies, self.infos, self.cumulative, self.sub_landauer]
+        if handle is None:
+            return csv_text(header, columns)
+        write_csv(handle, header, columns)
+        return None

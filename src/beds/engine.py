@@ -64,7 +64,7 @@ from .dynamics import (
 )
 from .energy import EnergyLedger, observation_costs
 from .fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
-from .io import csv_text
+from .io import csv_text, write_csv
 
 __all__ = [
     "MAX_SWEEP_COUNT",
@@ -416,10 +416,18 @@ def _precision_samples(
     return samples, last
 
 
-def trace_to_csv(trace: RunTrace) -> str:
-    """Render the sample series as CSV with one column per sample field."""
+def trace_to_csv(trace: RunTrace, handle=None) -> str | None:
+    """The sample series as CSV, one column per sample field.
 
-    return csv_text(SAMPLE_FIELDS, [trace.samples[name] for name in SAMPLE_FIELDS])
+    Streams the bytes to the binary ``handle`` block by block when one is
+    given (see :func:`beds.io.write_csv`); returns the text otherwise.
+    """
+
+    columns = [trace.samples[name] for name in SAMPLE_FIELDS]
+    if handle is None:
+        return csv_text(SAMPLE_FIELDS, columns)
+    write_csv(handle, SAMPLE_FIELDS, columns)
+    return None
 
 
 def summary_to_dict(trace: RunTrace) -> dict:

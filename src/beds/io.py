@@ -10,11 +10,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+from io import BytesIO
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["csv_text", "format_float", "json_dumps"]
+__all__ = ["csv_text", "format_float", "json_dumps", "write_csv"]
 
 
 def format_float(x: float) -> str:
@@ -269,19 +270,21 @@ def _block_cells(columns, floats: list[int], separators: list[str]) -> np.ndarra
     return table
 
 
-def csv_text(header, columns) -> str:
-    """Render a header and equal-length columns as CSV.
+def write_csv(handle, header, columns) -> None:
+    """Write a header and equal-length columns as CSV to the binary ``handle``.
 
     Every cell reads as :func:`format_float` would print its Python scalar.
     A NumPy float column goes through a vectorized ``%.17g`` (the same bytes
     for every double, ``nan``, ``inf``, ``-inf`` and ``-0`` included), a
     NumPy bool column prints ``true``/``false``, and any other column (an
     integer or object array, or a list such as a sweep column) goes through
-    :func:`format_float` cell by cell. Rows are formatted one block of
-    ``_CSV_BLOCK_ROWS`` at a time, so no whole-column list is built.
+    :func:`format_float` cell by cell. The header is UTF-8 and every line
+    ends in ``\n``. Rows are formatted and written one block of
+    ``_CSV_BLOCK_ROWS`` at a time, so the buffer is bounded by a block,
+    not by the file.
 
-    Raises ValueError when the header's width differs from the number of
-    columns or the columns differ in length.
+    Raises ValueError, before anything is written, when the header's width
+    differs from the number of columns or the columns differ in length.
     """
 
     if len(header) != len(columns):
@@ -292,12 +295,20 @@ def csv_text(header, columns) -> str:
     n_rows = lengths.pop() if lengths else 0
     separators = [","] * (len(columns) - 1) + ["\n"]
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
-    parts = [",".join(header) + "\n"]
+    handle.write((",".join(header) + "\n").encode("utf-8"))
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
         block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
-        cells = _block_cells(block, floats, separators)
-        parts.append(b"".join(cells.ravel().tolist()).decode("ascii"))
-    return "".join(parts)
+        # Cells are NUL-padded fixed-width items; no cell holds a NUL.
+        cells = _block_cells(block, floats, separators).view(np.uint8)
+        handle.write(cells[cells != 0].tobytes())
+
+
+def csv_text(header, columns) -> str:
+    """The text :func:`write_csv` writes for ``header`` and ``columns``."""
+
+    buffer = BytesIO()
+    write_csv(buffer, header, columns)
+    return buffer.getvalue().decode("utf-8")
 
 
 def _nan_to_none(obj):

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from beds import verify
 from beds.cli import main
 from beds.core import scenario_to_json
+from beds.engine import run, trace_to_csv
 from beds.scenarios import (
     dissipation_only,
     drifting_tracking,
@@ -305,6 +308,39 @@ def test_simulate_outputs_are_byte_reproducible(tmp_path, scenario_file):
     assert main(["simulate", "--scenario-path", path, "--output-dir", str(out_b)]) == 0
     for name in ("trace.csv", "summary.json", "ledger.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "builder, horizon",
+    # No observations, so the ledger is its header; samples that stop at
+    # the crystallization; and samples over several write blocks.
+    [(dissipation_only, None), (static_crystallizing, None), (steady_state, 5000.0)],
+)
+def test_simulate_streams_csv_files_equal_to_their_text(tmp_path, scenario_file, builder, horizon):
+    scenario = builder() if horizon is None else replace(builder(), horizon=horizon)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario-path", scenario_file(lambda: scenario), "--output-dir", str(out)]) == 0
+    trace = run(scenario)
+    assert (out / "trace.csv").read_bytes() == trace_to_csv(trace).encode()
+    assert (out / "ledger.csv").read_bytes() == trace.ledger.to_csv().encode()
+    if builder is dissipation_only:
+        assert (out / "ledger.csv").read_bytes() == b"time,energy,info_gain,cumulative_energy,sub_landauer\n"
+    if builder is static_crystallizing:
+        assert trace.outcome.crystallized and trace.samples["t"][-1] < scenario.horizon
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["trace.csv", "ledger.csv"])
+def test_simulate_write_that_fails_mid_stream_exits_1_with_one_line(tmp_path, scenario_file, capsys, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    path = scenario_file(lambda: replace(steady_state(), horizon=5000.0))
+    assert main(["simulate", "--scenario-path", path, "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {name} in {out}: "), lines
 
 
 def test_beds_seed_env_overrides_scenario_seed(tmp_path, scenario_file, monkeypatch):

@@ -1,8 +1,10 @@
-"""CSV formatting: the block-formatted ``csv_text`` against a per-cell reference."""
+"""CSV formatting: the block-formatted ``csv_text`` against a per-cell reference,
+and ``write_csv`` streaming the same bytes to a file."""
 
 import math
 import random
 import struct
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from beds import io
 from beds.engine import SAMPLE_FIELDS, run, trace_to_csv
-from beds.io import _CSV_BLOCK_ROWS, csv_text, format_float
+from beds.io import _CSV_BLOCK_ROWS, csv_text, format_float, write_csv
 from beds.scenarios import steady_state
 
 
@@ -145,6 +147,68 @@ def test_csv_text_rejects_columns_of_different_lengths():
 def test_csv_text_rejects_header_of_other_width():
     with pytest.raises(ValueError, match="2 names for 3 columns"):
         csv_text(["a", "b"], [[1.0], [2.0], [3.0]])
+
+
+# --- write_csv: the same bytes, streamed ----------------------------------------------
+
+
+def mixed_columns(n_rows: int, seed: int) -> list:
+    """A float, a bool and an int array, and a plain list mixing ints and floats."""
+
+    picker = random.Random(seed)
+    return [
+        np.array(random_doubles(picker, n_rows)),
+        np.array([picker.random() < 0.5 for _ in range(n_rows)], dtype=bool),
+        np.array([picker.randrange(-(2**63), 2**63) for _ in range(n_rows)], dtype=np.int64),
+        [picker.choice([7, -0.0, 2**64 - 1, 0.1]) for _ in range(n_rows)],
+    ]
+
+
+@pytest.mark.parametrize("n_rows", ROW_COUNTS)
+def test_write_csv_to_a_file_writes_the_bytes_of_csv_text(tmp_path, n_rows):
+    header = ["x", "flag", "n", "énergie_τ"]
+    columns = mixed_columns(n_rows, seed=n_rows)
+    path = tmp_path / "out.csv"
+    with open(path, "wb") as handle:
+        write_csv(handle, header, columns)
+    got = path.read_bytes()
+    assert got == csv_text(header, columns).encode("utf-8")
+    assert got.decode("utf-8") == reference_csv_text(header, [c if isinstance(c, list) else c.tolist() for c in columns])
+    if n_rows == 0:
+        assert got == "x,flag,n,énergie_τ\n".encode("utf-8")
+
+
+def test_write_csv_rejects_bad_columns_before_writing(tmp_path):
+    path = tmp_path / "out.csv"
+    with open(path, "wb") as handle:
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(handle, ["a", "b"], [[1.0, 2.0], [3.0]])
+    assert path.read_bytes() == b""
+
+
+def streamed_peak(path, columns) -> int:
+    """The tracemalloc peak, in bytes, of writing ``columns`` to ``path``."""
+
+    tracemalloc.start()
+    try:
+        with open(path, "wb") as handle:
+            write_csv(handle, SAMPLE_FIELDS, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_peak_does_not_grow_with_the_row_count(tmp_path):
+    rng = np.random.default_rng(7)
+    csv_text(SAMPLE_FIELDS, [rng.random(2) for _ in SAMPLE_FIELDS])  # builds the kernel's tables
+    peaks = {}
+    for n_rows in (8 * 1024, 64 * 1024):
+        columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 8, n_rows) for _ in SAMPLE_FIELDS]
+        path = tmp_path / f"{n_rows}.csv"
+        peaks[n_rows] = streamed_peak(path, columns)
+        assert path.stat().st_size > 100 * n_rows
+    # The 64k-row file is over 6 MB; the writer holds one block of it.
+    assert abs(peaks[64 * 1024] - peaks[8 * 1024]) < 2**20, peaks
 
 
 # --- the float64 kernel against '%.17g' ----------------------------------------------
