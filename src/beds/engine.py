@@ -19,9 +19,10 @@ drawn for the times, so a run's precision side is a function of a few
 scenario values, its key, and a run's noise is the first standard normals
 of its seed's stream, which the memo draws once per sweep. The rows run key
 by key, whatever the grid's order, and are emitted grid-major: each batch
-of a key's rows computes the side once and evolves its means as the columns
-of one loop (``dynamics.evolve_means``), and the memo lends each row's run
-its column. A run that finds no lent column for it computes its own.
+of a key's rows computes the side once, evolves its means as the columns
+of one loop (``dynamics.evolve_means``) and builds its traces on 2-D blocks
+of rows, and the memo lends each row's run its finished trace. Any other
+run computes its own trace, through the same assembly (``_traces``).
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ _EVENT_DTYPE = np.dtype([(name, np.float64) for name in ("precision_before", "me
 # Rows per block of the mean loop, whose per-event lists then add little to a
 # run's peak memory.
 _MEAN_BLOCK = 4096
+# Most sample-plus-event rows in one block of a batch's traces: the traces of a
+# wide or long key are built a few rows at a time.
+_TRACE_BLOCK = 8192
 # Most observations plus samples a sweep may expect over all its runs: a
 # hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
 MAX_SWEEP_COUNT = 10**8
@@ -167,17 +171,16 @@ class SweepMemo:
     ``normals`` maps each seed to the standard normals drawn at it so far
     (``generate_flux``'s memo), or is None to draw them per run. ``side`` is
     the last precision side held, and ``key`` the inputs it was computed
-    from (``_side_key``). ``lent`` is a ``(scenario, means)`` pair that
-    ``sweep`` sets before a batched row's run: the row's ``mean_after``
-    column, evolved with its batch. The next run takes it off the memo and
-    uses it only when that run's scenario ``==`` the lent one and ``key`` is
-    its key.
+    from (``_side_key``). ``lent`` is a ``(scenario, trace)`` pair that
+    ``sweep`` sets before a batched row's run: the row's trace, built with
+    its batch. The next run takes it off the memo and returns it only when
+    that run's scenario is the very object it was lent for.
     """
 
     normals: dict[int, np.ndarray] | None = field(default_factory=dict)
     key: tuple | None = None
     side: _PrecisionSide | None = None
-    lent: tuple[Scenario, np.ndarray] | None = None
+    lent: tuple[Scenario, RunTrace] | None = None
 
 
 def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: SweepMemo | None = None) -> RunTrace:
@@ -194,27 +197,44 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
     it. ``generate_flux`` reads and extends its normals. A generated run
     without Poisson arrivals reuses the held precision side when its key
     matches, and otherwise computes the side and holds it there, read-only,
-    in place of the last one; with a lent means column for it as well, the
-    run generates no flux and has no mean loop. Replays and Poisson runs
-    never share a side.
+    in place of the last one. Replays and Poisson runs never share a side.
+    A run takes a lent trace off the memo and returns it, unvalidated, only
+    when its scenario is the object ``sweep`` lent it for: ``sweep`` has
+    validated that row's cell, and a row differs from its cell only in the
+    seed.
     """
 
-    validate_scenario(scenario)
-    key = _side_key(scenario)
-    lent = None
     if shared is not None:
         lent, shared.lent = shared.lent, None
+        if lent is not None and lent[0] is scenario:
+            return lent[1]
+    validate_scenario(scenario)
+    key = _side_key(scenario)
     if observations is not None:
         flux = _checked_flux(observations)
-        return _with_mean_side(scenario, _precision_side(flux, *key[2:]), flux)
-    spec = scenario.flux_spec
-    shareable = shared is not None and not isinstance(spec.arrival, PoissonArrival)
-    if shareable and lent is not None and lent[0] == scenario and shared.key == key:
-        return _with_mean_side(scenario, shared.side, means=lent[1])
-    normals = None if shared is None else shared.normals
-    flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
-    side = _held_side(shared, key, flux) if shareable else _precision_side(flux, *key[2:])
-    return _with_mean_side(scenario, side, flux)
+        side = _precision_side(flux, *key[2:])
+    else:
+        spec = scenario.flux_spec
+        normals = None if shared is None else shared.normals
+        flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
+        shareable = shared is not None and not isinstance(spec.arrival, PoissonArrival)
+        side = _held_side(shared, key, flux) if shareable else _precision_side(flux, *key[2:])
+    # A side of the run's own takes its means in its events; a held one is
+    # read-only. The mean loop runs over blocks of rows, so that its
+    # per-event lists stay small beside the side's arrays; each block starts
+    # from the last mean.
+    n = len(side.events)
+    means = side.events["mean_after"] if side.events.flags.writeable else np.empty(n)
+    columns = (flux["value"], flux["obs_precision"], side.events["precision_before"])
+    start = scenario.beds.initial_belief.mean
+    for lo in range(0, n, _MEAN_BLOCK):
+        rows = slice(lo, min(lo + _MEAN_BLOCK, n))
+        block = evolve_mean(start, *(column[rows].tolist() for column in columns))
+        means[rows] = block
+        start = block[-1]
+    del flux, columns
+    [trace] = _traces([scenario], side, means[:, None])
+    return trace
 
 
 def _side_key(scenario: Scenario) -> tuple:
@@ -304,61 +324,68 @@ def _precision_side(
     return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
 
-def _with_mean_side(
-    scenario: Scenario, side: _PrecisionSide, flux: np.ndarray | None = None, means: np.ndarray | None = None
-) -> RunTrace:
-    """The trace of ``scenario`` on ``side``: its means, and what they feed.
+def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> Iterator[RunTrace]:
+    """The traces of ``scenarios`` on ``side``, column ``j`` of ``means`` (events x rows) being row ``j``'s means.
 
-    The means are ``means`` when given (a sweep batch's column), and
-    otherwise the mean loop over ``flux``'s values. Fills the mean-side
-    columns of the side's events and samples in place, or of copies when
-    the side is read-only (held by a ``SweepMemo``).
+    The rows differ only outside the side's key. A writeable side is one
+    run's own, whose events hold its means already, and its trace is built
+    in the side's arrays. Otherwise the traces are built on fresh 2-D blocks
+    of at most about _TRACE_BLOCK sample-plus-event rows: each block repeats
+    the side's columns for its rows, then gathers their sampled means and
+    computes their divergence and its maximum after the burn-in at once.
+    Each trace's events and samples are rows of its block, and its ledger
+    is the side's.
     """
 
-    events, samples, ledger = side.events, side.samples, side.ledger
-    if not events.flags.writeable:
-        events, samples, ledger = events.copy(), samples.copy(), copy.copy(ledger)
-    n = len(events)
-    initial, target = scenario.beds.initial_belief, scenario.problem.target
-    if means is not None:
-        events["mean_after"] = means
-    else:
-        # The mean loop runs over blocks of rows, so that its per-event lists
-        # stay small beside the side's arrays; each block starts from the
-        # last mean.
-        columns = (flux["value"], flux["obs_precision"], events["precision_before"])
-        start = initial.mean
-        for lo in range(0, n, _MEAN_BLOCK):
-            rows = slice(lo, min(lo + _MEAN_BLOCK, n))
-            block = evolve_mean(start, *(column[rows].tolist() for column in columns))
-            events["mean_after"][rows] = block
-            start = block[-1]
-    precision_p = 1.0 / target.target_variance
-    if n:
+    n, m = len(side.events), len(side.samples)
+    own = side.events.flags.writeable
+    step = 1 if own else max(1, _TRACE_BLOCK // (n + m))
+    highest = side.events["precision_after"].max().item() if n else None
+    for lo in range(0, len(scenarios), step):
+        chunk = scenarios[lo : lo + step]
+        targets = [scenario.problem.target for scenario in chunk]
+        precisions_p = [1.0 / target.target_variance for target in targets]
         # As for the totals, a replayed row may leave the divergence's
         # precision ratios non-finite, in the order kl_gaussian divides, on
         # the highest precision the rows reach.
-        highest = events["precision_after"].max().item()
-        if not (math.isfinite(highest / precision_p) and math.isfinite(precision_p / highest)):
-            message = f"must keep the divergence of the highest precision finite, got {highest!r}"
-            raise ValidationError([Violation("budget_exceeded", "observations", message)])
-    outcome = NOT_CRYSTALLIZED
-    if side.halted_at is not None:
-        t = side.halted_at
-        outcome = check_crystallization(
-            events["mean_after"][-1].item(),
-            events["precision_after"][-1].item(),
-            t,
-            scenario.beds.epsilon,
-            target_mean_at(target, t),
-            scenario.problem.delta,
-        )
-    mean = np.concatenate(([initial.mean], events["mean_after"]))[side.last]
-    samples["mean"] = mean
-    samples["kl_to_target"] = kl_gaussian(mean, samples["precision"], target_mean_at(target, samples["t"]), precision_p)
-    max_kl = after_burn_in(samples, scenario.problem.t0, "kl_to_target", np.max)
-    summary = Summary(max_kl_after_t0=max_kl, **side.summary)
-    return RunTrace(samples, events, outcome, ledger, summary, side.power_window, side.clamped)
+        for p in precisions_p if n else ():
+            if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
+                message = f"must keep the divergence of the highest precision finite, got {highest!r}"
+                raise ValidationError([Violation("budget_exceeded", "observations", message)])
+        if own:
+            # The run's mean loop wrote its means into these events.
+            events, samples = side.events[None], side.samples[None]
+        else:
+            events, samples = side.events[None].repeat(len(chunk), 0), side.samples[None].repeat(len(chunk), 0)
+            events["mean_after"] = means[:, lo : lo + step].T
+        initial = [[scenario.beds.initial_belief.mean] for scenario in chunk]
+        mean = np.concatenate((initial, events["mean_after"]), axis=1)[:, side.last]
+        samples["mean"] = mean
+        # target_mean_at, one target per row. A precision that every row
+        # shares stays a float, so kl_gaussian computes its terms in it once.
+        theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
+        mean_p = theta0 + velocity * side.samples["t"]
+        precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
+        samples["kl_to_target"] = kl_gaussian(mean, side.samples["precision"], mean_p, precision_p)
+        del mean, mean_p
+        # t0 is in the key: every row has the same burn-in.
+        max_kl = after_burn_in(samples, chunk[0].problem.t0, "kl_to_target", np.max).tolist()
+        for j, scenario in enumerate(chunk):
+            outcome = NOT_CRYSTALLIZED
+            if side.halted_at is not None:
+                t = side.halted_at
+                outcome = check_crystallization(
+                    events["mean_after"][j, -1].item(),
+                    side.events["precision_after"][-1].item(),
+                    t,
+                    scenario.beds.epsilon,
+                    target_mean_at(targets[j], t),
+                    scenario.problem.delta,
+                )
+            summary = Summary(max_kl_after_t0=max_kl[j], **side.summary)
+            yield RunTrace(samples[j], events[j], outcome, side.ledger, summary, side.power_window, side.clamped)
+        # Drop this block before the next one is allocated.
+        del events, samples
 
 
 def _checked_flux(flux: object) -> np.ndarray:
@@ -396,23 +423,31 @@ def _precision_samples(
     # before it (row 0: the initial belief at time 0), dissipated to the sample
     # instant, so an observation at a sample instant is applied first and
     # sampling never advances the state. The mean and kl_to_target columns are
-    # left 0; also returns the event count at or before each sample.
+    # left 0; also returns the event count at or before each sample. This
+    # sets the memory peak of a long run, so each temporary column is freed
+    # as soon as it has been used.
     t = np.arange(int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1) * sample_dt
     t = t[t < halted_at] if halted_at is not None else t[t <= horizon]
     last = np.searchsorted(ledger.times, t, side="right")
-    state_t = np.concatenate(([0.0], ledger.times))[last]
+    dts = t - np.concatenate(([0.0], ledger.times))[last]
     state_precision = np.concatenate(([precision], events["precision_after"]))[last]
-    precision = dissipate(state_precision, t - state_t, gamma)
+    precision = dissipate(state_precision, dts, gamma)
+    del dts, state_precision
 
     samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
     samples["t"] = t
     samples["precision"] = precision
-    samples["variance"] = 1.0 / precision
+    samples["variance"] = np.divide(1.0, precision, out=precision)
+    del precision
 
     lo = np.searchsorted(ledger.times, t - power_window, side="right")
+    del t
     padded = np.concatenate(([0.0], ledger.cumulative))
     samples["cumulative_energy"] = padded[last]
-    samples["windowed_power"] = (padded[last] - padded[lo]) / power_window
+    window = padded[lo]
+    del padded, lo
+    np.subtract(samples["cumulative_energy"], window, out=window)
+    samples["windowed_power"] = np.divide(window, power_window, out=window)
     return samples, last
 
 
@@ -530,12 +565,12 @@ def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
 
     The rows run in batches. A batch's runs share its side, and its means
     evolve as the columns of one (events x rows) loop,
-    ``dynamics.evolve_means``; each row's column is lent to its run. The
-    batches of a key hold at most about MAX_EXPECTED_COUNT means each, so
-    a wide key splits, and each row's flux is dropped once its values are in
-    the block. A batch of one row (a Poisson row is a key of its own) runs
-    as ``run(scenario, shared=memo)`` alone: a width-1 loop is slower than
-    the scalar one.
+    ``dynamics.evolve_means``; ``_traces`` builds the batch's traces, and
+    each row's is lent to its run. The batches of a key hold at most about
+    MAX_EXPECTED_COUNT means each, so a wide key splits, and each row's flux
+    is dropped once its values are in the block. A batch of one row (a
+    Poisson row is a key of its own) runs as ``run(scenario, shared=memo)``
+    alone: a width-1 loop is slower than the scalar one.
     """
 
     width = max(1, int(MAX_EXPECTED_COUNT // max(_fixed_count(scenarios[0]), 1.0)))
@@ -557,11 +592,11 @@ def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
             del flux
         starts = [scenario.beds.initial_belief.mean for scenario in batch]
         means = evolve_means(starts, values, obs_precisions, side.events["precision_before"])
-        for j, scenario in enumerate(batch):
-            memo.lent = (scenario, means[:, j])
+        for scenario, trace in zip(batch, _traces(batch, side, means)):
+            memo.lent = (scenario, trace)
             yield run(scenario, shared=memo)
-        # Free this block before the next batch allocates its own.
-        del values, means
+        # Free this batch's blocks before the next batch allocates its own.
+        del values, means, trace
 
 
 def _fixed_count(cell: Scenario) -> float:

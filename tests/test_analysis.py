@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import beds
 from beds.analysis import (
+    after_burn_in,
     classify_run,
     kl_gaussian,
     optimal_obs_precision,
@@ -271,3 +272,24 @@ def test_verdict_serializes_to_plain_dict():
     assert set(payload) == {"attainable", "maintainable", "crystallizable", "evidence"}
     assert isinstance(payload["evidence"], dict)
     assert isinstance(payload["evidence"]["final_kl"], float)
+
+
+@given(
+    st.lists(st.one_of(st.floats(min_value=-1e300, max_value=1e300), st.just(math.nan)), max_size=12),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.9, 3.0]),
+)
+def test_after_burn_in_is_the_masked_reduction_per_run_of_a_block(values, runs, t0):
+    # Samples at t = 0, 0.25, ...: the burn-in keeps t > t0, as a boolean mask would.
+    block = np.zeros((runs, len(values)), dtype=_SAMPLE_DTYPE)
+    block["t"] = np.arange(len(values)) * 0.25
+    for j in range(runs):
+        block["mean"][j] = np.roll(values, j)
+    for reduce in (np.max, np.mean):
+        per_run = after_burn_in(block, t0, "mean", reduce)
+        assert per_run.shape == (runs,)
+        for j in range(runs):
+            column = block["mean"][j][block["t"][j] > t0]
+            expected = float(reduce(column)) if column.size else math.nan
+            assert repr(after_burn_in(block[j], t0, "mean", reduce)) == repr(expected)
+            assert repr(per_run[j].item()) == repr(expected)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import asdict, replace
@@ -28,10 +29,11 @@ from beds.core import (
     scenario_from_dict,
     scenario_to_dict,
     set_path,
+    validate_scenario,
 )
 from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
 from beds.energy import gaussian_entropy
-from beds import dynamics, engine, fluxgen
+from beds import cli, dynamics, engine, fluxgen
 from beds.engine import run, sweep, trace_to_csv
 from beds.fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from beds.scenarios import (
@@ -581,7 +583,7 @@ def test_sweep_runs_each_row_once_key_by_key_and_keeps_grid_order(monkeypatch):
     # every velocity, so rows run key by key, and are emitted in grid order.
     base = replace(tracking_sweep_base(), horizon=4.0)
     velocities, periods = [0.0, 0.5, 1.0], [0.5, 0.25]
-    ran, generated = [], []
+    ran, generated, validated = [], [], []
 
     def run_spy(scenario, observations=None, *, shared=None):
         ran.append(scenario)
@@ -591,10 +593,18 @@ def test_sweep_runs_each_row_once_key_by_key_and_keeps_grid_order(monkeypatch):
         generated.append((spec.arrival.period, target.velocity, seed))
         return generate_flux(spec, target, horizon, seed, normals_memo)
 
+    def validate_spy(scenario):
+        validated.append((scenario.flux_spec.arrival.period, scenario.problem.target.velocity, scenario.seed))
+        return validate_scenario(scenario)
+
     monkeypatch.setattr(engine, "run", run_spy)
     monkeypatch.setattr(engine, "generate_flux", flux_spy)
+    monkeypatch.setattr(engine, "validate_scenario", validate_spy)
     grid = [("problem.target.velocity", velocities), ("flux_spec.arrival.period", periods)]
     table = sweep(base, grid, replicates=2)
+    # Each cell is validated once, before the first run; a batched row is not validated again.
+    cells = [(period, velocity, base.seed) for velocity in velocities for period in periods]
+    assert validated == cells
     rows = [(row["problem.target.velocity"], row["flux_spec.arrival.period"], row["replicate"]) for row in table.rows]
     assert rows == list(itertools.product(velocities, periods, range(2)))
     # One run and one flux per row, the rows of one period together.
@@ -609,6 +619,51 @@ def test_sweep_runs_each_row_once_key_by_key_and_keeps_grid_order(monkeypatch):
         raw["seed"] = row["seed"]
         summary = asdict(run(scenario_from_dict(raw)).summary)
         assert repr(summary) == repr({name: row[name] for name in summary})
+
+
+# The velocity x period grid of `beds verify`'s tracking sweep, 10 replicates per cell.
+_BENCH_GRID = [
+    ("problem.target.velocity", [0.0, 0.5, 1.0, 2.0]),
+    ("flux_spec.arrival.period", [0.5, 0.25, 0.125, 0.0625, 0.03125]),
+]
+
+
+def test_beds_sweep_validates_the_base_and_each_cell_once(monkeypatch, tmp_path):
+    calls = {"validate": 0, "run": 0, "flux": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for module in (cli, engine):
+        monkeypatch.setattr(module, "validate_scenario", counted("validate", validate_scenario))
+    monkeypatch.setattr(engine, "run", counted("run", run))
+    monkeypatch.setattr(engine, "generate_flux", counted("flux", generate_flux))
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(scenario_to_dict(tracking_sweep_base())))
+    argv = ["sweep", "--scenario-path", str(path), "--output-dir", str(tmp_path / "out"), "--replicates", "10"]
+    for name, values in _BENCH_GRID:
+        argv += ["--grid", f"{name}=" + ",".join(map(repr, values))]
+    assert cli.main(argv) == 0
+    assert calls == {"validate": 1 + 20, "run": 200, "flux": 200}
+
+
+def test_a_bench_sized_sweep_holds_under_two_megabytes():
+    # The traces of a key's batch are built a few rows at a time: building a
+    # whole batch's at once peaks at about 8 MB.
+    base = tracking_sweep_base()
+    sweep(base, _BENCH_GRID, replicates=10)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        sweep(base, _BENCH_GRID, replicates=10)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
@@ -635,25 +690,88 @@ def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
 
 @given(_sweep_cells(arrivals=("periodic", "schedule")))
 @settings(max_examples=20, deadline=None)
-def test_a_lent_mean_column_is_used_only_by_its_own_scenario_and_key(base):
+def test_a_lent_trace_is_returned_only_to_the_scenario_it_was_lent_for(base):
     memo = engine.SweepMemo()
     expected = run(base)
-    n = len(expected.events)
-    other = replace(base, seed=(base.seed + 1) % 2**64)
-    # A lent entry for another scenario, or lent while the memo holds no
-    # side or another key's side, is ignored and taken off the memo.
+    lent = run(replace(base, seed=(base.seed + 1) % 2**64))
+    # A lent entry for any other scenario object, an == copy included, is
+    # ignored and taken off the memo, whatever side the memo holds.
     for held in (None, replace(base, horizon=5.0), base):
         memo.key = memo.side = None
         if held is not None:
             run(held, shared=memo)
-        memo.lent = (other if held is base else base, np.full(n, 7.0))
-        _assert_same_trace(run(base, shared=memo), expected)
+        for other in (replace(base), replace(base, seed=(base.seed + 1) % 2**64)):
+            memo.lent = (other, lent)
+            _assert_same_trace(run(base, shared=memo), expected)
+            assert memo.lent is None
+    # The scenario it was lent for takes it, whatever side the memo holds.
+    memo.lent = (base, lent)
+    assert run(base, shared=memo) is lent and memo.lent is None
+    # An invalid scenario raises, with its key's side held and a trace lent
+    # for a valid row or for an == copy of it. (sweep lends only to the rows
+    # of cells it has validated.)
+    invalid = replace(base, problem=replace(base.problem, delta=-1.0))
+    for other in (None, base, replace(invalid)):
+        memo.lent = None if other is None else (other, lent)
+        with pytest.raises(ValidationError, match="problem.delta"):
+            run(invalid, shared=memo)
         assert memo.lent is None
-    # Its own scenario, with its key held, takes the lent column as its means.
-    memo.lent = (replace(base), np.full(n, 7.0))
-    lent = run(base, shared=memo)
-    assert (lent.events["mean_after"] == 7.0).all() and memo.lent is None
-    assert lent.ledger.to_csv() == expected.ledger.to_csv()
+
+
+def _crystallizing_key():
+    # Every row of this grid shares one precision side, which crystallizes
+    # at the fifth observation; the rows differ in their means and targets,
+    # and some crystallize within delta of the target, some outside it.
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    base = replace(base, beds=replace(base.beds, epsilon=0.11), problem=replace(base.problem, delta=0.2))
+    grid = [("problem.target.velocity", [0.0, 1.0]), ("problem.target.target_variance", [0.25, 2.0])]
+    return base, grid, 3
+
+
+def _long_key():
+    return replace(tracking_sweep_base(), horizon=10.0), [("beds.initial_belief.mean", [0.0, 0.5])], 5
+
+
+def _width_one_keys():
+    # One replicate per period: each key is a single row.
+    return replace(tracking_sweep_base(), horizon=10.0), [("flux_spec.arrival.period", [0.5, 0.25])], 1
+
+
+def _poisson_rows():
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    base = replace(base, flux_spec=replace(base.flux_spec, arrival=PoissonArrival(rate=4.0)))
+    return base, [("problem.target.velocity", [0.0, 1.0])], 2
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+@pytest.mark.parametrize("case", [_crystallizing_key, _long_key, _width_one_keys, _poisson_rows])
+def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
+    base, grid, replicates = case()
+    if rows_per_block is not None:
+        # _TRACE_BLOCK counts sample-plus-event rows; every row of these keys has as many.
+        alone = run(base)
+        monkeypatch.setattr(engine, "_TRACE_BLOCK", rows_per_block * (len(alone.events) + len(alone.samples)))
+    traces = []
+
+    def run_spy(scenario, observations=None, *, shared=None):
+        traces.append((scenario, run(scenario, observations, shared=shared)))
+        return traces[-1][1]
+
+    monkeypatch.setattr(engine, "run", run_spy)
+    table = sweep(base, grid, replicates=replicates)
+    monkeypatch.undo()
+    assert len(traces) == len(table.rows)
+    if case is _crystallizing_key:
+        assert all(trace.outcome.crystallized for _, trace in traces)
+        assert len({trace.outcome.accurate for _, trace in traces}) == 2
+    for scenario, trace in traces:
+        _assert_same_trace(trace, run(scenario))
+    if case in (_crystallizing_key, _long_key):
+        # A batch's traces are rows of blocks of rows_per_block rows (the
+        # last one shorter), whatever its width.
+        blocks = [len(trace.samples.base) for _, trace in traces]
+        width = rows_per_block or len(traces)
+        assert blocks == [min(width, len(traces) - i // width * width) for i in range(len(traces))]
 
 
 # --- flux replay --------------------------------------------------------------------
