@@ -222,7 +222,7 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
     # A side of the run's own takes its means in its events; a held one is
     # read-only. The mean loop runs over blocks of rows, so that its
     # per-event lists stay small beside the side's arrays; each block starts
-    # from the last mean.
+    # from the last mean. Nothing reads the flux after it.
     n = len(side.events)
     means = side.events["mean_after"] if side.events.flags.writeable else np.empty(n)
     columns = (flux["value"], flux["obs_precision"], side.events["precision_before"])
@@ -367,7 +367,6 @@ def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) 
         mean_p = theta0 + velocity * side.samples["t"]
         precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
         samples["kl_to_target"] = kl_gaussian(mean, side.samples["precision"], mean_p, precision_p)
-        del mean, mean_p
         # t0 is in the key: every row has the same burn-in.
         max_kl = after_burn_in(samples, chunk[0].problem.t0, "kl_to_target", np.max).tolist()
         for j, scenario in enumerate(chunk):
