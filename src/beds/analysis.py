@@ -121,18 +121,19 @@ def kl_gaussian(
     )
 
 
-def after_burn_in(samples: np.ndarray, t0: float, name: str, reduce) -> float | np.ndarray:
-    """``reduce`` of field ``name`` over the samples after the burn-in, t > t0; nan if none.
+def after_burn_in(samples: np.ndarray, t0: float, column: str | np.ndarray, reduce) -> float | np.ndarray:
+    """``reduce`` of ``column`` over the samples after the burn-in, t > t0; nan if none.
 
-    Sample times ascend, so these samples are a tail. ``samples`` may also be
-    a 2-D block of runs sampled at the same times, one run per row; the
-    result is then one value per run, ``reduce`` taking ``axis=1``.
+    Sample times ascend, so these samples are a tail. ``column`` is a field
+    of ``samples``, or a 2-D float block of runs sampled at the times of
+    ``samples``, one run per row; the result is then one value per run,
+    ``reduce`` taking ``axis=1``.
     """
 
-    times = samples["t"] if samples.ndim == 1 else samples["t"][0]
-    tail = samples[name][..., np.searchsorted(times, t0, side="right") :]
-    if samples.ndim == 2:
-        return reduce(tail, axis=1) if tail.shape[1] else np.full(len(samples), math.nan)
+    values = samples[column] if isinstance(column, str) else column
+    tail = values[..., np.searchsorted(samples["t"], t0, side="right") :]
+    if tail.ndim == 2:
+        return reduce(tail, axis=1) if tail.shape[1] else np.full(len(tail), math.nan)
     return float(reduce(tail)) if tail.size else math.nan
 
 

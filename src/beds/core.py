@@ -382,7 +382,9 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
     """(field path, value, output quantity, bound) per field that scales a run's totals.
 
     Counts are 2 * MAX_EXPECTED_COUNT charges or samples. A field that breaks
-    another rule (a non-positive precision, say) gives a finite bound.
+    another rule (a non-positive precision, say) gives a finite bound, and
+    the bounds derived from the initial precision are derived only from one
+    that keeps its own, so that a bad initial precision is reported alone.
     """
 
     n, model, initial = 2 * MAX_EXPECTED_COUNT, scenario.energy_model, scenario.beds.initial_belief
@@ -398,7 +400,8 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
     if tau > 0:
         # Sample row 0 is the initial belief: a subnormal precision has an infinite variance.
         out.append(("beds.initial_belief.precision", tau, "the initial variance", 1.0 / tau))
-    if tau > 0 and obs_precision > 0:
+    tau_ok = tau > 0 and math.isfinite(tau * n) and math.isfinite(1.0 / tau)
+    if tau_ok and obs_precision > 0:
         # The most one charge gains: an observation on the lowest precision a
         # run reaches, the floor or a lower initial one. kBT times it is its
         # Landauer price, and the floor a fixed cost is flagged against.
@@ -412,7 +415,7 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
         gap = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(target.velocity) * scenario.horizon)
         quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
         out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
-        if tau > 0:
+        if tau_ok:
             # The divergence's precision ratios, in the order kl_gaussian
             # divides: precision_p / precision_q on the lowest precision a run
             # reaches, and precision_q / precision_p on the highest, at most the

@@ -17,12 +17,15 @@ seeds, one summary row per cell per replicate, each row one ``run`` with
 the sweep's ``SweepMemo``. With periodic or scheduled arrivals nothing is
 drawn for the times, so a run's precision side is a function of a few
 scenario values, its key, and a run's noise is the first standard normals
-of its seed's stream, which the memo draws once per sweep. The rows run key
+of its seed's stream, which the sweep draws once per seed. The rows run key
 by key, whatever the grid's order, and are emitted grid-major: each batch
 of a key's rows computes the side once, evolves its means as the columns
-of one loop (``dynamics.evolve_means``) and builds its traces on 2-D blocks
-of rows, and the memo lends each row's run its finished trace. Any other
-run computes its own trace, through the same assembly (``_traces``).
+of one loop (``dynamics.evolve_means``) and computes the rows' sampled
+means and divergence on 2-D blocks of rows, and the memo lends each row's
+run its finished trace. A lent trace keeps only the row's own columns
+beside the held side, and assembles its samples and events on first read.
+Any other run computes its own trace, through the same assembly
+(``_traces``), in its own side's arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .core import (
     MAX_EXPECTED_COUNT,
     EnergyModel,
     NonMonotonicFlux,
-    PeriodicArrival,
     PoissonArrival,
     Scenario,
     UnknownParameterPath,
@@ -64,7 +67,7 @@ from .dynamics import (
     evolve_precision,
 )
 from .energy import EnergyLedger, observation_costs
-from .fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
+from .fluxgen import FLUX_FIELDS, first_normals, fixed_count, generate_flux, target_mean_at
 from .io import csv_text, write_csv
 
 __all__ = [
@@ -93,8 +96,8 @@ _EVENT_DTYPE = np.dtype([(name, np.float64) for name in ("precision_before", "me
 # Rows per block of the mean loop, whose per-event lists then add little to a
 # run's peak memory.
 _MEAN_BLOCK = 4096
-# Most sample-plus-event rows in one block of a batch's traces: the traces of a
-# wide or long key are built a few rows at a time.
+# Most sample-plus-event rows in one block of a batch's traces: the columns of
+# a wide or long key's rows are computed a few rows at a time.
 _TRACE_BLOCK = 8192
 # Most observations plus samples a sweep may expect over all its runs: a
 # hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
@@ -132,7 +135,9 @@ class RunTrace:
     ``power_window`` is the width of the sliding window behind the
     windowed_power samples, horizon / 10. ``clamped`` flags that the
     precision floor was hit at least once. The ledger's columns are
-    read-only, since the runs of a sweep may share them.
+    read-only, since the runs of a sweep may share them. A sweep's row
+    builds its samples and events when they are first read
+    (``_LentTrace``).
     """
 
     samples: np.ndarray
@@ -164,20 +169,54 @@ class _PrecisionSide:
     summary: dict
 
 
+class _LentTrace(RunTrace):
+    """A batched row's trace: a held side and the row's own columns.
+
+    ``columns`` are the row's mean_after (one per event), and its sampled
+    mean and kl_to_target, rows of its block's. ``samples`` and ``events``
+    are the side's, copied with those columns in, the first time each is
+    read.
+    """
+
+    def __init__(self, side: _PrecisionSide, columns: tuple, outcome: CrystallizationOutcome, summary: Summary):
+        self._side, self._columns = side, columns
+        self.outcome, self.ledger, self.summary = outcome, side.ledger, summary
+        self.power_window, self.clamped = side.power_window, side.clamped
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        _, mean, kl = self._columns
+        return _with_columns(self._side.samples, mean=mean, kl_to_target=kl)
+
+    @cached_property
+    def events(self) -> np.ndarray:
+        return _with_columns(self._side.events, mean_after=self._columns[0])
+
+
+def _with_columns(held: np.ndarray, **columns: np.ndarray) -> np.ndarray:
+    """A writeable copy of the structured array ``held`` with the named columns set."""
+
+    out = held.copy()
+    for name, column in columns.items():
+        out[name] = column
+    return out
+
+
 @dataclass
 class SweepMemo:
     """Work that the runs of one sweep share through ``run``'s ``shared``.
 
-    ``normals`` maps each seed to the standard normals drawn at it so far
-    (``generate_flux``'s memo), or is None to draw them per run. ``side`` is
-    the last precision side held, and ``key`` the inputs it was computed
-    from (``_side_key``). ``lent`` is a ``(scenario, trace)`` pair that
-    ``sweep`` sets before a batched row's run: the row's trace, built with
-    its batch. The next run takes it off the memo and returns it only when
-    that run's scenario is the very object it was lent for.
+    ``normals`` maps a seed to the first standard normals of its stream
+    (``fluxgen.first_normals``), read-only, which ``sweep`` draws before the
+    first run; a run at a seed it lacks draws its own. ``side`` is the last
+    precision side held, and ``key`` the inputs it was computed from
+    (``_side_key``). ``lent`` is a ``(scenario, trace)`` pair that ``sweep``
+    sets before a batched row's run: the row's trace, built with its batch.
+    The next run takes it off the memo and returns it only when that run's
+    scenario is the very object it was lent for.
     """
 
-    normals: dict[int, np.ndarray] | None = field(default_factory=dict)
+    normals: dict[int, np.ndarray] = field(default_factory=dict)
     key: tuple | None = None
     side: _PrecisionSide | None = None
     lent: tuple[Scenario, RunTrace] | None = None
@@ -194,7 +233,7 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
     ``flux_from_csv``.
 
     ``shared`` lends work between runs, and the trace is the same without
-    it. ``generate_flux`` reads and extends its normals. A generated run
+    it. ``generate_flux`` reads its normals at the run's seed. A generated run
     without Poisson arrivals reuses the held precision side when its key
     matches, and otherwise computes the side and holds it there, read-only,
     in place of the last one. Replays and Poisson runs never share a side.
@@ -215,7 +254,7 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
         side = _precision_side(flux, *key[2:])
     else:
         spec = scenario.flux_spec
-        normals = None if shared is None else shared.normals
+        normals = None if shared is None else shared.normals.get(scenario.seed)
         flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
         shareable = shared is not None and not isinstance(spec.arrival, PoissonArrival)
         side = _held_side(shared, key, flux) if shareable else _precision_side(flux, *key[2:])
@@ -327,14 +366,14 @@ def _precision_side(
 def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> Iterator[RunTrace]:
     """The traces of ``scenarios`` on ``side``, column ``j`` of ``means`` (events x rows) being row ``j``'s means.
 
-    The rows differ only outside the side's key. A writeable side is one
-    run's own, whose events hold its means already, and its trace is built
-    in the side's arrays. Otherwise the traces are built on fresh 2-D blocks
-    of at most about _TRACE_BLOCK sample-plus-event rows: each block repeats
-    the side's columns for its rows, then gathers their sampled means and
-    computes their divergence and its maximum after the burn-in at once.
-    Each trace's events and samples are rows of its block, and its ledger
-    is the side's.
+    The rows differ only outside the side's key. Their sampled means and
+    divergence are computed in blocks of at most about _TRACE_BLOCK
+    sample-plus-event rows, as plain 2-D columns: each block gathers its
+    rows' sampled means at once, and computes their divergence and its
+    maximum after the burn-in. A writeable side is one run's own, whose
+    events hold its means already: its trace is built in the side's arrays.
+    A held side's rows are lent traces, which keep their columns beside the
+    side. Each trace's ledger is the side's.
     """
 
     n, m = len(side.events), len(side.samples)
@@ -352,29 +391,23 @@ def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) 
             if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
                 message = f"must keep the divergence of the highest precision finite, got {highest!r}"
                 raise ValidationError([Violation("budget_exceeded", "observations", message)])
-        if own:
-            # The run's mean loop wrote its means into these events.
-            events, samples = side.events[None], side.samples[None]
-        else:
-            events, samples = side.events[None].repeat(len(chunk), 0), side.samples[None].repeat(len(chunk), 0)
-            events["mean_after"] = means[:, lo : lo + step].T
+        mean_after = means[:, lo : lo + step].T
         initial = [[scenario.beds.initial_belief.mean] for scenario in chunk]
-        mean = np.concatenate((initial, events["mean_after"]), axis=1)[:, side.last]
-        samples["mean"] = mean
+        mean = np.concatenate((initial, mean_after), axis=1)[:, side.last]
         # target_mean_at, one target per row. A precision that every row
         # shares stays a float, so kl_gaussian computes its terms in it once.
         theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
         mean_p = theta0 + velocity * side.samples["t"]
         precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
-        samples["kl_to_target"] = kl_gaussian(mean, side.samples["precision"], mean_p, precision_p)
+        kl = kl_gaussian(mean, side.samples["precision"], mean_p, precision_p)
         # t0 is in the key: every row has the same burn-in.
-        max_kl = after_burn_in(samples, chunk[0].problem.t0, "kl_to_target", np.max).tolist()
+        max_kl = after_burn_in(side.samples, chunk[0].problem.t0, kl, np.max).tolist()
         for j, scenario in enumerate(chunk):
             outcome = NOT_CRYSTALLIZED
             if side.halted_at is not None:
                 t = side.halted_at
                 outcome = check_crystallization(
-                    events["mean_after"][j, -1].item(),
+                    mean_after[j, -1].item(),
                     side.events["precision_after"][-1].item(),
                     t,
                     scenario.beds.epsilon,
@@ -382,9 +415,13 @@ def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) 
                     scenario.problem.delta,
                 )
             summary = Summary(max_kl_after_t0=max_kl[j], **side.summary)
-            yield RunTrace(samples[j], events[j], outcome, side.ledger, summary, side.power_window, side.clamped)
+            if own:
+                side.samples["mean"], side.samples["kl_to_target"] = mean[j], kl[j]
+                yield RunTrace(side.samples, side.events, outcome, side.ledger, summary, side.power_window, side.clamped)
+            else:
+                yield _LentTrace(side, (mean_after[j], mean[j], kl[j]), outcome, summary)
         # Drop this block before the next one is allocated.
-        del events, samples
+        del mean_after, mean, kl
 
 
 def _checked_flux(flux: object) -> np.ndarray:
@@ -503,10 +540,12 @@ def sweep(
     rejected.
 
     Each row is one ``run`` with the same ``SweepMemo`` as ``shared``, made
-    for this call and dropped on return; it keeps no normals when the
-    replicates times the most normals a cell reads from it exceed
-    core.MAX_EXPECTED_COUNT. The rows run key by key (``_run_key``), so
-    each precision side is computed once per batch of its key's rows.
+    for this call and dropped on return. It holds each replicate seed's
+    first normals, as many as the longest noisy periodic or scheduled cell
+    reads, drawn once before the first run, unless the replicates times
+    that count exceed core.MAX_EXPECTED_COUNT: each run then draws its own.
+    The rows run key by key (``_run_key``), so each precision side is
+    computed once per batch of its key's rows.
     """
 
     if replicates < 1:
@@ -534,9 +573,13 @@ def sweep(
         )
     # The memo holds each replicate seed's longest noise prefix, at most
     # one run's flux column in all, and one run's precision side.
-    noisy = (_fixed_count(cell) for cell in cells if cell.flux_spec.noise == "noisy")
-    memo = SweepMemo(normals={} if replicates * max(noisy, default=0.0) <= MAX_EXPECTED_COUNT else None)
+    longest = max((_fixed_count(cell) for cell in cells if cell.flux_spec.noise == "noisy"), default=0)
     seeds = [(base.seed + replicate) % 2**64 for replicate in range(replicates)]
+    memo = SweepMemo()
+    if 0 < replicates * longest <= MAX_EXPECTED_COUNT:
+        for seed in seeds:
+            memo.normals[seed] = first_normals(seed, longest)
+            memo.normals[seed].flags.writeable = False
     scenarios = [dataclasses.replace(cell, seed=seed) for cell in cells for seed in seeds]
     # Rows grouped by precision-side key, in order of first appearance; a
     # Poisson row is a group of its own, under its row index.
@@ -572,7 +615,7 @@ def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
     alone: a width-1 loop is slower than the scalar one.
     """
 
-    width = max(1, int(MAX_EXPECTED_COUNT // max(_fixed_count(scenarios[0]), 1.0)))
+    width = max(1, int(MAX_EXPECTED_COUNT // max(_fixed_count(scenarios[0]), 1)))
     for lo in range(0, len(scenarios), width):
         batch = scenarios[lo : lo + width]
         if len(batch) == 1:
@@ -580,8 +623,8 @@ def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
             continue
         key = _side_key(batch[0])
         for j, scenario in enumerate(batch):
-            spec = scenario.flux_spec
-            flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, memo.normals)
+            spec, normals = scenario.flux_spec, memo.normals.get(scenario.seed)
+            flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
             if j == 0:
                 side = _held_side(memo, key, flux)
                 n = len(side.events)
@@ -598,12 +641,8 @@ def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
         del values, means, trace
 
 
-def _fixed_count(cell: Scenario) -> float:
-    """How many observations a generated flux of ``cell`` holds, when its arrivals are not Poisson."""
+def _fixed_count(cell: Scenario) -> int:
+    """How many observations a generated flux of ``cell`` holds, when its arrivals are not Poisson; else 0."""
 
     arrival = cell.flux_spec.arrival
-    if isinstance(arrival, PeriodicArrival):
-        return cell.horizon / arrival.period
-    if isinstance(arrival, PoissonArrival):
-        return 0.0
-    return float(len(arrival.times))
+    return 0 if isinstance(arrival, PoissonArrival) else fixed_count(arrival, cell.horizon)

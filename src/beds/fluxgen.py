@@ -11,10 +11,10 @@ one past the horizon, then the noise pairs.
 
 With periodic or scheduled arrivals nothing is drawn for the times, so a
 run's noise is the first Box-Muller normals of its seed's stream, whatever
-the rest of the spec. A caller that generates many such fluxes at the same
-seeds (a sweep, through ``engine.SweepMemo``) may pass a memo that keeps
-those normals from one call to the next. The stream is built only for
-Poisson arrivals or for normals the memo does not hold yet.
+the rest of the spec (``first_normals``). A caller that generates many such
+fluxes at the same seeds (a sweep, through ``engine.SweepMemo``) may draw
+each seed's normals once and pass them to every call; the stream is then
+built only for Poisson arrivals or for a flux longer than the normals given.
 """
 
 from __future__ import annotations
@@ -35,7 +35,15 @@ from .core import (
 )
 from .io import csv_text
 
-__all__ = ["FLUX_FIELDS", "generate_flux", "target_mean_at", "flux_to_csv", "flux_from_csv"]
+__all__ = [
+    "FLUX_FIELDS",
+    "first_normals",
+    "fixed_count",
+    "generate_flux",
+    "target_mean_at",
+    "flux_to_csv",
+    "flux_from_csv",
+]
 
 FLUX_FIELDS = ("time", "value", "obs_precision")
 _FLUX_DTYPE = np.dtype([(name, np.float64) for name in FLUX_FIELDS])
@@ -81,15 +89,22 @@ def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tup
         t = times[-1].item()
 
 
+def fixed_count(arrival: object, horizon: float) -> int:
+    """How many periodic or scheduled arrivals fall in [0, horizon]: the rows of their flux."""
+
+    if isinstance(arrival, PeriodicArrival):
+        return int(math.floor(horizon / arrival.period * (1.0 + 1e-12)))
+    if isinstance(arrival, ScheduleArrival):
+        return sum(0.0 <= t <= horizon for t in arrival.times)
+    raise EmptySpec(f"flux spec has no usable arrival: {arrival!r}")
+
+
 def _fixed_times(arrival: object, horizon: float) -> np.ndarray:
     """Periodic or scheduled arrival times up to the horizon; nothing is drawn for them."""
 
-    if isinstance(arrival, PeriodicArrival):
-        count = int(math.floor(horizon / arrival.period * (1.0 + 1e-12)))
-        return np.arange(1, count + 1) * arrival.period
     if isinstance(arrival, ScheduleArrival):
         return np.array([t for t in arrival.times if 0.0 <= t <= horizon], dtype=float)
-    raise EmptySpec(f"flux spec has no usable arrival: {arrival!r}")
+    return np.arange(1, fixed_count(arrival, horizon) + 1) * arrival.period
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
@@ -100,24 +115,15 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * logs) * coss
 
 
-def _first_normals(count: int, seed: int, memo: dict[int, np.ndarray] | None) -> np.ndarray:
-    """The first ``count`` normals of ``seed``'s stream, two uniforms each.
+def first_normals(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of ``seed``'s stream, two uniforms each.
 
-    With a ``memo``, ``memo[seed]`` holds the seed's first normals: a short
-    or missing entry is extended by the missing tail, drawn after skipping
-    the uniforms behind it, and stored back read-only, since callers get
-    views of it. The stream is built only when normals must be drawn.
+    A prefix of them is the same as fewer drawn: uniforms and normals are
+    computed element by element, in stream order.
     """
 
-    drawn = np.empty(0) if memo is None else memo.get(seed, np.empty(0))
-    if len(drawn) < count:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rng.bit_generator.advance(2 * len(drawn))
-        drawn = np.concatenate((drawn, _box_muller(rng.random(2 * (count - len(drawn))))))
-        if memo is not None:
-            drawn.flags.writeable = False
-            memo[seed] = drawn
-    return drawn[:count]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _box_muller(rng.random(2 * count))
 
 
 def generate_flux(
@@ -125,7 +131,7 @@ def generate_flux(
     target: TargetSpec,
     horizon: float,
     seed: int,
-    normals_memo: dict[int, np.ndarray] | None = None,
+    normals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generate the time-ordered observation stream for one run.
 
@@ -134,10 +140,10 @@ def generate_flux(
     precision the belief update assumes. The flux is one structured array
     with the float fields of ``FLUX_FIELDS``, one row per observation.
 
-    ``normals_memo`` maps seeds to the standard normals drawn at them so
-    far. A noisy periodic or scheduled spec reads its noise from it and
-    stores any normals it draws; Poisson and exact specs leave it alone. The
-    flux is the same with or without it.
+    ``normals`` may hold ``first_normals(seed, count)`` for any count, drawn
+    once for many calls. A noisy periodic or scheduled spec reads its noise
+    from their first rows, and draws its own when they are too few; Poisson
+    and exact specs ignore them. The flux is the same with or without them.
     """
 
     if horizon <= 0:
@@ -157,9 +163,9 @@ def generate_flux(
             # The noise follows a seed-dependent number of arrival draws.
             needed = 2 * len(times)
             normals = _box_muller(np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))))
-        else:
-            normals = _first_normals(len(times), seed, normals_memo)
-        flux["value"] += 1.0 / math.sqrt(spec.obs_precision) * normals
+        elif normals is None or len(normals) < len(times):
+            normals = first_normals(seed, len(times))
+        flux["value"] += 1.0 / math.sqrt(spec.obs_precision) * normals[: len(times)]
     return flux
 
 

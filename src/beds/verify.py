@@ -534,12 +534,14 @@ def check_optimal_obs_precision(seed_base: int = DEFAULT_SEED_BASE) -> tuple[boo
         lambda_max = gamma * tau_star / expected_opt
 
         feasible = grid[gamma * tau_star / grid <= lambda_max]
-        budget_power = lambda_max * 0.5 * np.log1p(feasible / tau_star)
+        # The log term of both powers, computed once.
+        nats = np.log1p(feasible / tau_star)
+        budget_power = lambda_max * 0.5 * nats
         argmin_tau_d = float(feasible[np.argmin(budget_power)])
         claimed = optimal_obs_precision(gamma, tau_star, lambda_max)
         max_abs_gap = max(max_abs_gap, abs(argmin_tau_d - claimed))
 
-        headline = (gamma * tau_star / feasible) * 0.5 * np.log1p(feasible / tau_star)
+        headline = (gamma * tau_star / feasible) * 0.5 * nats
         if np.any(np.diff(headline) > 0):
             p_min_exact_monotone_decreasing = False
 

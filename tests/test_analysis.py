@@ -281,15 +281,15 @@ def test_verdict_serializes_to_plain_dict():
 )
 def test_after_burn_in_is_the_masked_reduction_per_run_of_a_block(values, runs, t0):
     # Samples at t = 0, 0.25, ...: the burn-in keeps t > t0, as a boolean mask would.
-    block = np.zeros((runs, len(values)), dtype=_SAMPLE_DTYPE)
-    block["t"] = np.arange(len(values)) * 0.25
-    for j in range(runs):
-        block["mean"][j] = np.roll(values, j)
+    samples = np.zeros(len(values), dtype=_SAMPLE_DTYPE)
+    samples["t"] = np.arange(len(values)) * 0.25
+    block = np.array([np.roll(values, j) for j in range(runs)]).reshape(runs, len(values))
     for reduce in (np.max, np.mean):
-        per_run = after_burn_in(block, t0, "mean", reduce)
+        per_run = after_burn_in(samples, t0, block, reduce)
         assert per_run.shape == (runs,)
         for j in range(runs):
-            column = block["mean"][j][block["t"][j] > t0]
+            samples["mean"] = block[j]
+            column = block[j][samples["t"] > t0]
             expected = float(reduce(column)) if column.size else math.nan
-            assert repr(after_burn_in(block[j], t0, "mean", reduce)) == repr(expected)
+            assert repr(after_burn_in(samples, t0, "mean", reduce)) == repr(expected)
             assert repr(per_run[j].item()) == repr(expected)

@@ -284,6 +284,18 @@ def test_simulate_initial_precision_whose_variance_overflows_exits_2_without_war
     assert not (tmp_path / "o").exists()
 
 
+def test_an_initial_precision_past_its_own_bounds_is_reported_alone(tmp_path, capsys):
+    # The obs_precision and target_variance budgets are derived from the
+    # initial precision, and are not derived from one that breaks its own.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "tracking_sweep_base.json"
+    argv = ["simulate", "--scenario-path", str(path), "--output-dir", str(tmp_path / "o")]
+    assert main(argv + ["--override", "beds.initial_belief.precision=1e-310"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: beds.initial_belief.precision: must keep the initial variance finite, got 1e-310"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_override_changes_result(tmp_path, scenario_file):
     path = scenario_file(dissipation_only)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

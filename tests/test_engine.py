@@ -33,7 +33,7 @@ from beds.core import (
 )
 from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
 from beds.energy import gaussian_entropy
-from beds import cli, dynamics, engine, fluxgen
+from beds import analysis, cli, dynamics, engine, fluxgen
 from beds.engine import run, sweep, trace_to_csv
 from beds.fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from beds.scenarios import (
@@ -422,6 +422,9 @@ def _sweep_cells(draw, arrivals=("periodic", "schedule", "poisson")):
 
 
 def _assert_same_trace(trace, expected):
+    for name in ("samples", "events"):
+        got, want = getattr(trace, name), getattr(expected, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert trace.samples.tobytes() == expected.samples.tobytes()
     assert trace.events.tobytes() == expected.events.tobytes()
     assert trace.ledger.to_csv() == expected.ledger.to_csv()
@@ -495,34 +498,54 @@ def test_sweep_rows_equal_independent_runs_over_noise_prefixes(base, cap):
     assert repr(table.rows) == repr(expected)
 
 
-def _memos_seen(monkeypatch):
-    """Record, per generate_flux call in the engine, its memo and how many seeds it held."""
+def _normals_seen(monkeypatch):
+    """Record, per generate_flux call in the engine, its seed and the normals it was given."""
 
     seen = []
 
-    def spy(spec, target, horizon, seed, normals_memo=None):
-        seen.append((normals_memo, None if normals_memo is None else len(normals_memo)))
-        return generate_flux(spec, target, horizon, seed, normals_memo)
+    def spy(spec, target, horizon, seed, normals=None):
+        seen.append((seed, normals))
+        return generate_flux(spec, target, horizon, seed, normals)
 
     monkeypatch.setattr(engine, "generate_flux", spy)
     return seen
 
 
+def _draws_seen(monkeypatch):
+    """Record the (seed, count) of each first_normals call, in the sweep and in generate_flux."""
+
+    drawn, first_normals = {"sweep": [], "flux": []}, fluxgen.first_normals
+    for module, name in ((engine, "sweep"), (fluxgen, "flux")):
+
+        def spy(seed, count, name=name):
+            drawn[name].append((seed, count))
+            return first_normals(seed, count)
+
+        monkeypatch.setattr(module, "first_normals", spy)
+    return drawn
+
+
 def test_sweep_draws_each_seeds_normals_once_and_keeps_none_after_it_returns(monkeypatch):
     base = replace(tracking_sweep_base(), horizon=10.0)
     grid = [("flux_spec.arrival.period", [0.5, 0.25])]
+    seeds = [base.seed, base.seed + 1, base.seed + 2]
     module_state = {module: dict(vars(module)) for module in (engine, fluxgen)}
-    seen = _memos_seen(monkeypatch)
+    drawn = _draws_seen(monkeypatch)
+    seen = _normals_seen(monkeypatch)
     first = sweep(base, grid, replicates=3)
-    # One memo for the sweep: the first cell fills it, the second only extends its entries.
-    [memo] = {id(memo): memo for memo, _ in seen}.values()
-    assert [count for _, count in seen] == [0, 1, 2, 3, 3, 3]
-    assert sorted(memo) == [base.seed, base.seed + 1, base.seed + 2]
-    assert {len(normals) for normals in memo.values()} == {40}
+    # Each seed's first 40 normals, as many as the period-0.25 cell reads,
+    # are drawn once, before the first run, and no row draws its own.
+    assert drawn == {"sweep": [(seed, 40) for seed in seeds], "flux": []}
+    assert [seed for seed, _ in seen] == seeds * 2
+    # Every row of a seed reads the same read-only normals.
+    given = {seed: normals for seed, normals in seen}
+    for seed, normals in seen:
+        assert normals is given[seed] and not normals.flags.writeable
+        assert normals.tolist() == fluxgen.first_normals(seed, 40).tolist()
     seen.clear()
     second = sweep(base, grid, replicates=3)
-    # The next sweep starts from an empty memo of its own, and neither module kept one.
-    assert seen[0][1] == 0 and seen[0][0] is not memo
+    # The next sweep draws normals of its own, and neither module kept any.
+    assert all(normals is not given[seed] for seed, normals in seen)
     assert repr(second.rows) == repr(first.rows)
     monkeypatch.undo()
     for row in first.rows:
@@ -539,13 +562,15 @@ def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
     shared = sweep(base, grid, replicates=3)
     # 3 replicates x 40 normals of the period-0.25 cell: one past the cap.
     monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 119)
-    seen = _memos_seen(monkeypatch)
+    drawn = _draws_seen(monkeypatch)
+    seen = _normals_seen(monkeypatch)
     assert repr(sweep(base, grid, replicates=3).rows) == repr(shared.rows)
-    assert seen == [(None, None)] * 6
+    assert [normals for _, normals in seen] == [None] * 6
+    assert drawn["sweep"] == [] and sorted(count for _, count in drawn["flux"]) == [20] * 3 + [40] * 3
     monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 120)
     seen.clear()
     sweep(base, grid, replicates=3)
-    assert all(memo is not None for memo, _ in seen)
+    assert all(normals is not None for _, normals in seen)
 
 
 @given(_sweep_cells(arrivals=("periodic", "schedule")))
@@ -589,9 +614,9 @@ def test_sweep_runs_each_row_once_key_by_key_and_keeps_grid_order(monkeypatch):
         ran.append(scenario)
         return run(scenario, observations, shared=shared)
 
-    def flux_spy(spec, target, horizon, seed, normals_memo=None):
+    def flux_spy(spec, target, horizon, seed, normals=None):
         generated.append((spec.arrival.period, target.velocity, seed))
-        return generate_flux(spec, target, horizon, seed, normals_memo)
+        return generate_flux(spec, target, horizon, seed, normals)
 
     def validate_spy(scenario):
         validated.append((scenario.flux_spec.arrival.period, scenario.problem.target.velocity, scenario.seed))
@@ -737,6 +762,12 @@ def _width_one_keys():
     return replace(tracking_sweep_base(), horizon=10.0), [("flux_spec.arrival.period", [0.5, 0.25])], 1
 
 
+def _two_keys():
+    # Two periods of three noisy replicates each: two batches, which read
+    # shorter and longer prefixes of the same seeds' normals.
+    return replace(tracking_sweep_base(), horizon=10.0), [("flux_spec.arrival.period", [0.5, 0.25])], 3
+
+
 def _poisson_rows():
     base = replace(tracking_sweep_base(), horizon=10.0)
     base = replace(base, flux_spec=replace(base.flux_spec, arrival=PoissonArrival(rate=4.0)))
@@ -744,20 +775,25 @@ def _poisson_rows():
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
-@pytest.mark.parametrize("case", [_crystallizing_key, _long_key, _width_one_keys, _poisson_rows])
+@pytest.mark.parametrize("case", [_crystallizing_key, _long_key, _width_one_keys, _two_keys, _poisson_rows])
 def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
     base, grid, replicates = case()
     if rows_per_block is not None:
         # _TRACE_BLOCK counts sample-plus-event rows; every row of these keys has as many.
         alone = run(base)
         monkeypatch.setattr(engine, "_TRACE_BLOCK", rows_per_block * (len(alone.events) + len(alone.samples)))
-    traces = []
+    traces, blocks = [], []
 
     def run_spy(scenario, observations=None, *, shared=None):
         traces.append((scenario, run(scenario, observations, shared=shared)))
         return traces[-1][1]
 
+    def kl_spy(mean, precision_q, mean_p, precision_p):
+        blocks.append(len(mean))
+        return analysis.kl_gaussian(mean, precision_q, mean_p, precision_p)
+
     monkeypatch.setattr(engine, "run", run_spy)
+    monkeypatch.setattr(engine, "kl_gaussian", kl_spy)
     table = sweep(base, grid, replicates=replicates)
     monkeypatch.undo()
     assert len(traces) == len(table.rows)
@@ -767,11 +803,38 @@ def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
     for scenario, trace in traces:
         _assert_same_trace(trace, run(scenario))
     if case in (_crystallizing_key, _long_key):
-        # A batch's traces are rows of blocks of rows_per_block rows (the
-        # last one shorter), whatever its width.
-        blocks = [len(trace.samples.base) for _, trace in traces]
+        # A batch's divergence is computed on blocks of rows_per_block rows
+        # (the last one shorter), whatever its width.
         width = rows_per_block or len(traces)
-        assert blocks == [min(width, len(traces) - i // width * width) for i in range(len(traces))]
+        assert blocks == [min(width, len(traces) - lo) for lo in range(0, len(traces), width)]
+
+
+def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
+    # A lent trace copies the held side's samples and events only when they
+    # are read, once each.
+    assembled = []
+
+    def assemble_spy(held, **columns):
+        assembled.append(sorted(columns))
+        return with_columns(held, **columns)
+
+    with_columns = engine._with_columns
+    monkeypatch.setattr(engine, "_with_columns", assemble_spy)
+    traces = []
+
+    def run_spy(scenario, observations=None, *, shared=None):
+        traces.append((scenario, run(scenario, observations, shared=shared)))
+        return traces[-1][1]
+
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    grid = [("problem.target.velocity", [0.0, 1.0]), ("flux_spec.arrival.period", [0.5, 0.25])]
+    monkeypatch.setattr(engine, "run", run_spy)
+    sweep(base, grid, replicates=3)
+    assert len(traces) == 12 and assembled == []
+    scenario, trace = traces[0]
+    for _ in range(2):
+        _assert_same_trace(trace, run(scenario))
+    assert assembled == [["kl_to_target", "mean"], ["mean_after"]]
 
 
 # --- flux replay --------------------------------------------------------------------

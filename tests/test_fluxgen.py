@@ -15,7 +15,15 @@ from beds.core import (
     ScheduleArrival,
     TargetSpec,
 )
-from beds.fluxgen import FLUX_FIELDS, flux_from_csv, flux_to_csv, generate_flux, target_mean_at
+from beds.fluxgen import (
+    FLUX_FIELDS,
+    first_normals,
+    fixed_count,
+    flux_from_csv,
+    flux_to_csv,
+    generate_flux,
+    target_mean_at,
+)
 
 STATIC_3 = TargetSpec(kind="static", theta0=3.0, velocity=0.0, target_variance=1.0)
 DRIFT_1 = TargetSpec(kind="drifting", theta0=0.0, velocity=1.0, target_variance=1.0)
@@ -170,7 +178,7 @@ def test_noisy_periodic_flux_equals_reference_for_any_period_and_precision(perio
     assert got.tobytes() == _reference_flux(spec, DRIFT_1, 20.0, seed).tobytes()
 
 
-# --- the normals memo ---------------------------------------------------------------
+# --- pre-drawn normals -------------------------------------------------------------
 
 
 @given(
@@ -185,33 +193,34 @@ def test_noisy_periodic_flux_equals_reference_for_any_period_and_precision(perio
         ),
         min_size=1,
         max_size=8,
-    )
+    ),
+    drawn=st.sampled_from([0, 3, 40, 400]),
 )
-def test_memo_flux_equals_a_fresh_flux_for_every_prefix(runs):
-    # Runs at one seed read prefixes of one memo entry, longer or shorter than it holds.
-    memo, longest = {}, {}
+def test_memo_flux_equals_a_fresh_flux_for_every_prefix(runs, drawn):
+    # Runs at one seed read prefixes of the seed's pre-drawn normals, or
+    # draw their own when the flux is longer than them.
     for seed, arrival, horizon, obs_precision in runs:
+        normals = first_normals(seed, drawn)
+        normals.flags.writeable = False
         spec = FluxSpec(arrival=arrival, obs_precision=obs_precision, noise="noisy")
-        got = generate_flux(spec, DRIFT_1, horizon, seed, memo)
+        got = generate_flux(spec, DRIFT_1, horizon, seed, normals)
+        assert len(got) == fixed_count(arrival, horizon)
         assert got.tobytes() == generate_flux(spec, DRIFT_1, horizon, seed).tobytes()
         assert got.tobytes() == _reference_flux(spec, DRIFT_1, horizon, seed).tobytes()
-        longest[seed] = max(longest.get(seed, 0), len(got))
-    for seed, normals in memo.items():
         rng = np.random.Generator(np.random.PCG64(seed))
-        assert normals.tolist() == [_reference_standard_normal(rng) for _ in range(longest[seed])]
-        assert not normals.flags.writeable
-    assert sorted(memo) == sorted(seed for seed, count in longest.items() if count)
+        assert normals.tolist() == [_reference_standard_normal(rng) for _ in range(drawn)]
 
 
 @pytest.mark.parametrize("arrival", REFERENCE_ARRIVALS.values(), ids=REFERENCE_ARRIVALS.keys())
 def test_exact_and_poisson_fluxes_leave_the_memo_alone(arrival):
+    # Pre-drawn normals do not enter an exact or a Poisson flux, too few of them included.
     noises = ["exact", "noisy"] if isinstance(arrival, PoissonArrival) else ["exact"]
     for noise in noises:
         spec = FluxSpec(arrival=arrival, obs_precision=4.0, noise=noise)
-        memo = {3: np.array([9.0])}
-        got = generate_flux(spec, DRIFT_1, 40.0, 3, memo)
+        normals = np.array([9.0])
+        got = generate_flux(spec, DRIFT_1, 40.0, 3, normals)
         assert got.tobytes() == generate_flux(spec, DRIFT_1, 40.0, 3).tobytes()
-        assert list(memo) == [3] and memo[3].tolist() == [9.0]
+        assert normals.tolist() == [9.0]
 
 
 def test_missing_arrival_raises_empty_spec():
