@@ -381,52 +381,63 @@ def expected_counts(scenario: Scenario) -> list[tuple[str, str, float]]:
 def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
     """(field path, value, output quantity, bound) per field that scales a run's totals.
 
-    Counts are 2 * MAX_EXPECTED_COUNT charges or samples. A field that breaks
-    another rule (a non-positive precision, say) gives a finite bound, and
-    the bounds derived from the initial precision are derived only from one
-    that keeps its own, so that a bad initial precision is reported alone.
+    Counts are 2 * MAX_EXPECTED_COUNT charges or samples. No bound is derived
+    from a field that breaks its own rule (a non-positive precision, say),
+    and an input whose bound is infinite feeds no later bound, so that one
+    bad value gives one violation.
     """
 
     n, model, initial = 2 * MAX_EXPECTED_COUNT, scenario.energy_model, scenario.beds.initial_belief
     obs_precision, target = scenario.flux_spec.obs_precision, scenario.problem.target
+    arrival = scenario.flux_spec.arrival
     out = []
-    if model.kind == "fixed_cost":
+    if model.kind == "fixed_cost" and model.fixed_cost_value > 0:
         cost = model.fixed_cost_value
         out.append(("energy_model.fixed_cost_value", cost, f"the energy of {n:.0e} charges", cost * n))
-    # Observations add far less than the float range to a precision, so the
-    # summary's sum of n sample precisions overflows only for a huge initial one.
+    if isinstance(arrival, PoissonArrival) and arrival.rate > 0:
+        # The largest inter-arrival time, -ln(1 - u) / rate at the largest uniform.
+        gap = -math.log(2.0**-53) / arrival.rate
+        out.append(("flux_spec.arrival.rate", arrival.rate, "the largest inter-arrival time", gap))
     tau = initial.precision
-    out.append(("beds.initial_belief.precision", tau, f"the sum of {n:.0e} precisions", tau * n))
-    if tau > 0:
-        # Sample row 0 is the initial belief: a subnormal precision has an infinite variance.
+    tau_ok = tau > 0
+    if tau_ok:
+        # Observations add far less than the float range to a precision, so the
+        # summary's sum of n sample precisions overflows only for a huge initial
+        # one; sample row 0 is the initial belief, whose variance overflows
+        # for a subnormal one.
+        out.append(("beds.initial_belief.precision", tau, f"the sum of {n:.0e} precisions", tau * n))
         out.append(("beds.initial_belief.precision", tau, "the initial variance", 1.0 / tau))
-    tau_ok = tau > 0 and math.isfinite(tau * n) and math.isfinite(1.0 / tau)
+        tau_ok = math.isfinite(tau * n) and math.isfinite(1.0 / tau)
     if tau_ok and obs_precision > 0:
         # The most one charge gains: an observation on the lowest precision a
         # run reaches, the floor or a lower initial one. kBT times it is its
         # Landauer price, and the floor a fixed cost is flagged against.
         info = 0.5 * math.log1p(obs_precision / min(tau, PRECISION_FLOOR))
         out.append(("flux_spec.obs_precision", obs_precision, "the information of one charge", info))
-        if math.isfinite(info):
+        if math.isfinite(info) and model.kBT > 0:
             energy = model.kBT * info * n
             out.append(("energy_model.kBT", model.kBT, f"the minimum energy of {n:.0e} charges", energy))
     if target.target_variance > 0:
-        # The largest gap between the belief's mean and the target's.
-        gap = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(target.velocity) * scenario.horizon)
-        quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
-        out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
+        # The divergence's precision ratios, in the order kl_gaussian
+        # divides: precision_p / precision_q on the lowest precision a run
+        # reaches, and precision_q / precision_p on the highest, at most the
+        # initial one plus every observation's.
+        precision_p = 1.0 / target.target_variance
+        ratios = [precision_p]
         if tau_ok:
-            # The divergence's precision ratios, in the order kl_gaussian
-            # divides: precision_p / precision_q on the lowest precision a run
-            # reaches, and precision_q / precision_p on the highest, at most the
-            # initial one plus every observation's.
-            precision_p = 1.0 / target.target_variance
-            ratios = [precision_p / min(tau, PRECISION_FLOOR)]
+            ratios.append(precision_p / min(tau, PRECISION_FLOOR))
             highest = tau + obs_precision * n
             if math.isfinite(highest):
                 ratios.append(highest / precision_p)
-            quantity = "the divergence of a belief at the lowest and highest precision"
-            out.append(("problem.target.target_variance", target.target_variance, quantity, max(ratios)))
+        quantity = "the divergence of a belief at the lowest and highest precision"
+        out.append(("problem.target.target_variance", target.target_variance, quantity, max(ratios)))
+        if math.isfinite(max(ratios)) and scenario.horizon > 0:
+            # The largest gap between the belief's mean and the target's; a
+            # static target's velocity has its own rule (it must be 0).
+            velocity = 0.0 if target.kind == "static" else target.velocity
+            gap = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(velocity) * scenario.horizon)
+            quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
+            out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
     return out
 
 

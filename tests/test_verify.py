@@ -1,4 +1,4 @@
-"""How run_all assembles the report from the checks, and the column form of a check's folds."""
+"""How run_all assembles the report from the checks, and the merge-order oracle against its scalar draws."""
 
 import numpy as np
 import pytest
@@ -57,9 +57,29 @@ def _scalar_merge_order(rng, trials):
     return worst
 
 
+@pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("seed", [0, 600, 2**63 + 1])
-def test_merge_order_columns_equal_the_scalar_folds(seed):
+def test_merge_order_columns_equal_the_scalar_folds(seed, buffered):
     columns, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    if buffered:
+        # A 32-bit draw leaves the high half of its word buffered for the next one.
+        for rng in (columns, scalar):
+            rng.integers(0, 3)
+        assert columns.bit_generator.state["has_uint32"] == 1
     assert verify._max_rel_merge_order(columns, 2_000) == _scalar_merge_order(scalar, 2_000)
-    # Both leave the stream at the same place.
-    assert columns.random() == scalar.random()
+    # Both leave the stream at the same place, buffered half included.
+    assert columns.bit_generator.state == scalar.bit_generator.state
+
+
+def test_merge_order_at_the_default_seed_base_keeps_its_pinned_value():
+    bitgen = np.random.PCG64(verify.DEFAULT_SEED_BASE + 600)
+    # check_dynamics_oracles' draws before it: 200 RK4 and 80 grid-Bayes
+    # uniforms and 10,000 x 5 semigroup ones, one word each.
+    bitgen.advance(200 + 80 + 50_000)
+    assert verify._max_rel_merge_order(np.random.Generator(bitgen), 10_000) == 4.863209252068563e-16
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
+def test_merge_order_needs_a_pcg64_stream(bit_generator):
+    with pytest.raises(TypeError, match="PCG64"):
+        verify._max_rel_merge_order(np.random.Generator(bit_generator(0)), 10)
