@@ -297,32 +297,37 @@ def test_an_initial_precision_past_its_own_bounds_is_reported_alone(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "scenario, override, field",
+    "scenario, overrides, field",
     [
-        # Each value breaks its own rule, and the budgets derived from it are not derived.
-        ("steady_state", "energy_model.kBT=-1e300", "energy_model.kBT"),
-        ("steady_state", 'energy_model.kind="fixed_cost"', "energy_model.fixed_cost_value"),
-        ("steady_state", "problem.target.velocity=1e300", "problem.target.velocity"),
-        ("tracking_sweep_base", "horizon=-1e300", "horizon"),
+        # Each value breaks its own rule, and no budget is derived from it.
+        ("steady_state", ["energy_model.kBT=-1e300"], "energy_model.kBT"),
+        (
+            "steady_state",
+            ['energy_model.kind="fixed_cost"', "energy_model.fixed_cost_value=-1e303"],
+            "energy_model.fixed_cost_value",
+        ),
+        ("steady_state", ["problem.target.velocity=1e300"], "problem.target.velocity"),
+        ("tracking_sweep_base", ["horizon=-1e300"], "horizon"),
         # One input, one budget: the target's reach is bounded only past its variance's own.
-        ("tracking_sweep_base", "problem.target.target_variance=5e-324", "problem.target.target_variance"),
+        ("tracking_sweep_base", ["problem.target.target_variance=5e-324"], "problem.target.target_variance"),
         # -ln(2**-53) / rate, the largest inter-arrival time, overflows.
-        ("steady_state", "flux_spec.arrival.rate=5e-324", "flux_spec.arrival.rate"),
-        ("steady_state", "flux_spec.arrival.rate=1e-310", "flux_spec.arrival.rate"),
+        ("steady_state", ["flux_spec.arrival.rate=5e-324"], "flux_spec.arrival.rate"),
+        ("steady_state", ["flux_spec.arrival.rate=1e-310"], "flux_spec.arrival.rate"),
     ],
 )
-def test_one_bad_value_gives_one_error_line(tmp_path, capsys, scenario, override, field):
+def test_one_bad_value_gives_one_error_line(tmp_path, capsys, scenario, overrides, field):
     path = Path(__file__).resolve().parents[1] / "scenarios" / f"{scenario}.json"
     argv = ["simulate", "--scenario-path", str(path), "--output-dir", str(tmp_path / "o")]
-    cost = ["--override", "energy_model.fixed_cost_value=-1e303"] if "fixed_cost" in override else []
+    for override in ["horizon=3", *overrides]:
+        argv += ["--override", override]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(argv + ["--override", "horizon=3", "--override", override, *cost])
+        code = main(argv)
     assert code == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {field}: ")
     if field == "flux_spec.arrival.rate":
-        value = override.partition("=")[2]
+        value = overrides[-1].partition("=")[2]
         assert line == f"error: {field}: must keep the largest inter-arrival time finite, got {value}"
     assert not (tmp_path / "o").exists()
 

@@ -57,18 +57,18 @@ def _scalar_merge_order(rng, trials):
     return worst
 
 
-@pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("seed", [0, 600, 2**63 + 1])
-def test_merge_order_columns_equal_the_scalar_folds(seed, buffered):
-    columns, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
-    if buffered:
-        # A 32-bit draw leaves the high half of its word buffered for the next one.
-        for rng in (columns, scalar):
-            rng.integers(0, 3)
-        assert columns.bit_generator.state["has_uint32"] == 1
-    assert verify._max_rel_merge_order(columns, 2_000) == _scalar_merge_order(scalar, 2_000)
-    # Both leave the stream at the same place, buffered half included.
-    assert columns.bit_generator.state == scalar.bit_generator.state
+def test_merge_order_columns_equal_the_scalar_folds(seed):
+    for buffered in (False, True):
+        columns, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        if buffered:
+            # A 32-bit draw leaves the high half of its word buffered for the next one.
+            for rng in (columns, scalar):
+                rng.integers(0, 3)
+            assert columns.bit_generator.state["has_uint32"] == 1
+        assert verify._max_rel_merge_order(columns, 2_000) == _scalar_merge_order(scalar, 2_000)
+        # Both leave the stream at the same place, buffered half included.
+        assert columns.bit_generator.state == scalar.bit_generator.state
 
 
 def test_merge_order_at_the_default_seed_base_keeps_its_pinned_value():
