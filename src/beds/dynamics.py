@@ -42,6 +42,9 @@ __all__ = [
     "check_crystallization",
 ]
 
+# Rows per block of ``evolve_means``' one-stream loop.
+_MEAN_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class CrystallizationOutcome:
@@ -157,11 +160,22 @@ def evolve_means(
     its order, on a row of streams, so column ``j`` of the result is ``==``
     ``evolve_mean(means[j], values[:, j], obs_precisions, precision_before)``.
     The means overwrite the first ``len(precision_before)`` rows of
-    ``values``, which are returned.
+    ``values``, which are returned. One stream runs ``evolve_mean`` itself,
+    which is faster than a loop over rows of width 1.
     """
 
     n = len(precision_before)
     out = values[:n]
+    if out.shape[1] == 1:
+        # Over blocks of rows, so that the per-event lists add little to a
+        # long run's peak memory; each block starts from the last mean.
+        column, mean = out[:, 0], float(means[0])
+        for lo in range(0, n, _MEAN_BLOCK):
+            rows = slice(lo, lo + _MEAN_BLOCK)
+            block = evolve_mean(mean, *(c[rows].tolist() for c in (column, obs_precisions, precision_before)))
+            column[rows] = block
+            mean = block[-1]
+        return out
     tau_d = np.asarray(obs_precisions[:n], dtype=np.float64)
     before = np.asarray(precision_before, dtype=np.float64)
     out *= tau_d[:, None]

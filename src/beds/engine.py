@@ -13,19 +13,19 @@ means, their divergence from the target and the crystallization outcome.
 A crystallized run halts: nothing is recorded afterwards.
 
 Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, one summary row per cell per replicate, each row one ``run`` with
-the sweep's ``SweepMemo``. With periodic or scheduled arrivals nothing is
-drawn for the times, so a run's precision side is a function of a few
-scenario values, its key, and a run's noise is the first standard normals
-of its seed's stream, which the sweep draws once per seed. The rows run key
-by key, whatever the grid's order, and are emitted grid-major: each batch
-of a key's rows computes the side once, evolves its means as the columns
-of one loop (``dynamics.evolve_means``) and computes the rows' sampled
-means and divergence on 2-D blocks of rows, and the memo lends each row's
-run its finished trace. A lent trace keeps only the row's own columns
-beside the held side, and assembles its samples and events on first read.
-Any other run computes its own trace, through the same assembly
-(``_traces``), in its own side's arrays.
+seeds, one summary row per cell per replicate, each row one ``run``. With
+periodic or scheduled arrivals nothing is drawn for the times, so a run's
+precision side is a function of a few scenario values, its key, and a run's
+noise is the first standard normals of its seed's stream, which the sweep
+draws once per seed. The rows run key by key, whatever the grid's order,
+and are emitted grid-major: a key's side is computed once and held
+read-only, each batch of its rows evolves its means as the columns of one
+loop (``dynamics.evolve_means``) and computes the rows' sampled means and
+divergence on 2-D blocks of rows, and each row's ``run`` is handed its
+finished trace. Such a trace keeps only the row's own columns beside the
+held side, and assembles its samples and events on first read. Any other
+run computes its own trace, through the same assembly (``_traces``), in
+its own side's arrays.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .dynamics import (
     CrystallizationOutcome,
     check_crystallization,
     dissipate,
-    evolve_mean,
     evolve_means,
     evolve_precision,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "MAX_SWEEP_COUNT",
     "Summary",
     "RunTrace",
-    "SweepMemo",
     "SweepTable",
     "run",
     "sweep",
@@ -93,9 +91,6 @@ SAMPLE_FIELDS = (
 )
 _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 _EVENT_DTYPE = np.dtype([(name, np.float64) for name in ("precision_before", "mean_after", "precision_after")])
-# Rows per block of the mean loop, whose per-event lists then add little to a
-# run's peak memory.
-_MEAN_BLOCK = 4096
 # Most sample-plus-event rows in one block of a batch's traces: the columns of
 # a wide or long key's rows are computed a few rows at a time.
 _TRACE_BLOCK = 8192
@@ -202,27 +197,7 @@ def _with_columns(held: np.ndarray, **columns: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class SweepMemo:
-    """Work that the runs of one sweep share through ``run``'s ``shared``.
-
-    ``normals`` maps a seed to the first standard normals of its stream
-    (``fluxgen.first_normals``), read-only, which ``sweep`` draws before the
-    first run; a run at a seed it lacks draws its own. ``side`` is the last
-    precision side held, and ``key`` the inputs it was computed from
-    (``_side_key``). ``lent`` is a ``(scenario, trace)`` pair that ``sweep``
-    sets before a batched row's run: the row's trace, built with its batch.
-    The next run takes it off the memo and returns it only when that run's
-    scenario is the very object it was lent for.
-    """
-
-    normals: dict[int, np.ndarray] = field(default_factory=dict)
-    key: tuple | None = None
-    side: _PrecisionSide | None = None
-    lent: tuple[Scenario, RunTrace] | None = None
-
-
-def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: SweepMemo | None = None) -> RunTrace:
+def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: RunTrace | None = None) -> RunTrace:
     """Simulate one scenario deterministically.
 
     Observation costs are priced at the pre-update precision, after
@@ -232,47 +207,28 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, shared: S
     non-decreasing time order, as returned by ``generate_flux`` or
     ``flux_from_csv``.
 
-    ``shared`` lends work between runs, and the trace is the same without
-    it. ``generate_flux`` reads its normals at the run's seed. A generated run
-    without Poisson arrivals reuses the held precision side when its key
-    matches, and otherwise computes the side and holds it there, read-only,
-    in place of the last one. Replays and Poisson runs never share a side.
-    A run takes a lent trace off the memo and returns it, unvalidated, only
-    when its scenario is the object ``sweep`` lent it for: ``sweep`` has
-    validated that row's cell, and a row differs from its cell only in the
-    seed.
+    ``batched`` is the trace ``sweep`` built for this scenario with the rest
+    of its batch, equal to the one computed without it; it is returned as it
+    is, unvalidated, since ``sweep`` has validated the row's cell and a row
+    differs from its cell only in the seed. So each sweep row stays one call
+    of ``run``, for whatever wraps it to count runs.
     """
 
-    if shared is not None:
-        lent, shared.lent = shared.lent, None
-        if lent is not None and lent[0] is scenario:
-            return lent[1]
+    if batched is not None:
+        return batched
     validate_scenario(scenario)
-    key = _side_key(scenario)
     if observations is not None:
         flux = _checked_flux(observations)
-        side = _precision_side(flux, *key[2:])
     else:
-        spec = scenario.flux_spec
-        normals = None if shared is None else shared.normals.get(scenario.seed)
-        flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
-        shareable = shared is not None and not isinstance(spec.arrival, PoissonArrival)
-        side = _held_side(shared, key, flux) if shareable else _precision_side(flux, *key[2:])
-    # A side of the run's own takes its means in its events; a held one is
-    # read-only. The mean loop runs over blocks of rows, so that its
-    # per-event lists stay small beside the side's arrays; each block starts
-    # from the last mean. Nothing reads the flux after it.
-    n = len(side.events)
-    means = side.events["mean_after"] if side.events.flags.writeable else np.empty(n)
-    columns = (flux["value"], flux["obs_precision"], side.events["precision_before"])
-    start = scenario.beds.initial_belief.mean
-    for lo in range(0, n, _MEAN_BLOCK):
-        rows = slice(lo, min(lo + _MEAN_BLOCK, n))
-        block = evolve_mean(start, *(column[rows].tolist() for column in columns))
-        means[rows] = block
-        start = block[-1]
-    del flux, columns
-    [trace] = _traces([scenario], side, means[:, None])
+        flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
+    side = _precision_side(flux, *_side_key(scenario)[2:])
+    # The means overwrite the flux values in the side's own events; nothing
+    # reads the flux after them.
+    means = side.events["mean_after"][:, None]
+    means[:, 0] = flux["value"][: len(means)]
+    evolve_means([scenario.beds.initial_belief.mean], means, flux["obs_precision"], side.events["precision_before"])
+    del flux
+    [trace] = _traces([scenario], side, means)
     return trace
 
 
@@ -296,19 +252,6 @@ def _side_key(scenario: Scenario) -> tuple:
         scenario.sample_dt,
         scenario.problem.t0,
     )
-
-
-def _held_side(memo: SweepMemo, key: tuple, flux: np.ndarray) -> _PrecisionSide:
-    """The precision side of ``key``: the memo's, or computed on ``flux`` and held there, read-only."""
-
-    if memo.key != key:
-        # Drop the held side first, so that one side is in memory at a time.
-        memo.key = memo.side = None
-        side = _precision_side(flux, *key[2:])
-        for column in (side.events, side.samples, side.last):
-            column.flags.writeable = False
-        memo.key, memo.side = key, side
-    return memo.side
 
 
 def _precision_side(
@@ -533,19 +476,17 @@ def sweep(
     """Run the Cartesian product of grid values times replicate seeds.
 
     Grid entries are (dotted scenario path, values); paths must address
-    numeric fields other than ``seed``. Replicate ``i`` runs with seed
-    base.seed + i. Row order is grid-major, replicate-minor. Every cell's
-    scenario is built and validated before the first run, and a sweep whose
-    runs expect more than MAX_SWEEP_COUNT observations and samples in all is
-    rejected.
+    numeric fields other than ``seed``, each at most once. Replicate ``i``
+    runs with seed base.seed + i. Row order is grid-major, replicate-minor.
+    Every cell's scenario is built and validated before the first run, and a
+    sweep whose runs expect more than MAX_SWEEP_COUNT observations and
+    samples in all is rejected.
 
-    Each row is one ``run`` with the same ``SweepMemo`` as ``shared``, made
-    for this call and dropped on return. It holds each replicate seed's
-    first normals, as many as the longest noisy periodic or scheduled cell
-    reads, drawn once before the first run, unless the replicates times
-    that count exceed core.MAX_EXPECTED_COUNT: each run then draws its own.
-    The rows run key by key (``_run_key``), so each precision side is
-    computed once per batch of its key's rows.
+    Each row is one ``run``. Each replicate seed's first normals, as many as
+    the longest noisy periodic or scheduled cell reads, are drawn once
+    before the first run, unless the replicates times that count exceed
+    core.MAX_EXPECTED_COUNT: each row then draws its own. The rows run key
+    by key (``_run_key``), so each precision side is computed once.
     """
 
     if replicates < 1:
@@ -555,6 +496,9 @@ def sweep(
         raise UnknownParameterPath(
             "seed: cannot be swept; replicate i runs at base.seed + i, so set the base seed instead"
         )
+    for path in paths:
+        if paths.count(path) > 1:
+            raise ValueError(f"{path}: is given {paths.count(path)} times in the grid; list its values in one entry")
     combos = list(itertools.product(*(values for _, values in grid)))
     base_dict = scenario_to_dict(base)
     cells = []
@@ -571,15 +515,16 @@ def sweep(
             f"replicates: {replicates} per grid cell over {len(cells)} cell(s) expect about "
             f"{total:.3g} observations and samples, above the sweep budget of {MAX_SWEEP_COUNT:.0e}"
         )
-    # The memo holds each replicate seed's longest noise prefix, at most
-    # one run's flux column in all, and one run's precision side.
-    longest = max((_fixed_count(cell) for cell in cells if cell.flux_spec.noise == "noisy"), default=0)
+    # Each replicate seed's longest noise prefix: at most one run's flux column in all.
+    fixed = [cell for cell in cells if not isinstance(cell.flux_spec.arrival, PoissonArrival)]
+    noisy = [cell for cell in fixed if cell.flux_spec.noise == "noisy"]
+    longest = max((fixed_count(cell.flux_spec.arrival, cell.horizon) for cell in noisy), default=0)
     seeds = [(base.seed + replicate) % 2**64 for replicate in range(replicates)]
-    memo = SweepMemo()
+    normals: dict[int, np.ndarray] = {}
     if 0 < replicates * longest <= MAX_EXPECTED_COUNT:
         for seed in seeds:
-            memo.normals[seed] = first_normals(seed, longest)
-            memo.normals[seed].flags.writeable = False
+            normals[seed] = first_normals(seed, longest)
+            normals[seed].flags.writeable = False
     scenarios = [dataclasses.replace(cell, seed=seed) for cell in cells for seed in seeds]
     # Rows grouped by precision-side key, in order of first appearance; a
     # Poisson row is a group of its own, under its row index.
@@ -589,7 +534,7 @@ def sweep(
         groups.setdefault(index if poisson else _side_key(scenario), []).append(index)
     summaries: list[Summary | None] = [None] * len(scenarios)
     for indices in groups.values():
-        for index, trace in zip(indices, _run_key([scenarios[i] for i in indices], memo)):
+        for index, trace in zip(indices, _run_key([scenarios[i] for i in indices], normals)):
             summaries[index] = trace.summary
     table = SweepTable(params=paths)
     rows = itertools.product(combos, enumerate(seeds))
@@ -602,47 +547,43 @@ def sweep(
     return table
 
 
-def _run_key(scenarios: list[Scenario], memo: SweepMemo) -> Iterator[RunTrace]:
-    """The traces of ``scenarios``, rows of one precision-side key, each from one ``run`` on ``memo``.
+def _run_key(scenarios: list[Scenario], normals: dict[int, np.ndarray]) -> Iterator[RunTrace]:
+    """The traces of ``scenarios``, rows of one precision-side key, each from one ``run``.
 
-    The rows run in batches. A batch's runs share its side, and its means
-    evolve as the columns of one (events x rows) loop,
-    ``dynamics.evolve_means``; ``_traces`` builds the batch's traces, and
-    each row's is lent to its run. The batches of a key hold at most about
-    MAX_EXPECTED_COUNT means each, so a wide key splits, and each row's flux
-    is dropped once its values are in the block. A batch of one row (a
-    Poisson row is a key of its own) runs as ``run(scenario, shared=memo)``
-    alone: a width-1 loop is slower than the scalar one.
+    A Poisson row is a key of its own and runs as ``run(scenario)``. Other
+    rows run in batches, on ``normals`` (by seed) where they hold enough:
+    the key's side is computed from the first row's flux and held
+    read-only; each batch's means evolve as the columns of one
+    (events x rows) loop, ``dynamics.evolve_means``; ``_traces`` builds the
+    batch's traces, and each row's ``run`` is handed its own. The batches
+    of a key hold at most about MAX_EXPECTED_COUNT means each, so a wide key
+    splits, and each row's flux is dropped once its values are in the block.
     """
 
-    width = max(1, int(MAX_EXPECTED_COUNT // max(_fixed_count(scenarios[0]), 1)))
+    first = scenarios[0]
+    if isinstance(first.flux_spec.arrival, PoissonArrival):
+        yield run(first)
+        return
+    width = max(1, int(MAX_EXPECTED_COUNT // max(fixed_count(first.flux_spec.arrival, first.horizon), 1)))
+    side = None
     for lo in range(0, len(scenarios), width):
         batch = scenarios[lo : lo + width]
-        if len(batch) == 1:
-            yield run(batch[0], shared=memo)
-            continue
-        key = _side_key(batch[0])
         for j, scenario in enumerate(batch):
-            spec, normals = scenario.flux_spec, memo.normals.get(scenario.seed)
-            flux = generate_flux(spec, scenario.problem.target, scenario.horizon, scenario.seed, normals)
-            if j == 0:
-                side = _held_side(memo, key, flux)
+            spec, seed = scenario.flux_spec, scenario.seed
+            flux = generate_flux(spec, scenario.problem.target, scenario.horizon, seed, normals.get(seed))
+            if side is None:
+                side = _precision_side(flux, *_side_key(scenario)[2:])
+                for column in (side.events, side.samples, side.last):
+                    column.flags.writeable = False
                 n = len(side.events)
-                values = np.empty((n, len(batch)))
                 obs_precisions = flux["obs_precision"][:n].copy()
+            if j == 0:
+                values = np.empty((n, len(batch)))
             values[:, j] = flux["value"][:n]
             del flux
         starts = [scenario.beds.initial_belief.mean for scenario in batch]
         means = evolve_means(starts, values, obs_precisions, side.events["precision_before"])
         for scenario, trace in zip(batch, _traces(batch, side, means)):
-            memo.lent = (scenario, trace)
-            yield run(scenario, shared=memo)
+            yield run(scenario, batched=trace)
         # Free this batch's blocks before the next batch allocates its own.
         del values, means, trace
-
-
-def _fixed_count(cell: Scenario) -> int:
-    """How many observations a generated flux of ``cell`` holds, when its arrivals are not Poisson; else 0."""
-
-    arrival = cell.flux_spec.arrival
-    return 0 if isinstance(arrival, PoissonArrival) else fixed_count(arrival, cell.horizon)

@@ -12,9 +12,9 @@ one past the horizon, then the noise pairs.
 With periodic or scheduled arrivals nothing is drawn for the times, so a
 run's noise is the first Box-Muller normals of its seed's stream, whatever
 the rest of the spec (``first_normals``). A caller that generates many such
-fluxes at the same seeds (a sweep, through ``engine.SweepMemo``) may draw
-each seed's normals once and pass them to every call; the stream is then
-built only for Poisson arrivals or for a flux longer than the normals given.
+fluxes at the same seeds (``engine.sweep``) may draw each seed's normals
+once and pass them to every call; the stream is then built only for Poisson
+arrivals or for a flux longer than the normals given.
 """
 
 from __future__ import annotations

@@ -500,6 +500,30 @@ def test_sweep_bad_grid_value_exits_2(tmp_path, scenario_file, capsys):
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
+def test_sweep_repeated_grid_path_exits_2_before_building_a_cell(tmp_path, capsys, monkeypatch):
+    # A second entry for one path would otherwise overwrite the first in every cell.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr("beds.engine.scenario_from_dict", refuse)
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "tracking_sweep_base.json"
+    out = tmp_path / "out"
+    code = main(
+        [
+            "sweep",
+            "--scenario-path", str(path),
+            "--output-dir", str(out),
+            "--grid", "beds.gamma=1,2",
+            "--grid", "beds.gamma=3",
+            "--override", "horizon=2",
+        ]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: beds.gamma: ")
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_over_budget_exits_2_before_running(tmp_path, scenario_file, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a run started")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beds import dynamics
 from beds.core import GaussianBelief, NegativeDt, NonPositiveObsPrecision
 from beds.dynamics import (
     PRECISION_FLOOR,
@@ -294,7 +295,15 @@ def test_each_column_of_evolve_means_is_evolve_mean(stream, mean, precision, gam
     means = evolve_means(np.array(starts), block, np.array(obs_precisions), np.array(before))
     assert means.shape == (len(before), len(offsets))
     for j, (start, column) in enumerate(zip(starts, columns)):
-        assert _bits(means[:, j]) == _bits(evolve_mean(start, column, obs_precisions, before))
+        expected = _bits(evolve_mean(start, column, obs_precisions, before))
+        assert _bits(means[:, j]) == expected
+        # One stream runs the scalar loop in blocks, each from the last mean, in place.
+        alone = np.array(column, dtype=np.float64).reshape(len(times), 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_MEAN_BLOCK", 2)
+            out = evolve_means([start], alone, np.array(obs_precisions), np.array(before))
+        assert out.shape == (len(before), 1)
+        assert _bits(out[:, 0]) == _bits(alone[: len(before), 0]) == expected
 
 
 # --- crystallization -------------------------------------------------------------

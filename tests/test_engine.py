@@ -125,7 +125,7 @@ def test_mean_loop_blocks_leave_a_run_unchanged(monkeypatch):
     # Each block of the mean loop starts from the last mean of the one before.
     scenario = drifting_tracking(seed=4)
     expected = run(scenario)
-    monkeypatch.setattr(engine, "_MEAN_BLOCK", 7)
+    monkeypatch.setattr(dynamics, "_MEAN_BLOCK", 7)
     trace = run(scenario)
     assert len(trace.events) > 3 * 7
     _assert_same_trace(trace, expected)
@@ -481,7 +481,7 @@ def test_sweep_rows_equal_independent_runs(base, data):
 @settings(max_examples=60, deadline=None)
 def test_sweep_rows_equal_independent_runs_over_noise_prefixes(base, cap):
     # Cells of three horizons read shorter and longer prefixes of each seed's
-    # normals; a cap of 0 turns the shared memo off.
+    # normals; a cap of 0 makes every row draw its own.
     horizons, precisions = [5.0, 10.0, 2.5], [base.flux_spec.obs_precision, 16.0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "MAX_EXPECTED_COUNT", cap)
@@ -575,31 +575,53 @@ def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
 
 @given(_sweep_cells(arrivals=("periodic", "schedule")))
 @settings(max_examples=40, deadline=None)
-def test_a_held_precision_side_is_read_only_and_lent_by_copy(base):
-    memo = engine.SweepMemo()
-    first = run(base, shared=memo)
-    side = memo.side
-    ledger = side.ledger
-    held = (side.events, side.samples, side.last, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
+def test_a_split_key_holds_one_read_only_side_that_its_rows_copy(base):
+    sides, traces, build = [], [], engine._traces
+
+    def traces_spy(scenarios, side, means):
+        sides.append(side)
+        return build(scenarios, side, means)
+
+    def run_spy(scenario, observations=None, *, batched=None):
+        traces.append((scenario, run(scenario, observations, batched=batched)))
+        return traces[-1][1]
+
+    count = fluxgen.fixed_count(base.flux_spec.arrival, base.horizon)
+    with pytest.MonkeyPatch.context() as patch:
+        # A key of 5 rows runs as batches of 2, 2 and 1.
+        patch.setattr(engine, "MAX_EXPECTED_COUNT", 2 * max(count, 1))
+        patch.setattr(engine, "_traces", traces_spy)
+        patch.setattr(engine, "run", run_spy)
+        sweep(base, [], replicates=5)
+    assert len(sides) == 3 and all(side is sides[0] for side in sides)
+    ledger = sides[0].ledger
+    held = (sides[0].events, sides[0].samples, sides[0].last, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
     assert not any(column.flags.writeable for column in held)
-    # Writing one trace's samples and events reaches neither the held side nor the next run.
+    before = [column.tobytes() for column in held]
+    # Writing one row's samples and events reaches neither the held side nor a later row.
+    first = traces[0][1]
     for name in first.samples.dtype.names:
         first.samples[name] = 7.0
     first.events["mean_after"] = 7.0
-    scenario = replace(base, seed=(base.seed + 1) % 2**64)
-    second = run(scenario, shared=memo)
-    assert memo.side is side
-    _assert_same_trace(second, run(scenario))
+    assert [column.tobytes() for column in held] == before
+    for scenario, trace in traces[1:]:
+        _assert_same_trace(trace, run(scenario))
 
 
-def test_replays_and_poisson_runs_hold_no_side():
+def test_a_batched_trace_is_returned_as_it_is():
+    # sweep hands each row's run the trace built for it, and has validated its cell.
+    base = replace(tracking_sweep_base(), horizon=10.0)
+    trace = run(base)
+    invalid = replace(base, problem=replace(base.problem, delta=-1.0))
+    for scenario in (base, replace(base, seed=base.seed + 1), invalid):
+        assert run(scenario, batched=trace) is trace
+
+
+def test_generated_replayed_and_poisson_runs_return_writeable_arrays():
     periodic = replace(tracking_sweep_base(), horizon=10.0)
     poisson = replace(periodic, flux_spec=replace(periodic.flux_spec, arrival=PoissonArrival(rate=2.0)))
     flux = generate_flux(periodic.flux_spec, periodic.problem.target, periodic.horizon, periodic.seed)
-    memo = engine.SweepMemo()
-    traces = [run(poisson, shared=memo), run(periodic, observations=flux, shared=memo)]
-    assert (memo.key, memo.side) == (None, None)
-    for trace in traces:
+    for trace in (run(periodic), run(periodic, observations=flux), run(poisson)):
         assert trace.events.flags.writeable and trace.samples.flags.writeable
 
 
@@ -610,9 +632,9 @@ def test_sweep_runs_each_row_once_key_by_key_and_keeps_grid_order(monkeypatch):
     velocities, periods = [0.0, 0.5, 1.0], [0.5, 0.25]
     ran, generated, validated = [], [], []
 
-    def run_spy(scenario, observations=None, *, shared=None):
+    def run_spy(scenario, observations=None, *, batched=None):
         ran.append(scenario)
-        return run(scenario, observations, shared=shared)
+        return run(scenario, observations, batched=batched)
 
     def flux_spy(spec, target, horizon, seed, normals=None):
         generated.append((spec.arrival.period, target.velocity, seed))
@@ -693,7 +715,7 @@ def test_a_bench_sized_sweep_holds_under_two_megabytes():
 
 def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
     # 40 events per run: a cap of 100 means lets a batch hold 2 rows, so a
-    # key of 5 rows runs as batches of 2, 2 and a lone row on the scalar path.
+    # key of 5 rows runs as batches of 2, 2 and 1.
     base = replace(tracking_sweep_base(), horizon=10.0)
     grid = [("flux_spec.arrival.period", [0.25])]
     expected = sweep(base, grid, replicates=5)
@@ -709,38 +731,8 @@ def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
     widths.clear()
     monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 100)
     table = sweep(base, grid, replicates=5)
-    assert widths == [(40, 2), (40, 2)]
+    assert widths == [(40, 2), (40, 2), (40, 1)]
     assert repr(table.rows) == repr(expected.rows)
-
-
-@given(_sweep_cells(arrivals=("periodic", "schedule")))
-@settings(max_examples=20, deadline=None)
-def test_a_lent_trace_is_returned_only_to_the_scenario_it_was_lent_for(base):
-    memo = engine.SweepMemo()
-    expected = run(base)
-    lent = run(replace(base, seed=(base.seed + 1) % 2**64))
-    # A lent entry for any other scenario object, an == copy included, is
-    # ignored and taken off the memo, whatever side the memo holds.
-    for held in (None, replace(base, horizon=5.0), base):
-        memo.key = memo.side = None
-        if held is not None:
-            run(held, shared=memo)
-        for other in (replace(base), replace(base, seed=(base.seed + 1) % 2**64)):
-            memo.lent = (other, lent)
-            _assert_same_trace(run(base, shared=memo), expected)
-            assert memo.lent is None
-    # The scenario it was lent for takes it, whatever side the memo holds.
-    memo.lent = (base, lent)
-    assert run(base, shared=memo) is lent and memo.lent is None
-    # An invalid scenario raises, with its key's side held and a trace lent
-    # for a valid row or for an == copy of it. (sweep lends only to the rows
-    # of cells it has validated.)
-    invalid = replace(base, problem=replace(base.problem, delta=-1.0))
-    for other in (None, base, replace(invalid)):
-        memo.lent = None if other is None else (other, lent)
-        with pytest.raises(ValidationError, match="problem.delta"):
-            run(invalid, shared=memo)
-        assert memo.lent is None
 
 
 def _crystallizing_key():
@@ -784,8 +776,8 @@ def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
         monkeypatch.setattr(engine, "_TRACE_BLOCK", rows_per_block * (len(alone.events) + len(alone.samples)))
     traces, blocks = [], []
 
-    def run_spy(scenario, observations=None, *, shared=None):
-        traces.append((scenario, run(scenario, observations, shared=shared)))
+    def run_spy(scenario, observations=None, *, batched=None):
+        traces.append((scenario, run(scenario, observations, batched=batched)))
         return traces[-1][1]
 
     def kl_spy(mean, precision_q, mean_p, precision_p):
@@ -822,8 +814,8 @@ def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
     monkeypatch.setattr(engine, "_with_columns", assemble_spy)
     traces = []
 
-    def run_spy(scenario, observations=None, *, shared=None):
-        traces.append((scenario, run(scenario, observations, shared=shared)))
+    def run_spy(scenario, observations=None, *, batched=None):
+        traces.append((scenario, run(scenario, observations, batched=batched)))
         return traces[-1][1]
 
     base = replace(tracking_sweep_base(), horizon=10.0)

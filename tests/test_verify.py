@@ -83,3 +83,9 @@ def test_merge_order_at_the_default_seed_base_keeps_its_pinned_value():
 def test_merge_order_needs_a_pcg64_stream(bit_generator):
     with pytest.raises(TypeError, match="PCG64"):
         verify._max_rel_merge_order(np.random.Generator(bit_generator(0)), 10)
+
+
+def test_verify_makes_432_runs_of_331344_events(verify_run_counts):
+    # Each sweep row is one run too. A benchmark that divides verify's wall
+    # time into runs and events per second reads these counts.
+    assert verify_run_counts == {"runs": 432, "events": 331_344}
