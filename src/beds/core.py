@@ -378,13 +378,14 @@ def expected_counts(scenario: Scenario) -> list[tuple[str, str, float]]:
     return out
 
 
-def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
+def _finite_budgets(scenario: Scenario, horizon_ok: bool) -> list[tuple[str, float, str, float]]:
     """(field path, value, output quantity, bound) per field that scales a run's totals.
 
     Counts are 2 * MAX_EXPECTED_COUNT charges or samples. No bound is derived
-    from a field that breaks its own rule (a non-positive precision, say),
-    and an input whose bound is infinite feeds no later bound, so that one
-    bad value gives one violation.
+    from a field that breaks its own rule (a non-positive precision, say, or
+    a horizon over the count budgets, ``horizon_ok`` False), and an input
+    whose bound is infinite feeds no later bound, so that one bad value
+    gives one violation.
     """
 
     n, model, initial = 2 * MAX_EXPECTED_COUNT, scenario.energy_model, scenario.beds.initial_belief
@@ -431,7 +432,7 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[str, float, str, float]]:
                 ratios.append(highest / precision_p)
         quantity = "the divergence of a belief at the lowest and highest precision"
         out.append(("problem.target.target_variance", target.target_variance, quantity, max(ratios)))
-        if math.isfinite(max(ratios)) and scenario.horizon > 0:
+        if math.isfinite(max(ratios)) and scenario.horizon > 0 and horizon_ok:
             # The largest gap between the belief's mean and the target's; a
             # static target's velocity has its own rule (it must be 0).
             velocity = 0.0 if target.kind == "static" else target.velocity
@@ -470,14 +471,19 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
     if 0 < horizon <= sample_dt:
         message = f"must be < horizon ({horizon!r}), got {sample_dt!r}"
         out.append(Violation("degenerate_horizon", "sample_dt", message))
-    for path, what, count in expected_counts(scenario):
-        if count > MAX_EXPECTED_COUNT:
-            message = (
-                f"gives about {count:.3g} {what} over the horizon, "
-                f"above the budget of {MAX_EXPECTED_COUNT:.0e}"
-            )
-            out.append(Violation("budget_exceeded", path, message))
-    for path, value, quantity, bound in _finite_budgets(scenario):
+    over = [
+        (path, f"{count:.3g} {what}")
+        for path, what, count in expected_counts(scenario)
+        if count > MAX_EXPECTED_COUNT
+    ]
+    horizon_ok = len(over) < 2
+    if not horizon_ok:
+        # The horizon is the one field that every count shares.
+        over = [("horizon", " and ".join(amount for _, amount in over))]
+    for path, amount in over:
+        message = f"gives about {amount} over the horizon, above the budget of {MAX_EXPECTED_COUNT:.0e}"
+        out.append(Violation("budget_exceeded", path, message))
+    for path, value, quantity, bound in _finite_budgets(scenario, horizon_ok):
         if not math.isfinite(bound):
             out.append(Violation("budget_exceeded", path, f"must keep {quantity} finite, got {value!r}"))
     if not 0 <= scenario.seed <= MAX_SEED:

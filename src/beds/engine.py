@@ -273,11 +273,13 @@ def _precision_side(
     precision_before, precision_after, halted = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
     n = len(precision_after)
     halted_at = times[n - 1] if halted else None
+    # Free each per-event list as soon as it has been read: they hold a
+    # long run's memory peak.
+    del times, obs_precisions
     events = np.zeros(n, dtype=_EVENT_DTYPE)
     events["precision_before"] = precision_before
     events["precision_after"] = precision_after
-    # The arrays hold every column now: free the per-event lists first.
-    del times, obs_precisions, precision_before, precision_after
+    del precision_before, precision_after
     energies, infos = observation_costs(energy_model, events["precision_before"], flux["obs_precision"][:n])
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, energy_model.kBT)
     for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
@@ -314,9 +316,10 @@ def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) 
     sample-plus-event rows, as plain 2-D columns: each block gathers its
     rows' sampled means at once, and computes their divergence and its
     maximum after the burn-in. A writeable side is one run's own, whose
-    events hold its means already: its trace is built in the side's arrays.
-    A held side's rows are lent traces, which keep their columns beside the
-    side. Each trace's ledger is the side's.
+    events hold its means already: its trace is built in the side's arrays,
+    _TRACE_BLOCK samples at a time. A held side's rows are lent traces,
+    which keep their columns beside the side. Each trace's ledger is the
+    side's.
     """
 
     n, m = len(side.events), len(side.samples)
@@ -336,13 +339,23 @@ def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) 
                 raise ValidationError([Violation("budget_exceeded", "observations", message)])
         mean_after = means[:, lo : lo + step].T
         initial = [[scenario.beds.initial_belief.mean] for scenario in chunk]
-        mean = np.concatenate((initial, mean_after), axis=1)[:, side.last]
+        # Each row's mean after each event, column 0 its initial one.
+        state_mean = np.concatenate((initial, mean_after), axis=1)
         # target_mean_at, one target per row. A precision that every row
         # shares stays a float, so kl_gaussian computes its terms in it once.
         theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
-        mean_p = theta0 + velocity * side.samples["t"]
         precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
-        kl = kl_gaussian(mean, side.samples["precision"], mean_p, precision_p)
+        # A run's own columns are filled in place, so many samples at a time
+        # that a long run holds no full-length temporaries.
+        width = _TRACE_BLOCK if own else max(m, 1)
+        for a in range(0, max(m, 1), width):
+            mean = state_mean[:, side.last[a : a + width]]
+            mean_p = theta0 + velocity * side.samples["t"][a : a + width]
+            kl = kl_gaussian(mean, side.samples["precision"][a : a + width], mean_p, precision_p)
+            if own:
+                side.samples["mean"][a : a + width], side.samples["kl_to_target"][a : a + width] = mean[0], kl[0]
+        if own:
+            kl = side.samples["kl_to_target"][None]
         # t0 is in the key: every row has the same burn-in.
         max_kl = after_burn_in(side.samples, chunk[0].problem.t0, kl, np.max).tolist()
         for j, scenario in enumerate(chunk):
@@ -359,12 +372,11 @@ def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) 
                 )
             summary = Summary(max_kl_after_t0=max_kl[j], **side.summary)
             if own:
-                side.samples["mean"], side.samples["kl_to_target"] = mean[j], kl[j]
                 yield RunTrace(side.samples, side.events, outcome, side.ledger, summary, side.power_window, side.clamped)
             else:
                 yield _LentTrace(side, (mean_after[j], mean[j], kl[j]), outcome, summary)
         # Drop this block before the next one is allocated.
-        del mean_after, mean, kl
+        del mean_after, state_mean, mean, kl
 
 
 def _checked_flux(flux: object) -> np.ndarray:

@@ -8,9 +8,12 @@ making files byte-reproducible for identical inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import threading
 from io import BytesIO
+from queue import SimpleQueue
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +55,7 @@ _CELL_WIDTH = 25  # "-d.dddddddddddddddde-XXX" and a separator
 # Exponent classes: k + 4 for fixed notation (-4 <= k < 17), then
 # scientific with e+XX, e+XXX, e-XX, e-XXX.
 _N_CLASSES = 25
-_GATHER_CELLS = 2048
+_GATHER_CELLS = 1024
 
 
 def _split(v):
@@ -148,9 +151,14 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     error += head * hi_tail
     error += tail * hi_head
     error += tail * hi_tail
+    # Two threads may run this at once: each temporary is freed once used.
+    del head, tail
     whole = product.astype(np.int64)
     fraction = product - whole
-    fraction += a * lo + error
+    del product
+    error += a * lo
+    fraction += error
+    del hi, lo, hi_head, hi_tail, error
     near_tie = np.abs(fraction - np.floor(fraction) - 0.5) < _TIE_MARGIN
     return whole + np.rint(fraction).astype(np.int64), near_tie
 
@@ -204,13 +212,7 @@ def _float_cells(x: np.ndarray, ends: str) -> np.ndarray:
     tables = _tables()
     D, k, slow = _decimal(x)
     groups = _digit_groups(D)
-    source = np.empty((n, _SOURCE_WIDTH), dtype=np.uint8)
-    source[:, 0] = groups[:, 0] + ord("0")
-    source[:, 1:17] = tables.group_text[groups[:, 1:]].view(np.uint8)
-    source[:, _MINUS:_SEP] = np.take(tables.exponent_text, k + _K_RANGE, axis=0)
-    source.reshape(*shape, _SOURCE_WIDTH)[..., _SEP] = np.frombuffer(ends.encode("ascii"), dtype=np.uint8)
-    source[:, _PAD] = 0
-
+    del D
     zeros = tables.group_zeros[groups[:, 4]]
     for g in (3, 2, 1):
         # Group g's zeros count where every group after it is zero.
@@ -218,6 +220,16 @@ def _float_cells(x: np.ndarray, ends: str) -> np.ndarray:
         zeros[more] += tables.group_zeros[groups[more, g]]
     k_class = np.where((k >= -4) & (k < 17), k + 4, 21 + 2 * (k < 0) + (np.abs(k) >= 100))
     key = (np.signbit(x) * 17 + 16 - zeros) * _N_CLASSES + k_class
+    del zeros, k_class
+
+    source = np.empty((n, _SOURCE_WIDTH), dtype=np.uint8)
+    source[:, 0] = groups[:, 0] + ord("0")
+    source[:, 1:17] = tables.group_text[groups[:, 1:]].view(np.uint8)
+    source[:, _MINUS:_SEP] = np.take(tables.exponent_text, k + _K_RANGE, axis=0)
+    source.reshape(*shape, _SOURCE_WIDTH)[..., _SEP] = np.frombuffer(ends.encode("ascii"), dtype=np.uint8)
+    source[:, _PAD] = 0
+    # Two threads may format blocks at once: free the digits before the gather.
+    del groups, k
 
     # The gather's index takes 8 bytes per output byte, so it is built for
     # a slice of the cells at a time.
@@ -270,6 +282,29 @@ def _block_cells(columns, floats: list[int], separators: list[str]) -> np.ndarra
     return table
 
 
+def _block_bytes(columns, floats: list[int], separators: list[str], start: int) -> bytes:
+    """The CSV bytes of the block of rows from ``start``."""
+
+    block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+    # Cells are NUL-padded fixed-width items; no cell holds a NUL.
+    cells = _block_cells(block, floats, separators).view(np.uint8)
+    return cells[cells != 0].tobytes()
+
+
+def _format_blocks(todo: SimpleQueue, done: SimpleQueue, *args) -> None:
+    """The helper thread: put on ``done`` the bytes of each block start taken from ``todo``, until None.
+
+    A failure is put on ``done`` in its block's place, and ends the thread.
+    """
+
+    while (start := todo.get()) is not None:
+        try:
+            done.put(_block_bytes(*args, start))
+        except BaseException as error:
+            done.put(error)
+            return
+
+
 def write_csv(handle, header, columns) -> None:
     """Write a header and equal-length columns as CSV to the binary ``handle``.
 
@@ -279,9 +314,16 @@ def write_csv(handle, header, columns) -> None:
     NumPy bool column prints ``true``/``false``, and any other column (an
     integer or object array, or a list such as a sweep column) goes through
     :func:`format_float` cell by cell. The header is UTF-8 and every line
-    ends in ``\n``. Rows are formatted and written one block of
-    ``_CSV_BLOCK_ROWS`` at a time, so the buffer is bounded by a block,
-    not by the file.
+    ends in ``\n``.
+
+    Rows are formatted one block of ``_CSV_BLOCK_ROWS`` at a time and
+    written in order. With more than one block, one helper thread formats
+    the odd blocks while the calling thread formats and writes the even
+    ones; it runs at most two blocks ahead, so the buffer is bounded by a
+    few blocks, not by the file. A CSV of one block or fewer starts no
+    thread. A failure in formatting or writing a block is raised here,
+    after every earlier block has been written, and leaves no thread
+    running.
 
     Raises ValueError, before anything is written, when the header's width
     differs from the number of columns or the columns differ in length.
@@ -296,11 +338,28 @@ def write_csv(handle, header, columns) -> None:
     separators = [","] * (len(columns) - 1) + ["\n"]
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     handle.write((",".join(header) + "\n").encode("utf-8"))
-    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
-        # Cells are NUL-padded fixed-width items; no cell holds a NUL.
-        cells = _block_cells(block, floats, separators).view(np.uint8)
-        handle.write(cells[cells != 0].tobytes())
+    starts = range(0, n_rows, _CSV_BLOCK_ROWS)
+    todo, done = SimpleQueue(), SimpleQueue()
+    helper = None
+    if len(starts) > 1:
+        _tables()  # built here, not by two threads at once
+        helper = threading.Thread(target=_format_blocks, args=(todo, done, columns, floats, separators))
+        helper.start()
+    try:
+        odd = iter(starts[1::2])
+        for k, start in enumerate(starts):
+            if k % 2 == 0:
+                # Keep the helper two blocks ahead: one it formats, one queued.
+                for later in itertools.islice(odd, 2 if k == 0 else 1):
+                    todo.put(later)
+                data = _block_bytes(columns, floats, separators, start)
+            elif isinstance(data := done.get(), BaseException):
+                raise data
+            handle.write(data)
+    finally:
+        if helper is not None:
+            todo.put(None)
+            helper.join()
 
 
 def csv_text(header, columns) -> str:

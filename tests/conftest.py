@@ -1,8 +1,21 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from beds import engine, verify
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left_running():
+    """Fail a test that leaves running a thread that was not running when it started."""
+
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -313,6 +313,14 @@ def test_an_initial_precision_past_its_own_bounds_is_reported_alone(tmp_path, ca
         # -ln(2**-53) / rate, the largest inter-arrival time, overflows.
         ("steady_state", ["flux_spec.arrival.rate=5e-324"], "flux_spec.arrival.rate"),
         ("steady_state", ["flux_spec.arrival.rate=1e-310"], "flux_spec.arrival.rate"),
+        # A huge horizon overflows every count budget, and bounds no reach.
+        ("steady_state", ["horizon=1e300"], "horizon"),
+        ("static_crystallizing", ["horizon=1.7e308"], "horizon"),
+        ("drifting_tracking", ["horizon=1e300"], "horizon"),
+        ("tracking_sweep_base", ["horizon=1e300"], "horizon"),
+        ("tracking_sweep_base", ["horizon=1.7e308"], "horizon"),
+        # Without arrivals to count, the samples' budget is the one overflowed.
+        ("dissipation_only", ["horizon=1.7e308"], "sample_dt"),
     ],
 )
 def test_one_bad_value_gives_one_error_line(tmp_path, capsys, scenario, overrides, field):

@@ -4,9 +4,12 @@ and ``write_csv`` streaming the same bytes to a file."""
 import math
 import random
 import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -209,6 +212,115 @@ def test_write_csv_memory_peak_does_not_grow_with_the_row_count(tmp_path):
         assert path.stat().st_size > 100 * n_rows
     # The 64k-row file is over 6 MB; the writer holds one block of it.
     assert abs(peaks[64 * 1024] - peaks[8 * 1024]) < 2**20, peaks
+
+
+# --- write_csv: the helper thread -------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4, 5])
+def test_write_csv_formats_the_odd_blocks_on_one_helper_thread(monkeypatch, blocks):
+    header = ["x", "flag", "n", "mixed"]
+    n_rows = blocks * BLOCK - blocks
+    columns = mixed_columns(n_rows, seed=blocks)
+    want = reference_csv_text(header, [c if isinstance(c, list) else c.tolist() for c in columns]).encode()
+    assert csv_text(header, columns).encode() == want
+    formatted = {}
+
+    def recording(*args):
+        formatted[args[-1]] = threading.current_thread()
+        return block_bytes(*args)
+
+    block_bytes = io._block_bytes
+    monkeypatch.setattr(io, "_block_bytes", recording)
+    buffer = BytesIO()
+    write_csv(buffer, header, columns)
+    assert buffer.getvalue() == want
+    assert sorted(formatted) == list(range(0, n_rows, BLOCK))
+    main = threading.current_thread()
+    on_main = [formatted[start] is main for start in sorted(formatted)]
+    assert on_main == [k % 2 == 0 for k in range(blocks)]
+    assert len(set(formatted.values()) - {main}) == 1
+
+
+@pytest.mark.parametrize("n_rows, threads", [(0, 0), (1, 0), (BLOCK, 0), (BLOCK + 1, 1)])
+def test_write_csv_of_at_most_one_block_starts_no_thread(monkeypatch, n_rows, threads):
+    started = []
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    write_csv(BytesIO(), ["x", "flag"], [np.zeros(n_rows), np.ones(n_rows, dtype=bool)])
+    assert len(started) == threads
+
+
+class BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_a_failing_block_is_raised_after_the_blocks_before_it(monkeypatch, failing):
+    # Blocks 1 and 3 are the helper's, block 2 the calling thread's.
+    column = np.arange(5 * BLOCK, dtype=np.float64)
+    threads = []
+
+    def failing_cells(block, *args):
+        if block[0][0] == failing * BLOCK:
+            threads.append(threading.current_thread())
+            raise BlockFailed(failing)
+        return block_cells(block, *args)
+
+    block_cells = io._block_cells
+    monkeypatch.setattr(io, "_block_cells", failing_cells)
+    running = threading.active_count()
+    buffer = BytesIO()
+    with pytest.raises(BlockFailed):
+        write_csv(buffer, ["x"], [column])
+    assert (threads[0] is threading.current_thread()) == (failing == 2)
+    monkeypatch.undo()
+    assert buffer.getvalue() == csv_text(["x"], [column[: failing * BLOCK]]).encode()
+    assert threading.active_count() == running
+
+
+def test_a_failing_write_is_raised_and_leaves_no_thread():
+    class Full(BytesIO):
+        def write(self, data):
+            if self.tell() > 100:
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    running = threading.active_count()
+    with pytest.raises(OSError, match="No space"):
+        write_csv(Full(), ["x"], [np.arange(4 * BLOCK, dtype=np.float64)])
+    assert threading.active_count() == running
+
+
+def test_three_callers_at_once_each_write_their_own_bytes():
+    # Three callers and their three helpers share the kernel's tables on two
+    # cores, switching threads every 10 us.
+    columns = [[np.array(random_doubles(random.Random(i), 3 * BLOCK))] for i in range(3)]
+    want = [csv_text(["x"], column).encode() for column in columns]
+    got = [None] * 3
+
+    def write(i):
+        buffer = BytesIO()
+        write_csv(buffer, ["x"], columns[i])
+        got[i] = buffer.getvalue()
+
+    callers = [threading.Thread(target=write, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
 
 
 # --- the float64 kernel against '%.17g' ----------------------------------------------
