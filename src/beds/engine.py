@@ -20,12 +20,11 @@ noise is the first standard normals of its seed's stream, which the sweep
 draws once per seed. The rows run key by key, whatever the grid's order,
 and are emitted grid-major: a key's side is computed once and held
 read-only, each batch of its rows evolves its means as the columns of one
-loop (``dynamics.evolve_means``) and computes the rows' sampled means and
-divergence on 2-D blocks of rows, and each row's ``run`` is handed its
-finished trace. Such a trace keeps only the row's own columns beside the
-held side, and assembles its samples and events on first read. Any other
-run computes its own trace, through the same assembly (``_traces``), in
-its own side's arrays.
+loop (``dynamics.evolve_means``) and computes only their divergence
+maximum after the burn-in, on 2-D blocks of rows, and each row's ``run``
+is handed its trace. Such a trace holds only the row's means after each
+event beside the held side, and fills copies of the side's samples and
+events on first read, as any other run fills its own (``_fill_trace``).
 """
 
 from __future__ import annotations
@@ -131,8 +130,8 @@ class RunTrace:
     windowed_power samples, horizon / 10. ``clamped`` flags that the
     precision floor was hit at least once. The ledger's columns are
     read-only, since the runs of a sweep may share them. A sweep's row
-    builds its samples and events when they are first read
-    (``_LentTrace``).
+    holds only its means after each event, and fills its samples and events
+    when they are first read (``_LentTrace``).
     """
 
     samples: np.ndarray
@@ -165,36 +164,29 @@ class _PrecisionSide:
 
 
 class _LentTrace(RunTrace):
-    """A batched row's trace: a held side and the row's own columns.
+    """A batched row's trace: a held side, and the row's scenario and means after each event.
 
-    ``columns`` are the row's mean_after (one per event), and its sampled
-    mean and kl_to_target, rows of its block's. ``samples`` and ``events``
-    are the side's, copied with those columns in, the first time each is
-    read.
+    ``samples`` and ``events`` are copies of the side's, filled with the
+    row's means the first time each is read.
     """
 
-    def __init__(self, side: _PrecisionSide, columns: tuple, outcome: CrystallizationOutcome, summary: Summary):
-        self._side, self._columns = side, columns
-        self.outcome, self.ledger, self.summary = outcome, side.ledger, summary
+    def __init__(self, side: _PrecisionSide, scenario: Scenario, mean_after: np.ndarray, max_kl: float):
+        self._side, self._scenario, self._mean_after = side, scenario, mean_after
+        self.outcome, self.ledger = _outcome(scenario, side, mean_after), side.ledger
+        self.summary = Summary(max_kl_after_t0=max_kl, **side.summary)
         self.power_window, self.clamped = side.power_window, side.clamped
 
     @cached_property
     def samples(self) -> np.ndarray:
-        _, mean, kl = self._columns
-        return _with_columns(self._side.samples, mean=mean, kl_to_target=kl)
+        samples = self._side.samples.copy()
+        _fill_trace(self._scenario, samples, self._side.last, self._mean_after)
+        return samples
 
     @cached_property
     def events(self) -> np.ndarray:
-        return _with_columns(self._side.events, mean_after=self._columns[0])
-
-
-def _with_columns(held: np.ndarray, **columns: np.ndarray) -> np.ndarray:
-    """A writeable copy of the structured array ``held`` with the named columns set."""
-
-    out = held.copy()
-    for name, column in columns.items():
-        out[name] = column
-    return out
+        events = self._side.events.copy()
+        events["mean_after"] = self._mean_after
+        return events
 
 
 def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: RunTrace | None = None) -> RunTrace:
@@ -224,12 +216,24 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     side = _precision_side(flux, *_side_key(scenario)[2:])
     # The means overwrite the flux values in the side's own events; nothing
     # reads the flux after them.
-    means = side.events["mean_after"][:, None]
-    means[:, 0] = flux["value"][: len(means)]
-    evolve_means([scenario.beds.initial_belief.mean], means, flux["obs_precision"], side.events["precision_before"])
+    means = side.events["mean_after"]
+    means[:] = flux["value"][: len(means)]
+    initial = [scenario.beds.initial_belief.mean]
+    evolve_means(initial, means[:, None], flux["obs_precision"], side.events["precision_before"])
     del flux
-    [trace] = _traces([scenario], side, means)
-    return trace
+    if observations is not None and len(means):
+        # As for the totals, a replayed flux may leave the divergence's
+        # precision ratios non-finite, in the order kl_gaussian divides, on
+        # the highest precision the run reaches.
+        highest, p = side.events["precision_after"].max().item(), 1.0 / scenario.problem.target.target_variance
+        if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
+            message = f"must keep the divergence of the highest precision finite, got {highest!r}"
+            raise ValidationError([Violation("budget_exceeded", "observations", message)])
+    _fill_trace(scenario, side.samples, side.last, means)
+    kl = after_burn_in(side.samples, scenario.problem.t0, "kl_to_target", np.max)
+    summary = Summary(max_kl_after_t0=kl, **side.summary)
+    outcome = _outcome(scenario, side, means)
+    return RunTrace(side.samples, side.events, outcome, side.ledger, summary, side.power_window, side.clamped)
 
 
 def _side_key(scenario: Scenario) -> tuple:
@@ -308,75 +312,58 @@ def _precision_side(
     return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
 
-def _traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> Iterator[RunTrace]:
-    """The traces of ``scenarios`` on ``side``, column ``j`` of ``means`` (events x rows) being row ``j``'s means.
+def _fill_trace(scenario: Scenario, samples: np.ndarray, last: np.ndarray, mean_after: np.ndarray) -> None:
+    """Fill ``samples``' mean and kl_to_target columns from a run's ``mean_after`` (one per event).
 
-    The rows differ only outside the side's key. Their sampled means and
-    divergence are computed in blocks of at most about _TRACE_BLOCK
-    sample-plus-event rows, as plain 2-D columns: each block gathers its
-    rows' sampled means at once, and computes their divergence and its
-    maximum after the burn-in. A writeable side is one run's own, whose
-    events hold its means already: its trace is built in the side's arrays,
-    _TRACE_BLOCK samples at a time. A held side's rows are lent traces,
-    which keep their columns beside the side. Each trace's ledger is the
-    side's.
+    ``last`` is the event count at or before each sample. _TRACE_BLOCK
+    samples at a time, so that a long run holds no full-length temporaries.
     """
 
-    n, m = len(side.events), len(side.samples)
-    own = side.events.flags.writeable
-    step = 1 if own else max(1, _TRACE_BLOCK // (n + m))
-    highest = side.events["precision_after"].max().item() if n else None
+    target = scenario.problem.target
+    precision_p = 1.0 / target.target_variance
+    state_mean = np.concatenate(([scenario.beds.initial_belief.mean], mean_after))
+    for a in range(0, len(samples), _TRACE_BLOCK):
+        block = samples[a : a + _TRACE_BLOCK]
+        block["mean"] = mean = state_mean[last[a : a + _TRACE_BLOCK]]
+        block["kl_to_target"] = kl_gaussian(mean, block["precision"], target_mean_at(target, block["t"]), precision_p)
+
+
+def _outcome(scenario: Scenario, side: _PrecisionSide, mean_after: np.ndarray) -> CrystallizationOutcome:
+    """The crystallization outcome of a run on ``side`` whose mean after each event is ``mean_after``."""
+
+    t, problem = side.halted_at, scenario.problem
+    if t is None:
+        return NOT_CRYSTALLIZED
+    belief = (mean_after[-1].item(), side.events["precision_after"][-1].item())
+    return check_crystallization(*belief, t, scenario.beds.epsilon, target_mean_at(problem.target, t), problem.delta)
+
+
+def _lent_traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> Iterator[RunTrace]:
+    """The lent traces of ``scenarios`` on the held ``side``, row ``j``'s means column ``j`` of ``means``.
+
+    The rows share the side's key, t0 included. Of their divergence, only
+    the maximum after the burn-in is computed, on the samples after it, in
+    2-D blocks of at most about _TRACE_BLOCK sample-plus-event rows.
+    """
+
+    tail = np.searchsorted(side.samples["t"], scenarios[0].problem.t0, side="right")
+    t, precision, last = side.samples["t"][tail:], side.samples["precision"][tail:], side.last[tail:]
+    step = max(1, _TRACE_BLOCK // (len(side.events) + len(side.samples)))
     for lo in range(0, len(scenarios), step):
         chunk = scenarios[lo : lo + step]
         targets = [scenario.problem.target for scenario in chunk]
-        precisions_p = [1.0 / target.target_variance for target in targets]
-        # As for the totals, a replayed row may leave the divergence's
-        # precision ratios non-finite, in the order kl_gaussian divides, on
-        # the highest precision the rows reach.
-        for p in precisions_p if n else ():
-            if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
-                message = f"must keep the divergence of the highest precision finite, got {highest!r}"
-                raise ValidationError([Violation("budget_exceeded", "observations", message)])
-        mean_after = means[:, lo : lo + step].T
         initial = [[scenario.beds.initial_belief.mean] for scenario in chunk]
         # Each row's mean after each event, column 0 its initial one.
-        state_mean = np.concatenate((initial, mean_after), axis=1)
+        state_mean = np.concatenate((initial, means[:, lo : lo + step].T), axis=1)
         # target_mean_at, one target per row. A precision that every row
         # shares stays a float, so kl_gaussian computes its terms in it once.
         theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
+        precisions_p = [1.0 / target.target_variance for target in targets]
         precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
-        # A run's own columns are filled in place, so many samples at a time
-        # that a long run holds no full-length temporaries.
-        width = _TRACE_BLOCK if own else max(m, 1)
-        for a in range(0, max(m, 1), width):
-            mean = state_mean[:, side.last[a : a + width]]
-            mean_p = theta0 + velocity * side.samples["t"][a : a + width]
-            kl = kl_gaussian(mean, side.samples["precision"][a : a + width], mean_p, precision_p)
-            if own:
-                side.samples["mean"][a : a + width], side.samples["kl_to_target"][a : a + width] = mean[0], kl[0]
-        if own:
-            kl = side.samples["kl_to_target"][None]
-        # t0 is in the key: every row has the same burn-in.
-        max_kl = after_burn_in(side.samples, chunk[0].problem.t0, kl, np.max).tolist()
+        kl = kl_gaussian(state_mean[:, last], precision, theta0 + velocity * t, precision_p)
+        max_kl = kl.max(axis=1).tolist() if len(t) else [math.nan] * len(chunk)
         for j, scenario in enumerate(chunk):
-            outcome = NOT_CRYSTALLIZED
-            if side.halted_at is not None:
-                t = side.halted_at
-                outcome = check_crystallization(
-                    mean_after[j, -1].item(),
-                    side.events["precision_after"][-1].item(),
-                    t,
-                    scenario.beds.epsilon,
-                    target_mean_at(targets[j], t),
-                    scenario.problem.delta,
-                )
-            summary = Summary(max_kl_after_t0=max_kl[j], **side.summary)
-            if own:
-                yield RunTrace(side.samples, side.events, outcome, side.ledger, summary, side.power_window, side.clamped)
-            else:
-                yield _LentTrace(side, (mean_after[j], mean[j], kl[j]), outcome, summary)
-        # Drop this block before the next one is allocated.
-        del mean_after, state_mean, mean, kl
+            yield _LentTrace(side, scenario, means[:, lo + j], max_kl[j])
 
 
 def _checked_flux(flux: object) -> np.ndarray:
@@ -566,10 +553,11 @@ def _run_key(scenarios: list[Scenario], normals: dict[int, np.ndarray]) -> Itera
     rows run in batches, on ``normals`` (by seed) where they hold enough:
     the key's side is computed from the first row's flux and held
     read-only; each batch's means evolve as the columns of one
-    (events x rows) loop, ``dynamics.evolve_means``; ``_traces`` builds the
-    batch's traces, and each row's ``run`` is handed its own. The batches
-    of a key hold at most about MAX_EXPECTED_COUNT means each, so a wide key
-    splits, and each row's flux is dropped once its values are in the block.
+    (events x rows) loop, ``dynamics.evolve_means``; ``_lent_traces``
+    computes each row's outcome and summary, and each row's ``run`` is
+    handed its trace. The batches of a key hold at most about
+    MAX_EXPECTED_COUNT means each, so a wide key splits, and each row's
+    flux is dropped once its values are in the block.
     """
 
     first = scenarios[0]
@@ -595,7 +583,7 @@ def _run_key(scenarios: list[Scenario], normals: dict[int, np.ndarray]) -> Itera
             del flux
         starts = [scenario.beds.initial_belief.mean for scenario in batch]
         means = evolve_means(starts, values, obs_precisions, side.events["precision_before"])
-        for scenario, trace in zip(batch, _traces(batch, side, means)):
+        for scenario, trace in zip(batch, _lent_traces(batch, side, means)):
             yield run(scenario, batched=trace)
         # Free this batch's blocks before the next batch allocates its own.
         del values, means, trace

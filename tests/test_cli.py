@@ -640,14 +640,18 @@ def test_verify_seed_base_out_of_range_exits_2_before_running(tmp_path, capsys, 
 SHIPPED = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 # Numbers stay small, or large enough that the run budget rejects the scenario
 # before it runs, so every generated run is short.
-NUMBERS = ["0.5", "1", "2", "3", "10", "-1", "0", "1e-300", "1e308", "nan", "inf", "-inf"]
+NUMBERS = [
+    "0.5", "1", "2", "3", "10", "-1", "0", "1e-300", "1e308", "nan", "inf", "-inf",
+    "5e-324", "-5e-324", "1e-310", "1.7e308", "1e300", "-1e300",
+]
 JUNK = ["", "abc", "true", "null", "[1]", "{}", '"x"', "1e999", '"poisson"', '"schedule"', "[0.5,1]"]
 PATHS = [
     "horizon", "sample_dt", "seed", "beds.gamma", "beds.epsilon", "beds.initial_belief.precision",
     "flux_spec.arrival.kind", "flux_spec.arrival.rate", "flux_spec.arrival.period",
     "flux_spec.arrival.times", "flux_spec.noise", "flux_spec.obs_precision",
     "energy_model.kind", "energy_model.fixed_cost_value", "problem.t0", "problem.target.kind",
-    "problem.target.velocity", "problem.target.target_variance", "beds", "beds.nope", "",
+    "problem.target.velocity", "problem.target.target_variance", "problem.target.theta0", "problem.delta",
+    "problem.p_max", "energy_model.kBT", "beds.initial_belief.mean", "beds", "beds.nope", "",
 ]
 VALUES = st.sampled_from(NUMBERS * 3 + JUNK)
 SEED_BASES = ["-1", "0", "1000", str(verify.MAX_SEED_BASE), str(verify.MAX_SEED_BASE + 1), str(2**64), "x", "1e3"]

@@ -576,7 +576,7 @@ def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
 @given(_sweep_cells(arrivals=("periodic", "schedule")))
 @settings(max_examples=40, deadline=None)
 def test_a_split_key_holds_one_read_only_side_that_its_rows_copy(base):
-    sides, traces, build = [], [], engine._traces
+    sides, traces, build = [], [], engine._lent_traces
 
     def traces_spy(scenarios, side, means):
         sides.append(side)
@@ -590,7 +590,7 @@ def test_a_split_key_holds_one_read_only_side_that_its_rows_copy(base):
     with pytest.MonkeyPatch.context() as patch:
         # A key of 5 rows runs as batches of 2, 2 and 1.
         patch.setattr(engine, "MAX_EXPECTED_COUNT", 2 * max(count, 1))
-        patch.setattr(engine, "_traces", traces_spy)
+        patch.setattr(engine, "_lent_traces", traces_spy)
         patch.setattr(engine, "run", run_spy)
         sweep(base, [], replicates=5)
     assert len(sides) == 3 and all(side is sides[0] for side in sides)
@@ -801,17 +801,46 @@ def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
         assert blocks == [min(width, len(traces) - lo) for lo in range(0, len(traces), width)]
 
 
+def test_a_sweep_computes_divergence_only_after_the_burn_in(monkeypatch):
+    base = tracking_sweep_base()
+    assert base.problem.t0 == 5.0
+    grid = [("problem.target.velocity", [0.0, 1.0]), ("flux_spec.arrival.period", [0.5, 0.25])]
+    covered = []
+
+    def kl_spy(mean, precision_q, mean_p, precision_p):
+        covered.append(precision_q.tobytes())
+        return analysis.kl_gaussian(mean, precision_q, mean_p, precision_p)
+
+    monkeypatch.setattr(engine, "kl_gaussian", kl_spy)
+    table = sweep(base, grid, replicates=2)
+    monkeypatch.undo()
+    tails = set()
+    for row in table.rows:
+        arrival = PeriodicArrival(period=row["flux_spec.arrival.period"])
+        target = replace(base.problem.target, velocity=row["problem.target.velocity"])
+        scenario = replace(
+            base,
+            flux_spec=replace(base.flux_spec, arrival=arrival),
+            problem=replace(base.problem, target=target),
+            seed=row["seed"],
+        )
+        alone = run(scenario)
+        tails.add(alone.samples["precision"][alone.samples["t"] > 5.0].tobytes())
+        assert repr(row["max_kl_after_t0"]) == repr(alone.summary.max_kl_after_t0)
+    # One divergence block per key, each on exactly the samples after t0.
+    assert len(covered) == len(tails) == 2 and set(covered) == tails
+
+
 def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
-    # A lent trace copies the held side's samples and events only when they
-    # are read, once each.
-    assembled = []
+    # A lent trace fills a copy of the held side's samples only when they
+    # are read, once.
+    filled = []
 
-    def assemble_spy(held, **columns):
-        assembled.append(sorted(columns))
-        return with_columns(held, **columns)
+    def fill_spy(scenario, samples, last, mean_after):
+        filled.append(scenario)
+        return fill(scenario, samples, last, mean_after)
 
-    with_columns = engine._with_columns
-    monkeypatch.setattr(engine, "_with_columns", assemble_spy)
+    fill = engine._fill_trace
     traces = []
 
     def run_spy(scenario, observations=None, *, batched=None):
@@ -821,12 +850,16 @@ def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
     base = replace(tracking_sweep_base(), horizon=10.0)
     grid = [("problem.target.velocity", [0.0, 1.0]), ("flux_spec.arrival.period", [0.5, 0.25])]
     monkeypatch.setattr(engine, "run", run_spy)
+    monkeypatch.setattr(engine, "_fill_trace", fill_spy)
     sweep(base, grid, replicates=3)
-    assert len(traces) == 12 and assembled == []
+    assert len(traces) == 12 and filled == []
     scenario, trace = traces[0]
+    expected = run(scenario)
+    filled.clear()
+    # One fill on the first read of samples, none on the second.
     for _ in range(2):
-        _assert_same_trace(trace, run(scenario))
-    assert assembled == [["kl_to_target", "mean"], ["mean_after"]]
+        _assert_same_trace(trace, expected)
+        assert filled == [scenario]
 
 
 # --- flux replay --------------------------------------------------------------------
