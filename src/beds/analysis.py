@@ -121,19 +121,13 @@ def kl_gaussian(
     )
 
 
-def after_burn_in(samples: np.ndarray, t0: float, column: str | np.ndarray, reduce) -> float | np.ndarray:
-    """``reduce`` of ``column`` over the samples after the burn-in, t > t0; nan if none.
+def after_burn_in(samples: np.ndarray, t0: float, name: str, reduce) -> float:
+    """``reduce`` of the ``name`` column over the samples after the burn-in, t > t0; nan if none.
 
-    Sample times ascend, so these samples are a tail. ``column`` is a field
-    of ``samples``, or a 2-D float block of runs sampled at the times of
-    ``samples``, one run per row; the result is then one value per run,
-    ``reduce`` taking ``axis=1``.
+    Sample times ascend, so these samples are a tail.
     """
 
-    values = samples[column] if isinstance(column, str) else column
-    tail = values[..., np.searchsorted(samples["t"], t0, side="right") :]
-    if tail.ndim == 2:
-        return reduce(tail, axis=1) if tail.shape[1] else np.full(len(tail), math.nan)
+    tail = samples[name][np.searchsorted(samples["t"], t0, side="right") :]
     return float(reduce(tail)) if tail.size else math.nan
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -202,6 +203,9 @@ _COMMANDS = {
 }
 
 
+# Built once per process: parsing leaves the parser as it was, and in-process
+# callers of main (the tests, bench/) would otherwise rebuild it every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beds",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Annotated, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -378,75 +379,72 @@ def expected_counts(scenario: Scenario) -> list[tuple[str, str, float]]:
     return out
 
 
-def _finite_budgets(scenario: Scenario, horizon_ok: bool) -> list[tuple[str, float, str, float]]:
-    """(field path, value, output quantity, bound) per field that scales a run's totals.
+def _finite_budgets(scenario: Scenario) -> list[tuple[tuple[str, ...], float, str, Callable[[], float]]]:
+    """(field paths, value, output quantity, bound) per budget that keeps a run's totals finite.
 
-    Counts are 2 * MAX_EXPECTED_COUNT charges or samples. No bound is derived
-    from a field that breaks its own rule (a non-positive precision, say, or
-    a horizon over the count budgets, ``horizon_ok`` False), and an input
-    whose bound is infinite feeds no later bound, so that one bad value
-    gives one violation.
+    The first path is the field reported, with ``value``; the rest are the
+    fields with rules of their own that its bound, a thunk, is derived from.
+    scenario_violations computes a bound only if none of these fields has
+    failed. Counts are 2 * MAX_EXPECTED_COUNT charges or samples.
     """
 
     n, model, initial = 2 * MAX_EXPECTED_COUNT, scenario.energy_model, scenario.beds.initial_belief
-    obs_precision, target = scenario.flux_spec.obs_precision, scenario.problem.target
-    arrival = scenario.flux_spec.arrival
-    out = []
-    if model.kind == "fixed_cost" and model.fixed_cost_value > 0:
-        cost = model.fixed_cost_value
-        out.append(("energy_model.fixed_cost_value", cost, f"the energy of {n:.0e} charges", cost * n))
-    if isinstance(arrival, PoissonArrival) and arrival.rate > 0:
-        # The largest inter-arrival time, -ln(1 - u) / rate at the largest uniform.
-        gap = -math.log(2.0**-53) / arrival.rate
-        out.append(("flux_spec.arrival.rate", arrival.rate, "the largest inter-arrival time", gap))
-    tau = initial.precision
-    tau_ok = tau > 0
-    if tau_ok:
-        # Observations add far less than the float range to a precision, so the
-        # summary's sum of n sample precisions overflows only for a huge initial
-        # one; sample row 0 is the initial belief, whose variance overflows
-        # for a subnormal one.
-        out.append(("beds.initial_belief.precision", tau, f"the sum of {n:.0e} precisions", tau * n))
-        out.append(("beds.initial_belief.precision", tau, "the initial variance", 1.0 / tau))
-        tau_ok = math.isfinite(tau * n) and math.isfinite(1.0 / tau)
-    if tau_ok and obs_precision > 0:
+    tau, obs_precision, target = initial.precision, scenario.flux_spec.obs_precision, scenario.problem.target
+    arrival, variance = scenario.flux_spec.arrival, target.target_variance
+    tau_path, obs_path = "beds.initial_belief.precision", "flux_spec.obs_precision"
+    variance_path = "problem.target.target_variance"
+
+    def info() -> float:
         # The most one charge gains: an observation on the lowest precision a
         # run reaches, the floor or a lower initial one. kBT times it is its
         # Landauer price, and the floor a fixed cost is flagged against.
-        info = 0.5 * math.log1p(obs_precision / min(tau, PRECISION_FLOOR))
-        out.append(("flux_spec.obs_precision", obs_precision, "the information of one charge", info))
-        if math.isfinite(info) and model.kBT > 0:
-            energy = model.kBT * info * n
-            out.append(("energy_model.kBT", model.kBT, f"the minimum energy of {n:.0e} charges", energy))
-    if target.target_variance > 0:
-        # The divergence's precision ratios, in the order kl_gaussian
-        # divides: precision_p / precision_q on the lowest precision a run
-        # reaches, and precision_q / precision_p on the highest, at most the
-        # initial one plus every observation's.
-        precision_p = 1.0 / target.target_variance
-        ratios = [precision_p]
-        if tau_ok:
-            ratios.append(precision_p / min(tau, PRECISION_FLOOR))
-            highest = tau + obs_precision * n
-            if math.isfinite(highest):
-                ratios.append(highest / precision_p)
-        quantity = "the divergence of a belief at the lowest and highest precision"
-        out.append(("problem.target.target_variance", target.target_variance, quantity, max(ratios)))
-        if math.isfinite(max(ratios)) and scenario.horizon > 0 and horizon_ok:
-            # The largest gap between the belief's mean and the target's; a
-            # static target's velocity has its own rule (it must be 0).
-            velocity = 0.0 if target.kind == "static" else target.velocity
-            gap = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(velocity) * scenario.horizon)
-            quantity = "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)"
-            out.append(("problem.target", gap, quantity, gap * gap / target.target_variance))
-    return out
+        return 0.5 * math.log1p(obs_precision / min(tau, PRECISION_FLOOR))
+
+    out = []
+    if model.kind == "fixed_cost":
+        cost = model.fixed_cost_value
+        out.append((("energy_model.fixed_cost_value",), cost, f"the energy of {n:.0e} charges", lambda: cost * n))
+    if isinstance(arrival, PoissonArrival):
+        # The largest inter-arrival time, -ln(1 - u) / rate at the largest uniform.
+        quantity = "the largest inter-arrival time"
+        out.append((("flux_spec.arrival.rate",), arrival.rate, quantity, lambda: -math.log(2.0**-53) / arrival.rate))
+    # The largest gap between the belief's mean and the target's. The mean,
+    # theta0 and a drifting target's velocity have no rule of their own; a
+    # static target's velocity has one (it must be 0), and is not read.
+    velocity = 0.0 if target.kind == "static" else target.velocity
+    reach = abs(initial.mean) + 2.0 * (abs(target.theta0) + abs(velocity) * scenario.horizon)
+    divergence = "the divergence of a belief at the lowest and highest precision"
+    return out + [
+        # Observations add far less than the float range to a precision, so
+        # the summary's sum of n sample precisions overflows only for a huge
+        # initial one; sample row 0 is the initial belief, whose variance
+        # overflows for a subnormal one.
+        ((tau_path,), tau, f"the sum of {n:.0e} precisions", lambda: tau * n),
+        ((tau_path,), tau, "the initial variance", lambda: 1.0 / tau),
+        ((obs_path, tau_path), obs_precision, "the information of one charge", info),
+        (("energy_model.kBT", obs_path, tau_path), model.kBT, f"the minimum energy of {n:.0e} charges",
+         lambda: model.kBT * info() * n),
+        # The target's precision, then the divergence's precision ratios in
+        # the order kl_gaussian divides: precision_p / precision_q on the
+        # lowest precision a run reaches, and precision_q / precision_p on the
+        # highest, at most the initial one plus every observation's.
+        ((variance_path,), variance, divergence, lambda: 1.0 / variance),
+        ((variance_path, tau_path), variance, divergence, lambda: 1.0 / variance / min(tau, PRECISION_FLOOR)),
+        ((variance_path, tau_path, obs_path), variance, divergence,
+         lambda: (tau + obs_precision * n) / (1.0 / variance)),
+        (("problem.target", variance_path, "horizon"), reach,
+         "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)",
+         lambda: reach * reach / variance),
+    ]
 
 
 def scenario_violations(scenario: Scenario) -> list[Violation]:
     """Collect every invariant violation in a scenario; empty list means valid.
 
     The declared field types give the single-field rules; the rules below
-    relate fields to one another.
+    relate fields to one another. No finiteness budget is derived from a
+    field that has failed, or from the horizon once a count is over budget,
+    so one bad value gives one violation.
     """
 
     out: list[Violation] = []
@@ -476,16 +474,17 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
         for path, what, count in expected_counts(scenario)
         if count > MAX_EXPECTED_COUNT
     ]
-    horizon_ok = len(over) < 2
-    if not horizon_ok:
+    if len(over) > 1:
         # The horizon is the one field that every count shares.
         over = [("horizon", " and ".join(amount for _, amount in over))]
     for path, amount in over:
         message = f"gives about {amount} over the horizon, above the budget of {MAX_EXPECTED_COUNT:.0e}"
         out.append(Violation("budget_exceeded", path, message))
-    for path, value, quantity, bound in _finite_budgets(scenario, horizon_ok):
-        if not math.isfinite(bound):
-            out.append(Violation("budget_exceeded", path, f"must keep {quantity} finite, got {value!r}"))
+    failed = {v.field for v in out} | ({"horizon"} if over else set())
+    for paths, value, quantity, bound in _finite_budgets(scenario):
+        if failed.isdisjoint(paths) and not math.isfinite(bound()):
+            failed.add(paths[0])
+            out.append(Violation("budget_exceeded", paths[0], f"must keep {quantity} finite, got {value!r}"))
     if not 0 <= scenario.seed <= MAX_SEED:
         message = f"must fit in an unsigned 64-bit integer, got {scenario.seed!r}"
         out.append(Violation("invalid_value", "seed", message))

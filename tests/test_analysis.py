@@ -276,20 +276,14 @@ def test_verdict_serializes_to_plain_dict():
 
 @given(
     st.lists(st.one_of(st.floats(min_value=-1e300, max_value=1e300), st.just(math.nan)), max_size=12),
-    st.integers(min_value=1, max_value=4),
     st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.9, 3.0]),
 )
-def test_after_burn_in_is_the_masked_reduction_per_run_of_a_block(values, runs, t0):
+def test_after_burn_in_is_the_masked_reduction(values, t0):
     # Samples at t = 0, 0.25, ...: the burn-in keeps t > t0, as a boolean mask would.
     samples = np.zeros(len(values), dtype=_SAMPLE_DTYPE)
     samples["t"] = np.arange(len(values)) * 0.25
-    block = np.array([np.roll(values, j) for j in range(runs)]).reshape(runs, len(values))
+    samples["mean"] = values
+    column = samples["mean"][samples["t"] > t0]
     for reduce in (np.max, np.mean):
-        per_run = after_burn_in(samples, t0, block, reduce)
-        assert per_run.shape == (runs,)
-        for j in range(runs):
-            samples["mean"] = block[j]
-            column = block[j][samples["t"] > t0]
-            expected = float(reduce(column)) if column.size else math.nan
-            assert repr(after_burn_in(samples, t0, "mean", reduce)) == repr(expected)
-            assert repr(per_run[j].item()) == repr(expected)
+        expected = float(reduce(column)) if column.size else math.nan
+        assert repr(after_burn_in(samples, t0, "mean", reduce)) == repr(expected)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from beds import verify
 from beds.cli import main
-from beds.core import scenario_to_json
+from beds.core import scenario_to_json, set_path
 from beds.engine import run, trace_to_csv
 from beds.scenarios import (
     dissipation_only,
@@ -337,6 +338,24 @@ def test_one_bad_value_gives_one_error_line(tmp_path, capsys, scenario, override
     if field == "flux_spec.arrival.rate":
         value = overrides[-1].partition("=")[2]
         assert line == f"error: {field}: must keep the largest inter-arrival time finite, got {value}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario", ["drifting_tracking", "tracking_sweep_base"])
+@pytest.mark.parametrize("override", ["sample_dt=1e300", "flux_spec.arrival.period=-1e300"])
+def test_a_horizon_over_one_count_budget_bounds_no_reach(tmp_path, capsys, scenario, override):
+    # Each of the two values breaks a rule; the horizon, over a count budget,
+    # feeds no bound on the target's reach.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{scenario}.json"
+    argv = ["simulate", "--scenario-path", str(path), "--output-dir", str(tmp_path / "o")]
+    for pair in ["horizon=1e300", override]:
+        argv += ["--override", pair]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert sorted(line.split(": ")[1] for line in lines) == ["flux_spec.arrival.period", "sample_dt"]
     assert not (tmp_path / "o").exists()
 
 
@@ -708,3 +727,77 @@ def test_cli_argv_exits_0_1_or_2_without_traceback(tmp_path, capsys, monkeypatch
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert all(0 <= seed_base <= verify.MAX_SEED_BASE for seed_base in seed_bases)
+
+
+# --- extreme values -----------------------------------------------------------------
+
+EXTREMES = ["5e-324", "1e-310", "1e-300", "1e300", "1.7e308", "-1e300", "-5e-324", "0"]
+NUMERIC_PATHS = [
+    "beds.epsilon", "beds.gamma", "beds.initial_belief.mean", "beds.initial_belief.precision",
+    "energy_model.fixed_cost_value", "energy_model.kBT", "flux_spec.arrival.period", "flux_spec.arrival.rate",
+    "flux_spec.obs_precision", "horizon", "problem.delta", "problem.p_max", "problem.t0",
+    "problem.target.target_variance", "problem.target.theta0", "problem.target.velocity", "sample_dt",
+]
+
+
+def _simulate_at_horizon_3(out: Path, capsys, scenario: str, overrides: list[str]) -> list[str]:
+    """The error lines of ``beds simulate`` at horizon 3 with ``overrides``, run with warnings as errors.
+
+    A run that exits 0 has no error lines, and must write only finite trace
+    and ledger cells and a summary whose after-burn-in fields are null
+    exactly when no sample is past t0.
+    """
+
+    shutil.rmtree(out, ignore_errors=True)
+    argv = ["simulate", "--scenario-path", scenario, "--output-dir", str(out)]
+    for override in ["horizon=3", *overrides]:
+        argv += ["--override", override]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert lines and all(line.startswith("error: ") for line in lines), (argv, lines)
+        assert not out.exists(), argv
+        return lines
+    assert (code, lines) == (0, []), argv
+    trace = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+    ledger = [line.split(",") for line in (out / "ledger.csv").read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(cell)) for row in trace for cell in row), argv
+    assert all(math.isfinite(float(cell)) for row in ledger for cell in row[:-1]), argv
+    raw = json.loads(Path(scenario).read_text())
+    for override in overrides:
+        set_path(raw, *override.split("="))
+    past_t0 = any(float(row[0]) > float(raw["problem"]["t0"]) for row in trace)
+    summary = json.loads((out / "summary.json").read_text())
+    outcome = summary.pop("outcome")
+    for name, value in summary.items():
+        if name.endswith("_after_t0") and not past_t0:
+            assert value is None, (argv, name)
+        else:
+            assert math.isfinite(value), (argv, name, value)
+    crystallized = outcome.pop("crystallized")
+    assert all((value is not None) == crystallized for value in outcome.values()), argv
+    assert all(math.isfinite(value) for value in outcome.values() if value is not None), argv
+    return lines
+
+
+def test_every_extreme_value_of_a_numeric_field_gives_one_error_line_or_a_finite_run(tmp_path, capsys):
+    for scenario in SHIPPED:
+        for path in NUMERIC_PATHS:
+            for value in EXTREMES:
+                lines = _simulate_at_horizon_3(tmp_path / "o", capsys, scenario, [f"{path}={value}"])
+                assert len(lines) <= 1, (scenario, path, value, lines)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    scenario=st.sampled_from(SHIPPED),
+    paths=st.lists(st.sampled_from(NUMERIC_PATHS), min_size=2, max_size=2, unique=True),
+    values=st.lists(st.sampled_from(EXTREMES), min_size=2, max_size=2),
+)
+def test_two_extreme_values_give_at_most_two_error_lines_or_a_finite_run(
+    tmp_path, capsys, scenario, paths, values
+):
+    overrides = [f"{path}={value}" for path, value in zip(paths, values)]
+    assert len(_simulate_at_horizon_3(tmp_path / "o", capsys, scenario, overrides)) <= 2
