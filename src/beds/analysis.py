@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EmptyTrace, NonPositiveParameter, ProblemSpec
+from .core import NonPositiveParameter, ProblemSpec
 from .energy import info_gain, landauer_min_energy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,21 +169,21 @@ def classify_run(trace: "RunTrace", problem: ProblemSpec) -> ClassVerdict:
       ``delta`` while the final window's power has collapsed below
       1% of ``p_max`` (the vanishing-power proxy for finite total energy).
 
-    Crystallizable therefore implies attainable by construction.
+    Crystallizable therefore implies attainable by construction. A run with
+    no sample (one that crystallized at t = 0) has nan final divergence and
+    power: it is crystallizable and attainable exactly when its outcome was
+    accurate, and it is not maintainable.
     """
 
     samples = trace.samples
-    if len(samples) == 0:
-        raise EmptyTrace("trace has no samples")
-
     max_kl_after = after_burn_in(samples, problem.t0, "kl_to_target", np.max)
     max_power_after = after_burn_in(samples, problem.t0, "windowed_power", np.max)
 
     outcome = trace.outcome
     crystallizable = bool(outcome.crystallized and outcome.accurate)
     maintainable = max_kl_after < problem.delta and max_power_after < problem.p_max
-    final_kl = float(samples["kl_to_target"][-1])
-    final_power = float(samples["windowed_power"][-1])
+    final_kl = float(samples["kl_to_target"][-1]) if len(samples) else math.nan
+    final_power = float(samples["windowed_power"][-1]) if len(samples) else math.nan
     attainable = crystallizable or (
         final_kl < problem.delta and final_power < 0.01 * problem.p_max
     )

@@ -28,7 +28,6 @@ __all__ = [
     "NonPositiveParameter",
     "NonMonotonicTime",
     "NonMonotonicFlux",
-    "EmptyTrace",
     "EmptySpec",
     "NonPositiveHorizon",
     "UnknownParameterPath",
@@ -101,10 +100,6 @@ class NonMonotonicTime(BedsError):
 
 
 class NonMonotonicFlux(BedsError):
-    pass
-
-
-class EmptyTrace(BedsError):
     pass
 
 

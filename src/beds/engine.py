@@ -43,6 +43,7 @@ from .analysis import after_burn_in, kl_gaussian
 from .core import (
     MAX_EXPECTED_COUNT,
     EnergyModel,
+    NegativeDt,
     NonMonotonicFlux,
     PoissonArrival,
     Scenario,
@@ -222,12 +223,19 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     evolve_means(initial, means[:, None], flux["obs_precision"], side.events["precision_before"])
     del flux
     if observations is not None and len(means):
-        # As for the totals, a replayed flux may leave the divergence's
-        # precision ratios non-finite, in the order kl_gaussian divides, on
-        # the highest precision the run reaches.
-        highest, p = side.events["precision_after"].max().item(), 1.0 / scenario.problem.target.target_variance
+        # As for the totals, a replayed flux may leave the divergence
+        # non-finite: its precision ratios, in the order kl_gaussian divides,
+        # on the highest precision the run reaches, or its mean term on the
+        # farthest mean (nan if a mean is) plus the target's reach.
+        target = scenario.problem.target
+        highest, p = side.events["precision_after"].max().item(), 1.0 / target.target_variance
         if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
             message = f"must keep the divergence of the highest precision finite, got {highest!r}"
+            raise ValidationError([Violation("budget_exceeded", "observations", message)])
+        farthest = np.max(np.abs(means), initial=abs(initial[0])).item()
+        reach = farthest + abs(target.theta0) + abs(target.velocity) * scenario.horizon
+        if not math.isfinite(p * reach * reach):
+            message = f"must keep the divergence of the farthest mean finite, got {farthest!r}"
             raise ValidationError([Violation("budget_exceeded", "observations", message)])
     _fill_trace(scenario, side.samples, side.last, means)
     kl = after_burn_in(side.samples, scenario.problem.t0, "kl_to_target", np.max)
@@ -383,6 +391,8 @@ def _checked_flux(flux: object) -> np.ndarray:
     if len(back):
         earlier, later = flux["time"][back[0] : back[0] + 2].tolist()
         raise NonMonotonicFlux(f"observation at t={later!r} precedes t={earlier!r}")
+    if len(flux) and flux["time"][0] < 0:
+        raise NegativeDt(f"flux row 0: time must be >= 0, got {flux['time'][0].item()!r}")
     return flux
 
 

@@ -11,9 +11,8 @@ import functools
 import itertools
 import json
 import math
-import threading
+from collections import deque
 from io import BytesIO
-from queue import SimpleQueue
 from typing import NamedTuple
 
 import numpy as np
@@ -291,20 +290,6 @@ def _block_bytes(columns, floats: list[int], separators: list[str], start: int) 
     return cells[cells != 0].tobytes()
 
 
-def _format_blocks(todo: SimpleQueue, done: SimpleQueue, *args) -> None:
-    """The helper thread: put on ``done`` the bytes of each block start taken from ``todo``, until None.
-
-    A failure is put on ``done`` in its block's place, and ends the thread.
-    """
-
-    while (start := todo.get()) is not None:
-        try:
-            done.put(_block_bytes(*args, start))
-        except BaseException as error:
-            done.put(error)
-            return
-
-
 def write_csv(handle, header, columns) -> None:
     """Write a header and equal-length columns as CSV to the binary ``handle``.
 
@@ -317,13 +302,13 @@ def write_csv(handle, header, columns) -> None:
     ends in ``\n``.
 
     Rows are formatted one block of ``_CSV_BLOCK_ROWS`` at a time and
-    written in order. With more than one block, one helper thread formats
-    the odd blocks while the calling thread formats and writes the even
-    ones; it runs at most two blocks ahead, so the buffer is bounded by a
-    few blocks, not by the file. A CSV of one block or fewer starts no
-    thread. A failure in formatting or writing a block is raised here,
-    after every earlier block has been written, and leaves no thread
-    running.
+    written in order. With more than one block, the worker of a one-worker
+    ``ThreadPoolExecutor`` formats the odd blocks while the calling thread
+    formats and writes the even ones; it runs at most two blocks ahead, so
+    the buffer is bounded by a few blocks, not by the file. A CSV of one
+    block or fewer starts no thread. A failure in formatting or writing a
+    block is raised here, after every earlier block has been written, and
+    leaves no thread running.
 
     Raises ValueError, before anything is written, when the header's width
     differs from the number of columns or the columns differ in length.
@@ -339,27 +324,25 @@ def write_csv(handle, header, columns) -> None:
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     handle.write((",".join(header) + "\n").encode("utf-8"))
     starts = range(0, n_rows, _CSV_BLOCK_ROWS)
-    todo, done = SimpleQueue(), SimpleQueue()
-    helper = None
-    if len(starts) > 1:
-        _tables()  # built here, not by two threads at once
-        helper = threading.Thread(target=_format_blocks, args=(todo, done, columns, floats, separators))
-        helper.start()
-    try:
-        odd = iter(starts[1::2])
+    if len(starts) <= 1:
+        for start in starts:
+            handle.write(_block_bytes(columns, floats, separators, start))
+        return
+    # Imported here: concurrent.futures imports logging, which a CSV of one
+    # block, and so every short run, would pay for at import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    _tables()  # built here, not by two threads at once
+    odd, ahead = iter(starts[1::2]), deque()
+    with ThreadPoolExecutor(max_workers=1) as helper:
         for k, start in enumerate(starts):
             if k % 2 == 0:
                 # Keep the helper two blocks ahead: one it formats, one queued.
                 for later in itertools.islice(odd, 2 if k == 0 else 1):
-                    todo.put(later)
-                data = _block_bytes(columns, floats, separators, start)
-            elif isinstance(data := done.get(), BaseException):
-                raise data
-            handle.write(data)
-    finally:
-        if helper is not None:
-            todo.put(None)
-            helper.join()
+                    ahead.append(helper.submit(_block_bytes, columns, floats, separators, later))
+                handle.write(_block_bytes(columns, floats, separators, start))
+            else:
+                handle.write(ahead.popleft().result())
 
 
 def csv_text(header, columns) -> str:

@@ -17,7 +17,7 @@ from beds.analysis import (
     required_rate,
     steady_state_prediction,
 )
-from beds.core import EmptyTrace, GaussianBelief, NonPositiveParameter
+from beds.core import GaussianBelief, NonPositiveParameter, ScheduleArrival
 from beds.dynamics import CrystallizationOutcome
 from beds.energy import EnergyLedger, info_gain, landauer_min_energy
 from beds.engine import RunTrace, _SAMPLE_DTYPE
@@ -251,18 +251,25 @@ def test_classifier_never_emits_crystallizable_without_attainable():
     assert not (verdict.crystallizable and not verdict.attainable)
 
 
-def test_classifier_rejects_empty_trace():
-    trace = RunTrace(
-        samples=np.zeros(0, dtype=_SAMPLE_DTYPE),
-        events=[],
-        outcome=CrystallizationOutcome(crystallized=False),
-        ledger=EnergyLedger(),
-        summary=beds.engine.Summary(math.nan, math.nan, math.nan, 0, 0.0, 0.0),
-        power_window=0.1,
+@pytest.mark.parametrize("delta, accurate", [(0.5, True), (1e-9, False)])
+def test_a_run_with_no_sample_is_graded_from_its_outcome(delta, accurate):
+    # One sharp observation at t = 0 crystallizes the run before its first
+    # sample, with its mean about 1e-6 short of the target's.
+    base = dissipation_only()
+    scenario = replace(
+        base,
+        beds=replace(base.beds, epsilon=1e-3),
+        flux_spec=replace(base.flux_spec, arrival=ScheduleArrival(times=(0.0,)), obs_precision=1e6),
+        problem=replace(base.problem, delta=delta, target=replace(base.problem.target, theta0=1.0)),
     )
-    problem = dissipation_only().problem
-    with pytest.raises(EmptyTrace):
-        classify_run(trace, problem)
+    trace = beds.run(scenario)
+    assert len(trace.samples) == 0
+    assert trace.outcome.crystallized and trace.outcome.time == 0.0 and trace.outcome.accurate is accurate
+    verdict = classify_run(trace, scenario.problem)
+    assert (verdict.crystallizable, verdict.attainable, verdict.maintainable) == (accurate, accurate, False)
+    evidence = verdict.evidence
+    for name in ("final_kl", "final_windowed_power", "max_kl_after_t0", "max_windowed_power_after_t0"):
+        assert math.isnan(getattr(evidence, name)), name
 
 
 def test_verdict_serializes_to_plain_dict():

@@ -475,6 +475,27 @@ def test_classify_exits_zero_on_all_false_verdict(tmp_path, scenario_file):
     assert verdict["crystallizable"] is False
 
 
+def test_classify_grades_a_run_that_crystallizes_before_its_first_sample(tmp_path, scenario_file):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "classify",
+            "--scenario-path", scenario_file(dissipation_only),
+            "--output-dir", str(out),
+            "--override", "flux_spec.arrival.times=[0.0]",
+            "--override", "flux_spec.obs_precision=1e6",
+            "--override", "beds.epsilon=1e-3",
+        ]
+    )
+    assert code == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert (verdict["crystallizable"], verdict["attainable"], verdict["maintainable"]) == (True, True, False)
+    evidence = verdict["evidence"]
+    assert evidence["crystallization_time"] == 0.0
+    for name in ("final_kl", "final_windowed_power", "max_kl_after_t0", "max_windowed_power_after_t0"):
+        assert evidence[name] is None, name
+
+
 # --- sweep --------------------------------------------------------------------------
 
 

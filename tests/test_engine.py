@@ -28,6 +28,7 @@ from beds.core import (
     ValidationError,
     scenario_from_dict,
     scenario_to_dict,
+    scenario_violations,
     set_path,
     validate_scenario,
 )
@@ -1079,6 +1080,74 @@ def test_replay_whose_precision_overflows_the_divergence_is_rejected():
     assert "divergence" in violation.message
     # A row of precision 1 fits.
     assert math.isfinite(run(scenario, observations=_flux([(0.5, 0.0, 1.0)])).summary.max_kl_after_t0)
+
+
+def test_replayed_negative_time_names_row_0():
+    with pytest.raises(NegativeDt, match=r"^flux row 0: time must be >= 0, got -1e\+300$"):
+        run(dissipation_only(), observations=_flux([(-1e300, 0.0, 1.0), (0.5, 0.0, 1.0)]))
+
+
+# --- extreme replayed values ----------------------------------------------------------
+
+SHIPPED_SCENARIOS = [dissipation_only, drifting_tracking, static_crystallizing, steady_state, tracking_sweep_base]
+REPLAY_EXTREMES = [5e-324, 1e-310, 1e-300, 1e300, 1.7e308, -1e300, -5e-324, 0.0, 1.0]
+REPLAY_ROWS = [(0.25, 0.5, 2.0), (0.5, -0.5, 1.0), (0.75, 1.0, 4.0)]
+
+
+def _replay_with(make_scenario, horizon: float, cells) -> tuple[Scenario, bool]:
+    """Replay REPLAY_ROWS with each ``(row, field, value)`` of ``cells`` set.
+
+    Returns the scenario and whether the replay was rejected with a
+    ``BedsError`` or ``ValueError``. A replay that runs must give finite
+    samples, events, ledger columns and summary, except the ``*_after_t0``
+    fields, which are nan exactly when no sample is past t0. Any warning
+    fails the test (``error::RuntimeWarning``).
+    """
+
+    scenario = replace(make_scenario(), horizon=horizon)
+    flux = _flux(REPLAY_ROWS)
+    for row, name, value in cells:
+        flux[name][row] = value
+    try:
+        trace = run(scenario, observations=flux)
+    except (BedsError, ValueError):
+        return scenario, True
+    for table in (trace.samples, trace.events):
+        for name in table.dtype.names:
+            assert np.isfinite(table[name]).all(), (scenario, cells, name)
+    ledger = trace.ledger
+    for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
+        assert np.isfinite(column).all(), (scenario, cells)
+    past_t0 = bool((trace.samples["t"] > scenario.problem.t0).any())
+    for name, value in asdict(trace.summary).items():
+        assert math.isnan(value) == (name.endswith("_after_t0") and not past_t0), (scenario, cells, name, value)
+    return scenario, False
+
+
+@pytest.mark.parametrize("make_scenario", SHIPPED_SCENARIOS)
+@pytest.mark.parametrize("horizon", [1.0, 3.0])
+def test_every_extreme_replayed_cell_is_rejected_or_gives_a_finite_run(make_scenario, horizon):
+    # The rows as they are run, unless the scenario is invalid at this horizon
+    # (steady_state's sample_dt is 1).
+    scenario, rejected = _replay_with(make_scenario, horizon, [])
+    assert rejected == bool(scenario_violations(scenario))
+    for row in range(len(REPLAY_ROWS)):
+        for name in FLUX_FIELDS:
+            for value in REPLAY_EXTREMES:
+                _replay_with(make_scenario, horizon, [(row, name, value)])
+
+
+@given(
+    make_scenario=st.sampled_from(SHIPPED_SCENARIOS),
+    horizon=st.sampled_from([1.0, 3.0]),
+    rows=st.lists(st.sampled_from(range(len(REPLAY_ROWS))), min_size=2, max_size=2, unique=True),
+    names=st.lists(st.sampled_from(FLUX_FIELDS), min_size=2, max_size=2),
+    values=st.lists(st.sampled_from(REPLAY_EXTREMES), min_size=2, max_size=2),
+)
+@settings(max_examples=100, deadline=None)
+def test_two_extreme_replayed_cells_are_rejected_or_give_a_finite_run(make_scenario, horizon, rows, names, values):
+    # +1.7e308 then -1.7e308, say, can take a mean to inf - inf.
+    _replay_with(make_scenario, horizon, list(zip(rows, names, values)))
 
 
 # --- mutation detection -------------------------------------------------------------
