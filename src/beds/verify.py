@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 from array import array
 from dataclasses import asdict, dataclass, field
 
@@ -675,37 +677,90 @@ def check_tracking_sweep(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, dict
     return non_decreasing, measured, table
 
 
-def run_all(seed_base: int = DEFAULT_SEED_BASE) -> VerifyReport:
-    """Run every check in order; deterministic for a given seed base.
+def _checks(seed_base: int, report: VerifyReport) -> tuple:
+    """The list of checks, one ``(name, exploratory, simulates, call)`` row each.
 
-    The table below is the list of checks: report name, whether the check
-    is exploratory (reported, but left out of ``all_passed``), and the call.
-    It is built at call time from the module's ``check_*`` bindings, so a
+    ``exploratory`` checks are reported but left out of ``all_passed``;
+    ``simulates`` marks the checks that call ``run`` or ``sweep``. The rows
+    are built at call time from the module's ``check_*`` bindings, so a
     check replaced on the module (as a profiler does) is the one that runs.
-    A check that raises is a failed check, not a crashed report.
     """
-
-    report = VerifyReport()
 
     def tracking_rate_sweep() -> tuple[bool, dict]:
         passed, measured, report.tracking_table = check_tracking_sweep(seed_base)
         return passed, measured
 
-    checks = (
-        ("steady_state_precision_balance", False, lambda: check_steady_state_balance(seed_base)),
-        ("linear_regime_constant", False, check_linear_regime),
-        ("power_bound_factorization", False, lambda: check_power_bound_factorization(seed_base)),
-        ("quadrupling_law", False, lambda: check_quadrupling_law(seed_base)),
-        ("class_hierarchy", False, lambda: check_class_hierarchy(seed_base)),
-        ("landauer_ledger_consistency", False, lambda: check_landauer_ledger(seed_base)),
-        ("dynamics_oracles", False, lambda: check_dynamics_oracles(seed_base)),
-        ("optimal_observation_precision", False, lambda: check_optimal_obs_precision(seed_base)),
-        ("tracking_rate_sweep", True, tracking_rate_sweep),
+    return (
+        ("steady_state_precision_balance", False, True, lambda: check_steady_state_balance(seed_base)),
+        ("linear_regime_constant", False, False, check_linear_regime),
+        ("power_bound_factorization", False, False, lambda: check_power_bound_factorization(seed_base)),
+        ("quadrupling_law", False, True, lambda: check_quadrupling_law(seed_base)),
+        ("class_hierarchy", False, True, lambda: check_class_hierarchy(seed_base)),
+        ("landauer_ledger_consistency", False, True, lambda: check_landauer_ledger(seed_base)),
+        ("dynamics_oracles", False, False, lambda: check_dynamics_oracles(seed_base)),
+        ("optimal_observation_precision", False, False, lambda: check_optimal_obs_precision(seed_base)),
+        ("tracking_rate_sweep", True, True, tracking_rate_sweep),
     )
-    for name, exploratory, check in checks:
+
+
+def _guarded(check) -> tuple[bool, dict]:
+    """``check()``, with a raise turned into a failed result that names it."""
+
+    try:
+        passed, measured = check()
+    except Exception as exc:  # noqa: BLE001
+        passed, measured = False, {"error": f"{type(exc).__name__}: {exc}"}
+    return passed, measured
+
+
+def run_all(seed_base: int = DEFAULT_SEED_BASE) -> VerifyReport:
+    """Run every check of :func:`_checks`; deterministic for a given seed base.
+
+    A check that raises is a failed check, not a crashed report. On Linux
+    the checks that do not simulate run in one forked child while this
+    process runs the ones that do, so every ``run`` call is made here. The
+    child sends its results back through a pipe. If it dies before sending
+    them, each of its checks fails with its exit code. It is joined on every
+    path, and killed first if it is still running. Fork is unsafe on macOS,
+    missing on Windows and unsafe in a process with other threads, so there
+    those checks run here, after the simulating ones. Either way the report
+    lists the checks in table order.
+    """
+
+    report = VerifyReport()
+    checks = _checks(seed_base, report)
+    simulating = [(name, call) for name, _, simulates, call in checks if simulates]
+    oracles = [(name, call) for name, _, simulates, call in checks if not simulates]
+    results = {}
+    if sys.platform != "linux" or threading.active_count() > 1:
+        for name, call in simulating + oracles:
+            results[name] = _guarded(call)
+    else:
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: sender.send([_guarded(call) for _, call in oracles]))
+        child.start()
+        sender.close()
         try:
-            passed, measured = check()
-        except Exception as exc:  # noqa: BLE001
-            passed, measured = False, {"error": f"{type(exc).__name__}: {exc}"}
+            for name, call in simulating:
+                results[name] = _guarded(call)
+            try:
+                outcomes = receiver.recv()
+            except EOFError:
+                outcomes = None
+            child.join()
+        finally:
+            receiver.close()
+            if child.is_alive():
+                child.kill()
+                child.join()
+        if outcomes is None:
+            error = f"the check process exited with code {child.exitcode} before sending its results"
+            outcomes = [(False, {"error": error}) for _ in oracles]
+        results.update(zip((name for name, _ in oracles), outcomes))
+    for name, exploratory, _, _ in checks:
+        passed, measured = results[name]
         report.checks.append(CheckResult(name, passed, exploratory, measured))
     return report
