@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import pytest
@@ -9,13 +10,14 @@ from beds import engine, verify
 
 @pytest.fixture(autouse=True)
 def _no_thread_left_running():
-    """Fail a test that leaves running a thread that was not running when it started."""
+    """Fail a test that leaves running a thread or a child process that was not running when it started."""
 
-    before = set(threading.enumerate())
+    threads, children = set(threading.enumerate()), set(multiprocessing.active_children())
     yield
-    left = [thread for thread in threading.enumerate() if thread not in before]
+    left = [thread for thread in threading.enumerate() if thread not in threads]
+    left += [child for child in multiprocessing.active_children() if child not in children]
     if left:
-        pytest.fail(f"threads left running: {left}")
+        pytest.fail(f"threads or processes left running: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,32 @@
 """How run_all assembles the report from the checks, and the merge-order oracle against its scalar draws."""
 
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from beds import verify
+from beds import engine, verify
+
+CHECK_NAMES = [
+    "steady_state_precision_balance",
+    "linear_regime_constant",
+    "power_bound_factorization",
+    "quadrupling_law",
+    "class_hierarchy",
+    "landauer_ledger_consistency",
+    "dynamics_oracles",
+    "optimal_observation_precision",
+    "tracking_rate_sweep",
+]
+ORACLE_NAMES = [
+    "linear_regime_constant",
+    "power_bound_factorization",
+    "dynamics_oracles",
+    "optimal_observation_precision",
+]
 
 
 def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monkeypatch):
@@ -15,7 +38,9 @@ def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monk
     def boom(seed_base):
         raise RuntimeError("boom")
 
+    # One simulating check, and one that runs in the forked child on Linux.
     monkeypatch.setattr(verify, "check_quadrupling_law", boom)
+    monkeypatch.setattr(verify, "check_dynamics_oracles", boom)
     report = verify.run_all()
     assert [(c.name, c.passed, c.exploratory) for c in report.checks] == [
         ("steady_state_precision_balance", True, False),
@@ -24,15 +49,118 @@ def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monk
         ("quadrupling_law", False, False),
         ("class_hierarchy", True, False),
         ("landauer_ledger_consistency", True, False),
-        ("dynamics_oracles", True, False),
+        ("dynamics_oracles", False, False),
         ("optimal_observation_precision", True, False),
         ("tracking_rate_sweep", False, True),
     ]
-    assert report.checks[3].measured == {"error": "RuntimeError: boom"}
-    assert report.checks[0].measured == {"stub": True}
+    assert report.checks[3].measured == report.checks[6].measured == {"error": "RuntimeError: boom"}
+    assert report.checks[0].measured == report.checks[7].measured == {"stub": True}
     assert report.tracking_table == "table"
     assert not report.all_passed
+    assert multiprocessing.active_children() == []
 
+
+def _stub_checks(monkeypatch, calls=None, **stubs):
+    """Replace every check on the module; a check not named in ``stubs`` passes and records its name."""
+
+    def stub(name):
+        def check(*args):
+            if calls is not None:
+                calls.append(name)
+            return (True, {"stub": True}, None) if name == "check_tracking_sweep" else (True, {"stub": True})
+
+        return check
+
+    for name in dir(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, stubs.get(name, stub(name)))
+
+
+def _boom(*args):
+    raise RuntimeError("boom")
+
+
+def test_a_child_that_dies_before_sending_fails_every_oracle_check_with_its_exit_code(monkeypatch):
+    _stub_checks(monkeypatch, check_linear_regime=lambda: os._exit(3))
+    report = verify.run_all()
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    for check in report.checks:
+        if check.name in ORACLE_NAMES:
+            assert not check.passed
+            assert "exited with code 3" in check.measured["error"]
+        else:
+            assert check.passed and check.measured == {"stub": True}
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_kills_and_joins_a_child_that_is_still_running(monkeypatch):
+    def interrupt(seed_base):
+        raise KeyboardInterrupt
+
+    _stub_checks(
+        monkeypatch,
+        check_linear_regime=lambda: time.sleep(60),
+        check_steady_state_balance=interrupt,
+    )
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_all()
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("fork_unsafe_because", ["not_linux", "another_thread_runs"])
+def test_where_fork_is_unsafe_the_oracle_checks_run_in_process_after_the_simulating_ones(
+    monkeypatch, fork_unsafe_because
+):
+    calls = []
+    _stub_checks(monkeypatch, calls, check_dynamics_oracles=_boom)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if fork_unsafe_because == "not_linux":
+        monkeypatch.setattr(verify.sys, "platform", "darwin")
+    else:
+        waiter.start()
+    try:
+        report = verify.run_all()
+    finally:
+        release.set()
+        if waiter.ident is not None:
+            waiter.join(timeout=10)
+    assert calls == [
+        "check_steady_state_balance",
+        "check_quadrupling_law",
+        "check_class_hierarchy",
+        "check_landauer_ledger",
+        "check_tracking_sweep",
+        "check_linear_regime",
+        "check_power_bound_factorization",
+        "check_optimal_obs_precision",
+    ]
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert report.checks[6].measured == {"error": "RuntimeError: boom"}
+    assert [c.passed for c in report.checks] == [name != "dynamics_oracles" for name in CHECK_NAMES]
+
+
+def test_only_the_checks_marked_as_simulating_call_run_or_sweep(monkeypatch):
+    # On Linux the unmarked checks run in a forked child, where a run they
+    # made would escape every count kept by wrapping engine.run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine was called")
+
+    for module in (engine, verify):
+        monkeypatch.setattr(module, "run", refuse)
+        monkeypatch.setattr(module, "sweep", refuse)
+    rows = verify._checks(verify.DEFAULT_SEED_BASE, verify.VerifyReport())
+    assert [name for name, *_ in rows] == CHECK_NAMES
+    assert [name for name, _, simulates, _ in rows if not simulates] == ORACLE_NAMES
+    for name, _, simulates, call in rows:
+        if simulates:
+            with pytest.raises(AssertionError, match="the engine was called"):
+                call()
+        else:
+            passed, measured = call()
+            assert passed, (name, measured)
 
 def _scalar_merge_order(rng, trials):
     # The merge-order sub-check one trial and one bayes_update at a time.
