@@ -33,7 +33,7 @@ from .core import (
     validate_scenario,
 )
 from .engine import run, summary_to_dict, sweep, trace_to_csv
-from .io import json_dumps
+from .io import _CSV_BLOCK_ROWS, beside, json_dumps
 from . import verify as verify_mod
 
 __all__ = ["main"]
@@ -135,11 +135,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     trace = run(scenario)
     summary = summary_to_dict(trace)
-    with _output_file(args.output_dir, "trace.csv") as handle:
-        trace_to_csv(trace, handle)
-    _write_text(args.output_dir, "summary.json", json_dumps(summary))
-    with _output_file(args.output_dir, "ledger.csv") as handle:
-        trace.ledger.to_csv(handle)
+
+    def write_ledger() -> str | None:
+        # Returns its error's line, not the error: a forked child sends it back.
+        try:
+            with _output_file(args.output_dir, "ledger.csv") as handle:
+                trace.ledger.to_csv(handle)
+        except _CliError as exc:
+            return str(exc)
+
+    # A ledger of one CSV block is written here, after the trace: a fork would cost more.
+    with beside(write_ledger, fork=len(trace.ledger) > _CSV_BLOCK_ROWS) as ledger_written:
+        with _output_file(args.output_dir, "trace.csv") as handle:
+            trace_to_csv(trace, handle)
+        _write_text(args.output_dir, "summary.json", json_dumps(summary))
+        try:
+            error = ledger_written()
+        except ChildProcessError as exc:
+            error = f"cannot write ledger.csv in {args.output_dir}: {exc}"
+    if error is not None:
+        raise _CliError(1, error)
     sys.stdout.write(json_dumps(summary))
     return 0
 

@@ -2,16 +2,19 @@
 
 Reals are rendered with '.' decimals, no separators, and 17 significant
 digits so every value round-trips exactly; outputs carry no timestamps,
-making files byte-reproducible for identical inputs.
+making files byte-reproducible for identical inputs. :func:`beside` runs
+one piece of work, such as writing a file, in a forked child beside the
+calling process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 import json
 import math
-from collections import deque
+import sys
+import threading
 from io import BytesIO
 from typing import NamedTuple
 
@@ -302,13 +305,9 @@ def write_csv(handle, header, columns) -> None:
     ends in ``\n``.
 
     Rows are formatted one block of ``_CSV_BLOCK_ROWS`` at a time and
-    written in order. With more than one block, the worker of a one-worker
-    ``ThreadPoolExecutor`` formats the odd blocks while the calling thread
-    formats and writes the even ones; it runs at most two blocks ahead, so
-    the buffer is bounded by a few blocks, not by the file. A CSV of one
-    block or fewer starts no thread. A failure in formatting or writing a
-    block is raised here, after every earlier block has been written, and
-    leaves no thread running.
+    written in order on the calling thread, so the buffer is bounded by one
+    block, not by the file. A failure in formatting or writing a block is
+    raised here, after every earlier block has been written.
 
     Raises ValueError, before anything is written, when the header's width
     differs from the number of columns or the columns differ in length.
@@ -323,26 +322,8 @@ def write_csv(handle, header, columns) -> None:
     separators = [","] * (len(columns) - 1) + ["\n"]
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     handle.write((",".join(header) + "\n").encode("utf-8"))
-    starts = range(0, n_rows, _CSV_BLOCK_ROWS)
-    if len(starts) <= 1:
-        for start in starts:
-            handle.write(_block_bytes(columns, floats, separators, start))
-        return
-    # Imported here: concurrent.futures imports logging, which a CSV of one
-    # block, and so every short run, would pay for at import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    _tables()  # built here, not by two threads at once
-    odd, ahead = iter(starts[1::2]), deque()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for k, start in enumerate(starts):
-            if k % 2 == 0:
-                # Keep the helper two blocks ahead: one it formats, one queued.
-                for later in itertools.islice(odd, 2 if k == 0 else 1):
-                    ahead.append(helper.submit(_block_bytes, columns, floats, separators, later))
-                handle.write(_block_bytes(columns, floats, separators, start))
-            else:
-                handle.write(ahead.popleft().result())
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        handle.write(_block_bytes(columns, floats, separators, start))
 
 
 def csv_text(header, columns) -> str:
@@ -367,3 +348,53 @@ def json_dumps(obj) -> str:
     """Serialize with sorted keys and NaN mapped to null; ends with a newline."""
 
     return json.dumps(_nan_to_none(obj), indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def beside(work, fork: bool = True):
+    """Run ``work()`` beside the ``with`` body, which gets a ``result()`` returning its value.
+
+    On Linux, in a process that runs no other thread, and when ``fork`` is
+    true, ``work`` runs in a forked child that ignores SIGINT and sends the
+    value back through a pipe; if the child dies first, ``result()`` raises
+    ChildProcessError naming its exit code. Leaving the block by any path
+    kills the child if it is still running, then joins it. Elsewhere (fork
+    is unsafe on macOS and beside other threads, and missing on Windows)
+    ``result()`` calls ``work()`` here.
+    """
+
+    if not fork or sys.platform != "linux" or threading.active_count() > 1:
+        yield work
+        return
+    # Imported here: importing beds does not pay for multiprocessing.
+    import multiprocessing
+    import signal
+
+    def child() -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        sender.send(work())
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    process = context.Process(target=child)
+    # The child must not write this process's buffered output a second time.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    process.start()
+    sender.close()
+
+    def result():
+        try:
+            return receiver.recv()
+        except EOFError:
+            process.join()
+            message = f"the child process exited with code {process.exitcode} before sending its result"
+            raise ChildProcessError(message) from None
+
+    try:
+        yield result
+    finally:
+        receiver.close()
+        if process.is_alive():
+            process.kill()
+        process.join()

@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import sys
-import threading
 from array import array
 from dataclasses import asdict, dataclass, field
 
@@ -44,6 +42,7 @@ from .core import (
 from .dynamics import bayes_update, dissipate
 from .energy import gaussian_entropy, info_gain, landauer_min_energy
 from .engine import SweepTable, run, sweep
+from .io import beside
 from .scenarios import (
     drifting_tracking,
     static_crystallizing,
@@ -716,15 +715,13 @@ def _guarded(check) -> tuple[bool, dict]:
 def run_all(seed_base: int = DEFAULT_SEED_BASE) -> VerifyReport:
     """Run every check of :func:`_checks`; deterministic for a given seed base.
 
-    A check that raises is a failed check, not a crashed report. On Linux
-    the checks that do not simulate run in one forked child while this
-    process runs the ones that do, so every ``run`` call is made here. The
-    child sends its results back through a pipe. If it dies before sending
-    them, each of its checks fails with its exit code. It is joined on every
-    path, and killed first if it is still running. Fork is unsafe on macOS,
-    missing on Windows and unsafe in a process with other threads, so there
-    those checks run here, after the simulating ones. Either way the report
-    lists the checks in table order.
+    A check that raises is a failed check, not a crashed report. The checks
+    that do not simulate run beside the ones that do through
+    :func:`beds.io.beside`: on Linux in one forked child, so every ``run``
+    call is made here, and elsewhere here, after the simulating ones. If the
+    child dies before sending its results, each of its checks fails with an
+    error that names its exit code. Either way the report lists the checks
+    in table order.
     """
 
     report = VerifyReport()
@@ -732,34 +729,14 @@ def run_all(seed_base: int = DEFAULT_SEED_BASE) -> VerifyReport:
     simulating = [(name, call) for name, _, simulates, call in checks if simulates]
     oracles = [(name, call) for name, _, simulates, call in checks if not simulates]
     results = {}
-    if sys.platform != "linux" or threading.active_count() > 1:
-        for name, call in simulating + oracles:
+    with beside(lambda: [_guarded(call) for _, call in oracles]) as oracle_results:
+        for name, call in simulating:
             results[name] = _guarded(call)
-    else:
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=lambda: sender.send([_guarded(call) for _, call in oracles]))
-        child.start()
-        sender.close()
         try:
-            for name, call in simulating:
-                results[name] = _guarded(call)
-            try:
-                outcomes = receiver.recv()
-            except EOFError:
-                outcomes = None
-            child.join()
-        finally:
-            receiver.close()
-            if child.is_alive():
-                child.kill()
-                child.join()
-        if outcomes is None:
-            error = f"the check process exited with code {child.exitcode} before sending its results"
-            outcomes = [(False, {"error": error}) for _ in oracles]
-        results.update(zip((name for name, _ in oracles), outcomes))
+            outcomes = oracle_results()
+        except ChildProcessError as exc:
+            outcomes = [(False, {"error": str(exc)}) for _ in oracles]
+    results.update(zip((name for name, _ in oracles), outcomes))
     for name, exploratory, _, _ in checks:
         passed, measured = results[name]
         report.checks.append(CheckResult(name, passed, exploratory, measured))

@@ -1,7 +1,9 @@
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from beds import verify
 from beds.cli import main
 from beds.core import scenario_to_json, set_path
+from beds.energy import EnergyLedger
 from beds.engine import run, trace_to_csv
+from beds.io import _CSV_BLOCK_ROWS
 from beds.scenarios import (
     dissipation_only,
     drifting_tracking,
@@ -416,6 +420,103 @@ def test_simulate_write_that_fails_mid_stream_exits_1_with_one_line(tmp_path, sc
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {name} in {out}: "), lines
+
+
+# --- simulate: the ledger written in a forked child ------------------------------
+
+on_linux = pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+OUTPUTS = ("trace.csv", "ledger.csv", "summary.json")
+
+
+@pytest.fixture
+def started_children(monkeypatch):
+    """The child processes started while the test runs."""
+
+    started = []
+
+    def recording(process):
+        started.append(process)
+        start(process)
+
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return started
+
+
+@on_linux
+def test_simulate_writes_the_same_bytes_with_the_ledger_forked_or_in_process(
+    tmp_path, scenario_file, capsys, monkeypatch, started_children
+):
+    path = scenario_file(steady_state)
+    assert len(run(steady_state()).ledger) > _CSV_BLOCK_ROWS
+    outputs = {}
+    for way in ("forked", "in_process"):
+        if way == "in_process":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        out = tmp_path / way
+        assert main(["simulate", "--scenario-path", path, "--output-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        outputs[way] = [captured.out, captured.err, *((out / name).read_bytes() for name in OUTPUTS)]
+        assert len(started_children) == 1  # by the forked run alone
+        assert multiprocessing.active_children() == []
+    assert outputs["forked"] == outputs["in_process"]
+    assert outputs["forked"][0].encode() == outputs["forked"][-1]
+
+
+@on_linux
+def test_a_ledger_that_cannot_be_written_gives_the_same_line_forked_or_in_process(
+    tmp_path, scenario_file, capsys, monkeypatch, started_children
+):
+    path = scenario_file(steady_state)
+    out = tmp_path / "out"
+    (out / "ledger.csv").mkdir(parents=True)
+    lines = {}
+    for way in ("forked", "in_process"):
+        if way == "in_process":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        assert main(["simulate", "--scenario-path", path, "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines[way] = captured.err.splitlines()
+        assert len(started_children) == 1
+        assert multiprocessing.active_children() == []
+    assert lines["forked"] == lines["in_process"]
+    assert len(lines["forked"]) == 1 and lines["forked"][0].startswith(f"error: cannot write ledger.csv in {out}: ")
+
+
+@on_linux
+def test_a_ledger_writer_that_dies_exits_1_with_one_line_naming_its_exit_code(
+    tmp_path, scenario_file, capsys, monkeypatch
+):
+    parent = os.getpid()
+
+    def die(ledger, handle=None):
+        assert os.getpid() != parent, "the ledger was written in this process"
+        os._exit(3)
+
+    monkeypatch.setattr(EnergyLedger, "to_csv", die)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario-path", scenario_file(steady_state), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write ledger.csv in {out}: "), lines
+    assert "exited with code 3" in lines[0]
+    assert multiprocessing.active_children() == []
+
+
+@on_linux
+@pytest.mark.parametrize("horizon, rows, children", [(2078.2, 2048, 0), (2078.5, 2049, 1)])
+def test_only_a_ledger_of_more_than_one_csv_block_is_written_in_a_child(
+    tmp_path, scenario_file, started_children, horizon, rows, children
+):
+    scenario = replace(steady_state(), horizon=horizon)
+    assert _CSV_BLOCK_ROWS == 2048 and len(run(scenario).ledger) == rows
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario-path", scenario_file(lambda: scenario), "--output-dir", str(out)]) == 0
+    assert len(started_children) == children
+    assert (out / "ledger.csv").read_bytes() == run(scenario).ledger.to_csv().encode()
+    assert multiprocessing.active_children() == []
 
 
 def test_beds_seed_env_overrides_scenario_seed(tmp_path, scenario_file, monkeypatch):

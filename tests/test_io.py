@@ -1,11 +1,16 @@
 """CSV formatting: the block-formatted ``csv_text`` against a per-cell reference,
-and ``write_csv`` streaming the same bytes to a file."""
+``write_csv`` streaming the same bytes to a file, and ``beside`` running work
+in a forked child."""
 
 import math
+import multiprocessing
+import os
 import random
+import signal
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -214,46 +219,18 @@ def test_write_csv_memory_peak_does_not_grow_with_the_row_count(tmp_path):
     assert abs(peaks[64 * 1024] - peaks[8 * 1024]) < 2**20, peaks
 
 
-# --- write_csv: the helper thread -------------------------------------------------
+# --- write_csv: blocks in order on the calling thread -------------------------------
 
 
-@pytest.mark.parametrize("blocks", [2, 3, 4, 5])
-def test_write_csv_formats_the_odd_blocks_on_one_helper_thread(monkeypatch, blocks):
-    header = ["x", "flag", "n", "mixed"]
-    n_rows = blocks * BLOCK - blocks
-    columns = mixed_columns(n_rows, seed=blocks)
-    want = reference_csv_text(header, [c if isinstance(c, list) else c.tolist() for c in columns]).encode()
-    assert csv_text(header, columns).encode() == want
-    formatted = {}
-
-    def recording(*args):
-        formatted[args[-1]] = threading.current_thread()
-        return block_bytes(*args)
-
-    block_bytes = io._block_bytes
-    monkeypatch.setattr(io, "_block_bytes", recording)
-    buffer = BytesIO()
-    write_csv(buffer, header, columns)
-    assert buffer.getvalue() == want
-    assert sorted(formatted) == list(range(0, n_rows, BLOCK))
-    main = threading.current_thread()
-    on_main = [formatted[start] is main for start in sorted(formatted)]
-    assert on_main == [k % 2 == 0 for k in range(blocks)]
-    assert len(set(formatted.values()) - {main}) == 1
-
-
-@pytest.mark.parametrize("n_rows, threads", [(0, 0), (1, 0), (BLOCK, 0), (BLOCK + 1, 1)])
-def test_write_csv_of_at_most_one_block_starts_no_thread(monkeypatch, n_rows, threads):
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK, BLOCK + 1, 5 * BLOCK])
+def test_write_csv_starts_no_thread_at_any_size(monkeypatch, n_rows):
     started = []
-
-    def recording(thread):
-        started.append(thread)
-        start(thread)
-
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", recording)
-    write_csv(BytesIO(), ["x", "flag"], [np.zeros(n_rows), np.ones(n_rows, dtype=bool)])
-    assert len(started) == threads
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    columns = [np.arange(n_rows, dtype=np.float64), np.ones(n_rows, dtype=bool)]
+    buffer = BytesIO()
+    write_csv(buffer, ["x", "flag"], columns)
+    assert started == []
+    assert buffer.getvalue() == csv_text(["x", "flag"], columns).encode()
 
 
 class BlockFailed(Exception):
@@ -262,26 +239,20 @@ class BlockFailed(Exception):
 
 @pytest.mark.parametrize("failing", [1, 2, 3])
 def test_a_failing_block_is_raised_after_the_blocks_before_it(monkeypatch, failing):
-    # Blocks 1 and 3 are the helper's, block 2 the calling thread's.
     column = np.arange(5 * BLOCK, dtype=np.float64)
-    threads = []
 
     def failing_cells(block, *args):
         if block[0][0] == failing * BLOCK:
-            threads.append(threading.current_thread())
             raise BlockFailed(failing)
         return block_cells(block, *args)
 
     block_cells = io._block_cells
     monkeypatch.setattr(io, "_block_cells", failing_cells)
-    running = threading.active_count()
     buffer = BytesIO()
     with pytest.raises(BlockFailed):
         write_csv(buffer, ["x"], [column])
-    assert (threads[0] is threading.current_thread()) == (failing == 2)
     monkeypatch.undo()
     assert buffer.getvalue() == csv_text(["x"], [column[: failing * BLOCK]]).encode()
-    assert threading.active_count() == running
 
 
 def test_a_failing_write_is_raised_and_leaves_no_thread():
@@ -291,15 +262,17 @@ def test_a_failing_write_is_raised_and_leaves_no_thread():
                 raise OSError(28, "No space left on device")
             return super().write(data)
 
-    running = threading.active_count()
+    column = np.arange(4 * BLOCK, dtype=np.float64)
+    full = Full()
     with pytest.raises(OSError, match="No space"):
-        write_csv(Full(), ["x"], [np.arange(4 * BLOCK, dtype=np.float64)])
-    assert threading.active_count() == running
+        write_csv(full, ["x"], [column])
+    # The header and the first block fit; the second block's write fails.
+    assert full.getvalue() == csv_text(["x"], [column[:BLOCK]]).encode()
 
 
 def test_three_callers_at_once_each_write_their_own_bytes():
-    # Three callers and their three helpers share the kernel's tables on two
-    # cores, switching threads every 10 us.
+    # Three callers share the kernel's tables on two cores, switching
+    # threads every 10 us.
     columns = [[np.array(random_doubles(random.Random(i), 3 * BLOCK))] for i in range(3)]
     want = [csv_text(["x"], column).encode() for column in columns]
     got = [None] * 3
@@ -321,6 +294,64 @@ def test_three_callers_at_once_each_write_their_own_bytes():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == want
+
+
+# --- beside: work in a forked child ------------------------------------------------
+
+on_linux = pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+
+
+def pid_and_sigint_handler():
+    return os.getpid(), signal.getsignal(signal.SIGINT)
+
+
+@on_linux
+def test_beside_runs_work_in_a_child_that_ignores_sigint():
+    with io.beside(pid_and_sigint_handler) as result:
+        pid, handler = result()
+    assert pid != os.getpid()
+    assert handler == signal.SIG_IGN
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("because", ["fork_is_false", "not_linux", "another_thread_runs"])
+def test_beside_runs_work_here_at_result_when_it_does_not_fork(monkeypatch, because):
+    calls = []
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if because == "not_linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    elif because == "another_thread_runs":
+        waiter.start()
+    work = lambda: calls.append("work") or pid_and_sigint_handler()  # noqa: E731
+    try:
+        with io.beside(work, fork=because != "fork_is_false") as result:
+            calls.append("body")
+            pid, handler = result()
+    finally:
+        release.set()
+        if waiter.ident is not None:
+            waiter.join(timeout=10)
+    assert calls == ["body", "work"]
+    assert pid == os.getpid() and handler == signal.getsignal(signal.SIGINT)
+
+
+@on_linux
+def test_beside_raises_the_exit_code_of_a_child_that_dies_before_sending():
+    with io.beside(lambda: os._exit(3)) as result:
+        with pytest.raises(ChildProcessError, match="exited with code 3 before sending its result"):
+            result()
+    assert multiprocessing.active_children() == []
+
+
+@on_linux
+def test_an_interrupt_in_the_body_kills_and_joins_a_child_that_is_still_running():
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        with io.beside(lambda: time.sleep(60)):
+            raise KeyboardInterrupt
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - start < 30
 
 
 # --- the float64 kernel against '%.17g' ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -118,7 +119,7 @@ def test_where_fork_is_unsafe_the_oracle_checks_run_in_process_after_the_simulat
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     if fork_unsafe_because == "not_linux":
-        monkeypatch.setattr(verify.sys, "platform", "darwin")
+        monkeypatch.setattr(sys, "platform", "darwin")
     else:
         waiter.start()
     try:
