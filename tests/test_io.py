@@ -10,7 +10,6 @@ import signal
 import struct
 import sys
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -314,44 +313,19 @@ def test_beside_runs_work_in_a_child_that_ignores_sigint():
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("because", ["fork_is_false", "not_linux", "another_thread_runs"])
-def test_beside_runs_work_here_at_result_when_it_does_not_fork(monkeypatch, because):
+def test_beside_without_fork_runs_work_here_when_the_body_asks_for_its_value():
+    # Not on Linux, or beside another thread, it does the same
+    # (tests/test_verify.py, the fork-unsafe cases).
     calls = []
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    if because == "not_linux":
-        monkeypatch.setattr(sys, "platform", "darwin")
-    elif because == "another_thread_runs":
-        waiter.start()
-    work = lambda: calls.append("work") or pid_and_sigint_handler()  # noqa: E731
-    try:
-        with io.beside(work, fork=because != "fork_is_false") as result:
-            calls.append("body")
-            pid, handler = result()
-    finally:
-        release.set()
-        if waiter.ident is not None:
-            waiter.join(timeout=10)
+
+    def work():
+        calls.append("work")
+        return os.getpid()
+
+    with io.beside(work, fork=False) as result:
+        calls.append("body")
+        assert result() == os.getpid()
     assert calls == ["body", "work"]
-    assert pid == os.getpid() and handler == signal.getsignal(signal.SIGINT)
-
-
-@on_linux
-def test_beside_raises_the_exit_code_of_a_child_that_dies_before_sending():
-    with io.beside(lambda: os._exit(3)) as result:
-        with pytest.raises(ChildProcessError, match="exited with code 3 before sending its result"):
-            result()
-    assert multiprocessing.active_children() == []
-
-
-@on_linux
-def test_an_interrupt_in_the_body_kills_and_joins_a_child_that_is_still_running():
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        with io.beside(lambda: time.sleep(60)):
-            raise KeyboardInterrupt
-    assert multiprocessing.active_children() == []
-    assert time.perf_counter() - start < 30
 
 
 # --- the float64 kernel against '%.17g' ----------------------------------------------
