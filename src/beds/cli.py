@@ -4,7 +4,8 @@ Subcommands: predict (closed-form maintenance costs), simulate (one run to
 trace/summary/ledger files), sweep (parameter grid to one CSV), classify
 (problem-class verdict for a scenario), verify (the self-verification
 suite). Exit codes are a stable contract: 0 success, 1 runtime or check
-failure, 2 usage or configuration error. Scenario files are JSON in the
+failure, 2 usage or configuration error, 130 (128 + SIGINT) interrupted,
+with one ``error: interrupted`` line. Scenario files are JSON in the
 schema of :mod:`beds.core`; the BEDS_SEED environment variable, when set,
 overrides the scenario seed.
 """
@@ -285,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         sys.stderr.writelines(f"error: {line}\n" for line in str(exc).splitlines())
         return exc.exit_code
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

@@ -352,16 +352,17 @@ def _declared_violations(record: object, prefix: str, out: list[Violation]) -> N
             _declared_violations(value, f"{prefix}{name}.", out)
 
 
-def expected_counts(scenario: Scenario) -> list[tuple[str, str, float]]:
+def expected_counts(scenario: Scenario, horizon: float | None = None) -> list[tuple[str, str, float]]:
     """The generated observations and the samples a run expects over its horizon.
 
     Returns (field path, "observations" or "samples", count) for each count
     that the field at that path sets: ``rate * horizon`` for a Poisson flux,
     ``horizon / period`` for a periodic one, and ``horizon / sample_dt``. A
     schedule's observations are listed in the scenario and are not counted.
+    ``horizon``, when given, replaces the scenario's.
     """
 
-    horizon, arrival = scenario.horizon, scenario.flux_spec.arrival
+    horizon, arrival = scenario.horizon if horizon is None else horizon, scenario.flux_spec.arrival
     if not horizon > 0:
         return []
     out = []
@@ -438,8 +439,10 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
 
     The declared field types give the single-field rules; the rules below
     relate fields to one another. No finiteness budget is derived from a
-    field that has failed, or from the horizon once a count is over budget,
-    so one bad value gives one violation.
+    field that has failed, or from the horizon once it explains a count over
+    budget, so one bad value gives one violation. The horizon is named only
+    when it alone explains two counts over budget; each other count is
+    reported under the field that sets it.
     """
 
     out: list[Violation] = []
@@ -469,13 +472,17 @@ def scenario_violations(scenario: Scenario) -> list[Violation]:
         for path, what, count in expected_counts(scenario)
         if count > MAX_EXPECTED_COUNT
     ]
-    if len(over) > 1:
-        # The horizon is the one field that every count shares.
+    # The horizon explains a count whose field keeps it within budget over
+    # one time unit; the field explains the others.
+    per_unit = {path: count for path, _, count in expected_counts(scenario, 1.0)}
+    by_horizon = [per_unit[path] <= MAX_EXPECTED_COUNT for path, _ in over]
+    if len(over) > 1 and all(by_horizon):
+        # The horizon alone explains them: it is the one field they share.
         over = [("horizon", " and ".join(amount for _, amount in over))]
     for path, amount in over:
         message = f"gives about {amount} over the horizon, above the budget of {MAX_EXPECTED_COUNT:.0e}"
         out.append(Violation("budget_exceeded", path, message))
-    failed = {v.field for v in out} | ({"horizon"} if over else set())
+    failed = {v.field for v in out} | ({"horizon"} if any(by_horizon) else set())
     for paths, value, quantity, bound in _finite_budgets(scenario):
         if failed.isdisjoint(paths) and not math.isfinite(bound()):
             failed.add(paths[0])

@@ -207,6 +207,17 @@ def _random_scenario(rng: np.random.Generator, force_landauer: bool = False) -> 
     return validate_scenario(scenario)
 
 
+def _exact(scenario: Scenario) -> Scenario:
+    """``scenario`` with exact observations, for a check that reads only the precision side.
+
+    The precision loop, the ledger and the precision samples never read an
+    observed value, and a Poisson flux draws its times before its noise, so
+    the run has the same events and precision-side results without the noise.
+    """
+
+    return dataclasses.replace(scenario, flux_spec=dataclasses.replace(scenario.flux_spec, noise="exact"))
+
+
 # --- checks -------------------------------------------------------------------
 
 
@@ -215,13 +226,15 @@ def check_steady_state_balance(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool
 
     gamma=0.1, tau*=100, tau_d=10, so the balance rate is 1.0. Ten seeded
     runs over horizon 1e4 with burn-in 1e3: each time-averaged precision
-    must sit within 5% of 100, and the ten-seed mean within 2%.
+    must sit within 5% of 100, and the ten-seed mean within 2%. The average
+    precision never reads an observed value, so the runs observe exactly
+    (``_exact``) and draw no noise.
     """
 
     tau_star = 100.0
     per_seed = []
     for i in range(10):
-        trace = run(steady_state(gamma=0.1, tau_star=tau_star, tau_d=10.0, seed=seed_base + i))
+        trace = run(_exact(steady_state(gamma=0.1, tau_star=tau_star, tau_d=10.0, seed=seed_base + i)))
         per_seed.append(trace.summary.mean_precision_after_t0)
     per_seed_arr = np.asarray(per_seed)
     rel_dev = np.abs(per_seed_arr - tau_star) / tau_star
@@ -283,7 +296,9 @@ def check_quadrupling_law(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, dic
 
     The analytic prediction is rate times flat cost, so the ratio between
     tau* = 100 and tau* = 25 cells is exactly 4; ten-seed simulated mean
-    windowed powers must agree within 5%.
+    windowed powers must agree within 5%. The windowed power never reads an
+    observed value, so the runs observe exactly (``_exact``) and draw no
+    noise.
     """
 
     gamma, tau_d, cost = 0.1, 10.0, 1.0
@@ -293,10 +308,8 @@ def check_quadrupling_law(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, dic
     analytic_ratio = analytic[100.0] / analytic[25.0]
     simulated = {}
     for tau_star in (25.0, 100.0):
-        powers = [
-            run(_fixed_cost_balance_scenario(tau_star, seed_base + 100 + i)).summary.mean_windowed_power_after_t0
-            for i in range(10)
-        ]
+        scenarios = [_exact(_fixed_cost_balance_scenario(tau_star, seed_base + 100 + i)) for i in range(10)]
+        powers = [run(scenario).summary.mean_windowed_power_after_t0 for scenario in scenarios]
         simulated[tau_star] = float(np.mean(powers))
     simulated_ratio = simulated[100.0] / simulated[25.0]
     passed = analytic_ratio == 4.0 and abs(simulated_ratio - 4.0) <= 0.2
@@ -360,7 +373,9 @@ def check_landauer_ledger(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, dic
 
     Entropy reductions are recomputed per observation from the recorded
     before/after precisions using the Gaussian entropy formula, bypassing
-    the ledger's own information-gain path.
+    the ledger's own information-gain path. Neither reads an observed value,
+    so each scenario, once drawn, observes exactly (``_exact``) and its run
+    draws no noise.
     """
 
     rng = np.random.Generator(np.random.PCG64(seed_base + 500))
@@ -368,7 +383,7 @@ def check_landauer_ledger(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, dic
     runs_with_observations = 0
     zero_mismatch = False
     for _ in range(100):
-        scenario = _random_scenario(rng, force_landauer=True)
+        scenario = _exact(_random_scenario(rng, force_landauer=True))
         trace = run(scenario)
         kBT = scenario.energy_model.kBT
         recomputed = 0.0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beds import verify
+from beds import cli, verify
 from beds.cli import main
 from beds.core import scenario_to_json, set_path
 from beds.energy import EnergyLedger
@@ -363,6 +363,35 @@ def test_a_horizon_over_one_count_budget_bounds_no_reach(tmp_path, capsys, scena
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides, fields",
+    [
+        # Each count is over budget within one time unit: its field explains it.
+        ("steady_state", ["flux_spec.arrival.rate=1e9", "sample_dt=1e-9"], ["flux_spec.arrival.rate", "sample_dt"]),
+        # The horizon explains no count, so the target's reach is bounded on it.
+        (
+            "dissipation_only",
+            ["horizon=3", "sample_dt=5e-324", "beds.initial_belief.mean=1e300"],
+            ["problem.target", "sample_dt"],
+        ),
+        # The horizon alone explains both counts.
+        ("steady_state", ["horizon=1e12"], ["horizon"]),
+    ],
+)
+def test_the_horizon_is_named_only_when_it_alone_explains_the_counts(tmp_path, capsys, scenario, overrides, fields):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{scenario}.json"
+    argv = ["simulate", "--scenario-path", str(path), "--output-dir", str(tmp_path / "o")]
+    for override in overrides:
+        argv += ["--override", override]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert sorted(line.split(": ")[1] for line in lines) == fields, lines
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_override_changes_result(tmp_path, scenario_file):
     path = scenario_file(dissipation_only)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -541,6 +570,30 @@ def test_beds_seed_must_be_integer(tmp_path, scenario_file, monkeypatch, capsys)
         assert err.count("\n") == 1, err
         assert err.startswith(("error: BEDS_SEED: ", "error: seed: ")), err
         assert not (tmp_path / "o").exists()
+
+
+def test_an_interrupted_command_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "predict", interrupted)
+    assert main(["predict", "--gamma", "1", "--tau-star", "1", "--tau-d", "1"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+@on_linux
+def test_an_interrupt_beside_the_ledger_child_exits_130_with_one_line(
+    tmp_path, scenario_file, capsys, monkeypatch, started_children
+):
+    def interrupted(trace, handle=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "trace_to_csv", interrupted)
+    argv = ["simulate", "--scenario-path", scenario_file(steady_state), "--output-dir", str(tmp_path / "o")]
+    assert main(argv) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert len(started_children) == 1
+    assert multiprocessing.active_children() == []
 
 
 # --- classify -----------------------------------------------------------------------

@@ -65,6 +65,17 @@ GOLDEN_FLUX = "5dcf7e9bec5589aa7c4cc6317cc0ec7c9015333db39f83a4de913451330dc539"
 # the tracking sweep's sweep.csv.
 GOLDEN_VERIFY_REPORT = "ae0c6bf8222508b919c53e12c33d0b4e192c89eba8b9124065107e412b43d391"
 GOLDEN_VERIFY_SWEEP = "00b4dc32d05cb9c9a4eb6caaf78fda55f9ca51b92f961d0b26cf96c8f93e35db"
+# The same two files at two more seed bases.
+GOLDEN_VERIFY_AT_SEED_BASE = {
+    0: {
+        "verify_report.json": "0f976d84f65367edde0cf3c6dfdd92f5bc409e5bd4dcd86d5de34b84395425df",
+        "sweep.csv": "c5a24f01f3e423a772f377df2448b7217639d0f51409e2788233a9e64045ff9f",
+    },
+    77777: {
+        "verify_report.json": "f7f7f9b94a9c9469366139bb76ab0d803febd3ba7eb314e0866b4081f4df6ab4",
+        "sweep.csv": "045db461d3baca330e5009e1f8d220e022d2e4f256b5bb96ecaeb76a75a65bf8",
+    },
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -149,3 +160,11 @@ def test_flux_csv_matches_golden():
 def test_verify_outputs_match_golden(verify_report):
     assert _sha256(json_dumps(verify_report.to_dict()).encode("utf-8")) == GOLDEN_VERIFY_REPORT
     assert _sha256(verify_report.tracking_table.to_csv().encode("utf-8")) == GOLDEN_VERIFY_SWEEP
+
+
+@pytest.mark.parametrize("seed_base", sorted(GOLDEN_VERIFY_AT_SEED_BASE))
+def test_verify_outputs_at_other_seed_bases_match_golden(tmp_path, capsys, seed_base):
+    assert main(["verify", "--seed-base", str(seed_base), "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    golden = GOLDEN_VERIFY_AT_SEED_BASE[seed_base]
+    assert {name: _sha256((tmp_path / name).read_bytes()) for name in golden} == golden

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from beds import engine, verify
+from beds.scenarios import steady_state
 
 CHECK_NAMES = [
     "steady_state_precision_balance",
@@ -162,6 +163,40 @@ def test_only_the_checks_marked_as_simulating_call_run_or_sweep(monkeypatch):
         else:
             passed, measured = call()
             assert passed, (name, measured)
+
+def _premise_scenarios():
+    # The scenarios, or draws like them, of the three checks that run with exact observations.
+    yield from (steady_state(gamma=0.1, tau_star=100.0, tau_d=10.0, seed=seed) for seed in (0, 1000, 77777))
+    yield from (verify._fixed_cost_balance_scenario(tau_star, 1100) for tau_star in (25.0, 100.0))
+    # check_landauer_ledger's stream at the default seed base.
+    rng = np.random.Generator(np.random.PCG64(verify.DEFAULT_SEED_BASE + 500))
+    yield from (verify._random_scenario(rng, force_landauer=True) for _ in range(20))
+
+
+def test_exact_observations_leave_every_value_the_precision_only_checks_read():
+    noisy_count = 0
+    for scenario in _premise_scenarios():
+        noisy, exact = engine.run(scenario), engine.run(verify._exact(scenario))
+        assert verify._exact(scenario).flux_spec.noise == "exact"
+        if scenario.flux_spec.noise == "noisy" and len(noisy.events):
+            # The noise was drawn, and moved the means.
+            noisy_count += 1
+            assert noisy.events["mean_after"].tolist() != exact.events["mean_after"].tolist()
+        for name in ("times", "energies", "infos", "cumulative"):
+            assert getattr(noisy.ledger, name).tolist() == getattr(exact.ledger, name).tolist(), (scenario, name)
+        for name in ("precision_before", "precision_after"):
+            assert noisy.events[name].tolist() == exact.events[name].tolist(), (scenario, name)
+        for name in (
+            "mean_precision_after_t0",
+            "mean_windowed_power_after_t0",
+            "observation_count",
+            "total_energy",
+            "total_info",
+        ):
+            assert getattr(noisy.summary, name) == getattr(exact.summary, name), (scenario, name)
+    # The steady-state and fixed-cost scenarios are noisy, and so are most random draws.
+    assert noisy_count >= 5 + 10, noisy_count
+
 
 def _scalar_merge_order(rng, trials):
     # The merge-order sub-check one trial and one bayes_update at a time.
