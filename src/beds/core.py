@@ -431,6 +431,10 @@ def _finite_budgets(scenario: Scenario) -> list[tuple[tuple[str, ...], float, st
         (("problem.target", variance_path, "horizon"), reach,
          "the divergence of a belief that trails it by |mean| + 2 (|theta0| + |velocity| horizon)",
          lambda: reach * reach / variance),
+        # bayes_update's precision-weighted sum of the prior mean and a value,
+        # both within the reach, at the highest precision.
+        ((tau_path, obs_path, "problem.target", "horizon"), tau, "the weighted mean of an update",
+         lambda: 2.0 * (tau + obs_precision * n) * reach),
     ]
 
 

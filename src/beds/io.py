@@ -153,7 +153,7 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     error += head * hi_tail
     error += tail * hi_head
     error += tail * hi_tail
-    # Two threads may run this at once: each temporary is freed once used.
+    # A block's temporaries set the formatting memory peak: each is freed once used.
     del head, tail
     whole = product.astype(np.int64)
     fraction = product - whole
@@ -230,7 +230,7 @@ def _float_cells(x: np.ndarray, ends: str) -> np.ndarray:
     source[:, _MINUS:_SEP] = np.take(tables.exponent_text, k + _K_RANGE, axis=0)
     source.reshape(*shape, _SOURCE_WIDTH)[..., _SEP] = np.frombuffer(ends.encode("ascii"), dtype=np.uint8)
     source[:, _PAD] = 0
-    # Two threads may format blocks at once: free the digits before the gather.
+    # A block's temporaries set the formatting memory peak: free the digits before the gather.
     del groups, k
 
     # The gather's index takes 8 bytes per output byte, so it is built for

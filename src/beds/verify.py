@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from array import array
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -415,8 +414,8 @@ def check_dynamics_oracles(seed_base: int = DEFAULT_SEED_BASE) -> tuple[bool, di
     semigroup and merge-order invariances at rel 1e-12 over 1e4 trials each.
     Every sub-check takes its values from one PCG64 stream, as the scalar
     draws of their trials would: the semigroup's five uniforms per trial in
-    one block, the merge order's by replaying the raw words
-    (:func:`_max_rel_merge_order`).
+    one block, the merge order's with four numpy calls per trial that stand
+    for its six scalar ones (:func:`_max_rel_merge_order`).
     """
 
     rng = np.random.Generator(np.random.PCG64(seed_base + 600))
@@ -505,90 +504,35 @@ def _max_rel_merge_order(rng: np.random.Generator, trials: int) -> float:
     ``bayes_update`` does, in drawn and in permuted order. Its draws are the
     values of these numpy calls per trial: ``uniform`` (mean), ``uniform``
     (log prior precision), ``integers(2, 7)``, ``uniform(size=k)`` (log
-    taus), ``uniform(size=k)`` (values) and ``permutation(k)``. They are
-    replayed from the raw words of ``rng``'s bit generator, which must be a
-    PCG64 (TypeError otherwise):
-
-    - each uniform takes one word ``w`` as ``a + (b - a) * ((w >> 11) * 2**-53)``;
-    - ``integers(2, 7)`` is Lemire's method on one 32-bit half with range
-      5, which rejects only a zero half;
-    - ``permutation(k)`` shuffles ``arange(k)`` by Fisher-Yates, for
-      ``i = k - 1`` down to 1, with ``random_interval(i)``'s masked
-      rejection on 32-bit halves.
-
-    The 32-bit halves come from PCG64's buffer: a fresh word gives its low
-    half first and keeps its high half for the next 32-bit draw, across
-    trials, while full-word draws leave it alone. The generator ends where
-    the scalar calls leave it, buffer included. ``tests/test_verify.py``
-    guards this coupling against the scalar calls. Only precisions are
-    compared, so the means and values are skipped.
+    taus), ``uniform(size=k)`` (values) and ``permutation(k)``. Four calls
+    use the stream exactly as those six do, and leave it where they leave
+    it: ``random`` for the two scalars, ``integers(2, 7)``, ``random`` for
+    the 2k after it, and ``shuffle`` of the row's identity order, which is
+    what ``permutation(k)`` does to ``arange(k)``. ``uniform(a, b)`` is
+    ``a + (b - a) * random()``, so the scaling waits for the columns.
+    ``tests/test_verify.py`` guards this coupling against the scalar calls.
+    Only precisions are compared, so the means and values are skipped.
 
     Each trial's observations fill a row, padded with zero precisions that
     the identity tail of its order keeps last; adding 0.0 changes no sum,
     so the folds run down the columns.
     """
 
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError(f"the merge-order draws replay PCG64 words, got {type(bitgen).__name__}")
-    snapshot = bitgen.state
-    has_half, half, half_words = snapshot["has_uint32"], snapshot["uinteger"], 0
-    word = itertools.chain.from_iterable(iter(lambda: bitgen.random_raw(4096).tolist(), None)).__next__
-
-    def halves():
-        # PCG64's next_uint32. A consumed half stays in uinteger, as numpy leaves it.
-        nonlocal has_half, half, half_words
-        if has_half:
-            has_half = 0
-            yield half
-        while True:
-            w, half_words = word(), half_words + 1
-            has_half, half = 1, w >> 32
-            yield w & 0xFFFFFFFF
-            has_half = 0
-            yield half
-
-    next_half = halves().__next__
     width = 6
-    masks = (0, 1, 3, 3, 7, 7)  # the smallest all-ones mask covering each i
-    priors, taus_drawn, widths, orders = array("d"), array("d"), array("b"), array("b")
-    for _ in range(trials):
-        word()  # mean
-        priors.append((word() >> 11) * 2.0**-53)
-        x = next_half()
-        while not x:
-            x = next_half()
-        k = 2 + (x * 5 >> 32)
+    u = np.zeros((trials, 2 + 2 * width))
+    order = np.tile(np.arange(width), (trials, 1))
+    widths = []
+    for row, order_row in zip(u, order):
+        rng.random(out=row[:2])  # mean, log prior precision
+        k = int(rng.integers(2, 7))
+        rng.random(out=row[2 : 2 + 2 * k])  # k log taus, then k values
+        rng.shuffle(order_row[:k])
         widths.append(k)
-        for _ in range(k):
-            taus_drawn.append((word() >> 11) * 2.0**-53)
-        for _ in range(k):
-            word()  # values
-        perm = list(range(k))
-        for i in range(k - 1, 0, -1):
-            j = next_half() & masks[i]
-            while j > i:
-                j = next_half() & masks[i]
-            perm[i], perm[j] = perm[j], perm[i]
-        orders.extend(perm)
-    # Rewind the unused words of the last block.
-    bitgen.state = snapshot
-    bitgen.advance(2 * trials + 2 * len(taus_drawn) + half_words)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has_half, half
-    bitgen.state = state
 
     log_lo, log_hi = np.log(1e-2), np.log(1e2)
-    precision, drawn = np.frombuffer(priors), np.frombuffer(taus_drawn)
-    for column in (precision, drawn):  # uniform(log_lo, log_hi), then exp
-        column *= log_hi - log_lo
-        column += log_lo
-        np.exp(column, out=column)
-    filled = np.arange(width) < np.frombuffer(widths, dtype=np.int8)[:, None]
-    taus = np.zeros((trials, width))
-    taus[filled] = drawn
-    order = np.tile(np.arange(width, dtype=np.int8), (trials, 1))
-    order[filled] = np.frombuffer(orders, dtype=np.int8)
+    precision = np.exp(log_lo + (log_hi - log_lo) * u[:, 1])
+    filled = np.arange(width) < np.array(widths)[:, None]
+    taus = np.where(filled, np.exp(log_lo + (log_hi - log_lo) * u[:, 2 : 2 + width]), 0.0)
     forward, shuffled = precision, precision
     permuted = np.take_along_axis(taus, order, axis=1)
     for i in range(width):

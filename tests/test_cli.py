@@ -326,6 +326,13 @@ def test_an_initial_precision_past_its_own_bounds_is_reported_alone(tmp_path, ca
         ("tracking_sweep_base", ["horizon=1.7e308"], "horizon"),
         # Without arrivals to count, the samples' budget is the one overflowed.
         ("dissipation_only", ["horizon=1.7e308"], "sample_dt"),
+        # bayes_update's precision_before * mean overflows, which would write
+        # an infinite output_mean into summary.json.
+        *(
+            (scenario, ["beds.initial_belief.precision=1e300", "beds.initial_belief.mean=1e10"],
+             "beds.initial_belief.precision")
+            for scenario in ("drifting_tracking", "static_crystallizing", "steady_state", "tracking_sweep_base")
+        ),
     ],
 )
 def test_one_bad_value_gives_one_error_line(tmp_path, capsys, scenario, overrides, field):
