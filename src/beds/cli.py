@@ -110,6 +110,14 @@ def _output_file(output_dir: str, name: str) -> Iterator[BinaryIO]:
         raise _CliError(1, f"cannot write {name} in {output_dir}: {exc.strerror}") from exc
 
 
+def _json_text(name: str, payload) -> str:
+    # Called before any output file is opened: a value JSON cannot hold leaves none.
+    try:
+        return json_dumps(payload)
+    except ValueError as exc:
+        raise _CliError(1, f"cannot write {name}: {exc}") from exc
+
+
 def _write_text(output_dir: str, name: str, text: str) -> str:
     with _output_file(output_dir, name) as handle:
         handle.write(text.encode("utf-8"))
@@ -135,7 +143,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     trace = run(scenario)
-    summary = summary_to_dict(trace)
+    summary = _json_text("summary.json", summary_to_dict(trace))
 
     def write_ledger() -> str | None:
         # Returns its error's line, not the error: a forked child sends it back.
@@ -149,14 +157,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with beside(write_ledger, fork=len(trace.ledger) > _CSV_BLOCK_ROWS) as ledger_written:
         with _output_file(args.output_dir, "trace.csv") as handle:
             trace_to_csv(trace, handle)
-        _write_text(args.output_dir, "summary.json", json_dumps(summary))
+        _write_text(args.output_dir, "summary.json", summary)
         try:
             error = ledger_written()
         except ChildProcessError as exc:
             error = f"cannot write ledger.csv in {args.output_dir}: {exc}"
     if error is not None:
         raise _CliError(1, error)
-    sys.stdout.write(json_dumps(summary))
+    sys.stdout.write(summary)
     return 0
 
 
@@ -188,10 +196,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     trace = run(scenario)
-    verdict = classify_run(trace, scenario.problem)
-    payload = asdict(verdict)
-    _write_text(args.output_dir, "verdict.json", json_dumps(payload))
-    sys.stdout.write(json_dumps(payload))
+    text = _json_text("verdict.json", asdict(classify_run(trace, scenario.problem)))
+    _write_text(args.output_dir, "verdict.json", text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -199,7 +206,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0 <= args.seed_base <= verify_mod.MAX_SEED_BASE:
         raise _CliError(2, f"--seed-base: must be in [0, {verify_mod.MAX_SEED_BASE}], got {args.seed_base}")
     report = verify_mod.run_all(args.seed_base)
-    _write_text(args.output_dir, "verify_report.json", json_dumps(report.to_dict()))
+    _write_text(args.output_dir, "verify_report.json", _json_text("verify_report.json", report.to_dict()))
     if report.tracking_table is not None:
         _write_text(args.output_dir, "sweep.csv", report.tracking_table.to_csv())
     for check in report.checks:

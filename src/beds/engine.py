@@ -12,19 +12,17 @@ perturbs the trajectory. The mean side then runs
 means, their divergence from the target and the crystallization outcome.
 A crystallized run halts: nothing is recorded afterwards.
 
-Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, one summary row per cell per replicate, each row one ``run``. With
-periodic or scheduled arrivals nothing is drawn for the times, so a run's
-precision side is a function of a few scenario values, its key, and a run's
-noise is the first standard normals of its seed's stream, which the sweep
-draws once per seed. The rows run key by key, whatever the grid's order,
-and are emitted grid-major: a key's side is computed once and held
-read-only, each batch of its rows evolves its means as the columns of one
-loop (``dynamics.evolve_means``) and computes only their divergence
-maximum after the burn-in, on 2-D blocks of rows, and each row's ``run``
-is handed its trace. Such a trace holds only the row's means after each
-event beside the held side, and fills copies of the side's samples and
-events on first read, as any other run fills its own (``_fill_trace``).
+Every trace is built one way (``_traces``), for ``run`` as for a sweep's
+rows. With periodic or scheduled arrivals nothing is drawn for the times,
+so a run's precision side is a function of a few scenario values, its key,
+and a run's noise is the first standard normals of its seed's stream. A
+key's side is computed once, from its first row's flux, and lent read-only
+when rows share it; each batch of its rows evolves its means as the columns
+of one loop (``dynamics.evolve_means``) and takes only their divergence
+maximum after the burn-in, filling a side of its own on the way. A plain
+run, a replay and a Poisson row are each a key of one row. Sweeps run the Cartesian product of
+parameter overrides and replicate seeds, each row one ``run``, key by key
+whatever the grid's order, and emit the rows grid-major.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -59,7 +57,6 @@ from .core import (
 from .dynamics import (
     NOT_CRYSTALLIZED,
     PRECISION_FLOOR,
-    CrystallizationOutcome,
     check_crystallization,
     dissipate,
     evolve_means,
@@ -115,35 +112,6 @@ class Summary:
     total_info: float
 
 
-@dataclass
-class RunTrace:
-    """Everything recorded about one run.
-
-    ``samples`` is a structured array with fields t, mean, precision,
-    variance, kl_to_target, cumulative_energy, windowed_power, at multiples
-    of the scenario's sample_dt up to the horizon or the crystallization
-    time, whichever is earlier. ``events`` is a structured array with
-    fields precision_before, mean_after, precision_after: row ``i`` is
-    the belief change of the observation that ``ledger`` charged as entry
-    ``i``, whose time, energy and information live in the ledger only; its
-    mean before is row ``i - 1``'s mean_after (the initial mean for row 0).
-    ``power_window`` is the width of the sliding window behind the
-    windowed_power samples, horizon / 10. ``clamped`` flags that the
-    precision floor was hit at least once. The ledger's columns are
-    read-only, since the runs of a sweep may share them. A sweep's row
-    holds only its means after each event, and fills its samples and events
-    when they are first read (``_LentTrace``).
-    """
-
-    samples: np.ndarray
-    events: np.ndarray
-    outcome: CrystallizationOutcome
-    ledger: EnergyLedger
-    summary: Summary
-    power_window: float
-    clamped: bool = False
-
-
 @dataclass(frozen=True)
 class _PrecisionSide:
     """What ``_precision_side`` computes: a run up to its observed values.
@@ -164,23 +132,47 @@ class _PrecisionSide:
     summary: dict
 
 
-class _LentTrace(RunTrace):
-    """A batched row's trace: a held side, and the row's scenario and means after each event.
+class RunTrace:
+    """Everything recorded about one run.
 
-    ``samples`` and ``events`` are copies of the side's, filled with the
-    row's means the first time each is read.
+    ``samples`` is a structured array with fields t, mean, precision,
+    variance, kl_to_target, cumulative_energy, windowed_power, at multiples
+    of the scenario's sample_dt up to the horizon or the crystallization
+    time, whichever is earlier. ``events`` is a structured array with
+    fields precision_before, mean_after, precision_after: row ``i`` is
+    the belief change of the observation that ``ledger`` charged as entry
+    ``i``, whose time, energy and information live in the ledger only; its
+    mean before is row ``i - 1``'s mean_after (the initial mean for row 0).
+    ``power_window`` is the width of the sliding window behind the
+    windowed_power samples, horizon / 10. ``clamped`` flags that the
+    precision floor was hit at least once.
+
+    A trace is built from its run's precision side, scenario, means after
+    each event and divergence maximum (``_traces``). ``samples`` and
+    ``events`` are the side's own arrays, filled before the trace is built.
+    When rows of a sweep share the side, which is then read-only, they are
+    copies, filled the first time each is read. The ledger's columns are
+    read-only, since the runs of a sweep may share them.
     """
 
     def __init__(self, side: _PrecisionSide, scenario: Scenario, mean_after: np.ndarray, max_kl: float):
         self._side, self._scenario, self._mean_after = side, scenario, mean_after
-        self.outcome, self.ledger = _outcome(scenario, side, mean_after), side.ledger
+        self.ledger, self.power_window, self.clamped = side.ledger, side.power_window, side.clamped
         self.summary = Summary(max_kl_after_t0=max_kl, **side.summary)
-        self.power_window, self.clamped = side.power_window, side.clamped
+        t, problem = side.halted_at, scenario.problem
+        self.outcome = NOT_CRYSTALLIZED
+        if t is not None:
+            belief = (mean_after[-1].item(), side.events["precision_after"][-1].item())
+            target_mean = target_mean_at(problem.target, t)
+            self.outcome = check_crystallization(*belief, t, scenario.beds.epsilon, target_mean, problem.delta)
+        if side.events.flags.writeable:
+            # A side of its own holds its means, and was filled with its divergence.
+            self.samples, self.events = side.samples, side.events
 
     @cached_property
     def samples(self) -> np.ndarray:
         samples = self._side.samples.copy()
-        _fill_trace(self._scenario, samples, self._side.last, self._mean_after)
+        _divergence([self._scenario], self._side, self._mean_after[:, None], samples)
         return samples
 
     @cached_property
@@ -201,47 +193,20 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     ``flux_from_csv``.
 
     ``batched`` is the trace ``sweep`` built for this scenario with the rest
-    of its batch, equal to the one computed without it; it is returned as it
+    of its key, equal to the one computed without it; it is returned as it
     is, unvalidated, since ``sweep`` has validated the row's cell and a row
-    differs from its cell only in the seed. So each sweep row stays one call
-    of ``run``, for whatever wraps it to count runs.
+    differs from its cell only in the seed. It exists so that each sweep row
+    stays one call of ``run``: the benchmark's tracer and tests count runs
+    by wrapping this function. It can go once the program counts its own
+    runs (ROADMAP item 1a).
     """
 
     if batched is not None:
         return batched
     validate_scenario(scenario)
-    if observations is not None:
-        flux = _checked_flux(observations)
-    else:
-        flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
-    side = _precision_side(flux, *_side_key(scenario)[2:])
-    # The means overwrite the flux values in the side's own events; nothing
-    # reads the flux after them.
-    means = side.events["mean_after"]
-    means[:] = flux["value"][: len(means)]
-    initial = [scenario.beds.initial_belief.mean]
-    evolve_means(initial, means[:, None], flux["obs_precision"], side.events["precision_before"])
-    del flux
-    if observations is not None and len(means):
-        # As for the totals, a replayed flux may leave the divergence
-        # non-finite: its precision ratios, in the order kl_gaussian divides,
-        # on the highest precision the run reaches, or its mean term on the
-        # farthest mean (nan if a mean is) plus the target's reach.
-        target = scenario.problem.target
-        highest, p = side.events["precision_after"].max().item(), 1.0 / target.target_variance
-        if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
-            message = f"must keep the divergence of the highest precision finite, got {highest!r}"
-            raise ValidationError([Violation("budget_exceeded", "observations", message)])
-        farthest = np.max(np.abs(means), initial=abs(initial[0])).item()
-        reach = farthest + abs(target.theta0) + abs(target.velocity) * scenario.horizon
-        if not math.isfinite(p * reach * reach):
-            message = f"must keep the divergence of the farthest mean finite, got {farthest!r}"
-            raise ValidationError([Violation("budget_exceeded", "observations", message)])
-    _fill_trace(scenario, side.samples, side.last, means)
-    kl = after_burn_in(side.samples, scenario.problem.t0, "kl_to_target", np.max)
-    summary = Summary(max_kl_after_t0=kl, **side.summary)
-    outcome = _outcome(scenario, side, means)
-    return RunTrace(side.samples, side.events, outcome, side.ledger, summary, side.power_window, side.clamped)
+    replay = None if observations is None else _checked_flux(observations)
+    [trace] = _traces([scenario], {}, replay)
+    return trace
 
 
 def _side_key(scenario: Scenario) -> tuple:
@@ -320,58 +285,56 @@ def _precision_side(
     return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
 
-def _fill_trace(scenario: Scenario, samples: np.ndarray, last: np.ndarray, mean_after: np.ndarray) -> None:
-    """Fill ``samples``' mean and kl_to_target columns from a run's ``mean_after`` (one per event).
-
-    ``last`` is the event count at or before each sample. _TRACE_BLOCK
-    samples at a time, so that a long run holds no full-length temporaries.
-    """
-
-    target = scenario.problem.target
-    precision_p = 1.0 / target.target_variance
-    state_mean = np.concatenate(([scenario.beds.initial_belief.mean], mean_after))
-    for a in range(0, len(samples), _TRACE_BLOCK):
-        block = samples[a : a + _TRACE_BLOCK]
-        block["mean"] = mean = state_mean[last[a : a + _TRACE_BLOCK]]
-        block["kl_to_target"] = kl_gaussian(mean, block["precision"], target_mean_at(target, block["t"]), precision_p)
-
-
-def _outcome(scenario: Scenario, side: _PrecisionSide, mean_after: np.ndarray) -> CrystallizationOutcome:
-    """The crystallization outcome of a run on ``side`` whose mean after each event is ``mean_after``."""
-
-    t, problem = side.halted_at, scenario.problem
-    if t is None:
-        return NOT_CRYSTALLIZED
-    belief = (mean_after[-1].item(), side.events["precision_after"][-1].item())
-    return check_crystallization(*belief, t, scenario.beds.epsilon, target_mean_at(problem.target, t), problem.delta)
-
-
 def _lent_traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> Iterator[RunTrace]:
-    """The lent traces of ``scenarios`` on the held ``side``, row ``j``'s means column ``j`` of ``means``.
+    """The traces of ``scenarios`` on ``side``, row ``j``'s means after each event column ``j`` of ``means``.
 
-    The rows share the side's key, t0 included. Of their divergence, only
-    the maximum after the burn-in is computed, on the samples after it, in
-    2-D blocks of at most about _TRACE_BLOCK sample-plus-event rows.
+    Their divergence maxima are taken about _TRACE_BLOCK sample-plus-event
+    rows' worth at a time, filling a side of its own on the way.
     """
 
-    tail = np.searchsorted(side.samples["t"], scenarios[0].problem.t0, side="right")
-    t, precision, last = side.samples["t"][tail:], side.samples["precision"][tail:], side.last[tail:]
+    own = side.samples if side.samples.flags.writeable else None
     step = max(1, _TRACE_BLOCK // (len(side.events) + len(side.samples)))
     for lo in range(0, len(scenarios), step):
         chunk = scenarios[lo : lo + step]
-        targets = [scenario.problem.target for scenario in chunk]
-        initial = [[scenario.beds.initial_belief.mean] for scenario in chunk]
-        # Each row's mean after each event, column 0 its initial one.
-        state_mean = np.concatenate((initial, means[:, lo : lo + step].T), axis=1)
-        # target_mean_at, one target per row. A precision that every row
-        # shares stays a float, so kl_gaussian computes its terms in it once.
-        theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
-        precisions_p = [1.0 / target.target_variance for target in targets]
-        precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
-        kl = kl_gaussian(state_mean[:, last], precision, theta0 + velocity * t, precision_p)
-        max_kl = kl.max(axis=1).tolist() if len(t) else [math.nan] * len(chunk)
+        max_kl = _divergence(chunk, side, means[:, lo : lo + step], own)
         for j, scenario in enumerate(chunk):
-            yield _LentTrace(side, scenario, means[:, lo + j], max_kl[j])
+            yield RunTrace(side, scenario, means[:, lo + j], max_kl[j])
+
+
+def _divergence(
+    scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray, samples: np.ndarray | None = None
+) -> list[float]:
+    """Each row's divergence maximum after the burn-in, row ``j``'s means after each event column ``j`` of ``means``.
+
+    The rows share the side's key, t0 included. Only the samples after t0
+    are read, in 2-D blocks of at most _TRACE_BLOCK samples, unless one
+    row's ``samples`` are given: then every sample's mean and kl_to_target
+    are filled too.
+    """
+
+    tail = np.searchsorted(side.samples["t"], scenarios[0].problem.t0, side="right")
+    start = 0 if samples is not None else tail
+    t, precision, last = side.samples["t"][start:], side.samples["precision"][start:], side.last[start:]
+    targets = [scenario.problem.target for scenario in scenarios]
+    initial = [[scenario.beds.initial_belief.mean] for scenario in scenarios]
+    # Each row's mean after each event, column 0 its initial one.
+    state_mean = np.concatenate((initial, means.T), axis=1)
+    # target_mean_at, one target per row. A precision that every row
+    # shares stays a float, so kl_gaussian computes its terms in it once.
+    theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
+    precisions_p = [1.0 / target.target_variance for target in targets]
+    precision_p = precisions_p[0] if len(set(precisions_p)) == 1 else np.array(precisions_p)[:, None]
+    maxima = []
+    for a in range(0, len(t), _TRACE_BLOCK):
+        block = slice(a, a + _TRACE_BLOCK)
+        mean = state_mean[:, last[block]]
+        kl = kl_gaussian(mean, precision[block], theta0 + velocity * t[block], precision_p)
+        if samples is not None:
+            samples["mean"][block], samples["kl_to_target"][block] = mean[0], kl[0]
+        past = kl[:, max(tail - start - a, 0) :]
+        if past.size:
+            maxima.append(past.max(axis=1))
+    return reduce(np.maximum, maxima).tolist() if maxima else [math.nan] * len(scenarios)
 
 
 def _checked_flux(flux: object) -> np.ndarray:
@@ -495,7 +458,7 @@ def sweep(
     the longest noisy periodic or scheduled cell reads, are drawn once
     before the first run, unless the replicates times that count exceed
     core.MAX_EXPECTED_COUNT: each row then draws its own. The rows run key
-    by key (``_run_key``), so each precision side is computed once.
+    by key (``_traces``), so each precision side is computed once.
     """
 
     if replicates < 1:
@@ -543,8 +506,8 @@ def sweep(
         groups.setdefault(index if poisson else _side_key(scenario), []).append(index)
     summaries: list[Summary | None] = [None] * len(scenarios)
     for indices in groups.values():
-        for index, trace in zip(indices, _run_key([scenarios[i] for i in indices], normals)):
-            summaries[index] = trace.summary
+        for index, trace in zip(indices, _traces([scenarios[i] for i in indices], normals)):
+            summaries[index] = run(scenarios[index], batched=trace).summary
     table = SweepTable(params=paths)
     rows = itertools.product(combos, enumerate(seeds))
     for (combo, (replicate, seed)), summary in zip(rows, summaries):
@@ -556,44 +519,55 @@ def sweep(
     return table
 
 
-def _run_key(scenarios: list[Scenario], normals: dict[int, np.ndarray]) -> Iterator[RunTrace]:
-    """The traces of ``scenarios``, rows of one precision-side key, each from one ``run``.
+def _traces(
+    scenarios: list[Scenario], normals: dict[int, np.ndarray], replay: np.ndarray | None = None
+) -> Iterator[RunTrace]:
+    """The traces of ``scenarios``, the rows of one precision-side key, in order.
 
-    A Poisson row is a key of its own and runs as ``run(scenario)``. Other
-    rows run in batches, on ``normals`` (by seed) where they hold enough:
-    the key's side is computed from the first row's flux and held
-    read-only; each batch's means evolve as the columns of one
-    (events x rows) loop, ``dynamics.evolve_means``; ``_lent_traces``
-    computes each row's outcome and summary, and each row's ``run`` is
-    handed its trace. The batches of a key hold at most about
-    MAX_EXPECTED_COUNT means each, so a wide key splits, and each row's
-    flux is dropped once its values are in the block.
+    A Poisson row, or a run of the flux ``replay``, is a key of one row. The
+    side comes from the first row's flux and is read-only when rows share
+    it. Each batch's means evolve as the columns of one (events x rows)
+    loop, on ``normals`` (by seed) where they hold enough. A batch holds at
+    most about MAX_EXPECTED_COUNT means, by the first flux's length, and
+    each row's flux is dropped once its values are in the batch.
     """
 
-    first = scenarios[0]
-    if isinstance(first.flux_spec.arrival, PoissonArrival):
-        yield run(first)
-        return
-    width = max(1, int(MAX_EXPECTED_COUNT // max(fixed_count(first.flux_spec.arrival, first.horizon), 1)))
-    side = None
+    fluxes = (
+        generate_flux(s.flux_spec, s.problem.target, s.horizon, s.seed, normals.get(s.seed)) for s in scenarios
+    )
+    flux = next(fluxes) if replay is None else replay
+    side, shared = _precision_side(flux, *_side_key(scenarios[0])[2:]), len(scenarios) > 1
+    if shared:
+        for column in (side.events, side.samples, side.last):
+            column.flags.writeable = False
+    n, width = len(side.events), max(1, int(MAX_EXPECTED_COUNT // max(len(flux), 1)))
+    obs_precisions = flux["obs_precision"][:n].copy()
     for lo in range(0, len(scenarios), width):
         batch = scenarios[lo : lo + width]
-        for j, scenario in enumerate(batch):
-            spec, seed = scenario.flux_spec, scenario.seed
-            flux = generate_flux(spec, scenario.problem.target, scenario.horizon, seed, normals.get(seed))
-            if side is None:
-                side = _precision_side(flux, *_side_key(scenario)[2:])
-                for column in (side.events, side.samples, side.last):
-                    column.flags.writeable = False
-                n = len(side.events)
-                obs_precisions = flux["obs_precision"][:n].copy()
-            if j == 0:
-                values = np.empty((n, len(batch)))
+        # A side of its own takes its row's means in its events' mean_after column.
+        values = np.empty((n, len(batch))) if shared else side.events["mean_after"][:, None]
+        for j in range(len(batch)):
+            if lo + j:  # Row 0's flux is the one the side came from.
+                flux = next(fluxes)
             values[:, j] = flux["value"][:n]
             del flux
-        starts = [scenario.beds.initial_belief.mean for scenario in batch]
-        means = evolve_means(starts, values, obs_precisions, side.events["precision_before"])
-        for scenario, trace in zip(batch, _lent_traces(batch, side, means)):
-            yield run(scenario, batched=trace)
+        initial = [scenario.beds.initial_belief.mean for scenario in batch]
+        means = evolve_means(initial, values, obs_precisions, side.events["precision_before"])
+        if replay is not None and n:
+            # As for the totals, a replayed flux may leave the divergence
+            # non-finite: its precision ratios, in the order kl_gaussian
+            # divides, on the highest precision the run reaches, or its mean
+            # term on the farthest mean (nan if a mean is) plus the target's reach.
+            target = batch[0].problem.target
+            highest, p = side.events["precision_after"].max().item(), 1.0 / target.target_variance
+            if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
+                message = f"must keep the divergence of the highest precision finite, got {highest!r}"
+                raise ValidationError([Violation("budget_exceeded", "observations", message)])
+            farthest = np.max(np.abs(means), initial=abs(initial[0])).item()
+            reach = farthest + abs(target.theta0) + abs(target.velocity) * batch[0].horizon
+            if not math.isfinite(p * reach * reach):
+                message = f"must keep the divergence of the farthest mean finite, got {farthest!r}"
+                raise ValidationError([Violation("budget_exceeded", "observations", message)])
+        yield from _lent_traces(batch, side, means)
         # Free this batch's blocks before the next batch allocates its own.
-        del values, means, trace
+        del values, means

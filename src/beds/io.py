@@ -334,20 +334,22 @@ def csv_text(header, columns) -> str:
     return buffer.getvalue().decode("utf-8")
 
 
-def _nan_to_none(obj):
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+def _json_ready(obj, key: str = ""):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            return None
+        raise ValueError(f"{key or 'value'}: is {obj!r}, which JSON cannot hold")
     if isinstance(obj, dict):
-        return {k: _nan_to_none(v) for k, v in obj.items()}
+        return {k: _json_ready(v, f"{key}.{k}" if key else str(k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_nan_to_none(v) for v in obj]
+        return [_json_ready(v, f"{key}.{i}" if key else str(i)) for i, v in enumerate(obj)]
     return obj
 
 
 def json_dumps(obj) -> str:
-    """Serialize with sorted keys and NaN mapped to null; ends with a newline."""
+    """Strict JSON with sorted keys and nan as null; an infinity raises ValueError naming its dotted key."""
 
-    return json.dumps(_nan_to_none(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_ready(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @contextlib.contextmanager

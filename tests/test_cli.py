@@ -352,6 +352,41 @@ def test_one_bad_value_gives_one_error_line(tmp_path, capsys, scenario, override
     assert not (tmp_path / "o").exists()
 
 
+def _strict_json(text: str):
+    """``text`` parsed as JSON; ``Infinity``, ``-Infinity`` or ``NaN`` fails."""
+
+    def refuse(constant):
+        raise AssertionError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "command, name, key",
+    [("simulate", "summary.json", "total_energy"), ("classify", "verdict.json", "evidence.final_kl")],
+)
+def test_a_value_json_cannot_hold_exits_1_before_any_output(
+    tmp_path, scenario_file, capsys, monkeypatch, command, name, key
+):
+    # An infinity that no budget caught is one line naming its key, and nothing is written.
+    def infinite_run(scenario):
+        trace = run(scenario)
+        trace.summary = replace(trace.summary, total_energy=math.inf)
+        trace.samples["kl_to_target"] = math.inf
+        return trace
+
+    monkeypatch.setattr(cli, "run", infinite_run)
+    out = tmp_path / "out"
+    assert main([command, "--scenario-path", scenario_file(drifting_tracking), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {name}: {key}: is inf, which JSON cannot hold\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    assert main([command, "--scenario-path", scenario_file(drifting_tracking), "--output-dir", str(out)]) == 0
+    assert _strict_json(capsys.readouterr().out) == _strict_json((out / name).read_text())
+
+
 @pytest.mark.parametrize("scenario", ["drifting_tracking", "tracking_sweep_base"])
 @pytest.mark.parametrize("override", ["sample_dt=1e300", "flux_spec.arrival.period=-1e300"])
 def test_a_horizon_over_one_count_budget_bounds_no_reach(tmp_path, capsys, scenario, override):
@@ -951,7 +986,7 @@ def _simulate_at_horizon_3(out: Path, capsys, scenario: str, overrides: list[str
     for override in overrides:
         set_path(raw, *override.split("="))
     past_t0 = any(float(row[0]) > float(raw["problem"]["t0"]) for row in trace)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json((out / "summary.json").read_text())
     outcome = summary.pop("outcome")
     for name, value in summary.items():
         if name.endswith("_after_t0") and not past_t0:

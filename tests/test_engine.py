@@ -795,7 +795,11 @@ def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
         assert len({trace.outcome.accurate for _, trace in traces}) == 2
     for scenario, trace in traces:
         _assert_same_trace(trace, run(scenario))
-    if case in (_crystallizing_key, _long_key):
+    if case is _crystallizing_key:
+        # The key halts before t0: with no sample past the burn-in, no divergence is computed.
+        assert all(math.isnan(trace.summary.max_kl_after_t0) for _, trace in traces)
+        assert blocks == []
+    if case is _long_key:
         # A batch's divergence is computed on blocks of rows_per_block rows
         # (the last one shorter), whatever its width.
         width = rows_per_block or len(traces)
@@ -833,15 +837,16 @@ def test_a_sweep_computes_divergence_only_after_the_burn_in(monkeypatch):
 
 
 def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
-    # A lent trace fills a copy of the held side's samples only when they
-    # are read, once.
+    # A row of a shared side fills a copy of its samples only when they are
+    # read, once; a plain run fills its own side once, as it is built.
     filled = []
 
-    def fill_spy(scenario, samples, last, mean_after):
-        filled.append(scenario)
-        return fill(scenario, samples, last, mean_after)
+    def fill_spy(scenarios, side, means, samples=None):
+        if samples is not None:
+            filled.append(scenarios[0])
+        return divergence(scenarios, side, means, samples)
 
-    fill = engine._fill_trace
+    divergence = engine._divergence
     traces = []
 
     def run_spy(scenario, observations=None, *, batched=None):
@@ -851,16 +856,68 @@ def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
     base = replace(tracking_sweep_base(), horizon=10.0)
     grid = [("problem.target.velocity", [0.0, 1.0]), ("flux_spec.arrival.period", [0.5, 0.25])]
     monkeypatch.setattr(engine, "run", run_spy)
-    monkeypatch.setattr(engine, "_fill_trace", fill_spy)
+    monkeypatch.setattr(engine, "_divergence", fill_spy)
     sweep(base, grid, replicates=3)
     assert len(traces) == 12 and filled == []
     scenario, trace = traces[0]
     expected = run(scenario)
+    assert filled == [scenario]
     filled.clear()
     # One fill on the first read of samples, none on the second.
     for _ in range(2):
         _assert_same_trace(trace, expected)
         assert filled == [scenario]
+
+
+@pytest.mark.parametrize("block", [7, 64, None])
+def test_a_runs_divergence_maximum_is_that_of_its_samples(monkeypatch, block):
+    # The maximum is taken over blocks of the samples after t0, apart from the kl_to_target column.
+    if block is not None:
+        monkeypatch.setattr(engine, "_TRACE_BLOCK", block)
+    for builder in (dissipation_only, drifting_tracking, static_crystallizing, steady_state, tracking_sweep_base):
+        scenario = replace(builder(), horizon=60.0)
+        trace = run(scenario)
+        expected = analysis.after_burn_in(trace.samples, scenario.problem.t0, "kl_to_target", np.max)
+        assert repr(trace.summary.max_kl_after_t0) == repr(expected)
+
+
+def test_a_plain_run_and_a_shared_row_build_the_same_trace_class(monkeypatch):
+    # Both fill their samples and events once; the side the rows share is never written.
+    sides, traces, filled = [], [], []
+    build, divergence = engine._lent_traces, engine._divergence
+
+    def traces_spy(scenarios, side, means):
+        sides.append(side)
+        return build(scenarios, side, means)
+
+    def run_spy(scenario, observations=None, *, batched=None):
+        traces.append((scenario, run(scenario, observations, batched=batched)))
+        return traces[-1][1]
+
+    def fill_spy(scenarios, side, means, samples=None):
+        if samples is not None:
+            filled.append(scenarios[0])
+        return divergence(scenarios, side, means, samples)
+
+    monkeypatch.setattr(engine, "_lent_traces", traces_spy)
+    monkeypatch.setattr(engine, "run", run_spy)
+    monkeypatch.setattr(engine, "_divergence", fill_spy)
+    sweep(replace(tracking_sweep_base(), horizon=10.0), [], replicates=2)
+    [side] = sides
+    held = (side.events, side.samples, side.last)
+    before = [column.tobytes() for column in held]
+    scenario, row = traces[0]
+    plain = run(scenario)
+    assert type(row) is type(plain) is engine.RunTrace
+    for trace in (row, plain):
+        samples, events = trace.samples, trace.events
+        filled.clear()
+        # A second read returns the same arrays and fills nothing.
+        assert trace.samples is samples and trace.events is events
+        assert filled == []
+    _assert_same_trace(row, plain)
+    assert not any(column.flags.writeable for column in held)
+    assert [column.tobytes() for column in held] == before
 
 
 # --- flux replay --------------------------------------------------------------------

@@ -420,3 +420,12 @@ def test_kernel_falls_back_on_under_a_thousandth_of_a_steady_state_trace(monkeyp
     cells = len(trace.samples) * len(SAMPLE_FIELDS)
     assert text.count("\n") == len(trace.samples) + 1
     assert len(fallbacks) < cells / 1000
+
+
+def test_json_dumps_maps_nan_to_null_and_names_the_key_of_an_infinity():
+    assert io.json_dumps({"b": [math.nan, 1.5], "a": {"c": math.nan}}) == (
+        '{\n  "a": {\n    "c": null\n  },\n  "b": [\n    null,\n    1.5\n  ]\n}\n'
+    )
+    for value, key in (({"a": [1.0, {"b": -math.inf}]}, "a.1.b"), ([math.inf], "0"), (math.inf, "value")):
+        with pytest.raises(ValueError, match=rf"^{key}: is -?inf, which JSON cannot hold$"):
+            io.json_dumps(value)
