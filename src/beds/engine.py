@@ -12,17 +12,18 @@ perturbs the trajectory. The mean side then runs
 means, their divergence from the target and the crystallization outcome.
 A crystallized run halts: nothing is recorded afterwards.
 
-Every trace is built one way (``_traces``), for ``run`` as for a sweep's
+One generator, ``_traces``, builds every trace, for ``run`` as for a sweep's
 rows. With periodic or scheduled arrivals nothing is drawn for the times,
 so a run's precision side is a function of a few scenario values, its key,
 and a run's noise is the first standard normals of its seed's stream. A
 key's side is computed once, from its first row's flux, and lent read-only
 when rows share it; each batch of its rows evolves its means as the columns
 of one loop (``dynamics.evolve_means``) and takes only their divergence
-maximum after the burn-in, filling a side of its own on the way. A plain
-run, a replay and a Poisson row are each a key of one row. Sweeps run the Cartesian product of
-parameter overrides and replicate seeds, each row one ``run``, key by key
-whatever the grid's order, and emit the rows grid-major.
+maxima after the burn-in, a few rows at a time, filling a side of its own
+on the way. A plain run, a replay and a Poisson row are each a key of one
+row. Sweeps run the Cartesian product of parameter overrides and replicate
+seeds, each row one ``run``, key by key whatever the grid's order, and emit
+the rows grid-major.
 """
 
 from __future__ import annotations
@@ -285,31 +286,15 @@ def _precision_side(
     return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
 
-def _lent_traces(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> Iterator[RunTrace]:
-    """The traces of ``scenarios`` on ``side``, row ``j``'s means after each event column ``j`` of ``means``.
-
-    Their divergence maxima are taken about _TRACE_BLOCK sample-plus-event
-    rows' worth at a time, filling a side of its own on the way.
-    """
-
-    own = side.samples if side.samples.flags.writeable else None
-    step = max(1, _TRACE_BLOCK // (len(side.events) + len(side.samples)))
-    for lo in range(0, len(scenarios), step):
-        chunk = scenarios[lo : lo + step]
-        max_kl = _divergence(chunk, side, means[:, lo : lo + step], own)
-        for j, scenario in enumerate(chunk):
-            yield RunTrace(side, scenario, means[:, lo + j], max_kl[j])
-
-
 def _divergence(
     scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray, samples: np.ndarray | None = None
 ) -> list[float]:
     """Each row's divergence maximum after the burn-in, row ``j``'s means after each event column ``j`` of ``means``.
 
-    The rows share the side's key, t0 included. Only the samples after t0
-    are read, in 2-D blocks of at most _TRACE_BLOCK samples, unless one
-    row's ``samples`` are given: then every sample's mean and kl_to_target
-    are filled too.
+    The rows share the side's key, t0 included: ``_traces`` passes a few at
+    a time. Only the samples after t0 are read, in 2-D blocks of at most
+    _TRACE_BLOCK samples, unless one row's ``samples`` are given: then every
+    sample's mean and kl_to_target are filled too.
     """
 
     tail = np.searchsorted(side.samples["t"], scenarios[0].problem.t0, side="right")
@@ -529,7 +514,8 @@ def _traces(
     it. Each batch's means evolve as the columns of one (events x rows)
     loop, on ``normals`` (by seed) where they hold enough. A batch holds at
     most about MAX_EXPECTED_COUNT means, by the first flux's length, and
-    each row's flux is dropped once its values are in the batch.
+    each row's flux is dropped once its values are in the batch, whose
+    traces are built about _TRACE_BLOCK sample-plus-event rows at a time.
     """
 
     fluxes = (
@@ -541,6 +527,7 @@ def _traces(
         for column in (side.events, side.samples, side.last):
             column.flags.writeable = False
     n, width = len(side.events), max(1, int(MAX_EXPECTED_COUNT // max(len(flux), 1)))
+    own, step = None if shared else side.samples, max(1, _TRACE_BLOCK // (n + len(side.samples)))
     obs_precisions = flux["obs_precision"][:n].copy()
     for lo in range(0, len(scenarios), width):
         batch = scenarios[lo : lo + width]
@@ -568,6 +555,9 @@ def _traces(
             if not math.isfinite(p * reach * reach):
                 message = f"must keep the divergence of the farthest mean finite, got {farthest!r}"
                 raise ValidationError([Violation("budget_exceeded", "observations", message)])
-        yield from _lent_traces(batch, side, means)
+        for a in range(0, len(batch), step):
+            max_kl = _divergence(batch[a : a + step], side, means[:, a : a + step], own)
+            for j, scenario in enumerate(batch[a : a + step]):
+                yield RunTrace(side, scenario, means[:, a + j], max_kl[j])
         # Free this batch's blocks before the next batch allocates its own.
         del values, means

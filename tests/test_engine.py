@@ -574,29 +574,42 @@ def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
     assert all(normals is not None for _, normals in seen)
 
 
-@given(_sweep_cells(arrivals=("periodic", "schedule")))
-@settings(max_examples=40, deadline=None)
-def test_a_split_key_holds_one_read_only_side_that_its_rows_copy(base):
-    sides, traces, build = [], [], engine._lent_traces
-
-    def traces_spy(scenarios, side, means):
-        sides.append(side)
-        return build(scenarios, side, means)
+def _record_runs(patch) -> list:
+    """Wrap ``engine.run`` under ``patch``; the list it returns gets each call's (scenario, trace)."""
+    traces = []
 
     def run_spy(scenario, observations=None, *, batched=None):
         traces.append((scenario, run(scenario, observations, batched=batched)))
         return traces[-1][1]
 
+    patch.setattr(engine, "run", run_spy)
+    return traces
+
+
+def _record_sides(patch) -> list:
+    """Wrap ``engine._precision_side`` under ``patch``; the list it returns gets each side it computes."""
+    sides, compute = [], engine._precision_side
+
+    def side_spy(*args):
+        sides.append(compute(*args))
+        return sides[-1]
+
+    patch.setattr(engine, "_precision_side", side_spy)
+    return sides
+
+
+@given(_sweep_cells(arrivals=("periodic", "schedule")))
+@settings(max_examples=40, deadline=None)
+def test_a_split_key_holds_one_read_only_side_that_its_rows_copy(base):
     count = fluxgen.fixed_count(base.flux_spec.arrival, base.horizon)
     with pytest.MonkeyPatch.context() as patch:
-        # A key of 5 rows runs as batches of 2, 2 and 1.
+        # A key of 5 rows runs as batches of 2, 2 and 1, all on one side.
         patch.setattr(engine, "MAX_EXPECTED_COUNT", 2 * max(count, 1))
-        patch.setattr(engine, "_lent_traces", traces_spy)
-        patch.setattr(engine, "run", run_spy)
+        sides, traces = _record_sides(patch), _record_runs(patch)
         sweep(base, [], replicates=5)
-    assert len(sides) == 3 and all(side is sides[0] for side in sides)
-    ledger = sides[0].ledger
-    held = (sides[0].events, sides[0].samples, sides[0].last, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
+    [side] = sides
+    ledger = side.ledger
+    held = (side.events, side.samples, side.last, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
     assert not any(column.flags.writeable for column in held)
     before = [column.tobytes() for column in held]
     # Writing one row's samples and events reaches neither the held side nor a later row.
@@ -714,6 +727,22 @@ def test_a_bench_sized_sweep_holds_under_two_megabytes():
     assert peak <= 2_000_000
 
 
+def test_a_long_run_takes_its_divergence_block_by_block():
+    # steady_state at horizon 2e4 holds 20,001 samples: engine.run peaked at
+    # about 3.36 MB filling their divergence in blocks of _TRACE_BLOCK, and at
+    # about 3.69 MB in one piece (16.79 and 18.40 MB at horizon 1e5).
+    scenario = replace(steady_state(), horizon=2e4)
+    run(scenario)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run(scenario)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_500_000
+
+
 def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
     # 40 events per run: a cap of 100 means lets a batch hold 2 rows, so a
     # key of 5 rows runs as batches of 2, 2 and 1.
@@ -775,17 +804,13 @@ def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
         # _TRACE_BLOCK counts sample-plus-event rows; every row of these keys has as many.
         alone = run(base)
         monkeypatch.setattr(engine, "_TRACE_BLOCK", rows_per_block * (len(alone.events) + len(alone.samples)))
-    traces, blocks = [], []
-
-    def run_spy(scenario, observations=None, *, batched=None):
-        traces.append((scenario, run(scenario, observations, batched=batched)))
-        return traces[-1][1]
+    blocks = []
 
     def kl_spy(mean, precision_q, mean_p, precision_p):
         blocks.append(len(mean))
         return analysis.kl_gaussian(mean, precision_q, mean_p, precision_p)
 
-    monkeypatch.setattr(engine, "run", run_spy)
+    traces = _record_runs(monkeypatch)
     monkeypatch.setattr(engine, "kl_gaussian", kl_spy)
     table = sweep(base, grid, replicates=replicates)
     monkeypatch.undo()
@@ -847,15 +872,9 @@ def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
         return divergence(scenarios, side, means, samples)
 
     divergence = engine._divergence
-    traces = []
-
-    def run_spy(scenario, observations=None, *, batched=None):
-        traces.append((scenario, run(scenario, observations, batched=batched)))
-        return traces[-1][1]
-
     base = replace(tracking_sweep_base(), horizon=10.0)
     grid = [("problem.target.velocity", [0.0, 1.0]), ("flux_spec.arrival.period", [0.5, 0.25])]
-    monkeypatch.setattr(engine, "run", run_spy)
+    traces = _record_runs(monkeypatch)
     monkeypatch.setattr(engine, "_divergence", fill_spy)
     sweep(base, grid, replicates=3)
     assert len(traces) == 12 and filled == []
@@ -883,24 +902,14 @@ def test_a_runs_divergence_maximum_is_that_of_its_samples(monkeypatch, block):
 
 def test_a_plain_run_and_a_shared_row_build_the_same_trace_class(monkeypatch):
     # Both fill their samples and events once; the side the rows share is never written.
-    sides, traces, filled = [], [], []
-    build, divergence = engine._lent_traces, engine._divergence
-
-    def traces_spy(scenarios, side, means):
-        sides.append(side)
-        return build(scenarios, side, means)
-
-    def run_spy(scenario, observations=None, *, batched=None):
-        traces.append((scenario, run(scenario, observations, batched=batched)))
-        return traces[-1][1]
+    filled, divergence = [], engine._divergence
 
     def fill_spy(scenarios, side, means, samples=None):
         if samples is not None:
             filled.append(scenarios[0])
         return divergence(scenarios, side, means, samples)
 
-    monkeypatch.setattr(engine, "_lent_traces", traces_spy)
-    monkeypatch.setattr(engine, "run", run_spy)
+    sides, traces = _record_sides(monkeypatch), _record_runs(monkeypatch)
     monkeypatch.setattr(engine, "_divergence", fill_spy)
     sweep(replace(tracking_sweep_base(), horizon=10.0), [], replicates=2)
     [side] = sides
