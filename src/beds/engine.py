@@ -191,7 +191,10 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     explicit flux instead of generating one from the scenario's flux spec: a
     1-D structured array with the float fields of ``fluxgen.FLUX_FIELDS`` in
     non-decreasing time order, as returned by ``generate_flux`` or
-    ``flux_from_csv``.
+    ``flux_from_csv``. A replay runs with numpy's floating-point errors
+    ignored, and raises ``ValidationError``, one ``budget_exceeded``
+    violation on ``observations``, if its run records a non-finite sample,
+    event, total energy or total information.
 
     ``batched`` is the trace ``sweep`` built for this scenario with the rest
     of its key, equal to the one computed without it; it is returned as it
@@ -205,8 +208,19 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     if batched is not None:
         return batched
     validate_scenario(scenario)
-    replay = None if observations is None else _checked_flux(observations)
-    [trace] = _traces([scenario], {}, replay)
+    if observations is None:
+        [trace] = _traces([scenario], {})
+        return trace
+    with np.errstate(all="ignore"):
+        [trace] = _traces([scenario], {}, _checked_flux(observations))
+    recorded = [(name.replace("kl_to_target", "divergence"), trace.samples[name]) for name in SAMPLE_FIELDS]
+    recorded += [(f"event {name}", trace.events[name]) for name in _EVENT_DTYPE.names]
+    recorded += [("total energy", [trace.summary.total_energy]), ("total information", [trace.summary.total_info])]
+    for quantity, values in recorded:
+        bad = np.asarray(values)[~np.isfinite(values)]
+        if bad.size:
+            message = f"must keep the run's {quantity} finite, got {bad[0].item()!r}"
+            raise ValidationError([Violation("budget_exceeded", "observations", message)])
     return trace
 
 
@@ -262,13 +276,6 @@ def _precision_side(
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, energy_model.kBT)
     for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
         column.flags.writeable = False
-    totals = (ledger.cumulative_energy, ledger.cumulative_info)
-    if not all(map(math.isfinite, totals)):
-        # Validation bounds the charges of a generated flux; a replayed row may
-        # observe a belief far below its own precision and gain inf nats.
-        message = "must keep the total energy and information finite, got {!r} and {!r}".format(*totals)
-        raise ValidationError([Violation("budget_exceeded", "observations", message)])
-
     power_window = horizon / 10.0
     samples, last = _precision_samples(precision, gamma, events, ledger, halted_at, horizon, sample_dt, power_window)
     clamped = bool(
@@ -280,8 +287,8 @@ def _precision_side(
         "mean_precision_after_t0": after_burn_in(samples, t0, "precision", np.mean),
         "mean_windowed_power_after_t0": after_burn_in(samples, t0, "windowed_power", np.mean),
         "observation_count": n,
-        "total_energy": totals[0],
-        "total_info": totals[1],
+        "total_energy": ledger.cumulative_energy,
+        "total_info": ledger.cumulative_info,
     }
     return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
 
@@ -540,21 +547,6 @@ def _traces(
             del flux
         initial = [scenario.beds.initial_belief.mean for scenario in batch]
         means = evolve_means(initial, values, obs_precisions, side.events["precision_before"])
-        if replay is not None and n:
-            # As for the totals, a replayed flux may leave the divergence
-            # non-finite: its precision ratios, in the order kl_gaussian
-            # divides, on the highest precision the run reaches, or its mean
-            # term on the farthest mean (nan if a mean is) plus the target's reach.
-            target = batch[0].problem.target
-            highest, p = side.events["precision_after"].max().item(), 1.0 / target.target_variance
-            if not (math.isfinite(highest / p) and math.isfinite(p / highest)):
-                message = f"must keep the divergence of the highest precision finite, got {highest!r}"
-                raise ValidationError([Violation("budget_exceeded", "observations", message)])
-            farthest = np.max(np.abs(means), initial=abs(initial[0])).item()
-            reach = farthest + abs(target.theta0) + abs(target.velocity) * batch[0].horizon
-            if not math.isfinite(p * reach * reach):
-                message = f"must keep the divergence of the farthest mean finite, got {farthest!r}"
-                raise ValidationError([Violation("budget_exceeded", "observations", message)])
         for a in range(0, len(batch), step):
             max_kl = _divergence(batch[a : a + step], side, means[:, a : a + step], own)
             for j, scenario in enumerate(batch[a : a + step]):

@@ -1133,19 +1133,42 @@ def test_replay_with_an_infinite_charge_is_rejected(model):
     assert (violation.code, violation.field) == ("budget_exceeded", "observations")
 
 
-def test_replay_whose_precision_overflows_the_divergence_is_rejected():
-    # Every budget holds for the scenario, but 1e10 over the target's
-    # precision of 1e-300 is past the float range.
-    scenario = replace(steady_state(), horizon=30.0, beds=replace(steady_state().beds, epsilon=1e-20))
+def _spike_scenario(gamma: float) -> Scenario:
+    # Every budget holds for the scenario; a replay never reads its Poisson spec.
+    scenario = replace(steady_state(), horizon=30.0, beds=replace(steady_state().beds, epsilon=1e-20, gamma=gamma))
     target = replace(scenario.problem.target, target_variance=1e300)
-    scenario = replace(scenario, problem=replace(scenario.problem, target=target, t0=1.0))
+    return replace(scenario, problem=replace(scenario.problem, target=target, t0=1.0))
+
+
+SPIKE = [(0.5, 0.0, 1e10)]
+
+
+def test_replay_whose_precision_overflows_the_divergence_is_rejected():
+    # The spike's precision has decayed only to about 1e10 * exp(-0.05) by the
+    # sample at t = 1: over the target's precision of 1e-300 that is past the
+    # float range, so the run records an infinite divergence.
+    scenario = _spike_scenario(steady_state().beds.gamma)
     with pytest.raises(ValidationError) as info:
-        run(scenario, observations=_flux([(0.5, 0.0, 1e10)]))
+        run(scenario, observations=_flux(SPIKE))
     [violation] = info.value.violations
     assert (violation.code, violation.field) == ("budget_exceeded", "observations")
     assert "divergence" in violation.message
     # A row of precision 1 fits.
     assert math.isfinite(run(scenario, observations=_flux([(0.5, 0.0, 1.0)])).summary.max_kl_after_t0)
+
+
+def test_a_replay_is_checked_on_what_its_run_records():
+    # The spike is past the float range over the target's precision, but at
+    # gamma = 50 it has decayed to about 0.14 by the sample at t = 1, so every
+    # recorded value is finite and the replay runs.
+    errors = np.geterr()
+    scenario = _spike_scenario(50.0)
+    assert _assert_run_matches_scalar_reference(scenario, _flux(SPIKE)) is None
+    assert run(scenario, observations=_flux(SPIKE)).summary.max_kl_after_t0 == pytest.approx(318.9, abs=0.05)
+    assert np.geterr() == errors
+    with pytest.raises(ValidationError):
+        run(_spike_scenario(steady_state().beds.gamma), observations=_flux(SPIKE))
+    assert np.geterr() == errors
 
 
 def test_replayed_negative_time_names_row_0():
@@ -1164,7 +1187,9 @@ def _replay_with(make_scenario, horizon: float, cells) -> tuple[Scenario, bool]:
     """Replay REPLAY_ROWS with each ``(row, field, value)`` of ``cells`` set.
 
     Returns the scenario and whether the replay was rejected with a
-    ``BedsError`` or ``ValueError``. A replay that runs must give finite
+    ``BedsError`` or ``ValueError``; a ``ValidationError`` of a valid
+    scenario must hold one violation, ``budget_exceeded`` on
+    ``observations``. A replay that runs must give finite
     samples, events, ledger columns and summary, except the ``*_after_t0``
     fields, which are nan exactly when no sample is past t0. Any warning
     fails the test (``error::RuntimeWarning``).
@@ -1176,7 +1201,9 @@ def _replay_with(make_scenario, horizon: float, cells) -> tuple[Scenario, bool]:
         flux[name][row] = value
     try:
         trace = run(scenario, observations=flux)
-    except (BedsError, ValueError):
+    except (BedsError, ValueError) as exc:
+        if isinstance(exc, ValidationError) and not scenario_violations(scenario):
+            assert [(v.code, v.field) for v in exc.violations] == [("budget_exceeded", "observations")], cells
         return scenario, True
     for table in (trace.samples, trace.events):
         for name in table.dtype.names:
