@@ -2,8 +2,8 @@
 
 Value records shared by every other module: the initial Gaussian belief
 stored as (mean, precision), system and experiment parameters, the scenario
-container that the JSON config format maps onto, and the precision floor
-and column ``libm`` that every layer's arithmetic shares.
+container that the JSON config format maps onto, and the precision floor,
+column ``libm`` and row ``blocks`` that every layer's arithmetic shares.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from itertools import chain
 from typing import Annotated, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -62,6 +63,15 @@ MAX_EXPECTED_COUNT = 10**6
 # horizons without changing any realistic result. Engine traces flag runs
 # that hit it.
 PRECISION_FLOOR = 1e-300
+# Most rows of a column held as Python floats at a time: per-event Python
+# lists, and the pymalloc arenas they leave resident, set a long run's peak.
+BLOCK = 4096
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """The consecutive slices of at most BLOCK rows that cover ``n`` rows."""
+
+    return (slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK))
 
 
 def libm(f, column: np.ndarray) -> np.ndarray:
@@ -70,9 +80,11 @@ def libm(f, column: np.ndarray) -> np.ndarray:
     NumPy's exp, log, log1p and cos differ from libm's in the last ulp, and
     the golden outputs pin those bits; NumPy's arithmetic around the calls
     is IEEE-exact, so each row is bit-identical to its scalar expression.
+    The column is turned into Python floats one block at a time.
     """
 
-    return np.fromiter(map(f, column.tolist()), np.float64, len(column))
+    values = chain.from_iterable(map(f, column[rows].tolist()) for rows in blocks(len(column)))
+    return np.fromiter(values, np.float64, len(column))
 
 
 class BedsError(Exception):

@@ -12,11 +12,13 @@ precision path it returns, ``evolve_means`` that recurrence for many
 streams on one path at once, and ``dissipate`` applies the decay to a
 column of beliefs, with one rate (``gamma``) for every row or a column of
 per-row rates; the engine calls these four. The precision path never reads
-an observed value, which is why it has a loop of its own. The per-step
-functions ``propagate``, ``bayes_update`` and ``check_crystallization``
-are the same rules one observation at a time: they are the documented API
-for stepping a belief by hand and the reference the column forms are
-tested against.
+an observed value, which is why it has a loop of its own.
+``evolve_precision`` and the one-stream path of ``evolve_means`` run their
+scalar loops on float64 columns one ``core.blocks`` block of Python floats
+at a time, so a long run builds no per-event list. The per-step functions
+``propagate``, ``bayes_update`` and ``check_crystallization`` are the same
+rules one observation at a time: they are the documented API for stepping
+a belief by hand and the reference the column forms are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PRECISION_FLOOR, NegativeDt, NonPositiveObsPrecision, libm
+from .core import PRECISION_FLOOR, NegativeDt, NonPositiveObsPrecision, blocks, libm
 
 __all__ = [
     "PRECISION_FLOOR",
@@ -41,10 +43,6 @@ __all__ = [
     "is_crystallized",
     "check_crystallization",
 ]
-
-# Rows per block of ``evolve_means``' one-stream loop.
-_MEAN_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class CrystallizationOutcome:
@@ -91,43 +89,49 @@ def bayes_update(
 
 def evolve_precision(
     precision: float,
-    times: list[float],
-    obs_precisions: list[float],
+    times: np.ndarray,
+    obs_precisions: np.ndarray,
     gamma: float,
     epsilon: float,
-) -> tuple[list[float], list[float], bool]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """The precision path of a time-ordered observation stream applied to a belief held at time 0.
 
     Each row dissipates the precision to its arrival time (as
     ``propagate``), then adds the observation's precision (as
-    ``bayes_update``). Returns the columns ``precision_before`` (after
-    dissipation, before the update) and ``precision_after``, one entry per
-    applied row, and whether the run halted: it stops after the first row
-    whose posterior variance is below ``epsilon`` (as ``is_crystallized``).
-    Rows after that one are never read, so they raise nothing. No observed
-    value enters the path: streams with the same times and precisions share it.
+    ``bayes_update``), one ``core.blocks`` block of rows at a time. Returns
+    the columns ``precision_before`` (after dissipation, before the update)
+    and ``precision_after``, one entry per applied row, and whether the run
+    halted: it stops after the first row whose posterior variance is below
+    ``epsilon`` (as ``is_crystallized``). Rows after that one are never
+    read, so they raise nothing. No observed value enters the path: streams
+    with the same times and precisions share it.
     """
 
-    precision_before: list[float] = []
-    precision_after: list[float] = []
+    precision_before, precision_after = np.empty(len(times)), np.empty(len(times))
     t_prev = 0.0
     exp = math.exp
-    for t, obs_precision in zip(times, obs_precisions):
-        dt = t - t_prev
-        t_prev = t
-        if dt > 0:
-            precision *= exp(-gamma * dt)
-            if precision < PRECISION_FLOOR:
-                precision = PRECISION_FLOOR
-        elif dt < 0:
-            raise NegativeDt(f"dt must be >= 0, got {dt!r}")
-        if obs_precision <= 0:
-            raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
-        precision_before.append(precision)
-        precision += obs_precision
-        precision_after.append(precision)
-        if 1.0 / precision < epsilon:
-            return precision_before, precision_after, True
+    for rows in blocks(len(times)):
+        before, after = [], []
+        for t, obs_precision in zip(times[rows].tolist(), obs_precisions[rows].tolist()):
+            dt = t - t_prev
+            t_prev = t
+            if dt > 0:
+                precision *= exp(-gamma * dt)
+                if precision < PRECISION_FLOOR:
+                    precision = PRECISION_FLOOR
+            elif dt < 0:
+                raise NegativeDt(f"dt must be >= 0, got {dt!r}")
+            if obs_precision <= 0:
+                raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
+            before.append(precision)
+            precision += obs_precision
+            after.append(precision)
+            if 1.0 / precision < epsilon:
+                break
+        n = rows.start + len(after)
+        precision_before[rows.start : n], precision_after[rows.start : n] = before, after
+        if 1.0 / precision < epsilon:  # the block's last row halted the run
+            return precision_before[:n], precision_after[:n], True
     return precision_before, precision_after, False
 
 
@@ -170,8 +174,7 @@ def evolve_means(
         # Over blocks of rows, so that the per-event lists add little to a
         # long run's peak memory; each block starts from the last mean.
         column, mean = out[:, 0], float(means[0])
-        for lo in range(0, n, _MEAN_BLOCK):
-            rows = slice(lo, lo + _MEAN_BLOCK)
+        for rows in blocks(n):
             block = evolve_mean(mean, *(c[rows].tolist() for c in (column, obs_precisions, precision_before)))
             column[rows] = block
             mean = block[-1]

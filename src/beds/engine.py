@@ -28,7 +28,6 @@ the rows grid-major.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 import math
@@ -194,7 +193,8 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     ``flux_from_csv``. A replay runs with numpy's floating-point errors
     ignored, and raises ``ValidationError``, one ``budget_exceeded``
     violation on ``observations``, if its run records a non-finite sample,
-    event, total energy or total information.
+    event, total energy or total information, or an infinite summary mean
+    (a nan mean only says that no sample falls after t0).
 
     ``batched`` is the trace ``sweep`` built for this scenario with the rest
     of its key, equal to the one computed without it; it is returned as it
@@ -216,6 +216,9 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     recorded = [(name.replace("kl_to_target", "divergence"), trace.samples[name]) for name in SAMPLE_FIELDS]
     recorded += [(f"event {name}", trace.events[name]) for name in _EVENT_DTYPE.names]
     recorded += [("total energy", [trace.summary.total_energy]), ("total information", [trace.summary.total_info])]
+    # A nan mean says only that no sample falls after t0.
+    means = [(name, value) for name, value in vars(trace.summary).items() if name.startswith("mean_")]
+    recorded += [(name.replace("_", " "), [value]) for name, value in means if not math.isnan(value)]
     for quantity, values in recorded:
         bad = np.asarray(values)[~np.isfinite(values)]
         if bad.size:
@@ -259,19 +262,17 @@ def _precision_side(
     """Apply ``flux``'s times and obs_precisions: the precision loop, the ledger and the precision samples.
 
     ``precision`` is the initial one. No observed value enters the result.
+    The precision loop moves float64 columns, one block of Python floats at
+    a time, so no per-event list is built here.
     """
 
-    times, obs_precisions = flux["time"].tolist(), flux["obs_precision"].tolist()
-    precision_before, precision_after, halted = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
-    n = len(precision_after)
-    halted_at = times[n - 1] if halted else None
-    # Free each per-event list as soon as it has been read: they hold a
-    # long run's memory peak.
-    del times, obs_precisions
+    times = flux["time"]
+    before, after, halted = evolve_precision(precision, times, flux["obs_precision"], gamma, epsilon)
+    n = len(after)
+    halted_at = times[n - 1].item() if halted else None
     events = np.zeros(n, dtype=_EVENT_DTYPE)
-    events["precision_before"] = precision_before
-    events["precision_after"] = precision_after
-    del precision_before, precision_after
+    events["precision_before"], events["precision_after"] = before, after
+    del before, after  # freed before _precision_samples sets the run's peak
     energies, infos = observation_costs(energy_model, events["precision_before"], flux["obs_precision"][:n])
     ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, energy_model.kBT)
     for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
@@ -467,8 +468,12 @@ def sweep(
     base_dict = scenario_to_dict(base)
     cells = []
     for combo in combos:
-        raw = copy.deepcopy(base_dict)
+        raw = dict(base_dict)
         for path, value in zip(paths, combo):
+            node = raw  # copy the dicts on the path, so base_dict stays as it is
+            for key in path.split(".")[:-1]:
+                if isinstance(node.get(key), dict):
+                    node[key] = node = dict(node[key])
             old = set_path(raw, path, value)
             if isinstance(old, bool) or not isinstance(old, (int, float)):
                 raise UnknownParameterPath(f"scenario field {path!r} is not numeric")

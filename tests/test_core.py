@@ -1,11 +1,14 @@
 import copy
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beds import core
 from beds.core import (
     MAX_EXPECTED_COUNT,
     BedsError,
@@ -20,6 +23,7 @@ from beds.core import (
     Scenario,
     TargetSpec,
     ValidationError,
+    libm,
     scenario_from_dict,
     scenario_from_json,
     scenario_to_dict,
@@ -422,3 +426,34 @@ def test_mutated_scenario_loads_or_fails_naming_a_field_path(data):
         assert {v.field for v in exc.violations} <= set(_paths(raw))
     except (ValueError, BedsError) as exc:
         assert str(exc).split(":")[0].split(".")[0] == path.split(".")[0]
+
+
+# --- column libm ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 14, 30])
+def test_libm_in_blocks_is_the_scalar_function_of_each_row(monkeypatch, n):
+    # A strided column, as a flux's fields are, in blocks of 7 rows.
+    monkeypatch.setattr(core, "BLOCK", 7)
+    column = np.linspace(0.1, 3.0, 2 * n)[::2]
+    for f in (math.exp, math.log, math.log1p, math.cos):
+        out = libm(f, column)
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.array([f(x) for x in column.tolist()], dtype=np.float64).tobytes()
+
+
+def test_libm_holds_one_block_of_python_floats():
+    # 20,000 rows hold 0.64 MB as one list of Python floats; in blocks a call
+    # holds its float64 result and one block's list of floats.
+    n = 20_000
+    column = -np.arange(n) * 1e-3
+    libm(math.exp, column)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = libm(math.exp, column)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n
+    assert peak <= 8 * n + 48 * core.BLOCK

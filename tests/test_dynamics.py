@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beds import dynamics
+from beds import core
 from beds.core import GaussianBelief, NegativeDt, NonPositiveObsPrecision
 from beds.dynamics import (
     PRECISION_FLOOR,
@@ -264,8 +265,85 @@ def test_evolve_precision_is_bit_identical_to_stepping_propagate_and_bayes_updat
 ):
     times, _, obs_precisions = stream
     before, _, after, halted = _stepped(mean, precision, stream, gamma, epsilon)
-    path_before, path_after, path_halted = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
+    path_before, path_after, path_halted = evolve_precision(
+        precision, np.array(times), np.array(obs_precisions), gamma, epsilon
+    )
     assert (_bits(path_before), _bits(path_after), path_halted) == (_bits(before), _bits(after), halted)
+    # Blocks of 3 rows carry the precision and the previous time across each boundary.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "BLOCK", 3)
+        blocked = evolve_precision(precision, np.array(times), np.array(obs_precisions), gamma, epsilon)
+    assert (_bits(blocked[0]), _bits(blocked[1]), blocked[2]) == (_bits(before), _bits(after), halted)
+
+
+def _blocks_of_7(stream, gamma=0.3, epsilon=1e-6):
+    """``stream`` through ``evolve_precision`` in blocks of 7 rows, and through ``_stepped``."""
+
+    times, _, obs_precisions = stream
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "BLOCK", 7)
+        blocked = evolve_precision(1.0, np.array(times), np.array(obs_precisions), gamma, epsilon)
+    before, _, after, halted = _stepped(0.0, 1.0, stream, gamma, epsilon)
+    return blocked, (before, after, halted)
+
+
+def _stream_of(times, obs_precisions):
+    return list(map(float, times)), [0.0] * len(times), list(map(float, obs_precisions))
+
+
+# 30 rows, five blocks of 7: rows 6 and 7 arrive together across the first boundary.
+_TIMES = [0.5 * i for i in range(1, 8)] + [3.5 + 0.25 * i for i in range(23)]
+
+
+def test_evolve_precision_in_blocks_equals_the_scalar_reference():
+    (before, after, halted), expected = _blocks_of_7(_stream_of(_TIMES, [2.0] * 30))
+    assert before.dtype == after.dtype == np.float64
+    assert (_bits(before), _bits(after), halted) == (_bits(expected[0]), _bits(expected[1]), expected[2])
+    assert len(after) == 30 and not halted
+
+
+def test_evolve_precision_halts_in_a_later_block_and_never_reads_past_it():
+    # Row 17 crystallizes the belief; row 18 (same block) and row 25 (a later
+    # block) would raise if they were read.
+    obs_precisions = [2.0] * 30
+    obs_precisions[17], obs_precisions[18] = 1e7, -1.0
+    times = list(_TIMES)
+    times[25] = 0.0
+    (before, after, halted), expected = _blocks_of_7(_stream_of(times, obs_precisions))
+    assert (_bits(before), _bits(after), halted) == (_bits(expected[0]), _bits(expected[1]), expected[2])
+    assert len(after) == 18 and halted
+
+
+@pytest.mark.parametrize(
+    "row, column, bad, error",
+    [(15, "times", 1.0, NegativeDt), (20, "obs_precisions", 0.0, NonPositiveObsPrecision)],
+)
+def test_evolve_precision_raises_in_a_later_block_as_the_scalar_reference(row, column, bad, error):
+    columns = {"times": list(_TIMES), "obs_precisions": [2.0] * 30}
+    columns[column][row] = bad
+    stream = _stream_of(columns["times"], columns["obs_precisions"])
+    with pytest.raises(error) as scalar:
+        _stepped(0.0, 1.0, stream, 0.3, 1e-6)
+    with pytest.raises(error) as blocked:
+        _blocks_of_7(stream)
+    assert str(blocked.value) == str(scalar.value)
+
+
+def test_evolve_precision_holds_one_block_of_python_floats():
+    # 20,000 rows hold 1.3 MB as two whole lists of Python floats; in blocks
+    # a call holds its two float64 columns and one block's four lists of floats.
+    n = 20_000
+    times, obs_precisions = np.arange(1, n + 1) * 0.5, np.full(n, 1.0)
+    evolve_precision(1.0, times, obs_precisions, 0.1, 1e-9)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        before, after, halted = evolve_precision(1.0, times, obs_precisions, 0.1, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(after) == n and not halted
+    assert peak <= 16 * n + 4 * 48 * core.BLOCK
 
 
 @given(**stream_args)
@@ -288,7 +366,7 @@ def test_each_column_of_evolve_means_is_evolve_mean(stream, mean, precision, gam
     # The columns share one precision path, halted or not, and differ in
     # their initial mean and in their values' drift, as a sweep's rows of one key.
     times, values, obs_precisions = stream
-    before, _, _ = evolve_precision(precision, times, obs_precisions, gamma, epsilon)
+    before, _, _ = evolve_precision(precision, np.array(times), np.array(obs_precisions), gamma, epsilon)
     starts = [mean + shift for shift, _ in offsets]
     columns = [[value + velocity * t for t, value in zip(times, values)] for _, velocity in offsets]
     block = np.array(columns, dtype=np.float64).reshape(len(offsets), len(times)).T.copy()
@@ -300,7 +378,7 @@ def test_each_column_of_evolve_means_is_evolve_mean(stream, mean, precision, gam
         # One stream runs the scalar loop in blocks, each from the last mean, in place.
         alone = np.array(column, dtype=np.float64).reshape(len(times), 1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_MEAN_BLOCK", 2)
+            patch.setattr(core, "BLOCK", 2)
             out = evolve_means([start], alone, np.array(obs_precisions), np.array(before))
         assert out.shape == (len(before), 1)
         assert _bits(out[:, 0]) == _bits(alone[: len(before), 0]) == expected

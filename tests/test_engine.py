@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -34,7 +35,7 @@ from beds.core import (
 )
 from beds.dynamics import NOT_CRYSTALLIZED, bayes_update, check_crystallization, propagate
 from beds.energy import gaussian_entropy
-from beds import analysis, cli, dynamics, engine, fluxgen
+from beds import analysis, cli, core, dynamics, engine, fluxgen
 from beds.engine import run, sweep, trace_to_csv
 from beds.fluxgen import FLUX_FIELDS, generate_flux, target_mean_at
 from beds.scenarios import (
@@ -123,10 +124,11 @@ def test_crystallizing_run_halts():
 
 
 def test_mean_loop_blocks_leave_a_run_unchanged(monkeypatch):
-    # Each block of the mean loop starts from the last mean of the one before.
+    # Each block of the precision and mean loops starts from the state the
+    # block before left, and libm's blocks feed one column.
     scenario = drifting_tracking(seed=4)
     expected = run(scenario)
-    monkeypatch.setattr(dynamics, "_MEAN_BLOCK", 7)
+    monkeypatch.setattr(core, "BLOCK", 7)
     trace = run(scenario)
     assert len(trace.events) > 3 * 7
     _assert_same_trace(trace, expected)
@@ -476,6 +478,22 @@ def test_sweep_rows_equal_independent_runs(base, data):
                 row.update(asdict(run(scenario_from_dict(raw)).summary))
                 expected.append(row)
         assert repr(table.rows) == repr(expected), path
+
+
+def test_sweep_cells_that_set_paths_in_one_dict_equal_independent_runs():
+    # Two paths under beds and one under problem.target: each cell copies
+    # only the dicts on its paths, and each row is a run of the base with
+    # its values set on a deep copy.
+    base = drifting_tracking(seed=5)
+    grid = [("beds.gamma", [0.5, 0.25]), ("beds.epsilon", [1e-4, 1e-2]), ("problem.target.velocity", [0.0, 1.0])]
+    table = sweep(base, grid)
+    assert len(table.rows) == 8
+    for row in table.rows:
+        raw = copy.deepcopy(scenario_to_dict(base))
+        for path, _ in grid:
+            set_path(raw, path, row[path])
+        expected = asdict(run(scenario_from_dict(raw)).summary)
+        assert repr({name: row[name] for name in expected}) == repr(expected)
 
 
 @given(_sweep_cells(), st.sampled_from([engine.MAX_EXPECTED_COUNT, 0]))
@@ -1169,6 +1187,24 @@ def test_a_replay_is_checked_on_what_its_run_records():
     with pytest.raises(ValidationError):
         run(_spike_scenario(steady_state().beds.gamma), observations=_flux(SPIKE))
     assert np.geterr() == errors
+
+
+def test_a_replay_whose_summary_mean_overflows_is_rejected():
+    # Every sample, event and total is finite, but the 29 samples after t0,
+    # each near 1e308, overflow the sum behind mean_precision_after_t0.
+    scenario = _spike_scenario(1e-12)
+    scenario = replace(scenario, beds=replace(scenario.beds, epsilon=1e-320))
+    target = replace(scenario.problem.target, target_variance=1.0)
+    scenario = replace(scenario, problem=replace(scenario.problem, target=target))
+    with pytest.raises(ValidationError) as info:
+        run(scenario, observations=_flux([(0.5, 0.0, 1e308)]))
+    [violation] = info.value.violations
+    assert (violation.code, violation.field) == ("budget_exceeded", "observations")
+    assert violation.message == "must keep the run's mean precision after t0 finite, got inf"
+    # A nan mean only says that no sample falls after t0: such a replay runs.
+    late = replace(scenario, problem=replace(scenario.problem, t0=30.0))
+    summary = run(late, observations=_flux([(0.5, 0.0, 1.0)])).summary
+    assert math.isnan(summary.mean_precision_after_t0) and math.isnan(summary.mean_windowed_power_after_t0)
 
 
 def test_replayed_negative_time_names_row_0():
