@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision, libm
+from .core import EnergyModel, NonMonotonicTime, NonPositivePrecision, blocks, libm
 from .io import csv_text, write_csv
 
 __all__ = [
@@ -128,9 +128,12 @@ class EnergyLedger:
 
     @property
     def cumulative_info(self) -> float:
-        """Total information gained, summed in charge order; 0.0 for an empty ledger."""
+        """Total information gained, summed in charge order one block at a time; 0.0 for an empty ledger."""
 
-        return _running_totals(self.infos)[-1].item() if len(self.infos) else 0.0
+        total = 0.0
+        for rows in blocks(len(self.infos)):
+            total = np.cumsum(np.concatenate(([total], self.infos[rows])))[-1].item()
+        return total
 
     @property
     def sub_landauer(self) -> np.ndarray:

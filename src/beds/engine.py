@@ -10,7 +10,11 @@ from the last event by the same closed form, so sampling density never
 perturbs the trajectory. The mean side then runs
 ``dynamics.evolve_mean`` along that precision path and derives the sampled
 means, their divergence from the target and the crystallization outcome.
-A crystallized run halts: nothing is recorded afterwards.
+A crystallized run halts: nothing is recorded afterwards. A generated flux
+is dropped before the samples are made, once the ledger holds its times and
+the mean side its values, and the samples and their divergence are filled
+a block of rows at a time, so a long run's memory peaks at about the trace
+it returns.
 
 One generator, ``_traces``, builds every trace, for ``run`` as for a sweep's
 rows. With periodic or scheduled arrivals nothing is drawn for the times,
@@ -31,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, reduce
@@ -48,6 +53,7 @@ from .core import (
     UnknownParameterPath,
     ValidationError,
     Violation,
+    blocks,
     expected_counts,
     scenario_from_dict,
     scenario_to_dict,
@@ -88,8 +94,8 @@ SAMPLE_FIELDS = (
 )
 _SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in SAMPLE_FIELDS])
 _EVENT_DTYPE = np.dtype([(name, np.float64) for name in ("precision_before", "mean_after", "precision_after")])
-# Most sample-plus-event rows in one block of a batch's traces: the columns of
-# a wide or long key's rows are computed a few rows at a time.
+# Most samples in one block of a batch's divergence, over all its rows: the
+# columns of a wide or long key's rows are computed a few rows at a time.
 _TRACE_BLOCK = 8192
 # Most observations plus samples a sweep may expect over all its runs: a
 # hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
@@ -116,16 +122,18 @@ class Summary:
 class _PrecisionSide:
     """What ``_precision_side`` computes: a run up to its observed values.
 
-    ``events`` and ``samples`` leave their mean_after, mean and kl_to_target
-    columns 0, and ``last`` is, per sample, the number of events at or
-    before it. ``halted_at`` is the crystallization time, None when the run
-    did not halt. ``summary`` holds the ``Summary`` fields of this side.
+    ``samples`` leave their mean and kl_to_target columns 0. The events'
+    mean_after column belongs to the mean side: 0 on a shared side, the
+    row's values and then its means on a side of its own. Which event a
+    sample follows is not stored: ``np.searchsorted`` of its time in
+    ``ledger.times`` finds it.
+    ``halted_at`` is the crystallization time, None when the run did not
+    halt. ``summary`` holds the ``Summary`` fields of this side.
     """
 
     events: np.ndarray
     ledger: EnergyLedger
     samples: np.ndarray
-    last: np.ndarray
     halted_at: float | None
     clamped: bool
     power_window: float
@@ -230,7 +238,8 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
 def _side_key(scenario: Scenario) -> tuple:
     """What a run's precision side is a function of, unless its arrivals are Poisson.
 
-    ``key[2:]`` is every value ``_precision_side`` reads besides the flux.
+    ``key[2:]`` is every value ``_precision_events`` and ``_precision_side``
+    read besides the flux.
     Without Poisson draws, the arrival spec, the horizon and obs_precision
     fix the flux's times and precisions, the only flux columns it reads.
     """
@@ -249,36 +258,46 @@ def _side_key(scenario: Scenario) -> tuple:
     )
 
 
-def _precision_side(
-    flux: np.ndarray,
-    precision: float,
-    gamma: float,
-    epsilon: float,
-    energy_model: EnergyModel,
-    horizon: float,
-    sample_dt: float,
-    t0: float,
-) -> _PrecisionSide:
-    """Apply ``flux``'s times and obs_precisions: the precision loop, the ledger and the precision samples.
+def _precision_events(
+    flux: np.ndarray, precision: float, gamma: float, epsilon: float, energy_model: EnergyModel
+) -> tuple[np.ndarray, EnergyLedger, float | None]:
+    """Apply ``flux``'s times and obs_precisions: the events, the ledger and the crystallization time.
 
-    ``precision`` is the initial one. No observed value enters the result.
-    The precision loop moves float64 columns, one block of Python floats at
-    a time, so no per-event list is built here.
+    ``precision`` is the initial one. The events leave their mean_after
+    column 0. The ledger's columns are read-only copies, so nothing returned
+    refers to the flux. The time is None when the run did not halt.
     """
 
     times = flux["time"]
     before, after, halted = evolve_precision(precision, times, flux["obs_precision"], gamma, epsilon)
     n = len(after)
-    halted_at = times[n - 1].item() if halted else None
     events = np.zeros(n, dtype=_EVENT_DTYPE)
     events["precision_before"], events["precision_after"] = before, after
-    del before, after  # freed before _precision_samples sets the run's peak
+    del before, after
     energies, infos = observation_costs(energy_model, events["precision_before"], flux["obs_precision"][:n])
-    ledger = EnergyLedger.from_columns(flux["time"][:n], energies, infos, energy_model.kBT)
+    ledger = EnergyLedger.from_columns(times[:n], energies, infos, energy_model.kBT)
     for column in (ledger.times, ledger.energies, ledger.infos, ledger.cumulative):
         column.flags.writeable = False
+    return events, ledger, times[n - 1].item() if halted else None
+
+
+def _precision_side(
+    events: np.ndarray,
+    ledger: EnergyLedger,
+    halted_at: float | None,
+    precision: float,
+    gamma: float,
+    horizon: float,
+    sample_dt: float,
+    t0: float,
+) -> _PrecisionSide:
+    """The precision side of ``_precision_events``' results: its samples and its summary fields.
+
+    ``precision`` is the initial one. No observed value enters the result.
+    """
+
     power_window = horizon / 10.0
-    samples, last = _precision_samples(precision, gamma, events, ledger, halted_at, horizon, sample_dt, power_window)
+    samples = _precision_samples(precision, gamma, events, ledger, halted_at, horizon, sample_dt, power_window)
     clamped = bool(
         precision <= PRECISION_FLOOR
         or np.any(events["precision_before"] <= PRECISION_FLOOR)
@@ -287,11 +306,23 @@ def _precision_side(
     summary = {
         "mean_precision_after_t0": after_burn_in(samples, t0, "precision", np.mean),
         "mean_windowed_power_after_t0": after_burn_in(samples, t0, "windowed_power", np.mean),
-        "observation_count": n,
+        "observation_count": len(events),
         "total_energy": ledger.cumulative_energy,
         "total_info": ledger.cumulative_info,
     }
-    return _PrecisionSide(events, ledger, samples, last, halted_at, clamped, power_window, summary)
+    return _PrecisionSide(events, ledger, samples, halted_at, clamped, power_window, summary)
+
+
+def _after(column: np.ndarray, last: np.ndarray, first) -> np.ndarray:
+    """``column[last - 1]``, each sample's row after its last event; ``first`` before the first event.
+
+    ``last`` is each sample's count of events at or before it, ascending,
+    so the samples before the first event are a prefix.
+    """
+
+    out = column[last - 1] if len(column) else np.empty(last.shape + column.shape[1:])
+    out[: last.searchsorted(0, side="right")] = first
+    return out
 
 
 def _divergence(
@@ -307,11 +338,9 @@ def _divergence(
 
     tail = np.searchsorted(side.samples["t"], scenarios[0].problem.t0, side="right")
     start = 0 if samples is not None else tail
-    t, precision, last = side.samples["t"][start:], side.samples["precision"][start:], side.last[start:]
+    t, precision = side.samples["t"][start:], side.samples["precision"][start:]
     targets = [scenario.problem.target for scenario in scenarios]
-    initial = [[scenario.beds.initial_belief.mean] for scenario in scenarios]
-    # Each row's mean after each event, column 0 its initial one.
-    state_mean = np.concatenate((initial, means.T), axis=1)
+    initial = [scenario.beds.initial_belief.mean for scenario in scenarios]
     # target_mean_at, one target per row. A precision that every row
     # shares stays a float, so kl_gaussian computes its terms in it once.
     theta0, velocity = np.array([[target.theta0, target.velocity] for target in targets]).T[..., None]
@@ -320,7 +349,7 @@ def _divergence(
     maxima = []
     for a in range(0, len(t), _TRACE_BLOCK):
         block = slice(a, a + _TRACE_BLOCK)
-        mean = state_mean[:, last[block]]
+        mean = _after(means, np.searchsorted(side.ledger.times, t[block], side="right"), initial).T
         kl = kl_gaussian(mean, precision[block], theta0 + velocity * t[block], precision_p)
         if samples is not None:
             samples["mean"][block], samples["kl_to_target"][block] = mean[0], kl[0]
@@ -361,38 +390,32 @@ def _precision_samples(
     horizon: float,
     sample_dt: float,
     power_window: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Samples at multiples of sample_dt run up to the horizon, or stop strictly
-    # before the halting observation. Each is the last event's belief at or
-    # before it (row 0: the initial belief at time 0), dissipated to the sample
-    # instant, so an observation at a sample instant is applied first and
-    # sampling never advances the state. The mean and kl_to_target columns are
-    # left 0; also returns the event count at or before each sample. This
-    # sets the memory peak of a long run, so each temporary column is freed
-    # as soon as it has been used.
-    t = np.arange(int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1) * sample_dt
-    t = t[t < halted_at] if halted_at is not None else t[t <= horizon]
-    last = np.searchsorted(ledger.times, t, side="right")
-    dts = t - np.concatenate(([0.0], ledger.times))[last]
-    state_precision = np.concatenate(([precision], events["precision_after"]))[last]
-    precision = dissipate(state_precision, dts, gamma)
-    del dts, state_precision
+) -> np.ndarray:
+    """The samples at multiples of sample_dt, their mean and kl_to_target columns left 0.
 
-    samples = np.zeros(len(t), dtype=_SAMPLE_DTYPE)
-    samples["t"] = t
-    samples["precision"] = precision
-    samples["variance"] = np.divide(1.0, precision, out=precision)
-    del precision
+    They run up to the horizon, or stop strictly before the halting
+    observation. Each is the last event's belief at or before it (row 0:
+    the initial belief at time 0), dissipated to the sample instant, so an
+    observation at a sample instant is applied first and sampling never
+    advances the state. Only the samples are allocated whole: their count
+    is found by bisection on the sample times, and the columns are filled
+    one ``core.BLOCK`` of rows at a time.
+    """
 
-    lo = np.searchsorted(ledger.times, t - power_window, side="right")
-    del t
-    padded = np.concatenate(([0.0], ledger.cumulative))
-    samples["cumulative_energy"] = padded[last]
-    window = padded[lo]
-    del padded, lo
-    np.subtract(samples["cumulative_energy"], window, out=window)
-    samples["windowed_power"] = np.divide(window, power_window, out=window)
-    return samples, last
+    count = int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1
+    search, stop = (bisect_right, horizon) if halted_at is None else (bisect_left, halted_at)
+    samples = np.zeros(search(range(count), stop, key=lambda i: i * sample_dt), dtype=_SAMPLE_DTYPE)
+    for rows in blocks(len(samples)):
+        block = samples[rows]
+        block["t"] = t = np.arange(rows.start, rows.start + len(block)) * sample_dt
+        last = np.searchsorted(ledger.times, t, side="right")
+        dts = t - _after(ledger.times, last, 0.0)
+        block["precision"] = dissipate(_after(events["precision_after"], last, precision), dts, gamma)
+        block["variance"] = 1.0 / block["precision"]
+        block["cumulative_energy"] = _after(ledger.cumulative, last, 0.0)
+        window = _after(ledger.cumulative, np.searchsorted(ledger.times, t - power_window, side="right"), 0.0)
+        block["windowed_power"] = (block["cumulative_energy"] - window) / power_window
+    return samples
 
 
 def trace_to_csv(trace: RunTrace, handle=None) -> str | None:
@@ -526,30 +549,38 @@ def _traces(
     it. Each batch's means evolve as the columns of one (events x rows)
     loop, on ``normals`` (by seed) where they hold enough. A batch holds at
     most about MAX_EXPECTED_COUNT means, by the first flux's length, and
-    each row's flux is dropped once its values are in the batch, whose
-    traces are built about _TRACE_BLOCK sample-plus-event rows at a time.
+    each row's flux is dropped once its values are in the batch (row 0's
+    once the side's events and ledger are made, before its samples), whose
+    traces are built about _TRACE_BLOCK samples' worth of rows at a time.
     """
 
     fluxes = (
         generate_flux(s.flux_spec, s.problem.target, s.horizon, s.seed, normals.get(s.seed)) for s in scenarios
     )
     flux = next(fluxes) if replay is None else replay
-    side, shared = _precision_side(flux, *_side_key(scenarios[0])[2:]), len(scenarios) > 1
-    if shared:
-        for column in (side.events, side.samples, side.last):
-            column.flags.writeable = False
-    n, width = len(side.events), max(1, int(MAX_EXPECTED_COUNT // max(len(flux), 1)))
-    own, step = None if shared else side.samples, max(1, _TRACE_BLOCK // (n + len(side.samples)))
+    precision, gamma, epsilon, energy_model, horizon, sample_dt, t0 = _side_key(scenarios[0])[2:]
+    events, ledger, halted_at = _precision_events(flux, precision, gamma, epsilon, energy_model)
+    n, shared = len(events), len(scenarios) > 1
+    width = max(1, int(MAX_EXPECTED_COUNT // max(len(flux), 1)))
     obs_precisions = flux["obs_precision"][:n].copy()
+    # A side of its own takes its row's means in its events' mean_after
+    # column, a shared side's rows in their batch's columns. Row 0's values
+    # go there now, so that its flux is dropped before the samples are made.
+    values = np.empty((n, min(width, len(scenarios)))) if shared else events["mean_after"][:, None]
+    values[:, 0] = flux["value"][:n]
+    del flux
+    side = _precision_side(events, ledger, halted_at, precision, gamma, horizon, sample_dt, t0)
+    if shared:
+        for column in (side.events, side.samples):
+            column.flags.writeable = False
+    own, step = None if shared else side.samples, max(1, _TRACE_BLOCK // max(1, len(side.samples)))
     for lo in range(0, len(scenarios), width):
         batch = scenarios[lo : lo + width]
-        # A side of its own takes its row's means in its events' mean_after column.
-        values = np.empty((n, len(batch))) if shared else side.events["mean_after"][:, None]
+        if lo:
+            values = np.empty((n, len(batch)))
         for j in range(len(batch)):
-            if lo + j:  # Row 0's flux is the one the side came from.
-                flux = next(fluxes)
-            values[:, j] = flux["value"][:n]
-            del flux
+            if lo + j:  # Row 0's values are in already.
+                values[:, j] = next(fluxes)["value"][:n]
         initial = [scenario.beds.initial_belief.mean for scenario in batch]
         means = evolve_means(initial, values, obs_precisions, side.events["precision_before"])
         for a in range(0, len(batch), step):

@@ -5,9 +5,11 @@ exponential inter-arrivals obtained by inverse transform, -ln(u)/rate, and
 Gaussian noise by the Box-Muller map sqrt(-2 ln u1) * cos(2 pi u2). Each
 observation consumes a fixed number of uniforms (one per Poisson arrival,
 plus two when values are noisy), so identical (spec, target, horizon, seed)
-always yields an identical flux. Uniforms are drawn in blocks and used in
-stream order: the Poisson inter-arrivals up to and including the first
-one past the horizon, then the noise pairs.
+always yields an identical flux. Uniforms are used in stream order: the
+Poisson inter-arrivals up to and including the first one past the horizon,
+then the noise pairs. Both are drawn at most ``core.BLOCK`` arrivals or rows
+at a time, and each block's values are made and written before the next is
+drawn, so a long flux holds little beyond its own rows.
 
 With periodic or scheduled arrivals nothing is drawn for the times, so a
 run's noise is the first Box-Muller normals of its seed's stream, whatever
@@ -20,9 +22,11 @@ arrivals or for a flux longer than the normals given.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
+from . import core
 from .core import (
     EmptySpec,
     FluxSpec,
@@ -31,6 +35,7 @@ from .core import (
     PoissonArrival,
     ScheduleArrival,
     TargetSpec,
+    blocks,
     libm,
 )
 from .io import csv_text
@@ -59,22 +64,24 @@ def target_mean_at(target: TargetSpec, t: float | np.ndarray) -> float | np.ndar
 def _block_size(expected: float) -> int:
     """Uniforms to draw at once for about ``expected`` Poisson arrivals.
 
-    Eight standard deviations above the mean, so a refill is rare.
+    Eight standard deviations above the mean, so a short run draws once, but
+    at most ``core.BLOCK``: a long run draws block after block.
     """
 
-    return int(expected + 8.0 * math.sqrt(expected)) + 16
+    return min(int(expected + 8.0 * math.sqrt(expected)) + 16, core.BLOCK)
 
 
 def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Poisson arrival times up to the horizon, and the uniforms drawn after them.
 
     Arrival ``k`` is the running sum of the inter-arrival times
-    ``-ln(1 - u_j) / rate``. The uniforms are drawn in blocks, refilled when
-    a block ends before the horizon. The second array holds the uniforms of
-    the last block that follow the first arrival past the horizon, unused.
+    ``-ln(1 - u_j) / rate``. The uniforms are drawn ``_block_size`` at a
+    time, the sum carried from block to block, until an arrival passes the
+    horizon. The second array holds the uniforms of the last block that
+    follow that arrival, unused.
     """
 
-    blocks = []
+    drawn = []
     t = 0.0
     while True:
         u = rng.random(_block_size(rate * (horizon - t)))
@@ -83,9 +90,9 @@ def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> tup
         times = np.cumsum(np.concatenate(([t], -logs / rate)))[1:]
         past = int(np.searchsorted(times, horizon, side="right"))
         if past < len(times):
-            blocks.append(times[:past])
-            return np.concatenate(blocks), u[past + 1 :]
-        blocks.append(times)
+            drawn.append(times[:past])
+            return np.concatenate(drawn), u[past + 1 :]
+        drawn.append(times)
         t = times[-1].item()
 
 
@@ -113,6 +120,15 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     logs = libm(math.log, 1.0 - u[0::2])
     coss = libm(math.cos, _TWO_PI * u[1::2])
     return np.sqrt(-2.0 * logs) * coss
+
+
+def _normal_blocks(rng: np.random.Generator, unused: np.ndarray, n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of ``n`` rows and its standard normals, from the uniforms ``unused`` first, then ``rng``'s."""
+
+    for rows in blocks(n):
+        needed = 2 * len(range(n)[rows])
+        yield rows, _box_muller(np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))))
+        unused = unused[needed:]
 
 
 def first_normals(seed: int, count: int) -> np.ndarray:
@@ -154,18 +170,22 @@ def generate_flux(
         times, unused = _poisson_times(spec.arrival.rate, horizon, rng)
     else:
         times = _fixed_times(spec.arrival, horizon)
-    flux = np.empty(len(times), dtype=_FLUX_DTYPE)
+    n = len(times)
+    flux = np.empty(n, dtype=_FLUX_DTYPE)
     flux["time"] = times
+    del times
     flux["value"] = target_mean_at(target, flux["time"])
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
+        scale = 1.0 / math.sqrt(spec.obs_precision)
         if poisson:
             # The noise follows a seed-dependent number of arrival draws.
-            needed = 2 * len(times)
-            normals = _box_muller(np.concatenate((unused[:needed], rng.random(max(needed - len(unused), 0)))))
-        elif normals is None or len(normals) < len(times):
-            normals = first_normals(seed, len(times))
-        flux["value"] += 1.0 / math.sqrt(spec.obs_precision) * normals[: len(times)]
+            for rows, normal in _normal_blocks(rng, unused, n):
+                flux["value"][rows] += scale * normal
+        else:
+            if normals is None or len(normals) < n:
+                normals = first_normals(seed, n)
+            flux["value"] += scale * normals[:n]
     return flux
 
 

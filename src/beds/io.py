@@ -98,7 +98,7 @@ def _layout(digits: int, k_class: int) -> list[int]:
 
 
 class _Tables(NamedTuple):
-    # By k + _K_RANGE: (hi, lo, head of hi, tail of hi) of 10**(16 - k).
+    # Rows hi, lo, head of hi and tail of hi of 10**(16 - k), each by k + _K_RANGE.
     pow10: np.ndarray
     # By 4-digit group: its ASCII bytes as one uint32, and its trailing zeros.
     group_text: np.ndarray
@@ -128,7 +128,7 @@ def _tables() -> _Tables:
     positive = np.array([_layout(s, c) for s in range(1, 18) for c in range(_N_CLASSES)], dtype=np.intp)
     negative = np.column_stack([np.full(len(positive), _MINUS), positive[:, :-1]])
     tables = _Tables(
-        pow10=np.column_stack([pow10, *_split(pow10[:, 0])]),
+        pow10=np.vstack([pow10.T, _split(pow10[:, 0])]),
         group_text=group_text,
         group_zeros=sum((group % 10**z == 0).astype(np.int64) for z in range(1, 5)),
         exponent_text=exponent_text,
@@ -146,7 +146,8 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit: product + error is exactly a * hi.
     """
 
-    hi, lo, hi_head, hi_tail = _tables().pow10[k + _K_RANGE].T
+    index = k + _K_RANGE
+    hi, lo, hi_head, hi_tail = (np.take(row, index) for row in _tables().pow10)
     product = a * hi
     head, tail = _split(a)
     error = head * hi_head - product
@@ -160,7 +161,7 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del product
     error += a * lo
     fraction += error
-    del hi, lo, hi_head, hi_tail, error
+    del index, hi, lo, hi_head, hi_tail, error
     near_tie = np.abs(fraction - np.floor(fraction) - 0.5) < _TIE_MARGIN
     return whole + np.rint(fraction).astype(np.int64), near_tie
 
@@ -188,20 +189,6 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return D, k, slow
 
 
-def _digit_groups(D: np.ndarray) -> np.ndarray:
-    """Columns: D's leading digit, then its four groups of 4 digits."""
-
-    groups = np.empty((len(D), 5), dtype=np.int64)
-    upper = D // 10**8
-    groups[:, 4] = D - upper * 10**8
-    groups[:, 0] = upper // 10**8
-    groups[:, 2] = upper - groups[:, 0] * 10**8
-    for g in (1, 3):
-        groups[:, g] = groups[:, g + 1] // 10**4
-        groups[:, g + 1] -= groups[:, g] * 10**4
-    return groups
-
-
 def _float_cells(x: np.ndarray, ends: str) -> np.ndarray:
     """The ``%.17g`` cells of a 2-D float64 block as an ``S`` array of its shape.
 
@@ -213,20 +200,25 @@ def _float_cells(x: np.ndarray, ends: str) -> np.ndarray:
     n = len(x)
     tables = _tables()
     D, k, slow = _decimal(x)
-    groups = _digit_groups(D)
+    # D's leading digit, then its four groups of 4 digits.
+    groups = np.empty((5, n), dtype=np.int64)
+    np.divmod(D, 10**8, out=(groups[2], groups[4]))
     del D
-    zeros = tables.group_zeros[groups[:, 4]]
+    np.divmod(groups[2], 10**8, out=(groups[0], groups[2]))
+    np.divmod(groups[2], 10**4, out=(groups[1], groups[2]))
+    np.divmod(groups[4], 10**4, out=(groups[3], groups[4]))
+    zeros = tables.group_zeros[groups[4]]
     for g in (3, 2, 1):
         # Group g's zeros count where every group after it is zero.
         more = np.flatnonzero(zeros == 16 - 4 * g)
-        zeros[more] += tables.group_zeros[groups[more, g]]
+        zeros[more] += tables.group_zeros[groups[g, more]]
     k_class = np.where((k >= -4) & (k < 17), k + 4, 21 + 2 * (k < 0) + (np.abs(k) >= 100))
     key = (np.signbit(x) * 17 + 16 - zeros) * _N_CLASSES + k_class
     del zeros, k_class
 
     source = np.empty((n, _SOURCE_WIDTH), dtype=np.uint8)
-    source[:, 0] = groups[:, 0] + ord("0")
-    source[:, 1:17] = tables.group_text[groups[:, 1:]].view(np.uint8)
+    source[:, 0] = groups[0] + ord("0")
+    source[:, 1:17].view(np.uint32)[...] = tables.group_text[groups[1:].T]
     source[:, _MINUS:_SEP] = np.take(tables.exponent_text, k + _K_RANGE, axis=0)
     source.reshape(*shape, _SOURCE_WIDTH)[..., _SEP] = np.frombuffer(ends.encode("ascii"), dtype=np.uint8)
     source[:, _PAD] = 0

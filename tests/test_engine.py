@@ -627,7 +627,7 @@ def test_a_split_key_holds_one_read_only_side_that_its_rows_copy(base):
         sweep(base, [], replicates=5)
     [side] = sides
     ledger = side.ledger
-    held = (side.events, side.samples, side.last, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
+    held = (side.events, side.samples, ledger.times, ledger.energies, ledger.infos, ledger.cumulative)
     assert not any(column.flags.writeable for column in held)
     before = [column.tobytes() for column in held]
     # Writing one row's samples and events reaches neither the held side nor a later row.
@@ -746,9 +746,9 @@ def test_a_bench_sized_sweep_holds_under_two_megabytes():
 
 
 def test_a_long_run_takes_its_divergence_block_by_block():
-    # steady_state at horizon 2e4 holds 20,001 samples: engine.run peaked at
-    # about 3.36 MB filling their divergence in blocks of _TRACE_BLOCK, and at
-    # about 3.69 MB in one piece (16.79 and 18.40 MB at horizon 1e5).
+    # steady_state at horizon 2e4 holds 20,001 samples: engine.run peaks at
+    # about 3.06 MB filling their divergence in blocks of _TRACE_BLOCK, and at
+    # about 3.37 MB in one piece (12.65 and 16.80 MB at horizon 1e5).
     scenario = replace(steady_state(), horizon=2e4)
     run(scenario)
     tracemalloc.start()
@@ -758,7 +758,26 @@ def test_a_long_run_takes_its_divergence_block_by_block():
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 3_500_000
+    assert peak <= 3_200_000
+
+
+def test_a_long_run_peaks_at_about_the_trace_it_returns():
+    # steady_state at horizon 1e5: the trace holds 11.2 MB (100,001 samples,
+    # about 100k events and their ledger). engine.run peaked at 16.8 MB of
+    # tracemalloc with the flux, whole-column sample temporaries and a
+    # per-sample event index alive beside it; at about 12.7 MB with the flux
+    # dropped before the samples and the samples filled in blocks.
+    scenario = replace(steady_state(), horizon=1e5)
+    run(scenario)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        trace = run(scenario)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(trace.samples) == 100_001
+    assert peak <= 14_000_000
 
 
 def test_a_wide_key_splits_into_batches_under_the_memory_cap(monkeypatch):
@@ -819,9 +838,9 @@ def _poisson_rows():
 def test_each_sweep_row_is_its_own_run(monkeypatch, case, rows_per_block):
     base, grid, replicates = case()
     if rows_per_block is not None:
-        # _TRACE_BLOCK counts sample-plus-event rows; every row of these keys has as many.
+        # _TRACE_BLOCK counts samples; every row of these keys has as many.
         alone = run(base)
-        monkeypatch.setattr(engine, "_TRACE_BLOCK", rows_per_block * (len(alone.events) + len(alone.samples)))
+        monkeypatch.setattr(engine, "_TRACE_BLOCK", rows_per_block * len(alone.samples))
     blocks = []
 
     def kl_spy(mean, precision_q, mean_p, precision_p):
@@ -931,7 +950,7 @@ def test_a_plain_run_and_a_shared_row_build_the_same_trace_class(monkeypatch):
     monkeypatch.setattr(engine, "_divergence", fill_spy)
     sweep(replace(tracking_sweep_base(), horizon=10.0), [], replicates=2)
     [side] = sides
-    held = (side.events, side.samples, side.last)
+    held = (side.events, side.samples)
     before = [column.tobytes() for column in held]
     scenario, row = traces[0]
     plain = run(scenario)

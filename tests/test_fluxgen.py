@@ -1,11 +1,14 @@
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from beds import core
 from beds.core import (
     EmptySpec,
     FluxSpec,
@@ -24,6 +27,7 @@ from beds.fluxgen import (
     generate_flux,
     target_mean_at,
 )
+from beds.scenarios import steady_state
 
 STATIC_3 = TargetSpec(kind="static", theta0=3.0, velocity=0.0, target_variance=1.0)
 DRIFT_1 = TargetSpec(kind="drifting", theta0=0.0, velocity=1.0, target_variance=1.0)
@@ -147,12 +151,34 @@ def test_flux_equals_one_uniform_at_a_time_reference(arrival, noise, seed):
 @pytest.mark.parametrize("block", [1, 2, 7])
 @pytest.mark.parametrize("noise", ["exact", "noisy"])
 def test_flux_refills_a_short_block_without_changing_the_stream(monkeypatch, block, noise):
-    # Blocks far smaller than the ~120 arrivals force a refill after every block.
-    monkeypatch.setattr("beds.fluxgen._block_size", lambda expected: block)
+    # Blocks far smaller than the ~120 arrivals: they are drawn `block`
+    # uniforms at a time, and the noise takes the uniforms left after the
+    # first arrival past the horizon (up to block - 1), then draws 2 * block
+    # more for each block of rows.
+    monkeypatch.setattr(core, "BLOCK", block)
     spec = FluxSpec(arrival=PoissonArrival(rate=3.0), obs_precision=4.0, noise=noise)
-    got = generate_flux(spec, DRIFT_1, 40.0, seed=9)
-    assert len(got) > 10 * block
-    assert got.tobytes() == _reference_flux(spec, DRIFT_1, 40.0, seed=9).tobytes()
+    for seed in (0, 9, 2**63 + 5):
+        got = generate_flux(spec, DRIFT_1, 40.0, seed)
+        assert len(got) > 10 * block
+        assert got.tobytes() == _reference_flux(spec, DRIFT_1, 40.0, seed).tobytes()
+
+
+def test_a_long_poisson_flux_holds_about_its_own_rows():
+    # steady_state at horizon 1e5 draws about 100k arrivals, a 2.4 MB flux.
+    # Drawn whole, its uniforms, times and noise peaked at 8.8 MB of
+    # tracemalloc; a block at a time, about 3.2 MB.
+    scenario = replace(steady_state(), horizon=1e5)
+    args = (scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
+    generate_flux(*args)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        flux = generate_flux(*args)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(flux) > 90_000
+    assert peak <= 4_500_000
 
 
 @given(
