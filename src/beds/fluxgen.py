@@ -7,9 +7,9 @@ observation consumes a fixed number of uniforms (one per Poisson arrival,
 plus two when values are noisy), so identical (spec, target, horizon, seed)
 always yields an identical flux. Uniforms are used in stream order: the
 Poisson inter-arrivals up to and including the first one past the horizon,
-then the noise pairs. Both are drawn at most ``core.BLOCK`` arrivals or rows
-at a time, and each block's values are made and written before the next is
-drawn, so a long flux holds little beyond its own rows.
+then the noise pairs. A Poisson flux draws both at most ``core.BLOCK``
+arrivals or rows at a time, and adds each block's noise before the next
+block is drawn, so a long flux holds little beyond its own rows.
 
 With periodic or scheduled arrivals nothing is drawn for the times, so a
 run's noise is the first Box-Muller normals of its seed's stream, whatever
