@@ -7,12 +7,12 @@ crystallized belief, and the rest is computed on the resulting columns:
 each observation's energy charge at its pre-update precision, the ledger's
 running totals, and fixed-step precision and power samples interpolated
 from the last event by the same closed form, so sampling density never
-perturbs the trajectory. The mean side then runs
-``dynamics.evolve_mean`` along that precision path and derives the sampled
-means, their divergence from the target and the crystallization outcome.
-A crystallized run halts: nothing is recorded afterwards. A generated flux
-is dropped before the samples are made, once the ledger holds its times and
-the mean side its values, and the samples and their divergence are filled
+perturbs the trajectory. The mean side runs ``dynamics.evolve_mean``
+along that precision path and derives the sampled means, their divergence
+from the target and the crystallization outcome. A crystallized run halts:
+nothing is recorded afterwards. A generated flux is dropped before the
+samples are made, once the ledger holds its times and the mean side its
+values, and one function, ``_precision_samples``, fills every sample column
 a block of rows at a time, so a long run's memory peaks at about the trace
 it returns.
 
@@ -20,14 +20,14 @@ One generator, ``_traces``, builds every trace, for ``run`` as for a sweep's
 rows. With periodic or scheduled arrivals nothing is drawn for the times,
 so a run's precision side is a function of a few scenario values, its key,
 and a run's noise is the first standard normals of its seed's stream. A
-key's side is computed once, from its first row's flux, and lent read-only
-when rows share it; each batch of its rows evolves its means as the columns
-of one loop (``dynamics.evolve_means``) and takes only their divergence
-maxima after the burn-in, a few rows at a time, filling a side of its own
-on the way. A plain run, a replay and a Poisson row are each a key of one
-row. Sweeps run the Cartesian product of parameter overrides and replicate
-seeds, each row one ``run``, key by key whatever the grid's order, and emit
-the rows grid-major.
+key's side is computed once, from its first row's flux. A key of one row
+(a plain run, a replay, a Poisson row) evolves its means first and fills
+its samples' means and divergence in the same blocks as the rest. A side
+that rows share is lent read-only; each batch of its rows evolves its means
+as the columns of one loop (``dynamics.evolve_means``) and takes only their
+divergence maxima after the burn-in, a few rows at a time. Sweeps run the
+Cartesian product of parameter overrides and replicate seeds, each row one
+``run``, key by key whatever the grid's order, and emit the rows grid-major.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 from .analysis import after_burn_in, kl_gaussian
 from .core import (
     MAX_EXPECTED_COUNT,
-    EnergyModel,
     NegativeDt,
     NonMonotonicFlux,
     PoissonArrival,
@@ -122,11 +121,10 @@ class Summary:
 class _PrecisionSide:
     """What ``_precision_side`` computes: a run up to its observed values.
 
-    ``samples`` leave their mean and kl_to_target columns 0. The events'
-    mean_after column belongs to the mean side: 0 on a shared side, the
-    row's values and then its means on a side of its own. Which event a
-    sample follows is not stored: ``np.searchsorted`` of its time in
-    ``ledger.times`` finds it.
+    The events' mean_after column and the samples' mean and kl_to_target
+    columns belong to the mean side: 0 on a shared side, filled with the
+    row's means on a side of its own. Which event a sample follows is not
+    stored: ``np.searchsorted`` of its time in ``ledger.times`` finds it.
     ``halted_at`` is the crystallization time, None when the run did not
     halt. ``summary`` holds the ``Summary`` fields of this side.
     """
@@ -158,9 +156,10 @@ class RunTrace:
     A trace is built from its run's precision side, scenario, means after
     each event and divergence maximum (``_traces``). ``samples`` and
     ``events`` are the side's own arrays, filled before the trace is built.
-    When rows of a sweep share the side, which is then read-only, they are
-    copies, filled the first time each is read. The ledger's columns are
-    read-only, since the runs of a sweep may share them.
+    When rows of a sweep share the side, which is then read-only, the
+    samples are rebuilt by ``_precision_samples`` with the row's means, and
+    the events copied with them, the first time each is read. The ledger's
+    columns are read-only, since the runs of a sweep may share them.
     """
 
     def __init__(self, side: _PrecisionSide, scenario: Scenario, mean_after: np.ndarray, max_kl: float):
@@ -174,14 +173,13 @@ class RunTrace:
             target_mean = target_mean_at(problem.target, t)
             self.outcome = check_crystallization(*belief, t, scenario.beds.epsilon, target_mean, problem.delta)
         if side.events.flags.writeable:
-            # A side of its own holds its means, and was filled with its divergence.
+            # A side of its own holds its means, and its samples their divergence.
             self.samples, self.events = side.samples, side.events
 
     @cached_property
     def samples(self) -> np.ndarray:
-        samples = self._side.samples.copy()
-        _divergence([self._scenario], self._side, self._mean_after[:, None], samples)
-        return samples
+        side = self._side
+        return _precision_samples(self._scenario, side.events, side.ledger, side.halted_at, self._mean_after)
 
     @cached_property
     def events(self) -> np.ndarray:
@@ -238,8 +236,8 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
 def _side_key(scenario: Scenario) -> tuple:
     """What a run's precision side is a function of, unless its arrivals are Poisson.
 
-    ``key[2:]`` is every value ``_precision_events`` and ``_precision_side``
-    read besides the flux.
+    ``key[2:]`` is every scenario value ``_precision_events`` and
+    ``_precision_side`` read besides the flux, when no means are given.
     Without Poisson draws, the arrival spec, the horizon and obs_precision
     fix the flux's times and precisions, the only flux columns it reads.
     """
@@ -258,18 +256,17 @@ def _side_key(scenario: Scenario) -> tuple:
     )
 
 
-def _precision_events(
-    flux: np.ndarray, precision: float, gamma: float, epsilon: float, energy_model: EnergyModel
-) -> tuple[np.ndarray, EnergyLedger, float | None]:
+def _precision_events(flux: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, EnergyLedger, float | None]:
     """Apply ``flux``'s times and obs_precisions: the events, the ledger and the crystallization time.
 
-    ``precision`` is the initial one. The events leave their mean_after
-    column 0. The ledger's columns are read-only copies, so nothing returned
-    refers to the flux. The time is None when the run did not halt.
+    The events leave their mean_after column 0. The ledger's columns are
+    read-only copies, so nothing returned refers to the flux. The time is
+    None when the run did not halt.
     """
 
-    times = flux["time"]
-    before, after, halted = evolve_precision(precision, times, flux["obs_precision"], gamma, epsilon)
+    times, beds, energy_model = flux["time"], scenario.beds, scenario.energy_model
+    precision = beds.initial_belief.precision
+    before, after, halted = evolve_precision(precision, times, flux["obs_precision"], beds.gamma, beds.epsilon)
     n = len(after)
     events = np.zeros(n, dtype=_EVENT_DTYPE)
     events["precision_before"], events["precision_after"] = before, after
@@ -282,24 +279,18 @@ def _precision_events(
 
 
 def _precision_side(
-    events: np.ndarray,
-    ledger: EnergyLedger,
-    halted_at: float | None,
-    precision: float,
-    gamma: float,
-    horizon: float,
-    sample_dt: float,
-    t0: float,
+    scenario: Scenario, events: np.ndarray, ledger: EnergyLedger, halted_at: float | None, means=None
 ) -> _PrecisionSide:
-    """The precision side of ``_precision_events``' results: its samples and its summary fields.
+    """The side of ``_precision_events``' results: its samples and its summary fields.
 
-    ``precision`` is the initial one. No observed value enters the result.
+    ``means`` are a side of its own's means after each event, which fill its
+    samples' mean and kl_to_target columns (``_precision_samples``); no
+    other observed value enters the result.
     """
 
-    power_window = horizon / 10.0
-    samples = _precision_samples(precision, gamma, events, ledger, halted_at, horizon, sample_dt, power_window)
+    samples, t0 = _precision_samples(scenario, events, ledger, halted_at, means), scenario.problem.t0
     clamped = bool(
-        precision <= PRECISION_FLOOR
+        scenario.beds.initial_belief.precision <= PRECISION_FLOOR
         or np.any(events["precision_before"] <= PRECISION_FLOOR)
         or np.any(samples["precision"] <= PRECISION_FLOOR)
     )
@@ -310,7 +301,7 @@ def _precision_side(
         "total_energy": ledger.cumulative_energy,
         "total_info": ledger.cumulative_info,
     }
-    return _PrecisionSide(events, ledger, samples, halted_at, clamped, power_window, summary)
+    return _PrecisionSide(events, ledger, samples, halted_at, clamped, scenario.horizon / 10.0, summary)
 
 
 def _after(column: np.ndarray, last: np.ndarray, first) -> np.ndarray:
@@ -325,20 +316,16 @@ def _after(column: np.ndarray, last: np.ndarray, first) -> np.ndarray:
     return out
 
 
-def _divergence(
-    scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray, samples: np.ndarray | None = None
-) -> list[float]:
+def _divergence(scenarios: list[Scenario], side: _PrecisionSide, means: np.ndarray) -> list[float]:
     """Each row's divergence maximum after the burn-in, row ``j``'s means after each event column ``j`` of ``means``.
 
-    The rows share the side's key, t0 included: ``_traces`` passes a few at
-    a time. Only the samples after t0 are read, in 2-D blocks of at most
-    _TRACE_BLOCK samples, unless one row's ``samples`` are given: then every
-    sample's mean and kl_to_target are filled too.
+    The rows share the side's key, t0 included: ``_traces`` passes a few of
+    a shared side's rows at a time. Only the samples after t0 are read, in
+    2-D blocks of at most _TRACE_BLOCK samples.
     """
 
     tail = np.searchsorted(side.samples["t"], scenarios[0].problem.t0, side="right")
-    start = 0 if samples is not None else tail
-    t, precision = side.samples["t"][start:], side.samples["precision"][start:]
+    t, precision = side.samples["t"][tail:], side.samples["precision"][tail:]
     targets = [scenario.problem.target for scenario in scenarios]
     initial = [scenario.beds.initial_belief.mean for scenario in scenarios]
     # target_mean_at, one target per row. A precision that every row
@@ -350,12 +337,7 @@ def _divergence(
     for a in range(0, len(t), _TRACE_BLOCK):
         block = slice(a, a + _TRACE_BLOCK)
         mean = _after(means, np.searchsorted(side.ledger.times, t[block], side="right"), initial).T
-        kl = kl_gaussian(mean, precision[block], theta0 + velocity * t[block], precision_p)
-        if samples is not None:
-            samples["mean"][block], samples["kl_to_target"][block] = mean[0], kl[0]
-        past = kl[:, max(tail - start - a, 0) :]
-        if past.size:
-            maxima.append(past.max(axis=1))
+        maxima.append(kl_gaussian(mean, precision[block], theta0 + velocity * t[block], precision_p).max(axis=1))
     return reduce(np.maximum, maxima).tolist() if maxima else [math.nan] * len(scenarios)
 
 
@@ -382,26 +364,22 @@ def _checked_flux(flux: object) -> np.ndarray:
 
 
 def _precision_samples(
-    precision: float,
-    gamma: float,
-    events: np.ndarray,
-    ledger: EnergyLedger,
-    halted_at: float | None,
-    horizon: float,
-    sample_dt: float,
-    power_window: float,
+    scenario: Scenario, events: np.ndarray, ledger: EnergyLedger, halted_at: float | None, means=None
 ) -> np.ndarray:
-    """The samples at multiples of sample_dt, their mean and kl_to_target columns left 0.
+    """A run's samples at multiples of sample_dt, from its events and ledger, and its means after each event.
 
     They run up to the horizon, or stop strictly before the halting
     observation. Each is the last event's belief at or before it (row 0:
     the initial belief at time 0), dissipated to the sample instant, so an
     observation at a sample instant is applied first and sampling never
-    advances the state. Only the samples are allocated whole: their count
-    is found by bisection on the sample times, and the columns are filled
-    one ``core.BLOCK`` of rows at a time.
+    advances the state. Without ``means``, the mean and kl_to_target columns
+    are left 0. Only the samples are allocated whole: their count is found
+    by bisection on the sample times, and the columns are filled one
+    ``core.BLOCK`` of rows at a time, each block's last events searched once.
     """
 
+    beds, target, horizon, sample_dt = scenario.beds, scenario.problem.target, scenario.horizon, scenario.sample_dt
+    initial, power_window, precision_p = beds.initial_belief, horizon / 10.0, 1.0 / target.target_variance
     count = int(math.floor(horizon / sample_dt * (1.0 + 1e-12))) + 1
     search, stop = (bisect_right, horizon) if halted_at is None else (bisect_left, halted_at)
     samples = np.zeros(search(range(count), stop, key=lambda i: i * sample_dt), dtype=_SAMPLE_DTYPE)
@@ -410,8 +388,11 @@ def _precision_samples(
         block["t"] = t = np.arange(rows.start, rows.start + len(block)) * sample_dt
         last = np.searchsorted(ledger.times, t, side="right")
         dts = t - _after(ledger.times, last, 0.0)
-        block["precision"] = dissipate(_after(events["precision_after"], last, precision), dts, gamma)
+        block["precision"] = dissipate(_after(events["precision_after"], last, initial.precision), dts, beds.gamma)
         block["variance"] = 1.0 / block["precision"]
+        if means is not None:
+            block["mean"] = mean = _after(means, last, initial.mean)
+            block["kl_to_target"] = kl_gaussian(mean, block["precision"], target_mean_at(target, t), precision_p)
         block["cumulative_energy"] = _after(ledger.cumulative, last, 0.0)
         window = _after(ledger.cumulative, np.searchsorted(ledger.times, t - power_window, side="right"), 0.0)
         block["windowed_power"] = (block["cumulative_energy"] - window) / power_window
@@ -544,36 +525,45 @@ def _traces(
 ) -> Iterator[RunTrace]:
     """The traces of ``scenarios``, the rows of one precision-side key, in order.
 
-    A Poisson row, or a run of the flux ``replay``, is a key of one row. The
-    side comes from the first row's flux and is read-only when rows share
-    it. Each batch's means evolve as the columns of one (events x rows)
-    loop, on ``normals`` (by seed) where they hold enough. A batch holds at
-    most about MAX_EXPECTED_COUNT means, by the first flux's length, and
-    each row's flux is dropped once its values are in the batch (row 0's
-    once the side's events and ledger are made, before its samples), whose
-    traces are built about _TRACE_BLOCK samples' worth of rows at a time.
+    A Poisson row, or a run of the flux ``replay``, is a key of one row: its
+    means evolve in its events' mean_after column before its samples are
+    made, which fill their mean and kl_to_target with the rest. Otherwise
+    the side comes from the first row's flux and is read-only, and each
+    batch's means evolve as the columns of one (events x rows) loop, on
+    ``normals`` (by seed) where they hold enough. A batch holds at most
+    about MAX_EXPECTED_COUNT means, by the first flux's length, and each
+    row's flux is dropped once its values are in the batch (row 0's before
+    the side's samples are made), whose divergence maxima are taken about
+    _TRACE_BLOCK samples' worth of rows at a time.
     """
 
     fluxes = (
         generate_flux(s.flux_spec, s.problem.target, s.horizon, s.seed, normals.get(s.seed)) for s in scenarios
     )
     flux = next(fluxes) if replay is None else replay
-    precision, gamma, epsilon, energy_model, horizon, sample_dt, t0 = _side_key(scenarios[0])[2:]
-    events, ledger, halted_at = _precision_events(flux, precision, gamma, epsilon, energy_model)
-    n, shared = len(events), len(scenarios) > 1
+    events, ledger, halted_at = _precision_events(flux, scenarios[0])
+    n = len(events)
+    if len(scenarios) == 1:
+        [scenario], means = scenarios, events["mean_after"]
+        means[:] = flux["value"][:n]
+        before = events["precision_before"]
+        evolve_means([scenario.beds.initial_belief.mean], means[:, None], flux["obs_precision"], before)
+        del flux
+        side = _precision_side(scenario, events, ledger, halted_at, means)
+        max_kl = after_burn_in(side.samples, scenario.problem.t0, "kl_to_target", np.max)
+        yield RunTrace(side, scenario, means, max_kl)
+        return
     width = max(1, int(MAX_EXPECTED_COUNT // max(len(flux), 1)))
     obs_precisions = flux["obs_precision"][:n].copy()
-    # A side of its own takes its row's means in its events' mean_after
-    # column, a shared side's rows in their batch's columns. Row 0's values
-    # go there now, so that its flux is dropped before the samples are made.
-    values = np.empty((n, min(width, len(scenarios)))) if shared else events["mean_after"][:, None]
+    # Row 0's values go into the first batch now, so that its flux is
+    # dropped before the samples are made.
+    values = np.empty((n, min(width, len(scenarios))))
     values[:, 0] = flux["value"][:n]
     del flux
-    side = _precision_side(events, ledger, halted_at, precision, gamma, horizon, sample_dt, t0)
-    if shared:
-        for column in (side.events, side.samples):
-            column.flags.writeable = False
-    own, step = None if shared else side.samples, max(1, _TRACE_BLOCK // max(1, len(side.samples)))
+    side = _precision_side(scenarios[0], events, ledger, halted_at)
+    for column in (side.events, side.samples):
+        column.flags.writeable = False
+    step = max(1, _TRACE_BLOCK // max(1, len(side.samples)))
     for lo in range(0, len(scenarios), width):
         batch = scenarios[lo : lo + width]
         if lo:
@@ -584,7 +574,7 @@ def _traces(
         initial = [scenario.beds.initial_belief.mean for scenario in batch]
         means = evolve_means(initial, values, obs_precisions, side.events["precision_before"])
         for a in range(0, len(batch), step):
-            max_kl = _divergence(batch[a : a + step], side, means[:, a : a + step], own)
+            max_kl = _divergence(batch[a : a + step], side, means[:, a : a + step])
             for j, scenario in enumerate(batch[a : a + step]):
                 yield RunTrace(side, scenario, means[:, a + j], max_kl[j])
         # Free this batch's blocks before the next batch allocates its own.

@@ -7,9 +7,9 @@ observation consumes a fixed number of uniforms (one per Poisson arrival,
 plus two when values are noisy), so identical (spec, target, horizon, seed)
 always yields an identical flux. Uniforms are used in stream order: the
 Poisson inter-arrivals up to and including the first one past the horizon,
-then the noise pairs. A Poisson flux draws both at most ``core.BLOCK``
-arrivals or rows at a time, and adds each block's noise before the next
-block is drawn, so a long flux holds little beyond its own rows.
+then the noise pairs. A flux draws both at most ``core.BLOCK`` arrivals or
+rows at a time, and adds each block's noise before the next block is
+drawn, so a long flux holds little beyond its own rows.
 
 With periodic or scheduled arrivals nothing is drawn for the times, so a
 run's noise is the first Box-Muller normals of its seed's stream, whatever
@@ -169,7 +169,7 @@ def generate_flux(
         rng = np.random.Generator(np.random.PCG64(seed))
         times, unused = _poisson_times(spec.arrival.rate, horizon, rng)
     else:
-        times = _fixed_times(spec.arrival, horizon)
+        times, unused = _fixed_times(spec.arrival, horizon), np.empty(0)
     n = len(times)
     flux = np.empty(n, dtype=_FLUX_DTYPE)
     flux["time"] = times
@@ -178,13 +178,12 @@ def generate_flux(
     flux["obs_precision"] = spec.obs_precision
     if spec.noise == "noisy":
         scale = 1.0 / math.sqrt(spec.obs_precision)
-        if poisson:
-            # The noise follows a seed-dependent number of arrival draws.
+        if poisson or normals is None or len(normals) < n:
+            # The noise follows the seed's Poisson arrival draws, if any.
+            rng = rng if poisson else np.random.Generator(np.random.PCG64(seed))
             for rows, normal in _normal_blocks(rng, unused, n):
                 flux["value"][rows] += scale * normal
         else:
-            if normals is None or len(normals) < n:
-                normals = first_normals(seed, n)
             flux["value"] += scale * normals[:n]
     return flux
 

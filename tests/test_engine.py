@@ -531,16 +531,20 @@ def _normals_seen(monkeypatch):
 
 
 def _draws_seen(monkeypatch):
-    """Record the (seed, count) of each first_normals call, in the sweep and in generate_flux."""
+    """Record the (seed, count) of each first_normals call in the sweep, and the rows of each noise draw in a flux."""
 
-    drawn, first_normals = {"sweep": [], "flux": []}, fluxgen.first_normals
-    for module, name in ((engine, "sweep"), (fluxgen, "flux")):
+    drawn, first_normals, normal_blocks = {"sweep": [], "flux": []}, engine.first_normals, fluxgen._normal_blocks
 
-        def spy(seed, count, name=name):
-            drawn[name].append((seed, count))
-            return first_normals(seed, count)
+    def sweep_spy(seed, count):
+        drawn["sweep"].append((seed, count))
+        return first_normals(seed, count)
 
-        monkeypatch.setattr(module, "first_normals", spy)
+    def flux_spy(rng, unused, n):
+        drawn["flux"].append(n)
+        return normal_blocks(rng, unused, n)
+
+    monkeypatch.setattr(engine, "first_normals", sweep_spy)
+    monkeypatch.setattr(fluxgen, "_normal_blocks", flux_spy)
     return drawn
 
 
@@ -585,7 +589,7 @@ def test_sweep_over_the_memo_cap_draws_per_run(monkeypatch):
     seen = _normals_seen(monkeypatch)
     assert repr(sweep(base, grid, replicates=3).rows) == repr(shared.rows)
     assert [normals for _, normals in seen] == [None] * 6
-    assert drawn["sweep"] == [] and sorted(count for _, count in drawn["flux"]) == [20] * 3 + [40] * 3
+    assert drawn["sweep"] == [] and sorted(drawn["flux"]) == [20] * 3 + [40] * 3
     monkeypatch.setattr(engine, "MAX_EXPECTED_COUNT", 120)
     seen.clear()
     sweep(base, grid, replicates=3)
@@ -747,8 +751,9 @@ def test_a_bench_sized_sweep_holds_under_two_megabytes():
 
 def test_a_long_run_takes_its_divergence_block_by_block():
     # steady_state at horizon 2e4 holds 20,001 samples: engine.run peaks at
-    # about 3.06 MB filling their divergence in blocks of _TRACE_BLOCK, and at
-    # about 3.37 MB in one piece (12.65 and 16.80 MB at horizon 1e5).
+    # about 2.64 MB filling their columns, divergence included, a core.BLOCK
+    # of rows at a time, and at about 4.17 MB in one piece (11.59 and
+    # 20.78 MB at horizon 1e5).
     scenario = replace(steady_state(), horizon=2e4)
     run(scenario)
     tracemalloc.start()
@@ -765,8 +770,9 @@ def test_a_long_run_peaks_at_about_the_trace_it_returns():
     # steady_state at horizon 1e5: the trace holds 11.2 MB (100,001 samples,
     # about 100k events and their ledger). engine.run peaked at 16.8 MB of
     # tracemalloc with the flux, whole-column sample temporaries and a
-    # per-sample event index alive beside it; at about 12.7 MB with the flux
-    # dropped before the samples and the samples filled in blocks.
+    # per-sample event index alive beside it; at about 11.6 MB with the flux
+    # dropped before the samples and the samples filled in blocks, their
+    # divergence included.
     scenario = replace(steady_state(), horizon=1e5)
     run(scenario)
     tracemalloc.start()
@@ -898,21 +904,25 @@ def test_a_sweep_computes_divergence_only_after_the_burn_in(monkeypatch):
     assert len(covered) == len(tails) == 2 and set(covered) == tails
 
 
+def _record_fills(patch) -> list:
+    """Wrap ``engine._precision_samples`` under ``patch``; the list it returns gets each scenario given means."""
+    filled, build = [], engine._precision_samples
+
+    def fill_spy(scenario, events, ledger, halted_at, means=None):
+        if means is not None:
+            filled.append(scenario)
+        return build(scenario, events, ledger, halted_at, means)
+
+    patch.setattr(engine, "_precision_samples", fill_spy)
+    return filled
+
+
 def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
-    # A row of a shared side fills a copy of its samples only when they are
-    # read, once; a plain run fills its own side once, as it is built.
-    filled = []
-
-    def fill_spy(scenarios, side, means, samples=None):
-        if samples is not None:
-            filled.append(scenarios[0])
-        return divergence(scenarios, side, means, samples)
-
-    divergence = engine._divergence
+    # A row of a shared side builds its samples, means included, only when
+    # they are read, once; a plain run fills its own side once, as it is built.
     base = replace(tracking_sweep_base(), horizon=10.0)
     grid = [("problem.target.velocity", [0.0, 1.0]), ("flux_spec.arrival.period", [0.5, 0.25])]
-    traces = _record_runs(monkeypatch)
-    monkeypatch.setattr(engine, "_divergence", fill_spy)
+    traces, filled = _record_runs(monkeypatch), _record_fills(monkeypatch)
     sweep(base, grid, replicates=3)
     assert len(traces) == 12 and filled == []
     scenario, trace = traces[0]
@@ -927,9 +937,10 @@ def test_a_sweep_that_reads_its_summaries_assembles_no_row(monkeypatch):
 
 @pytest.mark.parametrize("block", [7, 64, None])
 def test_a_runs_divergence_maximum_is_that_of_its_samples(monkeypatch, block):
-    # The maximum is taken over blocks of the samples after t0, apart from the kl_to_target column.
+    # The kl_to_target column is filled a core.BLOCK of samples at a time,
+    # and the maximum is that of its samples after t0.
     if block is not None:
-        monkeypatch.setattr(engine, "_TRACE_BLOCK", block)
+        monkeypatch.setattr(core, "BLOCK", block)
     for builder in (dissipation_only, drifting_tracking, static_crystallizing, steady_state, tracking_sweep_base):
         scenario = replace(builder(), horizon=60.0)
         trace = run(scenario)
@@ -939,15 +950,7 @@ def test_a_runs_divergence_maximum_is_that_of_its_samples(monkeypatch, block):
 
 def test_a_plain_run_and_a_shared_row_build_the_same_trace_class(monkeypatch):
     # Both fill their samples and events once; the side the rows share is never written.
-    filled, divergence = [], engine._divergence
-
-    def fill_spy(scenarios, side, means, samples=None):
-        if samples is not None:
-            filled.append(scenarios[0])
-        return divergence(scenarios, side, means, samples)
-
-    sides, traces = _record_sides(monkeypatch), _record_runs(monkeypatch)
-    monkeypatch.setattr(engine, "_divergence", fill_spy)
+    sides, traces, filled = _record_sides(monkeypatch), _record_runs(monkeypatch), _record_fills(monkeypatch)
     sweep(replace(tracking_sweep_base(), horizon=10.0), [], replicates=2)
     [side] = sides
     held = (side.events, side.samples)
@@ -964,6 +967,35 @@ def test_a_plain_run_and_a_shared_row_build_the_same_trace_class(monkeypatch):
     _assert_same_trace(row, plain)
     assert not any(column.flags.writeable for column in held)
     assert [column.tobytes() for column in held] == before
+
+
+def test_a_side_of_its_own_fills_its_divergence_with_its_samples(monkeypatch):
+    # A plain run, a replay and a Poisson sweep row fill mean and
+    # kl_to_target in the sample blocks, where each block's last events are
+    # found, and never search them again in _divergence.
+    shared, kl_blocks, divergence = [], [], engine._divergence
+
+    def divergence_spy(*args):
+        shared.append(args)
+        return divergence(*args)
+
+    def kl_spy(mean, precision_q, mean_p, precision_p):
+        kl_blocks.append(len(mean))
+        return analysis.kl_gaussian(mean, precision_q, mean_p, precision_p)
+
+    monkeypatch.setattr(engine, "_divergence", divergence_spy)
+    monkeypatch.setattr(engine, "kl_gaussian", kl_spy)
+    scenario = replace(steady_state(), horizon=2e4)
+    trace = run(scenario)
+    # 20,001 samples: one kl_gaussian call per core.BLOCK of them.
+    assert kl_blocks == [len(range(len(trace.samples))[rows]) for rows in core.blocks(len(trace.samples))]
+    assert len(kl_blocks) == 5
+    flux = generate_flux(scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
+    _assert_same_trace(run(scenario, flux), trace)
+    base, grid, replicates = _poisson_rows()
+    traces = _record_runs(monkeypatch)
+    sweep(base, grid, replicates=replicates)
+    assert len(traces) == 4 and shared == []
 
 
 # --- flux replay --------------------------------------------------------------------

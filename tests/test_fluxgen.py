@@ -166,19 +166,23 @@ def test_flux_refills_a_short_block_without_changing_the_stream(monkeypatch, blo
 def test_a_long_poisson_flux_holds_about_its_own_rows():
     # steady_state at horizon 1e5 draws about 100k arrivals, a 2.4 MB flux.
     # Drawn whole, its uniforms, times and noise peaked at 8.8 MB of
-    # tracemalloc; a block at a time, about 3.2 MB.
+    # tracemalloc; a block at a time, about 3.2 MB. A noisy periodic flux of
+    # 1e5 rows drew its noise whole, at 7.2 MB; a block at a time, about 3.2 MB.
     scenario = replace(steady_state(), horizon=1e5)
-    args = (scenario.flux_spec, scenario.problem.target, scenario.horizon, scenario.seed)
-    generate_flux(*args)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        flux = generate_flux(*args)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert len(flux) > 90_000
-    assert peak <= 4_500_000
+    periodic = replace(scenario.flux_spec, arrival=PeriodicArrival(period=1.0))
+    for spec in (scenario.flux_spec, periodic):
+        assert spec.noise == "noisy"
+        args = (spec, scenario.problem.target, scenario.horizon, scenario.seed)
+        generate_flux(*args)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            flux = generate_flux(*args)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert len(flux) > 90_000
+        assert peak <= 4_500_000
 
 
 @given(
