@@ -12,10 +12,10 @@ precision path it returns, ``evolve_means`` that recurrence for many
 streams on one path at once, and ``dissipate`` applies the decay to a
 column of beliefs, with one rate (``gamma``) for every row or a column of
 per-row rates; the engine calls these four. The precision path never reads
-an observed value, which is why it has a loop of its own.
-``evolve_precision`` and the one-stream path of ``evolve_means`` run their
-scalar loops on float64 columns one ``core.blocks`` block of Python floats
-at a time, so a long run builds no per-event list. The per-step functions
+an observed value, so it is computed apart: ``evolve_precision`` makes each
+``core.blocks`` block of rows one list comprehension between NumPy checks,
+and the one-stream path of ``evolve_means`` runs its scalar loop a block at
+a time, so a long run builds no per-event list. The per-step functions
 ``propagate``, ``bayes_update`` and ``check_crystallization`` are the same
 rules one observation at a time: they are the documented API for stepping
 a belief by hand and the reference the column forms are tested against.
@@ -96,42 +96,42 @@ def evolve_precision(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The precision path of a time-ordered observation stream applied to a belief held at time 0.
 
-    Each row dissipates the precision to its arrival time (as
-    ``propagate``), then adds the observation's precision (as
-    ``bayes_update``), one ``core.blocks`` block of rows at a time. Returns
-    the columns ``precision_before`` (after dissipation, before the update)
-    and ``precision_after``, one entry per applied row, and whether the run
-    halted: it stops after the first row whose posterior variance is below
-    ``epsilon`` (as ``is_crystallized``). Rows after that one are never
-    read, so they raise nothing. No observed value enters the path: streams
-    with the same times and precisions share it.
+    Each row dissipates the precision to its arrival time (as ``propagate``),
+    then adds the observation's precision (as ``bayes_update``). Returns the
+    columns ``precision_before`` (after dissipation, before the update) and
+    ``precision_after``, one entry per applied row, and whether the run halted
+    after the first row whose posterior variance is below ``epsilon`` (as
+    ``is_crystallized``). Each ``core.blocks`` block is one list comprehension,
+    ``math.exp`` inline, over its rows before the first that would raise
+    (``dt < 0`` or ``obs_precision <= 0``, found by NumPy). So every row
+    before the first raising row is computed, up to the end of the halting
+    row's block; rows past the halt are dropped and raise nothing. Streams
+    with the same times and precisions share the path.
     """
 
     precision_before, precision_after = np.empty(len(times)), np.empty(len(times))
-    t_prev = 0.0
-    exp = math.exp
+    before, obs, t_prev = precision, 0.0, 0.0  # row 0 dissipates precision + 0.0 from time 0
+    exp, floor, rate = math.exp, PRECISION_FLOOR, -gamma
     for rows in blocks(len(times)):
-        before, after = [], []
-        for t, obs_precision in zip(times[rows].tolist(), obs_precisions[rows].tolist()):
-            dt = t - t_prev
-            t_prev = t
-            if dt > 0:
-                precision *= exp(-gamma * dt)
-                if precision < PRECISION_FLOOR:
-                    precision = PRECISION_FLOOR
-            elif dt < 0:
-                raise NegativeDt(f"dt must be >= 0, got {dt!r}")
-            if obs_precision <= 0:
-                raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {obs_precision!r}")
-            before.append(precision)
-            precision += obs_precision
-            after.append(precision)
-            if 1.0 / precision < epsilon:
-                break
-        n = rows.start + len(after)
-        precision_before[rows.start : n], precision_after[rows.start : n] = before, after
-        if 1.0 / precision < epsilon:  # the block's last row halted the run
+        t, o = times[rows], obs_precisions[rows]
+        dt = t - np.concatenate(([t_prev], t[:-1]))
+        raising = np.flatnonzero((dt < 0) | (o <= 0))
+        k = raising[0] if len(raising) else len(t)
+        previous = [obs, *o[:k].tolist()]
+        # A row at dt == 0 keeps the previous posterior unclamped, as propagate does.
+        steps = zip(dt[:k].tolist(), previous)
+        block = [before := floor if (q := (before + tau) * exp(rate * d)) < floor and d else q for d, tau in steps]
+        applied = slice(rows.start, rows.start + k)
+        precision_before[applied] = block
+        after = np.add(precision_before[applied], o[:k], out=precision_after[applied])
+        if len(halts := np.flatnonzero(1.0 / after < epsilon)):
+            n = rows.start + halts[0] + 1
             return precision_before[:n], precision_after[:n], True
+        if len(raising):
+            if dt[k] < 0:
+                raise NegativeDt(f"dt must be >= 0, got {dt[k].item()!r}")
+            raise NonPositiveObsPrecision(f"obs_precision must be > 0, got {o[k].item()!r}")
+        obs, t_prev = previous[-1], t[-1]
     return precision_before, precision_after, False
 
 

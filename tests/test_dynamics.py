@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beds import core
+from beds import core, dynamics
 from beds.core import GaussianBelief, NegativeDt, NonPositiveObsPrecision
 from beds.dynamics import (
     PRECISION_FLOOR,
@@ -327,6 +327,69 @@ def test_evolve_precision_raises_in_a_later_block_as_the_scalar_reference(row, c
     with pytest.raises(error) as blocked:
         _blocks_of_7(stream)
     assert str(blocked.value) == str(scalar.value)
+
+
+@st.composite
+def _streams_with_a_raising_row(draw):
+    """A ``_streams`` stream with one row inserted that raises: a negative dt or a non-positive obs_precision."""
+
+    times, values, obs_precisions = draw(_streams())
+    i = draw(st.integers(min_value=0, max_value=len(times)))
+    shift, obs_precision = draw(
+        st.tuples(st.sampled_from([0.0, -1e-3, -2.0]), st.sampled_from([0.0, -0.0, -1.0, 0.5])).filter(
+            lambda row: row[0] < 0 or row[1] <= 0
+        )
+    )
+    t = (times[i - 1] if i else 0.0) + shift
+    return times[:i] + [t] + times[i:], values[:i] + [0.0] + values[i:], obs_precisions[:i] + [obs_precision] + obs_precisions[i:]
+
+
+@given(stream=_streams_with_a_raising_row(), **{k: v for k, v in stream_args.items() if k != "stream"})
+@settings(max_examples=200)
+def test_evolve_precision_raises_as_stepping_unless_it_halts_first(stream, mean, precision, gamma, epsilon):
+    times, _, obs_precisions = stream
+    try:
+        expected = _stepped(mean, precision, stream, gamma, epsilon)
+    except (NegativeDt, NonPositiveObsPrecision) as error:
+        expected = error
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "BLOCK", 3)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as raised:
+                evolve_precision(precision, np.array(times), np.array(obs_precisions), gamma, epsilon)
+            assert str(raised.value) == str(expected)
+        else:
+            before, _, after, halted = expected
+            path = evolve_precision(precision, np.array(times), np.array(obs_precisions), gamma, epsilon)
+            assert halted and (_bits(path[0]), _bits(path[1]), path[2]) == (_bits(before), _bits(after), True)
+
+
+@given(stream=_streams_with_a_raising_row(), precision=stream_args["precision"], gamma=stream_args["gamma"])
+@settings(max_examples=200)
+def test_evolve_precision_calls_exp_once_per_row_it_computes(stream, precision, gamma):
+    # In blocks of 3, every row before the first raising row is computed, up
+    # to the end of the halting row's block: one math.exp each, and none at
+    # or past the raising row.
+    times, _, obs_precisions = stream
+    first_raising = next(i for i, (t, p) in enumerate(zip([0.0, *times], obs_precisions)) if times[i] < t or p <= 0)
+    _, _, applied, halted = _stepped(0.0, precision, [c[:first_raising] for c in stream], gamma, 0.05)
+    computed = min(-(-len(applied) // 3) * 3, first_raising) if halted else first_raising
+    calls, libm_exp = [], math.exp
+
+    def exp(x):
+        calls.append(x)
+        return libm_exp(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "BLOCK", 3)
+        patch.setattr(dynamics.math, "exp", exp)
+        try:
+            path = evolve_precision(precision, np.array(times), np.array(obs_precisions), gamma, 0.05)
+        except (NegativeDt, NonPositiveObsPrecision):
+            path = None
+    assert (path is not None) == halted
+    assert len(calls) == computed <= first_raising
+    assert len(calls) - len(applied) < 3
 
 
 def test_evolve_precision_holds_one_block_of_python_floats():
