@@ -33,7 +33,7 @@ from .core import (
     set_path,
     validate_scenario,
 )
-from .engine import run, summary_to_dict, sweep, trace_to_csv
+from .engine import counts, run, summary_to_dict, sweep, trace_to_csv
 from .io import _CSV_BLOCK_ROWS, beside, json_dumps
 from . import verify as verify_mod
 
@@ -283,6 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    counts.clear()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

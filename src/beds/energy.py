@@ -63,6 +63,8 @@ def observation_costs(
     here. Its info is the gain at the pre-update precision, as
     :func:`info_gain`; its energy is that gain's thermodynamic minimum under
     ``landauer_min``, or the flat ``fixed_cost_value`` under ``fixed_cost``.
+    At ``kBT == 1`` that minimum is the infos array itself (``1.0 * x == x``
+    for every double), so a caller that writes to one writes to both.
     """
 
     with np.errstate(over="ignore"):  # a ratio past the float range gains inf, as in Python
@@ -70,7 +72,7 @@ def observation_costs(
     infos = 0.5 * libm(math.log1p, ratios)
     if model.kind == "fixed_cost":
         return np.full(len(infos), model.fixed_cost_value), infos
-    return landauer_min_energy(infos, model.kBT), infos
+    return (infos if model.kBT == 1.0 else landauer_min_energy(infos, model.kBT)), infos
 
 
 def _running_totals(column: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ import dataclasses
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, reduce
@@ -99,6 +100,9 @@ _TRACE_BLOCK = 8192
 # Most observations plus samples a sweep may expect over all its runs: a
 # hundred runs at core.MAX_EXPECTED_COUNT each, checked before the first run.
 MAX_SWEEP_COUNT = 10**8
+# The runs, events and samples of every trace ``_traces`` has built since
+# the last ``clear()``; ``cli.main`` clears it before each command.
+counts: Counter = Counter()
 
 
 @dataclass(frozen=True)
@@ -206,9 +210,9 @@ def run(scenario: Scenario, observations: np.ndarray | None = None, *, batched: 
     of its key, equal to the one computed without it; it is returned as it
     is, unvalidated, since ``sweep`` has validated the row's cell and a row
     differs from its cell only in the seed. It exists so that each sweep row
-    stays one call of ``run``: the benchmark's tracer and tests count runs
-    by wrapping this function. It can go once the program counts its own
-    runs (ROADMAP item 1a).
+    stays one call of ``run``: the benchmark's tracer counts runs by
+    wrapping this function. It can go once the tracer reads ``counts``
+    (ROADMAP item 1b).
     """
 
     if batched is not None:
@@ -551,6 +555,7 @@ def _traces(
         del flux
         side = _precision_side(scenario, events, ledger, halted_at, means)
         max_kl = after_burn_in(side.samples, scenario.problem.t0, "kl_to_target", np.max)
+        counts.update(runs=1, events=side.summary["observation_count"], samples=len(side.samples))
         yield RunTrace(side, scenario, means, max_kl)
         return
     width = max(1, int(MAX_EXPECTED_COUNT // max(len(flux), 1)))
@@ -576,6 +581,7 @@ def _traces(
         for a in range(0, len(batch), step):
             max_kl = _divergence(batch[a : a + step], side, means[:, a : a + step])
             for j, scenario in enumerate(batch[a : a + step]):
+                counts.update(runs=1, events=side.summary["observation_count"], samples=len(side.samples))
                 yield RunTrace(side, scenario, means[:, a + j], max_kl[j])
         # Free this batch's blocks before the next batch allocates its own.
         del values, means

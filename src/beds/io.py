@@ -3,8 +3,9 @@
 Reals are rendered with '.' decimals, no separators, and 17 significant
 digits so every value round-trips exactly; outputs carry no timestamps,
 making files byte-reproducible for identical inputs. :func:`beside` runs
-one piece of work, such as writing a file, in a forked child beside the
-calling process.
+one piece of work, such as writing a file, in a child forked with
+``os.fork`` beside the calling process, which reads the pickled value back
+through a pipe.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import contextlib
 import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 import threading
 from io import BytesIO
@@ -349,46 +353,49 @@ def beside(work, fork: bool = True):
     """Run ``work()`` beside the ``with`` body, which gets a ``result()`` returning its value.
 
     On Linux, in a process that runs no other thread, and when ``fork`` is
-    true, ``work`` runs in a forked child that ignores SIGINT and sends the
-    value back through a pipe; if the child dies first, ``result()`` raises
-    ChildProcessError naming its exit code. Leaving the block by any path
-    kills the child if it is still running, then joins it. Elsewhere (fork
-    is unsafe on macOS and beside other threads, and missing on Windows)
-    ``result()`` calls ``work()`` here.
+    true, ``work`` runs in a forked child that ignores SIGINT, pickles the
+    value into a pipe and exits 0, or exits 1, printing nothing, if anything
+    raised. If the pipe ends before a whole value, ``result()`` raises
+    ChildProcessError naming the child's exit code. Leaving the block by
+    any path kills the child if it is still running, then reaps it.
+    Elsewhere (fork is unsafe on macOS and beside other threads, and missing
+    on Windows) ``result()`` calls ``work()`` here.
     """
 
     if not fork or sys.platform != "linux" or threading.active_count() > 1:
         yield work
         return
-    # Imported here: importing beds does not pay for multiprocessing.
-    import multiprocessing
-    import signal
-
-    def child() -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        sender.send(work())
-
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(target=child)
+    read_end, write_end = os.pipe()
     # The child must not write this process's buffered output a second time.
     sys.stdout.flush()
     sys.stderr.flush()
-    process.start()
-    sender.close()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(work(), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    pipe, exit_code = open(read_end, "rb"), None
 
     def result():
+        nonlocal exit_code
         try:
-            return receiver.recv()
-        except EOFError:
-            process.join()
-            message = f"the child process exited with code {process.exitcode} before sending its result"
+            return pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            message = f"the child process exited with code {exit_code} before sending its result"
             raise ChildProcessError(message) from None
 
     try:
         yield result
     finally:
-        receiver.close()
-        if process.is_alive():
-            process.kill()
-        process.join()
+        pipe.close()
+        if exit_code is None and os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-import multiprocessing
+import glob
+import os
 import threading
 
 import pytest
@@ -8,36 +9,62 @@ import pytest
 from beds import engine, verify
 
 
+def _live_children() -> set[int]:
+    """The pids of this process's children, zombies included, read without reaping any (none off Linux)."""
+
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path, encoding="ascii") as handle:
+            pids.update(map(int, handle.read().split()))
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def _no_thread_left_running():
-    """Fail a test that leaves running a thread or a child process that was not running when it started."""
+    """Fail a test that leaves running a thread or a child process that was not running when it started.
 
-    threads, children = set(threading.enumerate()), set(multiprocessing.active_children())
+    A child that has exited but was not reaped is left behind too.
+    """
+
+    threads, children = set(threading.enumerate()), _live_children()
     yield
     left = [thread for thread in threading.enumerate() if thread not in threads]
-    left += [child for child in multiprocessing.active_children() if child not in children]
+    left += [f"child process {pid}" for pid in sorted(_live_children() - children)]
     if left:
         pytest.fail(f"threads or processes left running: {left}")
 
 
+@pytest.fixture
+def live_children():
+    """A function returning the pids of this process's children, zombies included."""
+
+    return _live_children
+
+
+@pytest.fixture
+def started_children(monkeypatch):
+    """The pids of the child processes forked while the test runs."""
+
+    started = []
+
+    def recording():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", recording)
+    return started
+
+
 @pytest.fixture(scope="session")
 def _verify_run() -> tuple[verify.VerifyReport, dict[str, int]]:
-    """One full self-verification run, with the runs and events of every ``run`` call it made."""
+    """One full self-verification run, with the runs and events that ``engine.counts`` counted in it."""
 
-    counts = {"runs": 0, "events": 0}
-
-    def counted(*args, **kwargs):
-        trace = run(*args, **kwargs)
-        counts["runs"] += 1
-        counts["events"] += trace.summary.observation_count
-        return trace
-
-    run = engine.run
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (engine, verify):
-            patch.setattr(module, "run", counted)
-        report = verify.run_all(verify.DEFAULT_SEED_BASE)
-    return report, counts
+    engine.counts.clear()
+    report = verify.run_all(verify.DEFAULT_SEED_BASE)
+    return report, {"runs": engine.counts["runs"], "events": engine.counts["events"]}
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
-import multiprocessing
 import os
 import shutil
+import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beds import cli, verify
+from beds import cli, engine, verify
 from beds.cli import main
 from beds.core import scenario_to_json, set_path
 from beds.energy import EnergyLedger
@@ -499,24 +501,9 @@ on_linux = pytest.mark.skipif(sys.platform != "linux", reason="forks only on Lin
 OUTPUTS = ("trace.csv", "ledger.csv", "summary.json")
 
 
-@pytest.fixture
-def started_children(monkeypatch):
-    """The child processes started while the test runs."""
-
-    started = []
-
-    def recording(process):
-        started.append(process)
-        start(process)
-
-    start = multiprocessing.process.BaseProcess.start
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
-    return started
-
-
 @on_linux
 def test_simulate_writes_the_same_bytes_with_the_ledger_forked_or_in_process(
-    tmp_path, scenario_file, capsys, monkeypatch, started_children
+    tmp_path, scenario_file, capsys, monkeypatch, started_children, live_children
 ):
     path = scenario_file(steady_state)
     assert len(run(steady_state()).ledger) > _CSV_BLOCK_ROWS
@@ -529,14 +516,14 @@ def test_simulate_writes_the_same_bytes_with_the_ledger_forked_or_in_process(
         captured = capsys.readouterr()
         outputs[way] = [captured.out, captured.err, *((out / name).read_bytes() for name in OUTPUTS)]
         assert len(started_children) == 1  # by the forked run alone
-        assert multiprocessing.active_children() == []
+        assert live_children() == set()
     assert outputs["forked"] == outputs["in_process"]
     assert outputs["forked"][0].encode() == outputs["forked"][-1]
 
 
 @on_linux
 def test_a_ledger_that_cannot_be_written_gives_the_same_line_forked_or_in_process(
-    tmp_path, scenario_file, capsys, monkeypatch, started_children
+    tmp_path, scenario_file, capsys, monkeypatch, started_children, live_children
 ):
     path = scenario_file(steady_state)
     out = tmp_path / "out"
@@ -550,14 +537,14 @@ def test_a_ledger_that_cannot_be_written_gives_the_same_line_forked_or_in_proces
         assert captured.out == ""
         lines[way] = captured.err.splitlines()
         assert len(started_children) == 1
-        assert multiprocessing.active_children() == []
+        assert live_children() == set()
     assert lines["forked"] == lines["in_process"]
     assert len(lines["forked"]) == 1 and lines["forked"][0].startswith(f"error: cannot write ledger.csv in {out}: ")
 
 
 @on_linux
 def test_a_ledger_writer_that_dies_exits_1_with_one_line_naming_its_exit_code(
-    tmp_path, scenario_file, capsys, monkeypatch
+    tmp_path, scenario_file, capsys, monkeypatch, started_children, live_children
 ):
     parent = os.getpid()
 
@@ -573,13 +560,14 @@ def test_a_ledger_writer_that_dies_exits_1_with_one_line_naming_its_exit_code(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write ledger.csv in {out}: "), lines
     assert "exited with code 3" in lines[0]
-    assert multiprocessing.active_children() == []
+    assert len(started_children) == 1
+    assert live_children() == set()
 
 
 @on_linux
 @pytest.mark.parametrize("horizon, rows, children", [(2078.2, 2048, 0), (2078.5, 2049, 1)])
 def test_only_a_ledger_of_more_than_one_csv_block_is_written_in_a_child(
-    tmp_path, scenario_file, started_children, horizon, rows, children
+    tmp_path, scenario_file, started_children, live_children, horizon, rows, children
 ):
     scenario = replace(steady_state(), horizon=horizon)
     assert _CSV_BLOCK_ROWS == 2048 and len(run(scenario).ledger) == rows
@@ -587,7 +575,7 @@ def test_only_a_ledger_of_more_than_one_csv_block_is_written_in_a_child(
     assert main(["simulate", "--scenario-path", scenario_file(lambda: scenario), "--output-dir", str(out)]) == 0
     assert len(started_children) == children
     assert (out / "ledger.csv").read_bytes() == run(scenario).ledger.to_csv().encode()
-    assert multiprocessing.active_children() == []
+    assert live_children() == set()
 
 
 def test_beds_seed_env_overrides_scenario_seed(tmp_path, scenario_file, monkeypatch):
@@ -625,7 +613,7 @@ def test_an_interrupted_command_exits_130_with_one_line(capsys, monkeypatch):
 
 @on_linux
 def test_an_interrupt_beside_the_ledger_child_exits_130_with_one_line(
-    tmp_path, scenario_file, capsys, monkeypatch, started_children
+    tmp_path, scenario_file, capsys, monkeypatch, started_children, live_children
 ):
     def interrupted(trace, handle=None):
         raise KeyboardInterrupt
@@ -635,7 +623,65 @@ def test_an_interrupt_beside_the_ledger_child_exits_130_with_one_line(
     assert main(argv) == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
     assert len(started_children) == 1
-    assert multiprocessing.active_children() == []
+    assert live_children() == set()
+
+
+def test_simulate_and_verify_load_no_process_or_socket_module(tmp_path, scenario_file):
+    # The ledger of steady_state is past one CSV block, so simulate forks, and so does verify.
+    assert len(run(steady_state()).ledger) > _CSV_BLOCK_ROWS
+    script = """if True:
+        import sys
+        from beds.cli import main
+
+        path, out = sys.argv[1:]
+        assert main(["simulate", "--scenario-path", path, "--output-dir", out + "/simulate"]) == 0
+        assert main(["verify", "--output-dir", out + "/verify"]) == 0
+        modules = ("multiprocessing", "subprocess", "socket", "selectors")
+        print([name for name in modules if name in sys.modules], file=sys.stderr)
+    """
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", script, scenario_file(steady_state), str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "[]\n")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str):
+    """``bench/<name>.py``, loaded as a module of its own."""
+
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_program_counts_the_runs_events_and_samples_the_benchmark_tracer_counts(tmp_path):
+    tracer, workloads = _bench_module("tracer"), _bench_module("workloads")
+    root = str(BENCH.parent)
+    runs_and_samples = {"simulate_long": (1, 20_001), "sweep_many": (40, 32_040), "verify_suite": (432, 490_086)}
+    for workload, (runs, samples) in runs_and_samples.items():
+        traced = tracer.Tracer(time.perf_counter)
+        traced.install()
+        try:
+            if workload == "verify_suite":
+                engine.counts.clear()
+                verify.run_all(verify.DEFAULT_SEED_BASE)
+            else:
+                seed = workloads.program_seed(root, workload, 0, 0)
+                assert main(workloads.op_argv(root, workload, "tiny", seed, str(tmp_path / workload))) == 0
+        finally:
+            traced.uninstall()
+        assert traced.missing == []
+        want = traced.all_counts()
+        assert dict(engine.counts) == {
+            "runs": want["engine.runs"],
+            "events": want["engine.events_applied"],
+            "samples": want["engine.samples_emitted"],
+        }
+        assert (engine.counts["runs"], engine.counts["samples"]) == (runs, samples), workload
 
 
 # --- classify -----------------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_observation_costs_column_equals_scalar_cost(model, pairs):
     assert list(zip(energies.tolist(), infos.tolist())) == expected
 
 
+def test_landauer_energies_at_kbt_1_are_the_infos_array_itself():
+    # 1.0 * x == x for every double, so a ledger at kBT = 1 keeps one column for both.
+    taus, ods = np.array([0.5, 2.0, 1e300]), np.array([1.0, 3.0, 1e-300])
+    energies, infos = observation_costs(EnergyModel(kind="landauer_min", kBT=1.0), taus, ods)
+    ledger = EnergyLedger.from_columns(np.arange(3.0), energies, infos)
+    assert energies is infos and ledger.energies is ledger.infos
+    energies, infos = observation_costs(EnergyModel(kind="landauer_min", kBT=2.0), taus, ods)
+    assert not np.shares_memory(energies, infos)
+
+
 # --- ledger ----------------------------------------------------------------------
 
 

@@ -3,7 +3,6 @@
 in a forked child."""
 
 import math
-import multiprocessing
 import os
 import random
 import signal
@@ -305,12 +304,32 @@ def pid_and_sigint_handler():
 
 
 @on_linux
-def test_beside_runs_work_in_a_child_that_ignores_sigint():
+def test_beside_runs_work_in_a_child_that_ignores_sigint(live_children):
     with io.beside(pid_and_sigint_handler) as result:
         pid, handler = result()
     assert pid != os.getpid()
     assert handler == signal.SIG_IGN
-    assert multiprocessing.active_children() == []
+    assert live_children() == set()
+
+
+def raise_an_error():
+    raise RuntimeError("boom")
+
+
+def unpicklable_after_a_long_prefix():
+    # The pickle's first frames reach the pipe before the lambda fails to pickle.
+    return [0.5] * 100_000 + [lambda: None]
+
+
+@on_linux
+@pytest.mark.parametrize("work", [raise_an_error, unpicklable_after_a_long_prefix])
+def test_a_child_that_fails_exits_1_and_writes_nothing(capfd, started_children, live_children, work):
+    with io.beside(work) as result:
+        with pytest.raises(ChildProcessError, match=r"^the child process exited with code 1 before sending its result$"):
+            result()
+    assert len(started_children) == 1
+    assert live_children() == set()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_beside_without_fork_runs_work_here_when_the_body_asks_for_its_value():

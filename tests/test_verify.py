@@ -1,6 +1,5 @@
 """How run_all assembles the report from the checks, and the merge-order oracle against its scalar draws."""
 
-import multiprocessing
 import os
 import sys
 import threading
@@ -31,7 +30,7 @@ ORACLE_NAMES = [
 ]
 
 
-def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monkeypatch):
+def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monkeypatch, live_children):
     for name in dir(verify):
         if name.startswith("check_"):
             monkeypatch.setattr(verify, name, lambda *args: (True, {"stub": True}))
@@ -59,7 +58,7 @@ def test_run_all_runs_module_bindings_and_reports_a_raising_check_as_failed(monk
     assert report.checks[0].measured == report.checks[7].measured == {"stub": True}
     assert report.tracking_table == "table"
     assert not report.all_passed
-    assert multiprocessing.active_children() == []
+    assert live_children() == set()
 
 
 def _stub_checks(monkeypatch, calls=None, **stubs):
@@ -82,7 +81,7 @@ def _boom(*args):
     raise RuntimeError("boom")
 
 
-def test_a_child_that_dies_before_sending_fails_every_oracle_check_with_its_exit_code(monkeypatch):
+def test_a_child_that_dies_before_sending_fails_every_oracle_check_with_its_exit_code(monkeypatch, live_children):
     _stub_checks(monkeypatch, check_linear_regime=lambda: os._exit(3))
     report = verify.run_all()
     assert [c.name for c in report.checks] == CHECK_NAMES
@@ -92,10 +91,10 @@ def test_a_child_that_dies_before_sending_fails_every_oracle_check_with_its_exit
             assert "exited with code 3" in check.measured["error"]
         else:
             assert check.passed and check.measured == {"stub": True}
-    assert multiprocessing.active_children() == []
+    assert live_children() == set()
 
 
-def test_an_interrupt_kills_and_joins_a_child_that_is_still_running(monkeypatch):
+def test_an_interrupt_kills_and_joins_a_child_that_is_still_running(monkeypatch, started_children, live_children):
     def interrupt(seed_base):
         raise KeyboardInterrupt
 
@@ -107,13 +106,14 @@ def test_an_interrupt_kills_and_joins_a_child_that_is_still_running(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         verify.run_all()
-    assert multiprocessing.active_children() == []
+    assert len(started_children) == 1
+    assert live_children() == set()
     assert time.perf_counter() - start < 30
 
 
 @pytest.mark.parametrize("fork_unsafe_because", ["not_linux", "another_thread_runs"])
 def test_where_fork_is_unsafe_the_oracle_checks_run_in_process_after_the_simulating_ones(
-    monkeypatch, fork_unsafe_because
+    monkeypatch, started_children, fork_unsafe_because
 ):
     calls = []
     _stub_checks(monkeypatch, calls, check_dynamics_oracles=_boom)
@@ -142,11 +142,12 @@ def test_where_fork_is_unsafe_the_oracle_checks_run_in_process_after_the_simulat
     assert [c.name for c in report.checks] == CHECK_NAMES
     assert report.checks[6].measured == {"error": "RuntimeError: boom"}
     assert [c.passed for c in report.checks] == [name != "dynamics_oracles" for name in CHECK_NAMES]
+    assert started_children == []
 
 
 def test_only_the_checks_marked_as_simulating_call_run_or_sweep(monkeypatch):
     # On Linux the unmarked checks run in a forked child, where a run they
-    # made would escape every count kept by wrapping engine.run.
+    # made would escape engine.counts and every count kept by wrapping engine.run.
     def refuse(*args, **kwargs):
         raise AssertionError("the engine was called")
 
