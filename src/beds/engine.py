@@ -102,7 +102,7 @@ _TRACE_BLOCK = 8192
 MAX_SWEEP_COUNT = 10**8
 # The runs, events and samples of every trace ``_traces`` has built since
 # the last ``clear()``; ``cli.main`` clears it before each command.
-counts: Counter = Counter()
+counts = Counter()
 
 
 @dataclass(frozen=True)

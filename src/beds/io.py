@@ -365,18 +365,18 @@ def beside(work, fork: bool = True):
     if not fork or sys.platform != "linux" or threading.active_count() > 1:
         yield work
         return
-    read_end, write_end = os.pipe()
     # The child must not write this process's buffered output a second time.
     sys.stdout.flush()
     sys.stderr.flush()
+    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(work(), pipe)
+            with open(write_end, "wb") as sink:
+                pickle.dump(work(), sink)
             code = 0
         finally:
             os._exit(code)
