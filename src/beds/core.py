@@ -585,8 +585,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
 def set_path(raw: dict, path: str, value: object) -> object:
     """Set the existing field at dotted ``path`` of a scenario dict; return its old value.
 
-    Raises UnknownParameterPath when the path names no field, so an override
-    can never add a key that :func:`scenario_from_dict` would reject later.
+    Each dict on the path below ``raw`` is copied before the write, and a path
+    that names no field raises UnknownParameterPath rather than adding a key.
     """
 
     keys = path.split(".")
@@ -595,6 +595,8 @@ def set_path(raw: dict, path: str, value: object) -> object:
         if not isinstance(node, dict) or key not in node:
             raise UnknownParameterPath(f"no scenario field at {path!r}")
         parent, node = node, node[key]
+        if isinstance(node, dict):
+            parent[key] = node = dict(node)
     parent[keys[-1]] = value
     return node
 

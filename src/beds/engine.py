@@ -478,10 +478,6 @@ def sweep(
     for combo in combos:
         raw = dict(base_dict)
         for path, value in zip(paths, combo):
-            node = raw  # copy the dicts on the path, so base_dict stays as it is
-            for key in path.split(".")[:-1]:
-                if isinstance(node.get(key), dict):
-                    node[key] = node = dict(node[key])
             old = set_path(raw, path, value)
             if isinstance(old, bool) or not isinstance(old, (int, float)):
                 raise UnknownParameterPath(f"scenario field {path!r} is not numeric")

@@ -132,14 +132,15 @@ def _normal_blocks(rng: np.random.Generator, unused: np.ndarray, n: int) -> Iter
 
 
 def first_normals(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` standard normals of ``seed``'s stream, two uniforms each.
+    """The first ``count`` standard normals of ``seed``'s stream, two uniforms each, drawn a block at a time.
 
-    A prefix of them is the same as fewer drawn: uniforms and normals are
-    computed element by element, in stream order.
+    They are a periodic or scheduled flux's own noise, and a prefix of them is the same as fewer drawn.
     """
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _box_muller(rng.random(2 * count))
+    normals = np.empty(count)
+    for rows, normal in _normal_blocks(np.random.Generator(np.random.PCG64(seed)), np.empty(0), count):
+        normals[rows] = normal
+    return normals
 
 
 def generate_flux(

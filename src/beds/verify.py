@@ -36,7 +36,6 @@ from .core import (
     ScheduleArrival,
     Scenario,
     TargetSpec,
-    validate_scenario,
 )
 from .dynamics import bayes_update, dissipate
 from .energy import gaussian_entropy, info_gain, landauer_min_energy
@@ -178,7 +177,7 @@ def _random_scenario(rng: np.random.Generator, force_landauer: bool = False) -> 
         model = EnergyModel(kind="landauer_min", fixed_cost_value=0.0, kBT=float(rng.uniform(0.5, 2.0)))
     else:
         model = EnergyModel(kind="fixed_cost", fixed_cost_value=float(rng.uniform(0.01, 2.0)), kBT=1.0)
-    scenario = Scenario(
+    return Scenario(
         beds=BedsParams(
             gamma=float(np.exp(rng.uniform(np.log(0.02), np.log(2.0)))),
             epsilon=float(np.exp(rng.uniform(np.log(1e-5), np.log(1e-2)))),
@@ -203,7 +202,6 @@ def _random_scenario(rng: np.random.Generator, force_landauer: bool = False) -> 
         sample_dt=horizon / 150.0,
         seed=int(rng.integers(0, 2**63)),
     )
-    return validate_scenario(scenario)
 
 
 def _exact(scenario: Scenario) -> Scenario:

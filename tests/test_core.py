@@ -22,6 +22,7 @@ from beds.core import (
     ScheduleArrival,
     Scenario,
     TargetSpec,
+    UnknownParameterPath,
     ValidationError,
     libm,
     scenario_from_dict,
@@ -412,6 +413,43 @@ _JSON = st.recursive(
     | st.dictionaries(st.sampled_from(["kind", "rate", "period", "times", "mean", "x"]), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def test_set_path_writes_only_the_root_and_leaves_every_nested_dict_as_it_was():
+    builders = (dissipation_only, static_crystallizing, steady_state, drifting_tracking, tracking_sweep_base)
+    for builder in builders:
+        shipped = scenario_to_dict(builder())
+        numeric = [path for path in _paths(shipped) if not isinstance(_get(shipped, path), (dict, list, str))]
+        assert len(numeric) >= 15, numeric
+        for path in numeric:
+            raw = copy.deepcopy(shipped)
+            nested = [(node, copy.deepcopy(node)) for node in _dicts(raw)]
+            old = _get(raw, path)
+            assert set_path(raw, path, 0.125) == old
+            assert _get(raw, path) == 0.125
+            for node, before in nested:
+                assert node == before, path
+            # Only the written field differs from the input.
+            assert set_path(raw, path, old) == 0.125 and raw == shipped, path
+        for missing in ("beds.nope", "horizon.x", "flux_spec.arrival.rate.x", "nope"):
+            raw = copy.deepcopy(shipped)
+            with pytest.raises(UnknownParameterPath, match=f"^no scenario field at '{missing}'$"):
+                set_path(raw, missing, 1.0)
+            assert raw == shipped
+
+
+def _get(node, path):
+    for key in path.split("."):
+        node = node[key]
+    return node
+
+
+def _dicts(node):
+    """Every dict nested below ``node``, not ``node`` itself."""
+    for value in node.values():
+        if isinstance(value, dict):
+            yield value
+            yield from _dicts(value)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ why in the same change.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,13 @@ def test_flux_csv_matches_golden():
 def test_verify_outputs_match_golden(verify_report):
     assert _sha256(json_dumps(verify_report.to_dict()).encode("utf-8")) == GOLDEN_VERIFY_REPORT
     assert _sha256(verify_report.tracking_table.to_csv().encode("utf-8")) == GOLDEN_VERIFY_SWEEP
+
+
+def test_verify_pins_equal_the_benchmarks_verify_suite_pins():
+    # Both pin the default-seed `beds verify`, so a re-pin moves both.
+    pins = json.loads((SCENARIOS.parent / "bench" / "pins.json").read_text())["verify_suite"]
+    for size in ("full/default", "tiny/default"):
+        assert pins[size] == {"verify_report.json": GOLDEN_VERIFY_REPORT, "sweep.csv": GOLDEN_VERIFY_SWEEP}, size
 
 
 @pytest.mark.parametrize("seed_base", sorted(GOLDEN_VERIFY_AT_SEED_BASE))
