@@ -245,20 +245,18 @@ def test_first_normals_are_drawn_a_block_at_a_time_and_equal_a_whole_draw():
     # 200,000 normals are 1.6 MB. Drawn whole, their 400,000 uniforms and
     # Box-Muller temporaries peaked at about 9.6 MB of tracemalloc; a
     # core.BLOCK of rows at a time, about 1.9 MB.
-    count = 200_000
-    for seed in (0, 2**64 - 1):
-        first_normals(seed, count)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            normals = first_normals(seed, count)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2_500_000
+    first_normals(0, 200_000)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        first_normals(0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_500_000
+    for seed, count in ((0, 200_000), (2**64 - 1, 2 * core.BLOCK + 3), (3, 0)):
         whole = fluxgen._box_muller(np.random.Generator(np.random.PCG64(seed)).random(2 * count))
-        assert normals.tobytes() == whole.tobytes()
-    assert first_normals(3, 0).tobytes() == b""
+        assert first_normals(seed, count).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("arrival", REFERENCE_ARRIVALS.values(), ids=REFERENCE_ARRIVALS.keys())
